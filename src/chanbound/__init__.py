@@ -53,6 +53,6 @@ from .metrics import (
     ensemble_dk,
     fidelity,
 )
-from .bounds import erasure_capacities, one_shot_maxima, p_r, t_st, theorem1_bound, theorem2_bound
+from .bounds import erasure_capacities, p_r, t_st, theorem1_bound, theorem2_bound
 
 __version__ = "0.1.0"

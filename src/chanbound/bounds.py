@@ -15,7 +15,6 @@ import numpy as np
 
 from .energy import Hamiltonian, OscillatorSpec, f_h, gamma, oscillator_f, oscillator_gamma_hat_domain_min, oscillator_gamma_hat_unchecked
 from .entropic import eta, g
-from .metrics import EnergyConstraint, _constrained_minimum
 from .qstate import QStateError
 
 LOG2 = math.log(2.0)
@@ -388,128 +387,3 @@ def erasure_isometry_gap(x: float) -> float:
     if not 0.0 <= x <= 0.5:
         raise ValueError(f"x = {x} outside [0, 1/2]")
     return math.sqrt(max(0.0, 2.0 - math.sqrt(1.0 - 2.0 * x) - math.sqrt(1.0 + 2.0 * x)))
-
-
-@dataclass(frozen=True)
-class OneShotMaxima:
-    """Multistart-ascent lower bounds; never claimed to be the exact maxima."""
-
-    q_bar_lower: float
-    c_ea_lower: float
-    converged: bool
-    iterations: int
-
-
-def _entropy_spectrum(mat: np.ndarray) -> float:
-    w = np.clip(np.linalg.eigvalsh(mat), 0.0, None)
-    return float(np.sum(eta(w)))
-
-
-def _safe_log(mat: np.ndarray, floor: float = 1e-14) -> np.ndarray:
-    w, u = np.linalg.eigh(mat)
-    return (u * np.log(np.clip(w, floor, None))) @ u.conj().T
-
-
-def one_shot_maxima(
-    channel,
-    constraint: Optional[EnergyConstraint] = None,
-    budget: int = 120,
-    starts: int = 4,
-    seed: int = 0,
-    gap_tol: float = 1e-6,
-) -> OneShotMaxima:
-    """Frank-Wolfe ascent lower bounds for the one-shot coherent information
-    maximum and the channel mutual-information maximum.
-
-    Both objectives are evaluated exactly at every iterate, so the returned
-    values are always achievable lower bounds.
-    """
-    from scipy.optimize import minimize_scalar
-
-    d_a, d_b, d_e = channel.d_a, channel.d_b, channel.d_e
-    v = channel.isometry
-    h_mat = e_cap = None
-    if constraint is not None:
-        h_mat = constraint.hamiltonian.to_matrix()
-        e_cap = float(constraint.bound)
-
-    def apply_both(rho):
-        y = (v @ rho @ v.conj().T).reshape(d_b, d_e, d_b, d_e)
-        main = np.einsum("beBe->bB", y)
-        env = np.einsum("bebE->eE", y)
-        return main, env
-
-    def objective(rho, with_input_entropy: bool) -> float:
-        main, env = apply_both(rho)
-        val = _entropy_spectrum(main) - _entropy_spectrum(env)
-        if with_input_entropy:
-            val += _entropy_spectrum(rho)
-        return val
-
-    def gradient(rho, with_input_entropy: bool) -> np.ndarray:
-        main, env = apply_both(rho)
-        vt = v.reshape(d_b, d_e, d_a)
-        log_main = _safe_log(main)
-        log_env = _safe_log(env)
-        g1 = np.einsum("bea,bB,BeA->aA", vt.conj(), log_main, vt)
-        g2 = np.einsum("bea,eE,bEA->aA", vt.conj(), log_env, vt)
-        grad = -g1 + g2
-        if with_input_entropy:
-            grad = grad - _safe_log(rho)
-        return (grad + grad.conj().T) / 2.0
-
-    from .energy import gibbs_state
-    from .metrics import _feasible_mix
-
-    rng = np.random.default_rng(seed)
-    start_list = [np.eye(d_a, dtype=np.complex128) / d_a]
-    if constraint is not None:
-        try:
-            start_list.append(gibbs_state(constraint.hamiltonian, e_cap).entries)
-        except QStateError:
-            pass
-    for _ in range(max(starts - len(start_list), 0)):
-        gmat = rng.standard_normal((d_a, d_a)) + 1j * rng.standard_normal((d_a, d_a))
-        w = gmat @ gmat.conj().T
-        start_list.append(w / np.trace(w).real)
-    if constraint is not None:
-        start_list = [_feasible_mix(s, h_mat, e_cap) for s in start_list]
-
-    results = {}
-    iterations = 0
-    all_converged = True
-    for with_h, key in ((False, "q_bar"), (True, "c_ea")):
-        best = -math.inf
-        converged = False
-        for rho0 in start_list:
-            rho = rho0
-            for _ in range(budget):
-                iterations += 1
-                val = objective(rho, with_h)
-                best = max(best, val)
-                grad = gradient(rho, with_h)
-                tau, _, _ = _constrained_minimum(-grad, h_mat, e_cap)
-                gap = float(np.real(np.trace(grad @ (tau - rho))))
-                if gap <= gap_tol:
-                    converged = True
-                    break
-
-                def line(tt: float) -> float:
-                    return -objective((1 - tt) * rho + tt * tau, with_h)
-
-                res = minimize_scalar(
-                    line, bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-6}
-                )
-                t_opt = float(res.x)
-                if t_opt < 1e-12:
-                    break
-                rho = (1 - t_opt) * rho + t_opt * tau
-            best = max(best, objective(rho, with_h))
-        results[key] = best
-        all_converged = all_converged and converged
-    return OneShotMaxima(
-        q_bar_lower=results["q_bar"],
-        c_ea_lower=results["c_ea"],
-        converged=all_converged,
-        iterations=iterations,
-    )

@@ -8,6 +8,7 @@ Gibbs weight at the top level is no longer negligible.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import warnings
@@ -17,12 +18,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .entropic import entropy_of_spectrum
+from .entropic import Ensemble, entropy_of_spectrum
 from .qstate import (
     DensityMatrix,
     HermitianOperator,
     PureState,
     QStateError,
+    SystemLayout,
     single_factor,
 )
 
@@ -346,6 +348,125 @@ def check_s_flag(handle, grid: Optional[Sequence[float]] = None) -> int:
         grid = np.linspace(top * 1e-3, top, 60)
     values = np.array([f_bar(h, e) / math.sqrt(e) for e in grid if e > 0])
     return 0 if np.all(np.diff(values) <= 1e-12) else 1
+
+
+def _factor_product(layout: SystemLayout, blocks: dict, other) -> np.ndarray:
+    """Kronecker product over the layout's factors: blocks[label], or other(dim)."""
+    out = np.ones(1, dtype=np.complex128)
+    for lbl, dim in layout.factors:
+        out = np.kron(out, blocks[lbl] if lbl in blocks else other(dim))
+    return out
+
+
+def ground_product(h: Hamiltonian, layout: SystemLayout, labels: Sequence[str]) -> np.ndarray:
+    """Ground-space projector / d_0 on each factor in `labels`, maximally mixed elsewhere."""
+    d0 = h.ground_multiplicity
+    ground = np.zeros((h.dim, h.dim), dtype=np.complex128)
+    if h.eigenbasis is None:
+        ground[np.arange(d0), np.arange(d0)] = 1.0 / d0
+    else:
+        u = h.eigenbasis[:, :d0]
+        ground = u @ u.conj().T / d0
+    return _factor_product(layout, dict.fromkeys(labels, ground), lambda dim: np.eye(dim) / dim)
+
+
+def cap_weight(energy: float, bound: float, ground_energy: float) -> float:
+    """Least weight t with (1 - t) energy + t ground_energy <= bound.
+
+    Mixing toward a ground state moves the mean energy affinely in t, so
+    the weight is exact; it is 0 when the energy already meets the cap.  A
+    cap below the ground energy admits no input and is rejected.
+    """
+    if bound < ground_energy:
+        raise EnergyDomainError(
+            f"energy cap {bound} is below the ground energy E_0 = {ground_energy}; no input meets it"
+        )
+    if energy <= bound:
+        return 0.0
+    return (energy - bound) / (energy - ground_energy)
+
+
+class EnergyCap:
+    """Mean-energy cap Tr[H rho] <= bound, with H on the factor `label` of `layout`.
+
+    Holds the embedded Hamiltonian and the ground targets `mix_to_cap`
+    mixes toward, so one cap serves every draw on its layout.  The layout
+    defaults to the single factor H acts on.
+    """
+
+    def __init__(self, h: Hamiltonian, bound: float, layout: Optional[SystemLayout] = None,
+                 label: str = "A"):
+        self.layout = layout if layout is not None else single_factor(label, h.dim)
+        if self.layout.dim(label) != h.dim:
+            raise QStateError("Hamiltonian dimension does not match the labeled factor")
+        self.hamiltonian = h
+        self.bound = float(bound)
+        self.label = label
+        self.operator = _factor_product(self.layout, {label: h.to_matrix()}, np.eye)
+
+    @functools.cached_property
+    def ground_state(self) -> np.ndarray:
+        return ground_product(self.hamiltonian, self.layout, (self.label,))
+
+    @functools.cached_property
+    def ground_vector(self) -> np.ndarray:
+        """Lowest eigenvector of H on the capped factor, |0> on every other factor."""
+        h = self.hamiltonian
+        basis = h.eigenbasis if h.eigenbasis is not None else np.eye(h.dim, dtype=np.complex128)
+        return _factor_product(self.layout, {self.label: basis[:, 0]},
+                               lambda dim: np.eye(dim, dtype=np.complex128)[0])
+
+    def energy(self, state: np.ndarray) -> float:
+        """Mean energy of an amplitude vector or a density matrix."""
+        if state.ndim == 1:
+            return float(np.real(state.conj() @ self.operator @ state))
+        return float(np.real(np.trace(self.operator @ state)))
+
+    def weight(self, state: np.ndarray) -> float:
+        return cap_weight(self.energy(state), self.bound, self.hamiltonian.ground_energy)
+
+
+def mix_to_cap(state, cap: EnergyCap):
+    """Bring a state under the energy cap by mixing it toward the ground.
+
+    A state that meets the cap comes back unchanged.  Mixed states (a
+    DensityMatrix or a density-matrix array) take the closed-form weight of
+    `cap_weight` toward `cap.ground_state`; an Ensemble takes the weight of
+    its average state and mixes every member with it.  Pure states (a
+    PureState or an amplitude vector) blend toward `cap.ground_vector` and
+    are renormalised; the blend's energy is not affine in the weight, so the
+    least feasible weight is bisected.  Raises EnergyDomainError when the
+    cap is below the ground energy.
+    """
+    if isinstance(state, Ensemble):
+        t = cap.weight(state.average_state().entries)
+        if t == 0.0:
+            return state
+        return Ensemble([
+            (p, DensityMatrix(rho.layout, (1.0 - t) * rho.entries + t * cap.ground_state))
+            for p, rho in state.items
+        ])
+    if isinstance(state, (DensityMatrix, PureState)):
+        raw = state.entries if isinstance(state, DensityMatrix) else state.amplitudes
+        mixed = mix_to_cap(raw, cap)
+        return state if mixed is raw else type(state)(state.layout, mixed)
+    t = cap.weight(state)
+    if t == 0.0:
+        return state
+    if state.ndim == 2:
+        return (1.0 - t) * state + t * cap.ground_state
+    ground = cap.ground_vector
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        vec = (1 - mid) * state + mid * ground
+        vec = vec / np.linalg.norm(vec)
+        if cap.energy(vec) > cap.bound:
+            lo = mid
+        else:
+            hi = mid
+    vec = (1 - hi) * state + hi * ground
+    return vec / np.linalg.norm(vec)
 
 
 def _schmidt(psi: PureState, a_label: str):

@@ -37,7 +37,6 @@ def main(argv=None) -> int:
     p_verify.add_argument("--config", type=Path, help="JSON campaign config")
     p_verify.add_argument("--out", type=Path, help="report path (.json or .csv)")
     p_verify.add_argument("--format", choices=("json", "csv"))
-    p_verify.add_argument("--units", choices=("nats", "bits"), default="nats")
 
     p_sweep = sub.add_parser("sweep", help="closed-form tightness sweep")
     p_sweep.add_argument("--family", choices=FAMILIES, required=True)
@@ -81,7 +80,7 @@ def _cmd_verify(args) -> int:
     if args.out:
         fmt = args.format or ("csv" if str(args.out).endswith(".csv") else "json")
         emit_report(report, fmt, args.out)
-    print(format_summary(report, args.units))
+    print(format_summary(report))
     for v in report.verdicts:
         if v.outcome == VIOLATION:
             print(

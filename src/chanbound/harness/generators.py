@@ -9,9 +9,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..channels import StinespringChannel, random_channel
-from ..energy import Hamiltonian
+from ..energy import EnergyCap, Hamiltonian, mix_to_cap
 from ..entropic import Ensemble
-from ..qstate import DensityMatrix, PureState, QStateError, SystemLayout
+from ..qstate import DensityMatrix, PureState, SystemLayout
 
 
 def trial_rng(campaign_seed: int, trial: int) -> np.random.Generator:
@@ -67,89 +67,11 @@ class Generators:
     def energy_feasible_density(
         self, layout: SystemLayout, a_label: str, h: Hamiltonian, energy: float
     ) -> DensityMatrix:
-        """Random state mixed toward the A-side ground state until feasible.
-
-        The mean energy is affine in the mixing weight, so the minimal
-        feasible weight is exact.
-        """
-        rho = self.density(layout)
-        h_op = _embedded_hamiltonian(layout, a_label, h)
-        e_rho = float(np.real(np.trace(h_op @ rho.entries)))
-        if e_rho <= energy:
-            return rho
-        target = _ground_product(layout, a_label, h)
-        e_g = h.ground_energy
-        if e_rho - e_g <= 0:
-            raise QStateError(f"energy cap {energy} below the ground energy {e_g}")
-        t = (e_rho - energy) / (e_rho - e_g)
-        return DensityMatrix(layout, (1.0 - t) * rho.entries + t * target)
+        """Random state mixed toward the A-side ground state until feasible."""
+        return mix_to_cap(self.density(layout), EnergyCap(h, energy, layout, a_label))
 
     def energy_feasible_pure(
         self, layout: SystemLayout, a_label: str, h: Hamiltonian, energy: float
     ) -> PureState:
         """Random pure state blended toward a ground product vector until feasible."""
-        psi = self.pure(layout)
-        h_op = _embedded_hamiltonian(layout, a_label, h)
-
-        def e_of(vec: np.ndarray) -> float:
-            return float(np.real(vec.conj() @ h_op @ vec))
-
-        if e_of(psi.amplitudes) <= energy:
-            return psi
-        ground = _ground_product_vector(layout, a_label, h)
-
-        def blend(t: float) -> np.ndarray:
-            vec = (1.0 - t) * psi.amplitudes + t * ground
-            return vec / np.linalg.norm(vec)
-
-        lo, hi = 0.0, 1.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if e_of(blend(mid)) > energy:
-                lo = mid
-            else:
-                hi = mid
-        return PureState(layout, blend(hi))
-
-
-def _embedded_hamiltonian(layout: SystemLayout, a_label: str, h: Hamiltonian) -> np.ndarray:
-    """H acting on the named factor, identity elsewhere, in layout order."""
-    if layout.dim(a_label) != h.dim:
-        raise QStateError("Hamiltonian dimension does not match the labeled factor")
-    op = np.ones((1, 1), dtype=np.complex128)
-    for lbl, dim in layout.factors:
-        block = h.to_matrix() if lbl == a_label else np.eye(dim)
-        op = np.kron(op, block)
-    return op
-
-
-def _ground_product(layout: SystemLayout, a_label: str, h: Hamiltonian) -> np.ndarray:
-    """Ground-space uniform mixture on A, maximally mixed elsewhere."""
-    d0 = h.ground_multiplicity
-    ground = np.zeros((h.dim, h.dim), dtype=np.complex128)
-    if h.eigenbasis is None:
-        ground[np.arange(d0), np.arange(d0)] = 1.0 / d0
-    else:
-        u = h.eigenbasis[:, :d0]
-        ground = u @ u.conj().T / d0
-    op = np.ones((1, 1), dtype=np.complex128)
-    for lbl, dim in layout.factors:
-        block = ground if lbl == a_label else np.eye(dim) / dim
-        op = np.kron(op, block)
-    return op
-
-
-def _ground_product_vector(layout: SystemLayout, a_label: str, h: Hamiltonian) -> np.ndarray:
-    gvec = np.zeros(h.dim, dtype=np.complex128)
-    gvec[0] = 1.0
-    if h.eigenbasis is not None:
-        gvec = h.eigenbasis[:, 0]
-    vec = np.ones(1, dtype=np.complex128)
-    for lbl, dim in layout.factors:
-        if lbl == a_label:
-            block = gvec
-        else:
-            block = np.zeros(dim, dtype=np.complex128)
-            block[0] = 1.0
-        vec = np.kron(vec, block)
-    return vec
+        return mix_to_cap(self.pure(layout), EnergyCap(h, energy, layout, a_label))

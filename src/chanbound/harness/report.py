@@ -76,7 +76,7 @@ def emit_sweep(rows: Iterable[SweepRow], path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def format_summary(report: CampaignReport, units: str = "nats") -> str:
+def format_summary(report: CampaignReport) -> str:
     s = report.summary
     return (
         f"suite={report.suite} seed={report.seed} total={s['total']} "

@@ -17,9 +17,9 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .channels import StinespringChannel, common_stinespring
-from .energy import Hamiltonian, gibbs_state
+from .energy import EnergyCap, Hamiltonian, gibbs_state, mix_to_cap
 from .entropic import Ensemble
-from .qstate import DensityMatrix, QStateError, trace_norm
+from .qstate import DensityMatrix, QStateError, SystemLayout, trace_norm
 
 BRACKET_TOL = 1e-6
 
@@ -238,18 +238,6 @@ def _hermitian_pinch(v_phi: np.ndarray, v_psi: np.ndarray, c: np.ndarray, d_b: i
     return (k + k.conj().T) / 2.0
 
 
-def _feasible_mix(rho: np.ndarray, h_mat: np.ndarray, e_cap: float) -> np.ndarray:
-    """Mix toward the Hamiltonian ground state until the energy cap holds."""
-    hw, hu = np.linalg.eigh(h_mat)
-    ground = np.outer(hu[:, 0], hu[:, 0].conj())
-    e_rho = float(np.real(np.trace(h_mat @ rho)))
-    e_g = float(hw[0].real)
-    if e_rho <= e_cap:
-        return rho
-    t = (e_rho - e_cap) / (e_rho - e_g)
-    return (1.0 - t) * rho + t * ground
-
-
 def channel_bures_bracket(
     phi: StinespringChannel,
     psi: StinespringChannel,
@@ -278,12 +266,12 @@ def channel_bures_bracket(
         v_phi, v_psi = cph.isometry, cps.isometry
         d_b, d_e = cph.d_b, cph.d_e
     d_a = phi.d_a
-    h_mat = e_cap = None
+    h_mat = e_cap = cap = None
     if constraint is not None:
         if constraint.hamiltonian.dim != d_a:
             raise QStateError("constraint Hamiltonian does not match the input dimension")
-        h_mat = constraint.hamiltonian.to_matrix()
-        e_cap = float(constraint.bound)
+        cap = EnergyCap(constraint.hamiltonian, constraint.bound)
+        h_mat, e_cap = cap.operator, cap.bound
 
     rng = np.random.default_rng(seed)
     start_states = [np.eye(d_a, dtype=np.complex128) / d_a]
@@ -296,8 +284,8 @@ def channel_bures_bracket(
         gmat = rng.standard_normal((d_a, d_a)) + 1j * rng.standard_normal((d_a, d_a))
         w = gmat @ gmat.conj().T
         start_states.append(w / np.trace(w).real)
-    if constraint is not None:
-        start_states = [_feasible_mix(s, h_mat, e_cap) for s in start_states]
+    if cap is not None:
+        start_states = [mix_to_cap(s, cap) for s in start_states]
 
     tracker = _SaddleTracker(v_phi, v_psi, d_b, d_e, h_mat, e_cap)
 
@@ -331,9 +319,7 @@ def channel_bures_bracket(
             break
         width_before = tracker.width
         if tracker.low_state is not None:
-            polished = _polish_state(
-                v_phi, v_psi, d_b, d_e, tracker.low_state, h_mat, e_cap
-            )
+            polished = _polish_state(v_phi, v_psi, d_b, d_e, tracker.low_state, cap)
             tracker.descend(polished, max(budget // 4, 50), tol)
         if tracker.width > tol:
             tracker.polish_dual(tol)
@@ -514,7 +500,7 @@ class _SaddleTracker:
         )
 
 
-def _polish_state(v_phi, v_psi, d_b, d_e, rho0, h_mat, e_cap) -> np.ndarray:
+def _polish_state(v_phi, v_psi, d_b, d_e, rho0, cap: Optional[EnergyCap]) -> np.ndarray:
     """Local minimization of the overlap trace norm (nonsmooth at optima).
 
     The state is parametrized as G G*/Tr(G G*) (all of state space), mixed
@@ -528,10 +514,6 @@ def _polish_state(v_phi, v_psi, d_b, d_e, rho0, h_mat, e_cap) -> np.ndarray:
     d = rho0.shape[0]
     w, u = np.linalg.eigh(rho0)
     g0 = u * np.sqrt(np.clip(w, 1e-12, None))
-    if h_mat is not None:
-        hw, hu = np.linalg.eigh(h_mat)
-        ground = np.outer(hu[:, 0], hu[:, 0].conj())
-        e_ground = float(hw[0].real)
 
     def unpack(params: np.ndarray) -> np.ndarray:
         gmat = (params[: d * d] + 1j * params[d * d :]).reshape(d, d)
@@ -540,12 +522,7 @@ def _polish_state(v_phi, v_psi, d_b, d_e, rho0, h_mat, e_cap) -> np.ndarray:
         if tr <= 0:
             return np.eye(d, dtype=np.complex128) / d
         rho = rho / tr
-        if h_mat is not None:
-            e_rho = float(np.real(np.trace(h_mat @ rho)))
-            if e_rho > e_cap:
-                t = (e_rho - e_cap) / (e_rho - e_ground)
-                rho = (1.0 - t) * rho + t * ground
-        return rho
+        return rho if cap is None else mix_to_cap(rho, cap)
 
     def objective(params: np.ndarray) -> float:
         x = _env_overlap(v_phi, v_psi, unpack(params), d_b, d_e)
@@ -599,24 +576,23 @@ def diamond_bracket(
     Lower endpoint: best exact ||(Phi - Psi) (x) Id (rho)||_1 over sampled
     feasible inputs refined by sign-operator reweighting ascent.  Upper
     endpoint: twice the Bures upper bound, via the norm-equivalence
-    sandwich.  No exact diamond-norm solver is involved.
+    sandwich, capped at the trivial bound 2.  No exact diamond-norm solver
+    is involved.
     """
     if phi.d_a != psi.d_a or phi.d_b != psi.d_b:
         raise QStateError("channels must share input and output dimensions")
     bures = bures_bracket
     if bures is None:
         bures = channel_bures_bracket(phi, psi, constraint, budget=budget, tol=tol, seed=seed + 101)
-    upper = 2.0 * bures.upper
+    upper = min(2.0 * bures.upper, 2.0)
     d_a, d_b = phi.d_a, phi.d_b
     d_r = d_a
     w_phi = _extend_isometry(phi.isometry, d_r)
     w_psi = _extend_isometry(psi.isometry, d_r)
-    h_ext = e_cap = None
+    h_ext = e_cap = cap = None
     if constraint is not None:
-        h_ext = np.kron(constraint.hamiltonian.to_matrix(), np.eye(d_r))
-        e_cap = float(constraint.bound)
-        hw, hu = np.linalg.eigh(h_ext)
-        ground_vec = hu[:, 0]
+        cap = EnergyCap(constraint.hamiltonian, constraint.bound, SystemLayout([("A", d_a), ("R", d_r)]))
+        h_ext, e_cap = cap.operator, cap.bound
 
     rng = np.random.default_rng(seed)
     best_low, low_state, low_energy = 0.0, None, None
@@ -630,29 +606,15 @@ def diamond_bracket(
     for _ in range(samples):
         vec = rng.standard_normal(d_a * d_r) + 1j * rng.standard_normal(d_a * d_r)
         vec /= np.linalg.norm(vec)
-        if constraint is not None:
-            energy = float(np.real(vec.conj() @ h_ext @ vec))
-            if energy > e_cap:
-                lo_t, hi_t = 0.0, 1.0
-                for _ in range(60):
-                    mid = 0.5 * (lo_t + hi_t)
-                    cand = (1 - mid) * vec + mid * ground_vec
-                    cand = cand / np.linalg.norm(cand)
-                    if float(np.real(cand.conj() @ h_ext @ cand)) > e_cap:
-                        lo_t = mid
-                    else:
-                        hi_t = mid
-                vec = (1 - hi_t) * vec + hi_t * ground_vec
-                vec /= np.linalg.norm(vec)
+        if cap is not None:
+            vec = mix_to_cap(vec, cap)
         rho = np.outer(vec, vec.conj())
         for _ in range(ascent_steps):
             iterations += 1
             tn, diff = delta_norm(rho)
             if tn > best_low:
                 best_low, low_state = tn, rho
-                low_energy = (
-                    float(np.real(np.trace(h_ext @ rho))) if h_ext is not None else None
-                )
+                low_energy = cap.energy(rho) if cap is not None else None
             dw, du = np.linalg.eigh(diff)
             sign_op = (du * np.sign(dw)) @ du.conj().T
             u_ext = _embed_out_operator(sign_op, d_b, phi.d_e, d_r)
@@ -667,7 +629,7 @@ def diamond_bracket(
         tn, _ = delta_norm(rho)
         if tn > best_low:
             best_low, low_state = tn, rho
-            low_energy = float(np.real(np.trace(h_ext @ rho))) if h_ext is not None else None
+            low_energy = cap.energy(rho) if cap is not None else None
 
     best_low = min(best_low, upper + 1e-12)
     return Bracket(

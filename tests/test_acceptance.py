@@ -23,10 +23,18 @@ from chanbound.bounds import (
     theorem2_bound,
 )
 from chanbound.channels import ErasureSpec, erasure_channel, random_channel
-from chanbound.energy import Hamiltonian, OscillatorSpec, gamma, oscillator_f, truncate_pure_state
+from chanbound.energy import (
+    EnergyCap,
+    Hamiltonian,
+    OscillatorSpec,
+    gamma,
+    mix_to_cap,
+    oscillator_f,
+    truncate_pure_state,
+)
 from chanbound.entropic import Ensemble, holevo_quantity, mutual_information, qc_state
-from chanbound.harness.generators import Generators, _embedded_hamiltonian, _ground_product_vector
-from chanbound.harness.suites import CampaignConfig, _feasible_pure, run_suite
+from chanbound.harness.generators import Generators
+from chanbound.harness.suites import CampaignConfig, run_suite
 from chanbound.harness.sweeps import sweep_tightness
 from chanbound.metrics import (
     bures_sup_bruteforce,
@@ -140,14 +148,12 @@ def test_criterion_06_truncation_suite():
     count = 0
     for name, ham in specs:
         lay = SystemLayout([("A", ham.dim), ("B", 4)])
-        h_full = _embedded_hamiltonian(lay, "A", ham)
-        gvec = _ground_product_vector(lay, "A", ham)
         h_bar = ham.to_matrix(shift=ham.ground_energy)
         for trial in range(250):
             gen = Generators.for_trial(606, 1000 * (name == "oscillator8") + trial)
             d_keep = 2 if trial % 2 == 0 else 4
             e_cap = ham.ground_energy + min(0.9 * gamma(ham, d_keep), 1.2)
-            psi = _feasible_pure(gen, lay, h_full, gvec, e_cap)
+            psi = mix_to_cap(gen.pure(lay), EnergyCap(ham, e_cap, lay))
             sig = truncate_pure_state(psi, "A", ham, e_cap, d_keep)
             rho_m, sig_m = psi.to_density(), sig.to_density()
             sig_a = partial_trace(sig_m, ("A",)).entries

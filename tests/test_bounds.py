@@ -11,7 +11,6 @@ from chanbound.bounds import (
     gamma_fn_from_hamiltonian,
     gamma_fn_from_oscillator,
     lemma4_bound,
-    one_shot_maxima,
     p_r,
     prop2_bound,
     prop3_bound,
@@ -23,9 +22,8 @@ from chanbound.bounds import (
     theorem1_bound,
     theorem2_bound,
 )
-from chanbound.channels import ErasureSpec, erasure_channel, identity_channel, random_channel
+from chanbound.channels import ErasureSpec, erasure_channel
 from chanbound.energy import Hamiltonian, OscillatorSpec, f_h, oscillator_f, oscillator_f_bar
-from chanbound.metrics import EnergyConstraint
 
 LOG2 = math.log(2.0)
 
@@ -325,31 +323,6 @@ class TestErasureClosedForms:
                 va = erasure_channel(ErasureSpec(d, 0.5 - x)).isometry
                 vb = erasure_channel(ErasureSpec(d, 0.5)).isometry
                 assert abs(operator_norm(va - vb) - erasure_isometry_gap(x)) <= 1e-10
-
-
-class TestOneShotMaxima:
-    def test_identity_channel_reaches_log_d(self):
-        res = one_shot_maxima(identity_channel(3), seed=0)
-        assert res.q_bar_lower >= math.log(3) - 1e-4
-
-    def test_erasure_reaches_closed_form(self):
-        for p in (0.1, 0.3):
-            res = one_shot_maxima(erasure_channel(ErasureSpec(2, p)), seed=1)
-            assert res.q_bar_lower >= (1 - 2 * p) * math.log(2) - 1e-3
-
-    def test_c_ea_dominates_q_bar(self):
-        for k in range(3):
-            ch = random_channel(2, 2, 2, seed=600 + k)
-            res = one_shot_maxima(ch, seed=k)
-            assert res.c_ea_lower >= res.q_bar_lower - 1e-12
-
-    def test_constrained_stays_below_unconstrained(self):
-        h = Hamiltonian(np.arange(3.0))
-        ch = random_channel(3, 2, 3, seed=60)
-        free = one_shot_maxima(ch, seed=2)
-        capped = one_shot_maxima(ch, EnergyConstraint(h, 0.7), seed=2)
-        assert capped.q_bar_lower <= free.q_bar_lower + 1e-6
-        assert capped.c_ea_lower <= free.c_ea_lower + 1e-6
 
 
 class TestOscillatorSubstitution:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from chanbound.energy import (
+    EnergyCap,
     EnergyDomainError,
     Hamiltonian,
     OscillatorSpec,
@@ -16,21 +17,22 @@ from chanbound.energy import (
     gamma,
     gibbs_lambda,
     gibbs_state,
+    mix_to_cap,
     oscillator_f,
     oscillator_gamma_hat,
     oscillator_gamma_hat_domain_min,
     truncate_pure_state,
 )
 from chanbound.entropic import g, von_neumann_entropy
-from chanbound.harness.generators import _embedded_hamiltonian, _ground_product_vector
-from chanbound.harness.suites import _feasible_pure
 from chanbound.qstate import (
+    DensityMatrix,
     HermitianOperator,
     QStateError,
     SystemLayout,
     jordan_parts,
     partial_trace,
     partial_trace_hermitian,
+    single_factor,
     trace_norm,
 )
 
@@ -199,9 +201,7 @@ class TestTruncation:
     def test_full_rank_is_identity(self, gen):
         h = self._ham()
         lay = SystemLayout([("A", 8), ("B", 4)])
-        h_full = _embedded_hamiltonian(lay, "A", h)
-        gvec = _ground_product_vector(lay, "A", h)
-        psi = _feasible_pure(gen, lay, h_full, gvec, 1.0)
+        psi = mix_to_cap(gen.pure(lay), EnergyCap(h, 1.0, lay))
         out = truncate_pure_state(psi, "A", h, 1.0, 8)
         overlap = abs(np.vdot(out.amplitudes, psi.amplitudes))
         assert overlap > 1 - 1e-10
@@ -209,13 +209,11 @@ class TestTruncation:
     def test_all_four_claims(self, gen):
         h = self._ham()
         lay = SystemLayout([("A", 8), ("B", 4)])
-        h_full = _embedded_hamiltonian(lay, "A", h)
-        gvec = _ground_product_vector(lay, "A", h)
         h_bar = h.to_matrix(shift=h.ground_energy)
         for trial in range(40):
             d = 2 if trial % 2 == 0 else 4
             e_cap = min(0.9 * gamma(h, d), 1.2)
-            psi = _feasible_pure(gen, lay, h_full, gvec, e_cap)
+            psi = mix_to_cap(gen.pure(lay), EnergyCap(h, e_cap, lay))
             sig = truncate_pure_state(psi, "A", h, e_cap, d)
             rho_m, sig_m = psi.to_density(), sig.to_density()
             sig_a = partial_trace(sig_m, ("A",)).entries
@@ -234,12 +232,10 @@ class TestTruncation:
         # the dropped Schmidt weight obeys delta_d <= E_bar / gamma(d)
         h = self._ham()
         lay = SystemLayout([("A", 8), ("B", 4)])
-        h_full = _embedded_hamiltonian(lay, "A", h)
-        gvec = _ground_product_vector(lay, "A", h)
         for _ in range(10):
             d = 4
             e_cap = 0.8 * gamma(h, d)
-            psi = _feasible_pure(gen, lay, h_full, gvec, e_cap)
+            psi = mix_to_cap(gen.pure(lay), EnergyCap(h, e_cap, lay))
             sig = truncate_pure_state(psi, "A", h, e_cap, d)
             overlap2 = abs(np.vdot(psi.amplitudes, sig.amplitudes)) ** 2
             delta = 1 - overlap2
@@ -248,12 +244,51 @@ class TestTruncation:
     def test_preconditions(self, gen):
         h = self._ham()
         lay = SystemLayout([("A", 8), ("B", 4)])
-        h_full = _embedded_hamiltonian(lay, "A", h)
-        gvec = _ground_product_vector(lay, "A", h)
-        psi = _feasible_pure(gen, lay, h_full, gvec, 1.0)
+        cap = EnergyCap(h, 1.0, lay)
+        psi = mix_to_cap(gen.pure(lay), cap)
         with pytest.raises(EnergyDomainError):
             truncate_pure_state(psi, "A", h, 1.0, 1)  # gamma(1) = 0 < E_bar
         hot = gen.pure(lay)
-        energy = float(np.real(hot.amplitudes.conj() @ h_full @ hot.amplitudes))
+        energy = cap.energy(hot.amplitudes)
         with pytest.raises(EnergyDomainError):
             truncate_pure_state(hot, "A", h, energy - 1.0, 4)
+
+
+class TestEnergyCap:
+    def _a_energy(self, h, state):
+        rho = state if isinstance(state, DensityMatrix) else state.to_density()
+        return float(np.real(np.trace(h.to_matrix() @ partial_trace(rho, ("A",)).entries)))
+
+    def test_cap_below_ground_energy_rejected(self, gen):
+        from chanbound.harness.suites import CampaignConfig, run_suite
+
+        h = Hamiltonian(np.array([1.0, 2.0, 3.0, 4.0]))
+        lay = SystemLayout([("A", 4), ("B", 2)])
+        with pytest.raises(EnergyDomainError, match=r"0\.5.*1\.0"):
+            gen.energy_feasible_pure(lay, "A", h, 0.5)
+        with pytest.raises(EnergyDomainError, match=r"0\.5.*1\.0"):
+            mix_to_cap(gen.density(lay), EnergyCap(h, 0.5, lay))
+        energy = {"kind": "spectrum", "eigenvalues": [1, 2, 3, 4], "E": 0.5}
+        with pytest.raises(EnergyDomainError, match=r"0\.5.*1\.0"):
+            run_suite(CampaignConfig(suite="prop7", trials=2, seed=7, energy=energy))
+
+    def test_rotated_eigenbasis(self, gen):
+        # ground space spanned by rotated vectors: every input form must be
+        # mixed toward them, not toward the computational basis
+        h = Hamiltonian(np.array([0.0, 0.0, 1.0, 3.0]), eigenbasis=gen.unitary(4))
+        lay = SystemLayout([("A", 4), ("B", 2)])
+        for e_cap in (1e-3, 0.4):
+            cap = EnergyCap(h, e_cap, lay)
+            for _ in range(10):
+                drawn = gen.density(lay)
+                rho = mix_to_cap(drawn, cap)
+                if self._a_energy(h, drawn) > e_cap:
+                    # the closed-form weight lands exactly on the cap
+                    assert abs(self._a_energy(h, rho) - e_cap) <= 1e-12
+                else:
+                    assert rho is drawn
+                psi = mix_to_cap(gen.pure(lay), cap)
+                assert self._a_energy(h, psi) <= e_cap + 1e-12
+            ens = mix_to_cap(gen.ensemble(single_factor("A", 4), 3), EnergyCap(h, e_cap))
+            avg = float(np.real(np.trace(h.to_matrix() @ ens.average_state().entries)))
+            assert avg <= e_cap + 1e-12

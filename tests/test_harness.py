@@ -184,6 +184,18 @@ class TestSuiteReproducibility:
         assert all(v.outcome in (PASS, VIOLATION) for v in rep2.verdicts)
 
 
+@pytest.mark.parametrize("suite,trials", [("prop2", 3), ("prop6", 3), ("prop7", 4), ("prop5", 2), ("prop8", 1)])
+def test_suite_smoke(suite, trials, tmp_path):
+    reports = []
+    for k in range(2):
+        rep = run_suite(CampaignConfig(suite=suite, trials=trials, seed=7))
+        assert all(v.outcome != VIOLATION for v in rep.verdicts)
+        assert all(v.eps_lo <= v.eps_hi for v in rep.verdicts)
+        emit_report(rep, "csv", tmp_path / f"{k}.csv")
+        reports.append((tmp_path / f"{k}.csv").read_bytes())
+    assert reports[0] == reports[1]
+
+
 class TestCLI:
     def test_verify_and_report_round_trip(self, tmp_path, capsys):
         out = tmp_path / "rep.json"

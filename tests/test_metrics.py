@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from chanbound.channels import ErasureSpec, erasure_channel, random_channel
+from chanbound.channels import ErasureSpec, StinespringChannel, erasure_channel, random_channel
 from chanbound.energy import Hamiltonian
 from chanbound.entropic import Ensemble
 from chanbound.metrics import (
@@ -263,6 +263,16 @@ class TestDiamond:
         dia = diamond_bracket(phi, psi, seed=9, bures_bracket=br)
         assert 0.5 * dia.lower <= br.upper + 1e-6
         assert br.lower <= math.sqrt(dia.upper) + 1e-6
+
+    def test_upper_capped_at_trivial_bound(self):
+        # identity against a bit flip: twice the Bures upper bound exceeds 2
+        ident = StinespringChannel(np.eye(2), 2, 2, 1)
+        flip = StinespringChannel(np.array([[0.0, 1.0], [1.0, 0.0]]), 2, 2, 1)
+        br = channel_bures_bracket(ident, flip, seed=3)
+        dia = diamond_bracket(ident, flip, seed=3, bures_bracket=br)
+        assert 2.0 * br.upper > 2.0
+        assert dia.upper <= 2.0
+        assert dia.lower <= dia.upper + 1e-9
 
     def test_constrained_inputs_feasible(self):
         h = Hamiltonian(np.arange(3.0))
