@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .channels import StinespringChannel, common_stinespring
-from .energy import EnergyCap, Hamiltonian, gibbs_state, mix_to_cap
+from .energy import EnergyCap, EnergyDomainError, Hamiltonian, gibbs_state, mix_to_cap
 from .entropic import Ensemble
 from .qstate import DensityMatrix, QStateError, SystemLayout, trace_norm
 
@@ -99,10 +99,8 @@ class EnergyConstraint:
     bound: float
 
     def __post_init__(self):
-        if self.bound < self.hamiltonian.ground_energy - 1e-12:
-            raise QStateError(
-                f"bound {self.bound} below ground energy {self.hamiltonian.ground_energy}"
-            )
+        if self.bound < self.hamiltonian.ground_energy:
+            raise EnergyDomainError(f"energy bound {self.bound} is below E_0 = {self.hamiltonian.ground_energy}")
 
 
 @dataclass(frozen=True)
@@ -653,13 +651,17 @@ def bures_sup_bruteforce(
 ) -> float:
     """Grid maximization of the output Bures distance over random pure inputs.
 
-    Independent of the see-saw: channels are applied to sampled pure states
-    on A (x) R and the state Bures distance of the outputs is evaluated
-    through their spectral square roots.  Half the budget is a flat Haar
-    grid; the rest is a random refinement around the running argmax at
-    shrinking radii, which keeps the grid's covering radius near the
-    maximizer far below the global spacing.
+    Each candidate is the Bures distance of the two outputs at a sampled
+    pure input on A (x) R, a value actually reached, computed from the
+    isometries alone; no see-saw state or certificate is read.  Half the
+    budget (`samples` >= 2) is a flat Haar grid in batches of `chunk` >= 1;
+    the rest refines around the running argmax at shrinking radii, which
+    keeps the covering radius near the maximizer far below the global spacing.
     """
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2, got {samples}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     d_a, d_b = phi.d_a, phi.d_b
     d_r = d_a
     w_phi = _extend_isometry(phi.isometry, d_r)
@@ -697,21 +699,16 @@ def bures_sup_bruteforce(
 
 
 def _batched_output_bures(w_phi, w_psi, vecs, d_b, d_e1, d_e2, d_r) -> np.ndarray:
+    """Output Bures distances for a batch of pure inputs, without output states.
+
+    The dilated output (V (x) I_R) v, read as a d_e x (d_b d_r) matrix Y,
+    factors the output exactly as Y^T conj(Y).  By Uhlmann's theorem the root
+    fidelity ||sqrt(rho) sqrt(sigma)||_1 is then the trace norm of the small
+    overlap Y_phi Y_psi*, so no noisy rank-deficient spectrum is square-rooted.
+    """
     m = vecs.shape[0]
-    n_out = d_b * d_r
-
-    def outputs(w, d_e):
-        y = vecs @ w.T  # (m, d_b*d_e*d_r)
-        y = y.reshape(m, d_b, d_e, d_r)
-        out = np.einsum("nber,nBeR->nbrBR", y, y.conj())
-        return out.reshape(m, n_out, n_out)
-
-    rho = outputs(w_phi, d_e1)
-    sig = outputs(w_psi, d_e2)
-    w1, u1 = np.linalg.eigh(rho)
-    sq1 = np.einsum("nik,nk,njk->nij", u1, np.sqrt(np.clip(w1, 0.0, None)), u1.conj())
-    w2, u2 = np.linalg.eigh(sig)
-    sq2 = np.einsum("nik,nk,njk->nij", u2, np.sqrt(np.clip(w2, 0.0, None)), u2.conj())
-    sv = np.linalg.svd(sq1 @ sq2, compute_uv=False)
-    root_f = np.clip(sv.sum(axis=1), 0.0, 1.0)
+    y_phi = (vecs @ w_phi.T).reshape(m, d_b, d_e1, d_r)
+    y_psi = (vecs @ w_psi.T).reshape(m, d_b, d_e2, d_r)
+    overlap = np.einsum("nber,nbfr->nef", y_phi, y_psi.conj())
+    root_f = np.clip(np.linalg.svd(overlap, compute_uv=False).sum(axis=1), 0.0, 1.0)
     return np.sqrt(np.clip(2.0 * (1.0 - root_f), 0.0, None))

@@ -267,17 +267,18 @@ def _entries_of(op) -> np.ndarray:
 def eigh(op) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of a Hermitian operator.
 
-    The reconstruction U diag(w) U* is verified to within 1e-9 in operator
-    norm; failure of the underlying solver surfaces as QStateError.
+    The reconstruction U diag(w) U* is verified to within 1e-9 in Frobenius
+    norm, which bounds the operator norm from above and needs no SVD;
+    failure of the underlying solver surfaces as QStateError.
     """
     mat = _entries_of(op)
     try:
         w, u = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
         raise QStateError(f"eigendecomposition failed to converge: {exc}") from exc
-    residual = np.linalg.norm((u * w) @ u.conj().T - mat, 2)
+    residual = np.linalg.norm((u * w) @ u.conj().T - mat)
     if residual > RECONSTRUCTION_TOL:
-        raise QStateError(f"eigendecomposition residual {residual:.3e} above 1e-9")
+        raise QStateError(f"eigendecomposition Frobenius residual {residual:.3e} above 1e-9")
     return w, u
 
 

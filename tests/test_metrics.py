@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from chanbound.channels import ErasureSpec, StinespringChannel, erasure_channel, random_channel
-from chanbound.energy import Hamiltonian
+from chanbound.energy import EnergyDomainError, Hamiltonian
 from chanbound.entropic import Ensemble
+from chanbound.harness.generators import Generators
 from chanbound.metrics import (
     Bracket,
     EnergyConstraint,
+    _batched_output_bures,
+    _extend_isometry,
     bures_state_distance,
     bures_sup_bruteforce,
     channel_bures_bracket,
@@ -235,6 +238,18 @@ class TestChannelBures:
             assert abs(br.midpoint - brute) <= 2e-3
             assert brute <= br.upper + 1e-9
 
+    def test_energy_bound_below_ground_rejected(self):
+        # the rule of energy.cap_weight: a bound below E_0 admits no input,
+        # a bound of exactly E_0 admits the ground state
+        h = Hamiltonian(np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(EnergyDomainError, match="below E_0"):
+            EnergyConstraint(h, 1.0 - 1e-13)
+        phi = random_channel(3, 2, 2, seed=45)
+        psi = random_channel(3, 2, 2, seed=46)
+        br = channel_bures_bracket(phi, psi, EnergyConstraint(h, 1.0), seed=8)
+        assert 0.0 <= br.lower <= br.upper + 1e-9
+        assert br.lower_state_energy <= 1.0 + 1e-9
+
     def test_mismatched_environments_use_common_rep(self, gen):
         phi = random_channel(2, 2, 2, seed=39)
         psi = random_channel(2, 2, 3, seed=40)
@@ -281,3 +296,90 @@ class TestDiamond:
         dia = diamond_bracket(phi, psi, EnergyConstraint(h, 0.8), seed=10)
         assert dia.lower_state_energy is not None
         assert dia.lower_state_energy <= 0.8 + 1e-9
+
+
+def _spectral_output_bures(w_phi, w_psi, vecs, d_b, d_e1, d_e2, d_r):
+    """Output Bures distances through spectral square roots of the output states.
+
+    Accurate only when the outputs have full rank (d_e >= d_b d_r); on
+    rank-deficient outputs it square-roots eigenvalues that are rounding noise.
+    """
+    m = vecs.shape[0]
+    n_out = d_b * d_r
+
+    def sqrt_output(w, d_e):
+        y = (vecs @ w.T).reshape(m, d_b, d_e, d_r)
+        out = np.einsum("nber,nBeR->nbrBR", y, y.conj()).reshape(m, n_out, n_out)
+        ev, u = np.linalg.eigh(out)
+        return np.einsum("nik,nk,njk->nij", u, np.sqrt(np.clip(ev, 0.0, None)), u.conj())
+
+    sv = np.linalg.svd(sqrt_output(w_phi, d_e1) @ sqrt_output(w_psi, d_e2), compute_uv=False)
+    root_f = np.clip(sv.sum(axis=1), 0.0, 1.0)
+    return np.sqrt(np.clip(2.0 * (1.0 - root_f), 0.0, None))
+
+
+def _unit_vectors(rng, m, dim):
+    vecs = rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim))
+    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+
+
+class TestBruteForceOracle:
+    @pytest.mark.parametrize("samples", [1, 0, -5])
+    def test_rejects_too_few_samples(self, samples):
+        ch = random_channel(2, 2, 2, seed=47)
+        with pytest.raises(ValueError, match="samples"):
+            bures_sup_bruteforce(ch, ch, samples=samples)
+
+    def test_rejects_empty_chunk(self):
+        ch = random_channel(2, 2, 2, seed=47)
+        with pytest.raises(ValueError, match="chunk"):
+            bures_sup_bruteforce(ch, ch, samples=10, chunk=0)
+
+    @pytest.mark.parametrize("d_e1,d_e2", [(2, 3), (3, 2), (2, 2)])
+    def test_matches_40_digit_reference(self, d_e1, d_e2):
+        # rank-deficient outputs (d_e < d_b d_r = 4), environments mismatched
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        phi = random_channel(2, 2, d_e1, seed=48)
+        psi = random_channel(2, 2, d_e2, seed=49)
+        w_phi, w_psi = _extend_isometry(phi.isometry, 2), _extend_isometry(psi.isometry, 2)
+        vecs = _unit_vectors(np.random.default_rng(50), 12, 4)
+        got = _batched_output_bures(w_phi, w_psi, vecs, 2, d_e1, d_e2, 2)
+
+        def to_mp(arr):
+            return mp.matrix([[mp.mpc(z.real, z.imag) for z in row] for row in np.atleast_2d(arr)])
+
+        def sqrt_output(w, d_e, v):
+            y = to_mp(w) * to_mp(v).T
+            out = mp.matrix(4, 4)
+            for b, r, bb, rr in itertools.product(range(2), repeat=4):
+                out[2 * b + r, 2 * bb + rr] = mp.fsum(
+                    y[(b * d_e + e) * 2 + r] * mp.conj(y[(bb * d_e + e) * 2 + rr]) for e in range(d_e)
+                )
+            ev, u = mp.eighe(out)
+            root = mp.diag([mp.sqrt(max(x, 0)) for x in ev])
+            return u * root * u.H
+
+        with mp.workdps(40):
+            for v, val in zip(vecs, got):
+                prod = sqrt_output(w_phi, d_e1, v) * sqrt_output(w_psi, d_e2, v)
+                root_f = mp.fsum(mp.svd_c(prod, compute_uv=False))
+                ref = mp.sqrt(2 * (1 - root_f))
+                assert abs(val - float(ref)) <= 1e-13
+
+    def test_matches_spectral_square_roots_on_full_rank_outputs(self):
+        phi = random_channel(2, 2, 4, seed=51)
+        psi = random_channel(2, 2, 4, seed=52)
+        w_phi, w_psi = _extend_isometry(phi.isometry, 2), _extend_isometry(psi.isometry, 2)
+        vecs = _unit_vectors(np.random.default_rng(53), 2000, 4)
+        got = _batched_output_bures(w_phi, w_psi, vecs, 2, 4, 4, 2)
+        ref = _spectral_output_bures(w_phi, w_psi, vecs, 2, 4, 4, 2)
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+    def test_sample_stream_unchanged_on_certify_pair(self):
+        # the benchmark's criterion-07 pair: same draws, same argmax, so the
+        # value computed through spectral square roots is reproduced
+        gen = Generators.for_trial(7, 0)
+        phi, psi = gen.channel(2, 2, 2), gen.channel(2, 2, 2)
+        brute = bures_sup_bruteforce(phi, psi, samples=100_000, seed=0)
+        assert abs(brute - 1.1601267741302068) <= 1e-12

@@ -148,6 +148,19 @@ class TestEigh:
         w, u = eigh(op)
         assert np.linalg.norm((u * w) @ u.conj().T - op.entries, 2) <= 1e-9
 
+    def test_frobenius_residual_rejected(self, gen, monkeypatch):
+        # two eigenvalues off by 0.8e-9 each: the operator-norm residual stays
+        # below 1e-9, the Frobenius residual (~1.13e-9) does not
+        lay = SystemLayout([("A", 4)])
+        op = HermitianOperator(lay, random_hermitian(gen.rng, 4))
+        w, u = np.linalg.eigh(op.entries)
+        w_bad = w + np.array([0.8e-9, 0.0, -0.8e-9, 0.0])
+        residual = (u * w_bad) @ u.conj().T - op.entries
+        assert np.linalg.norm(residual, 2) < 1e-9 < np.linalg.norm(residual)
+        monkeypatch.setattr(np.linalg, "eigh", lambda mat: (w_bad, u))
+        with pytest.raises(QStateError, match="Frobenius residual"):
+            eigh(op)
+
 
 class TestNorms:
     def test_density_trace_norm_one(self, gen):
