@@ -27,6 +27,7 @@ from ..energy import (
     f_bar,
     f_h,
     gamma,
+    gibbs_spectrum,
     ground_product,
     mix_to_cap,
     oscillator_f,
@@ -170,7 +171,7 @@ def run_suite(config: CampaignConfig) -> CampaignReport:
 
 def _bracket(config: CampaignConfig, trial: int, phi, psi, constraint=None, diamond: bool = False):
     """Bures (or diamond) bracket of a channel pair at the campaign's bracket
-    budget and tolerance, seeded by the trial index."""
+    budget and tolerance; the trial index seeds the diamond bracket's samples."""
     fn = diamond_bracket if diamond else channel_bures_bracket
     return fn(phi, psi, constraint, budget=config.budget("bracket_budget", 500),
               tol=config.budget("bracket_tol", 1e-6), seed=trial)
@@ -198,6 +199,15 @@ def _energy_input(config: CampaignConfig, default: dict):
     if isinstance(handle, OscillatorSpec):
         return handle, handle.to_hamiltonian(), e_cap, lambda e: oscillator_f(handle, e + handle.ground_energy)
     return None, handle, e_cap, lambda e: f_bar(handle, e)
+
+
+def _tail_probe(fn, ham: Hamiltonian, e_cap: float):
+    """fn(ham, e_cap), and whether it warned that the truncated spectrum's top
+    level carries Gibbs weight at the cap (the warning itself is recorded)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", TruncationTailWarning)
+        value = fn(ham, e_cap)
+    return value, any(issubclass(w.category, TruncationTailWarning) for w in caught)
 
 
 def _half_trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -441,6 +451,7 @@ def suite_prop5(config: CampaignConfig) -> list[BoundVerdict]:
     constraint = EnergyConstraint(ham, e_cap)
     gamma_fn, d_max = bnd.gamma_fn_from_oscillator(spec)
     e_bar = e_cap - spec.ground_energy
+    _, tail_warned = _tail_probe(gibbs_spectrum, ham, e_cap)
     d_b, d_e = config.dim("d_b", 3), config.dim("d_e", 2)
     out: list[BoundVerdict] = []
     for trial, gen in _trials(config):
@@ -466,7 +477,8 @@ def suite_prop5(config: CampaignConfig) -> list[BoundVerdict]:
 
         out.append(_n_copy_verdict(
             config, trial, f"prop5_n{n}_t{t_flag}", n, phi, psi, rho, rhs_at,
-            {"per_copy_energies": energies, "truncation": spec.truncation}, constraint,
+            {"per_copy_energies": energies, "truncation": spec.truncation, "tail_warned": tail_warned},
+            constraint,
         ))
     return out
 
@@ -575,10 +587,7 @@ def suite_thm2(config: CampaignConfig) -> list[BoundVerdict]:
     x_values = config.dims.get("x_grid", [0.01, 0.05])
     out: list[BoundVerdict] = []
     for e_cap in config.dims.get("e_grid", [2.0, 5.0, 10.0]):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", TruncationTailWarning)
-            m_scale = f_h(ham, e_cap)
-        tail_warned = any(issubclass(w.category, TruncationTailWarning) for w in caught)
+        m_scale, tail_warned = _tail_probe(f_h, ham, e_cap)
         r_values = config.dims.get("r_grid", [1.0, 0.3, 1.0 / oscillator_f(spec, e_cap)])
         for x in x_values:
             for r in r_values:

@@ -1,23 +1,29 @@
 """Distances between states, ensembles, and channels.
 
 Channel distances defined by optimization (Bures, diamond) are never
-reported as point values: they come back as certified brackets.  Every
-lower endpoint is witnessed by an explicit feasible input and every upper
-endpoint by an explicit environment contraction plus Lagrange multiplier,
-so the interval is sound even when the alternation has not converged.
+reported as point values: they come back as certified brackets.  The
+channel Bures distance is beta = sqrt(2 - 2 F), where the root fidelity
+F = min_rho ||Tr_B(V_psi rho V_phi*)||_1 (optionally over Tr[H rho] <= E)
+is a small SDP.  `channel_bures_bracket` follows a log-barrier path on its
+dual and evaluates two witnesses after every centering: the normalised
+dual block, retracted onto the feasible inputs, gives the lower endpoint
+through its exact overlap norm, and environment contractions give the
+upper endpoint through the exact constrained minimum of their pinched
+Hermitian form and its Lagrange multiplier.  Every endpoint is such an
+evaluation, so solver accuracy moves the width, never the soundness.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .channels import StinespringChannel, common_stinespring
-from .energy import EnergyCap, EnergyDomainError, Hamiltonian, gibbs_state, mix_to_cap
+from .energy import EnergyCap, EnergyDomainError, Hamiltonian, mix_to_cap
 from .entropic import Ensemble
 from .qstate import DensityMatrix, QStateError, SystemLayout, trace_norm
 
@@ -206,6 +212,7 @@ def _polar_contraction(x: np.ndarray):
     return c, float(s.sum())
 
 
+# Unreachable: kept only because bench/tracer.py looks this name up.
 def _segment_min_trace_norm(x0: np.ndarray, x1: np.ndarray):
     """Minimize ||(1-t) x0 + t x1||_1 over t in [0, 1] (convex in t)."""
 
@@ -242,17 +249,20 @@ def channel_bures_bracket(
     constraint: Optional[EnergyConstraint] = None,
     budget: int = 500,
     tol: float = BRACKET_TOL,
-    starts: int = 8,
     seed: int = 0,
 ) -> Bracket:
     """Certified bracket for the (energy-constrained) channel Bures distance.
 
-    See-saw alternation on the minimax representation: the Uhlmann step
-    turns a feasible input state into the optimal environment contraction
-    (lower certificate 2 - 2 ||Tr_B(V_psi rho V_phi*)||_1), and the
-    worst-state step turns a contraction into the constrained minimizer of
-    the pinched Hermitian form (upper certificate from the Lagrange dual).
-    Budget exhaustion returns converged=False, never an exception.
+    beta^2 = 2 - 2 F, where the root fidelity F = min_rho ||X(rho)||_1 is
+    the value of a small SDP.  A log-barrier path-following solver runs on
+    its dual (see `_SaddleTracker`) for at most `budget` Newton steps;
+    after each centering the path's input state and contraction are
+    evaluated as certificates, and only those evaluations become endpoints.
+    A cap at exactly E_0 admits only ground-eigenspace inputs, so that case
+    is solved exactly on the ground eigenspace without a constraint.
+    Budget exhaustion or a numerical failure of the solver returns the best
+    certified endpoints with converged=False, never an exception.  `seed`
+    is ignored: the bracket is deterministic.
     """
     if phi.d_a != psi.d_a or phi.d_b != psi.d_b:
         raise QStateError("channels must share input and output dimensions")
@@ -263,77 +273,68 @@ def channel_bures_bracket(
         cph, cps = common_stinespring(phi, psi)
         v_phi, v_psi = cph.isometry, cps.isometry
         d_b, d_e = cph.d_b, cph.d_e
-    d_a = phi.d_a
-    h_mat = e_cap = cap = None
-    if constraint is not None:
-        if constraint.hamiltonian.dim != d_a:
-            raise QStateError("constraint Hamiltonian does not match the input dimension")
-        cap = EnergyCap(constraint.hamiltonian, constraint.bound)
-        h_mat, e_cap = cap.operator, cap.bound
+    if constraint is None:
+        return _SaddleTracker(v_phi, v_psi, d_b, d_e, None).bracket(budget, tol)
+    ham = constraint.hamiltonian
+    if ham.dim != phi.d_a:
+        raise QStateError("constraint Hamiltonian does not match the input dimension")
+    cap = EnergyCap(ham, constraint.bound)
+    if cap.bound > ham.ground_energy:
+        return _SaddleTracker(v_phi, v_psi, d_b, d_e, cap).bracket(budget, tol)
+    basis = ham.eigenbasis if ham.eigenbasis is not None else np.eye(ham.dim, dtype=np.complex128)
+    basis = basis[:, ham.eigenvalues <= cap.bound]
+    br = _SaddleTracker(v_phi @ basis, v_psi @ basis, d_b, d_e, None).bracket(budget, tol)
+    rho = basis @ br.lower_state @ basis.conj().T
+    return replace(br, lower_state=rho, lower_state_energy=cap.energy(rho))
 
-    rng = np.random.default_rng(seed)
-    start_states = [np.eye(d_a, dtype=np.complex128) / d_a]
-    if constraint is not None:
-        try:
-            start_states.append(gibbs_state(constraint.hamiltonian, e_cap).entries)
-        except QStateError:
-            pass  # cap above the spectrum ceiling: maximally mixed start suffices
-    for _ in range(starts):
-        gmat = rng.standard_normal((d_a, d_a)) + 1j * rng.standard_normal((d_a, d_a))
-        w = gmat @ gmat.conj().T
-        start_states.append(w / np.trace(w).real)
-    if cap is not None:
-        start_states = [mix_to_cap(s, cap) for s in start_states]
 
-    tracker = _SaddleTracker(v_phi, v_psi, d_b, d_e, h_mat, e_cap)
+_CENTERING_STEPS = 80  # Newton steps per centering
+_CENTERED = 1e-10  # centering ends once half the squared Newton decrement is below this
+_BARRIER_GAP = 1e-10  # the path ends once the barrier's duality gap nu / tau is below this
+_TAU_GROWTH = 20.0
 
-    # contraction-first pass: the identity contraction reproduces the
-    # operator-norm upper bound of the given common representation
-    m0 = _hermitian_pinch(v_phi, v_psi, np.eye(d_e, dtype=np.complex128), d_b)
-    rho0, dual0, mu0 = _constrained_minimum(m0, h_mat, e_cap)
-    tracker.offer_upper(dual0, np.eye(d_e, dtype=np.complex128), mu0)
-    start_states.insert(0, rho0)
 
-    # the overlap norm is convex in the state, so descents from different
-    # starts chase one global minimum; cap each pre-polish descent and stop
-    # early once extra starts stop moving the bracket
-    stale_starts = 0
-    for rho in start_states:
-        width_before = tracker.width
-        tracker.descend(rho, min(budget, 60), tol)
-        if tracker.width <= tol:
-            break
-        if tracker.width > width_before - 1e-9:
-            stale_starts += 1
-            if stale_starts >= 2:
-                break
-        else:
-            stale_starts = 0
+def _lmi_barrier(f: np.ndarray, basis: np.ndarray):
+    """Gradient and Hessian of -log det f along the Hermitian `basis` stack.
 
-    # alternating polish: nonsmooth-tolerant state descent, then the
-    # concave dual maximization, until the certificates meet
-    for _ in range(4):
-        if tracker.width <= tol:
-            break
-        width_before = tracker.width
-        if tracker.low_state is not None:
-            polished = _polish_state(v_phi, v_psi, d_b, d_e, tracker.low_state, cap)
-            tracker.descend(polished, max(budget // 4, 50), tol)
-        if tracker.width > tol:
-            tracker.polish_dual(tol)
-        if tracker.width > width_before - 1e-12:
-            break
-
-    return tracker.bracket(tol)
+    With f^-1 = s* s and hat_k = s basis_k s*, they are -Tr hat_k and
+    Tr[hat_k hat_l].  Raises LinAlgError unless f is positive definite.
+    """
+    s = np.linalg.inv(np.linalg.cholesky(f))
+    hat = s @ basis @ s.conj().T
+    flat = hat.reshape(len(basis), -1)
+    return -np.einsum("kii->k", hat).real, (flat.conj() @ flat.T).real
 
 
 class _SaddleTracker:
-    """Runs see-saw descents and keeps the best certified endpoints."""
+    """Barrier path for the dual SDP of the root fidelity; keeps the best certified endpoints.
 
-    def __init__(self, v_phi, v_psi, d_b, d_e, h_mat, e_cap):
+    The dual is  max t - mu E  over the contraction C (2 d_e^2 real
+    coordinates), t and mu >= 0, subject to M(C) + mu H - t I >= 0 (the
+    d_a block F1) and [[I, C], [C*, I]] >= 0 (the 2 d_e block F2), where
+    M(C) = `_hermitian_pinch` is real-linear in C; without a cap mu and its
+    terms are dropped.  The solver shifts H and E by E_0 (t absorbs mu E_0),
+    so t stays of order one.  Each centering minimizes
+    tau (mu E - t) - log det F1 - log det F2 - log mu by damped Newton
+    steps; feasibility of a step is tested by Cholesky factorization,
+    halving the step until it succeeds.
+
+    After each centering two witnesses are certified.  The dual block
+    F1^-1 / tau, retracted onto the feasible set by `_polish_state`, is an
+    input state whose overlap norm gives the lower endpoint; the strict
+    contraction C, and the Uhlmann contraction (polar factor) of that
+    state's overlap, are re-evaluated by `polish_dual` through the exact
+    constrained minimum of M(C) for the upper endpoint.  The solver's
+    iterates enter the bracket only through these evaluations, so an
+    inaccurate or failed solve can only leave the bracket wider.
+    """
+
+    def __init__(self, v_phi, v_psi, d_b, d_e, cap: Optional[EnergyCap]):
         self.v_phi, self.v_psi = v_phi, v_psi
         self.d_b, self.d_e = d_b, d_e
-        self.h_mat, self.e_cap = h_mat, e_cap
+        self.cap = cap
+        self.h_mat = cap.operator if cap is not None else None
+        self.e_cap = cap.bound if cap is not None else None
         self.low_sq = 0.0  # certified lower bound on beta^2
         self.up_sq = 2.0
         self.low_state = None
@@ -341,6 +342,34 @@ class _SaddleTracker:
         self.up_contraction = None
         self.up_mu = 0.0
         self.iterations = 0
+
+        # the blocks as linear maps of y = (Re C, Im C, t[, mu]): F1 = sum_k y_k
+        # f1[k], F2 = I + sum_k y_k f2[k]; M(E_ef) = Herm(k_ef) with
+        # k_ef[a, c] = sum_b conj(V_phi[b, e, a]) V_psi[b, f, c]
+        d_a = v_phi.shape[1]
+        n_c = d_e * d_e
+        k = np.einsum("bea,bfc->efac", v_phi.reshape(d_b, d_e, d_a).conj(),
+                      v_psi.reshape(d_b, d_e, d_a)).reshape(n_c, d_a, d_a)
+        k = np.concatenate([k, 1j * k])
+        blocks = [(k + k.conj().transpose(0, 2, 1)) / 2.0, -np.eye(d_a)[None]]
+        unit = np.eye(n_c).reshape(n_c, d_e, d_e)
+        zero = np.zeros_like(unit)
+        f2 = [np.block([[zero, unit], [unit.transpose(0, 2, 1), zero]]),
+              np.block([[zero, 1j * unit], [-1j * unit.transpose(0, 2, 1), zero]])]
+        y0 = [np.zeros(2 * n_c), [-1.0]]
+        self.objective = np.zeros(2 * n_c + 1)  # minimized: mu E - t
+        self.objective[-1] = -1.0
+        self.nu = d_a + 2 * d_e  # barrier parameter
+        if cap is not None:
+            # H - E_0 and E - E_0 keep t at the scale of M(C) however large mu grows
+            e_0 = cap.hamiltonian.ground_energy
+            blocks.append(self.h_mat[None] - e_0 * np.eye(d_a))
+            y0[1] = [-1.0, 1.0]
+            self.objective = np.append(self.objective, self.e_cap - e_0)
+            self.nu += 1
+        self.f1 = np.concatenate(blocks).astype(np.complex128)
+        self.f2 = np.concatenate(f2 + [np.zeros((len(self.f1) - 2 * n_c, 2 * d_e, 2 * d_e))])
+        self.y0 = np.concatenate(y0)
 
     def offer_lower(self, tn: float, rho: np.ndarray):
         cand = 2.0 - 2.0 * tn
@@ -353,7 +382,7 @@ class _SaddleTracker:
 
     def offer_upper(self, dual: float, contraction: np.ndarray, mu: float):
         cand = 2.0 - 2.0 * dual
-        if cand < self.up_sq:
+        if cand < self.up_sq or self.up_contraction is None:
             self.up_sq = max(cand, 0.0)
             self.up_contraction = contraction
             self.up_mu = mu
@@ -362,128 +391,88 @@ class _SaddleTracker:
     def width(self) -> float:
         return math.sqrt(max(self.up_sq, 0.0)) - math.sqrt(max(self.low_sq, 0.0))
 
-    def descend(self, rho: np.ndarray, budget: int, tol: float):
-        """Frank-Wolfe descent on the convex overlap norm, certifying as it goes."""
-        x_cur = _env_overlap(self.v_phi, self.v_psi, rho, self.d_b, self.d_e)
-        tn_cur = float(np.linalg.svd(x_cur, compute_uv=False).sum())
-        self.offer_lower(tn_cur, rho)
-        stalls = 0
-        for _ in range(budget):
-            self.iterations += 1
-            c, tn_cur = _polar_contraction(x_cur)
-            self.offer_lower(tn_cur, rho)
-            m = _hermitian_pinch(self.v_phi, self.v_psi, c, self.d_b)
-            rho_hat, dual, mu = _constrained_minimum(m, self.h_mat, self.e_cap)
-            self.offer_upper(dual, c, mu)
-            if self.width <= tol:
-                return
-            x_hat = _env_overlap(self.v_phi, self.v_psi, rho_hat, self.d_b, self.d_e)
-            t_step, tn_new = _segment_min_trace_norm(x_cur, x_hat)
-            if tn_new >= tn_cur - 1e-13:
-                stalls += 1
-                if stalls >= 3:
-                    return
-            else:
-                stalls = 0
-            if tn_new < tn_cur:
-                rho = (1.0 - t_step) * rho + t_step * rho_hat
-                x_cur = (1.0 - t_step) * x_cur + t_step * x_hat
-                tn_cur = tn_new
-                self.offer_lower(tn_cur, rho)
+    def _blocks(self, y: np.ndarray):
+        f1 = np.tensordot(y, self.f1, 1)
+        f2 = np.eye(2 * self.d_e) + np.tensordot(y, self.f2, 1)
+        return f1, f2
 
-    def _offer_contraction(self, c: np.ndarray):
+    def _feasible(self, y: np.ndarray) -> bool:
+        if self.cap is not None and not y[-1] > 0.0:
+            return False
+        try:
+            for f in self._blocks(y):
+                np.linalg.cholesky(f)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    def _newton_step(self, y: np.ndarray, tau: float):
+        """Newton direction of the centering objective at tau, and its squared decrement."""
+        f1, f2 = self._blocks(y)
+        g1, h1 = _lmi_barrier(f1, self.f1)
+        g2, h2 = _lmi_barrier(f2, self.f2)
+        grad = tau * self.objective + g1 + g2
+        hess = h1 + h2
+        if self.cap is not None:
+            grad[-1] -= 1.0 / y[-1]
+            hess[-1, -1] += 1.0 / y[-1] ** 2
+        scale = 1.0 / np.sqrt(np.diagonal(hess))
+        step = -scale * np.linalg.solve(hess * np.outer(scale, scale), scale * grad)
+        return step, float(-grad @ step)
+
+    def descend(self, budget: int, tol: float):
+        """Follow the barrier path from C = 0, certifying the start and every centering.
+
+        tau grows 20-fold per centering; each centering takes at most 80
+        damped Newton steps (step 1 / (1 + lambda) while the decrement lambda
+        exceeds 1/4).  The path ends at width <= tol, at barrier gap
+        nu / tau <= 1e-10, after `budget` Newton steps in all, or at the
+        first numerical failure, keeping the certificates found so far.
+        """
+        y = self.y0
+        self._certify(y)
+        tau = 1.0
+        try:
+            while True:
+                for _ in range(_CENTERING_STEPS):
+                    if self.iterations >= budget:
+                        break
+                    step, lam2 = self._newton_step(y, tau)
+                    if not np.isfinite(lam2) or lam2 / 2.0 <= _CENTERED:
+                        break
+                    self.iterations += 1
+                    alpha = 1.0 if lam2 <= 1.0 / 16.0 else 1.0 / (1.0 + math.sqrt(lam2))
+                    while not self._feasible(y + alpha * step):
+                        alpha /= 2.0
+                        if alpha < 1e-12:
+                            return
+                    y = y + alpha * step
+                self._certify(y)
+                if self.width <= tol or self.nu / tau <= _BARRIER_GAP or self.iterations >= budget:
+                    return
+                tau *= _TAU_GROWTH
+        except np.linalg.LinAlgError:
+            return
+
+    def _certify(self, y: np.ndarray):
+        f1, _ = self._blocks(y)
+        s = np.linalg.inv(np.linalg.cholesky(f1))
+        rho = _polish_state(s.conj().T @ s, self.cap)
+        x = _env_overlap(self.v_phi, self.v_psi, rho, self.d_b, self.d_e)
+        uhlmann, tn = _polar_contraction(x)
+        self.offer_lower(tn, rho)
+        n_c = self.d_e * self.d_e
+        self.polish_dual((y[:n_c] + 1j * y[n_c:2 * n_c]).reshape(self.d_e, self.d_e))
+        self.polish_dual(uhlmann)
+
+    def polish_dual(self, c: np.ndarray):
+        """Certify a contraction: the exact constrained minimum of M(c), with its multiplier."""
         m = _hermitian_pinch(self.v_phi, self.v_psi, c, self.d_b)
         _, dual, mu = _constrained_minimum(m, self.h_mat, self.e_cap)
         self.offer_upper(dual, c, mu)
 
-    def polish_dual(self, tol: float):
-        """Maximize the concave Lagrange dual over the contraction ball.
-
-        At the optimum the overlap matrix is typically rank-deficient, so
-        the polar factor of the best state fixes the contraction only on
-        the overlap's support; the kernel block stays free and is searched
-        directly (a small concave maximization).  Every evaluated
-        contraction is certified exactly, so the search method cannot
-        affect soundness.
-        """
-        if self.low_state is None:
-            return
-        from scipy.optimize import minimize
-
-        x = _env_overlap(self.v_phi, self.v_psi, self.low_state, self.d_b, self.d_e)
-        u, s, wh = np.linalg.svd(x)
-        d_e = self.d_e
-        rank = int(np.sum(s > max(1e-9 * s[0] if s[0] > 0 else 0.0, 1e-13)))
-        kdim = d_e - rank
-
-        def dual_of(c: np.ndarray) -> float:
-            m = _hermitian_pinch(self.v_phi, self.v_psi, c, self.d_b)
-            _, dual, _ = _constrained_minimum(m, self.h_mat, self.e_cap)
-            return dual
-
-        # during the search the multiplier is held fixed, so each objective
-        # eval costs one eigendecomposition; the winner is re-certified with
-        # the exact multiplier solve afterwards
-        def fast_dual(c: np.ndarray, mu: float) -> float:
-            m = _hermitian_pinch(self.v_phi, self.v_psi, c, self.d_b)
-            if self.h_mat is None or mu == 0.0:
-                return float(np.linalg.eigvalsh(m)[0])
-            return float(np.linalg.eigvalsh(m + mu * self.h_mat)[0]) - mu * self.e_cap
-
-        mu_fixed = self.up_mu
-
-        if 0 < kdim:
-            w_support = wh.conj().T[:, :rank] @ u.conj().T[:rank, :] if rank else np.zeros((d_e, d_e), dtype=np.complex128)
-            w_k = wh.conj().T[:, rank:]
-            u_k = u.conj().T[rank:, :]
-
-            def c_of(params: np.ndarray) -> np.ndarray:
-                z = (params[: kdim * kdim] + 1j * params[kdim * kdim :]).reshape(kdim, kdim)
-                norm = np.linalg.norm(z, 2)
-                if norm > 1.0:
-                    z = z / norm
-                return w_support + w_k @ z @ u_k
-
-            best_p = None
-            best_v = math.inf
-            eye_seed = np.concatenate([np.eye(kdim).reshape(-1), np.zeros(kdim * kdim)])
-            for p0 in (np.zeros(2 * kdim * kdim), eye_seed, -eye_seed):
-                res = minimize(lambda q: -fast_dual(c_of(q), mu_fixed), p0, method="Nelder-Mead",
-                               options={"maxfev": 1200, "xatol": 1e-12, "fatol": 1e-14})
-                if res.fun < best_v:
-                    best_v, best_p = res.fun, res.x
-            self._offer_contraction(c_of(best_p))
-            mu_fixed = self.up_mu
-            if self.width <= tol:
-                return
-
-        # full-ball refinement from the polar factor
-        c0, _ = _polar_contraction(x)
-
-        def c_full(params: np.ndarray) -> np.ndarray:
-            z = (params[: d_e * d_e] + 1j * params[d_e * d_e :]).reshape(d_e, d_e)
-            norm = np.linalg.norm(z, 2)
-            return z if norm <= 1.0 else z / norm
-
-        p0 = np.concatenate([c0.reshape(-1).real, c0.reshape(-1).imag])
-        if self.up_contraction is not None:
-            p0 = np.concatenate(
-                [self.up_contraction.reshape(-1).real, self.up_contraction.reshape(-1).imag]
-            )
-        for _ in range(2):
-            if 2 * d_e * d_e <= 40:
-                res = minimize(lambda q: -fast_dual(c_full(q), mu_fixed), p0, method="Nelder-Mead",
-                               options={"maxfev": 2500, "xatol": 1e-12, "fatol": 1e-14})
-            else:
-                res = minimize(lambda q: -fast_dual(c_full(q), mu_fixed), p0, method="L-BFGS-B",
-                               options={"maxiter": 300, "ftol": 1e-15, "gtol": 1e-12})
-            self._offer_contraction(c_full(res.x))
-            p0 = res.x
-            if self.h_mat is None or abs(self.up_mu - mu_fixed) < 1e-12:
-                break
-            mu_fixed = self.up_mu
-
-    def bracket(self, tol: float) -> Bracket:
+    def bracket(self, budget: int, tol: float) -> Bracket:
+        self.descend(budget, tol)
         low = math.sqrt(max(self.low_sq, 0.0))
         up = math.sqrt(max(self.up_sq, 0.0))
         return Bracket(
@@ -498,45 +487,15 @@ class _SaddleTracker:
         )
 
 
-def _polish_state(v_phi, v_psi, d_b, d_e, rho0, cap: Optional[EnergyCap]) -> np.ndarray:
-    """Local minimization of the overlap trace norm (nonsmooth at optima).
+def _polish_state(z: np.ndarray, cap: Optional[EnergyCap]) -> np.ndarray:
+    """Retract a positive barrier dual block to a feasible input.
 
-    The state is parametrized as G G*/Tr(G G*) (all of state space), mixed
-    toward the Hamiltonian ground state when an energy cap is active (a
-    continuous retraction fixing every feasible state).  Only the returned
-    state is used, and only through exact certificate evaluations, so the
-    optimizer choice cannot affect soundness.
+    Hermitian part, unit trace, then `mix_to_cap` under an energy cap; a
+    feasible state is left unchanged up to rounding.
     """
-    from scipy.optimize import minimize
-
-    d = rho0.shape[0]
-    w, u = np.linalg.eigh(rho0)
-    g0 = u * np.sqrt(np.clip(w, 1e-12, None))
-
-    def unpack(params: np.ndarray) -> np.ndarray:
-        gmat = (params[: d * d] + 1j * params[d * d :]).reshape(d, d)
-        rho = gmat @ gmat.conj().T
-        tr = float(np.trace(rho).real)
-        if tr <= 0:
-            return np.eye(d, dtype=np.complex128) / d
-        rho = rho / tr
-        return rho if cap is None else mix_to_cap(rho, cap)
-
-    def objective(params: np.ndarray) -> float:
-        x = _env_overlap(v_phi, v_psi, unpack(params), d_b, d_e)
-        return float(np.linalg.svd(x, compute_uv=False).sum())
-
-    p0 = np.concatenate([g0.reshape(-1).real, g0.reshape(-1).imag])
-    if 2 * d * d <= 40:
-        res = minimize(objective, p0, method="Nelder-Mead",
-                       options={"maxfev": 3000, "xatol": 1e-13, "fatol": 1e-15})
-        res2 = minimize(objective, res.x, method="Nelder-Mead",
-                        options={"maxfev": 1500, "xatol": 1e-13, "fatol": 1e-15})
-        best = res2 if res2.fun <= res.fun else res
-    else:
-        best = minimize(objective, p0, method="L-BFGS-B",
-                        options={"maxiter": 200, "ftol": 1e-14, "gtol": 1e-12})
-    return unpack(best.x)
+    rho = (z + z.conj().T) / 2.0
+    rho = rho / np.trace(rho).real
+    return rho if cap is None else mix_to_cap(rho, cap)
 
 
 def _extend_isometry(v: np.ndarray, d_r: int) -> np.ndarray:
@@ -581,7 +540,7 @@ def diamond_bracket(
         raise QStateError("channels must share input and output dimensions")
     bures = bures_bracket
     if bures is None:
-        bures = channel_bures_bracket(phi, psi, constraint, budget=budget, tol=tol, seed=seed + 101)
+        bures = channel_bures_bracket(phi, psi, constraint, budget=budget, tol=tol)
     upper = min(2.0 * bures.upper, 2.0)
     d_a, d_b = phi.d_a, phi.d_b
     d_r = d_a

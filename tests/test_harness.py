@@ -196,6 +196,27 @@ def test_suite_smoke(suite, trials, tmp_path):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("suite,trials", [("prop5", 6), ("prop8", 8)])
+def test_energy_constrained_brackets_converge(suite, trials):
+    # every energy-constrained Bures bracket of the default campaigns closes to bracket_tol
+    rep = run_suite(CampaignConfig(suite=suite, trials=trials, seed=7))
+    bracketed = [v for v in rep.verdicts if "converged" in v.certificates]
+    assert len(bracketed) == trials
+    assert all(v.certificates["converged"] is True for v in bracketed)
+
+
+@pytest.mark.parametrize("truncation,dims,warned", [
+    (6, {}, True),  # default config: Gibbs weight 7.9e-3 on the top level at E = 1.2
+    (30, {"d_b": 6, "d_e": 5}, False),  # a 30-level input needs d_b * d_e >= 30
+])
+def test_prop5_tail_warned_certificate(truncation, dims, warned):
+    energy = {"kind": "oscillator", "modes": 1, "frequencies": [1.0], "truncation": truncation, "E": 1.2}
+    rep = run_suite(CampaignConfig(suite="prop5", trials=1, seed=7, energy=energy, dims=dims))
+    (row,) = rep.verdicts
+    assert row.certificates["tail_warned"] is warned
+    assert row.certificates["converged"] is True
+
+
 class TestCLI:
     def test_verify_and_report_round_trip(self, tmp_path, capsys):
         out = tmp_path / "rep.json"

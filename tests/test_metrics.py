@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from chanbound.channels import ErasureSpec, StinespringChannel, erasure_channel, random_channel
+from chanbound.channels import (
+    ErasureSpec,
+    StinespringChannel,
+    common_stinespring,
+    erasure_channel,
+    random_channel,
+)
 from chanbound.energy import EnergyDomainError, Hamiltonian
 from chanbound.entropic import Ensemble
 from chanbound.harness.generators import Generators
@@ -12,7 +18,10 @@ from chanbound.metrics import (
     Bracket,
     EnergyConstraint,
     _batched_output_bures,
+    _constrained_minimum,
+    _env_overlap,
     _extend_isometry,
+    _hermitian_pinch,
     bures_state_distance,
     bures_sup_bruteforce,
     channel_bures_bracket,
@@ -249,6 +258,55 @@ class TestChannelBures:
         br = channel_bures_bracket(phi, psi, EnergyConstraint(h, 1.0), seed=8)
         assert 0.0 <= br.lower <= br.upper + 1e-9
         assert br.lower_state_energy <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("excess", [0.0, 1e-12, 1e-9, 1e-6])
+    def test_near_ground_caps(self, excess):
+        # at E_0 only ground-eigenspace inputs are feasible, so the bracket
+        # is the output Bures distance at |0><0|; just above E_0 the barrier
+        # has almost no interior and must still return a sound bracket
+        h = Hamiltonian(np.array([1.0, 2.0, 3.0]))
+        phi = random_channel(3, 2, 2, seed=45)
+        psi = random_channel(3, 2, 2, seed=46)
+        cap = 1.0 + excess
+        br = channel_bures_bracket(phi, psi, EnergyConstraint(h, cap))
+        assert 0.0 <= br.lower <= br.upper + 1e-9
+        assert br.lower_state_energy <= cap + 1e-9
+        if excess == 0.0:
+            ground = np.zeros((3, 3), dtype=complex)
+            ground[0, 0] = 1.0
+            x = _env_overlap(phi.isometry, psi.isometry, ground, 2, 2)
+            closed = math.sqrt(2.0 - 2.0 * trace_norm(x))
+            assert br.converged
+            assert abs(br.lower - closed) <= 1e-9
+            assert abs(br.upper - closed) <= 1e-9
+
+    @pytest.mark.parametrize("kind", ["unconstrained", "constrained", "environments_2_vs_3"])
+    def test_endpoints_recomputed_from_witnesses(self, kind):
+        # both endpoints are certificate evaluations of the returned witnesses
+        constraint = h_mat = e_cap = None
+        if kind == "unconstrained":
+            phi, psi = random_channel(2, 2, 2, seed=61), random_channel(2, 2, 2, seed=62)
+        elif kind == "constrained":
+            h = Hamiltonian(np.arange(3.0))
+            constraint = EnergyConstraint(h, 0.5)
+            h_mat, e_cap = h.to_matrix(), 0.5
+            phi, psi = random_channel(3, 2, 2, seed=63), random_channel(3, 2, 2, seed=64)
+        else:
+            phi, psi = random_channel(2, 2, 2, seed=65), random_channel(2, 2, 3, seed=66)
+        br = channel_bures_bracket(phi, psi, constraint)
+        a, b = (phi, psi) if phi.d_e == psi.d_e else common_stinespring(phi, psi)
+        rho, c = br.lower_state, br.upper_contraction
+        x = _env_overlap(a.isometry, b.isometry, rho, a.d_b, a.d_e)
+        assert abs(br.lower - math.sqrt(2.0 - 2.0 * trace_norm(x))) <= 1e-12
+        _, dual, mu = _constrained_minimum(_hermitian_pinch(a.isometry, b.isometry, c, a.d_b), h_mat, e_cap)
+        assert abs(br.upper - math.sqrt(2.0 - 2.0 * dual)) <= 1e-12
+        assert br.upper_multiplier == mu
+        assert np.linalg.eigvalsh(rho).min() >= -1e-12
+        assert abs(np.trace(rho).real - 1.0) <= 1e-12
+        if constraint is not None:
+            assert np.trace(h_mat @ rho).real <= e_cap + 1e-12
+        assert np.linalg.norm(c, 2) <= 1.0 + 1e-12
+        assert br.converged
 
     def test_mismatched_environments_use_common_rep(self, gen):
         phi = random_channel(2, 2, 2, seed=39)
