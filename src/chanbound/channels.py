@@ -8,12 +8,13 @@ V along the environment index.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .qstate import MAX_TOTAL_DIM, DensityMatrix, QStateError, partial_trace
+from .qstate import MAX_TOTAL_DIM, DensityMatrix, QStateError
 
 ISOMETRY_TOL = 1e-10
 
@@ -65,36 +66,29 @@ def apply(channel: StinespringChannel, rho: DensityMatrix) -> DensityMatrix:
     """Apply the channel to the factor named by its input label.
 
     Extra factors of `rho` pass through untouched (Phi (x) Id); the output
-    factor takes the input factor's position in the layout.
+    factor takes the input factor's position in the layout.  The environment
+    is traced out inside the contraction that applies V and V-bar, so no
+    B (x) E state is built: the output is the only state validated.
     """
     layout = rho.layout
     pos = layout.position(channel.input_label)
-    if layout.dim(channel.input_label) != channel.d_a:
+    if layout.dims[pos] != channel.d_a:
         raise QStateError(
-            f"input factor has dim {layout.dim(channel.input_label)}, channel expects {channel.d_a}"
+            f"input factor has dim {layout.dims[pos]}, channel expects {channel.d_a}"
         )
     for lbl in (channel.output_label, channel.env_label):
         if layout.has(lbl) and lbl != channel.input_label:
             raise QStateError(f"label {lbl!r} collides with a passthrough factor")
-    n = len(layout.factors)
-    dims = layout.dims
+    out_layout = layout.replace(channel.input_label, [(channel.output_label, channel.d_b)])
+    pre, post = math.prod(layout.dims[:pos]), math.prod(layout.dims[pos + 1 :])
     v = channel.isometry.reshape(channel.d_b, channel.d_e, channel.d_a)
-    tensor = rho.entries.reshape(dims + dims)
-    # contract the row-side input index
-    t = np.tensordot(v, tensor, axes=([2], [pos]))  # (b, e, ...rest)
-    t = np.moveaxis(t, [0, 1], [pos, pos + 1])
-    # contract the column-side input index (shifted by the inserted axis)
-    col = (n + 1) + pos
-    t = np.tensordot(t, v.conj(), axes=([col], [2]))  # appends (b', e')
-    t = np.moveaxis(t, [-2, -1], [col, col + 1])
-    mid_layout = layout.replace(
-        channel.input_label,
-        [(channel.output_label, channel.d_b), (channel.env_label, channel.d_e)],
-    )
-    d = mid_layout.total_dim
-    full = DensityMatrix(mid_layout, t.reshape(d, d))
-    keep = [lbl for lbl in mid_layout.labels if lbl != channel.env_label]
-    return partial_trace(full, keep)
+    tensor = rho.entries.reshape(pre, channel.d_a, post, pre, channel.d_a, post)
+    # V on the row input index: (b, e, pre, post, pre', a', post')
+    t = np.tensordot(v, tensor, axes=([2], [1]))
+    # V-bar on the column input index, tracing e: (b, pre, post, pre', post', b')
+    t = np.tensordot(t, v.conj(), axes=([1, 5], [1, 2]))
+    d = out_layout.total_dim
+    return DensityMatrix(out_layout, t.transpose(1, 0, 2, 3, 5, 4).reshape(d, d))
 
 
 def complementary(channel: StinespringChannel) -> StinespringChannel:
@@ -189,17 +183,20 @@ def tensor_power_apply(
     rho: DensityMatrix,
     input_labels: Sequence[str],
 ) -> DensityMatrix:
-    """Apply Phi^(x n) (x) Id, factor by factor over the named input labels."""
+    """Apply Phi^(x n) (x) Id, factor by factor over the named input labels.
+
+    After k steps the state has dimension rest * d_b^k * d_a^(n-k), so the
+    largest state the sequential `apply` calls build is rest * max(d_a, d_b)^n;
+    it is checked against the dense-simulation guard before any step runs.
+    """
     if n < 1:
         raise QStateError(f"n = {n} must be >= 1")
     if len(input_labels) != n:
         raise QStateError(f"expected {n} input labels, got {len(input_labels)}")
-    growth = 1
     for lbl in input_labels:
         if rho.layout.dim(lbl) != channel.d_a:
             raise QStateError(f"factor {lbl!r} has wrong dimension for the channel")
-        growth *= channel.d_b * channel.d_e
-    peak = (rho.layout.total_dim // channel.d_a**n) * growth
+    peak = (rho.layout.total_dim // channel.d_a**n) * max(channel.d_a, channel.d_b) ** n
     if peak > MAX_TOTAL_DIM:
         raise QStateError(
             f"intermediate dimension {peak} exceeds dense-simulation guard {MAX_TOTAL_DIM}"

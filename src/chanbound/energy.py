@@ -432,14 +432,14 @@ def mix_to_cap(state, cap: EnergyCap):
     A state that meets the cap comes back unchanged.  Mixed states (a
     DensityMatrix or a density-matrix array) take the closed-form weight of
     `cap_weight` toward `cap.ground_state`; an Ensemble takes the weight of
-    its average state and mixes every member with it.  Pure states (a
-    PureState or an amplitude vector) blend toward `cap.ground_vector` and
-    are renormalised; the blend's energy is not affine in the weight, so the
-    least feasible weight is bisected.  Raises EnergyDomainError when the
-    cap is below the ground energy.
+    its raw average sum p_i rho_i and mixes every member with it.  Pure
+    states (a PureState or an amplitude vector) blend toward
+    `cap.ground_vector` and are renormalised; the blend's energy is not
+    affine in the weight, so the least feasible weight is bisected.  Raises
+    EnergyDomainError when the cap is below the ground energy.
     """
     if isinstance(state, Ensemble):
-        t = cap.weight(state.average_state().entries)
+        t = cap.weight(state.average_entries())
         if t == 0.0:
             return state
         return Ensemble([

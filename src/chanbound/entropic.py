@@ -52,8 +52,9 @@ def g(x: float) -> float:
 
 
 def _spectrum(rho) -> np.ndarray:
-    entries = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    return np.clip(np.linalg.eigvalsh(entries), 0.0, None)
+    """Clipped eigenvalues: a DensityMatrix's validated spectrum, else eigvalsh."""
+    w = rho.spectrum if isinstance(rho, DensityMatrix) else np.linalg.eigvalsh(np.asarray(rho))
+    return np.clip(w, 0.0, None)
 
 
 def von_neumann_entropy(rho) -> float:
@@ -153,9 +154,12 @@ class Ensemble:
     def __len__(self) -> int:
         return len(self.items)
 
+    def average_entries(self) -> np.ndarray:
+        """The raw sum of p_i rho_i; exactly Hermitian, since every rho_i is."""
+        return sum(p * state.entries for p, state in self.items)
+
     def average_state(self) -> DensityMatrix:
-        acc = sum(p * state.entries for p, state in self.items)
-        return DensityMatrix(self.layout, acc)
+        return DensityMatrix(self.layout, self.average_entries())
 
 
 def holevo_quantity(ens: Ensemble) -> float:

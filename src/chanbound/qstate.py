@@ -8,7 +8,7 @@ is a pure function, so concurrent use is safe.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,6 +39,8 @@ class SystemLayout:
     """
 
     factors: tuple[tuple[str, int], ...]
+    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    total_dim: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, factors: Iterable[tuple[str, int]]):
         normalized = tuple((str(lbl), int(dim)) for lbl, dim in factors)
@@ -58,18 +60,12 @@ class SystemLayout:
                 f"total dimension {total} exceeds dense-simulation guard {MAX_TOTAL_DIM}"
             )
         object.__setattr__(self, "factors", normalized)
+        object.__setattr__(self, "dims", tuple(dim for _, dim in normalized))
+        object.__setattr__(self, "total_dim", total)
 
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(lbl for lbl, _ in self.factors)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self.factors)
-
-    @property
-    def total_dim(self) -> int:
-        return int(np.prod(self.dims, dtype=np.int64))
 
     def dim(self, label: str) -> int:
         return self.factors[self.position(label)][1]
@@ -141,10 +137,15 @@ class HermitianOperator:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, PSD, unit-trace operator over a labeled layout."""
+    """Hermitian, PSD, unit-trace operator over a labeled layout.
+
+    `spectrum` holds the ascending eigenvalues of `entries` that the PSD
+    check computed, read-only, so entropies need no second eigensolve.
+    """
 
     layout: SystemLayout
     entries: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         arr = _as_square_complex(self.entries, self.layout.total_dim, "density matrix")
@@ -152,10 +153,13 @@ class DensityMatrix:
         tr = np.trace(sym).real
         if abs(tr - 1.0) > TRACE_TOL:
             raise QStateError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
-        lo = float(np.linalg.eigvalsh(sym)[0])
+        spectrum = np.linalg.eigvalsh(sym)
+        lo = float(spectrum[0])
         if lo < EIGENVALUE_FLOOR:
             raise QStateError(f"negative eigenvalue {lo:.3e} below floor {EIGENVALUE_FLOOR}")
+        spectrum.setflags(write=False)
         object.__setattr__(self, "entries", sym)
+        object.__setattr__(self, "spectrum", spectrum)
 
     def as_hermitian(self) -> HermitianOperator:
         return HermitianOperator(self.layout, self.entries)

@@ -71,6 +71,39 @@ class TestApply:
         lay = SystemLayout([("A", 3)])
         with pytest.raises(QStateError):
             apply(identity_channel(2), gen.density(lay))
+        with pytest.raises(QStateError):
+            apply(random_channel(2, 2, 2, seed=5), gen.density(SystemLayout([("C", 2), ("A", 3)])))
+
+    @pytest.mark.parametrize("label", ["B", "E"])
+    def test_label_collision_rejected(self, gen, label):
+        lay = SystemLayout([("C", 2), ("A", 2), (label, 2)])
+        with pytest.raises(QStateError, match="collides"):
+            apply(random_channel(2, 2, 2, seed=5), gen.density(lay))
+
+    @pytest.mark.parametrize(
+        "factors, channel",
+        [
+            ([("A", 3), ("C", 2), ("D", 2)], random_channel(3, 2, 2, seed=21)),
+            ([("C", 2), ("A", 3), ("D", 2)], random_channel(3, 2, 2, seed=22)),
+            ([("C", 2), ("D", 2), ("A", 3)], random_channel(3, 2, 2, seed=23)),
+            ([("C", 2), ("A", 3), ("D", 2)], identity_channel(3)),
+            ([("C", 2), ("A", 2), ("D", 3)], random_channel(2, 3, 5, seed=24)),
+        ],
+        ids=["input-first", "input-middle", "input-last", "env-trivial", "env-above-input"],
+    )
+    def test_matches_kraus_sum(self, gen, factors, channel):
+        lay = SystemLayout(factors)
+        rho = gen.density(lay)
+        pos = lay.position("A")
+        pre, post = math.prod(lay.dims[:pos]), math.prod(lay.dims[pos + 1 :])
+        expect = 0
+        for k in channel.kraus_operators():
+            full = np.kron(np.kron(np.eye(pre), k), np.eye(post))
+            expect = expect + full @ rho.entries @ full.conj().T
+        out = apply(channel, rho)
+        assert out.layout.labels == tuple("B" if lbl == "A" else lbl for lbl, _ in factors)
+        assert out.layout.dim("B") == channel.d_b
+        assert np.max(np.abs(out.entries - expect)) <= 1e-12
 
 
 class TestComplementary:
@@ -188,11 +221,33 @@ class TestTensorPower:
         )
         assert abs(mi2 - 2 * mi1) < 1e-9
 
-    def test_size_guard(self, gen):
-        ch = random_channel(4, 4, 4, seed=1)
-        lay = SystemLayout([(f"A{k}", 4) for k in (1, 2, 3)] + [("C", 2)])
-        with pytest.raises(QStateError):
-            tensor_power_apply(ch, 3, gen.density(lay), ["A1", "A2", "A3"])
+    def test_size_guard(self, gen, monkeypatch):
+        # the last output, C (x) B1..B4, has dimension 2 * 8^4 = 8192 > 4096
+        import chanbound.channels as channels_mod
+
+        def no_apply(*args):
+            raise AssertionError("apply ran before the guard")
+
+        ch = random_channel(2, 8, 1, seed=1)
+        lay = SystemLayout([(f"A{k}", 2) for k in (1, 2, 3, 4)] + [("C", 2)])
+        rho = gen.density(lay)
+        monkeypatch.setattr(channels_mod, "apply", no_apply)
+        with pytest.raises(QStateError, match="8192"):
+            tensor_power_apply(ch, 4, rho, ["A1", "A2", "A3", "A4"])
+
+    def test_sequential_peak_accepted(self, gen):
+        # every state the sequential calls build has dimension 64; a guard on
+        # the B (x) E intermediates would read 4 * 8^4 = 16384
+        ch = random_channel(2, 2, 4, seed=9)
+        labels = ["A1", "A2", "A3", "A4"]
+        rho = gen.density(SystemLayout([(lbl, 2) for lbl in labels] + [("C", 2), ("D", 2)]))
+        out = tensor_power_apply(ch, 4, rho, labels)
+        expect = rho
+        for k, lbl in enumerate(labels, start=1):
+            expect = apply(ch.relabeled(lbl, f"B{k}", f"E{k}"), expect)
+        assert out.layout == expect.layout
+        assert out.layout.labels == ("B1", "B2", "B3", "B4", "C", "D")
+        assert np.max(np.abs(out.entries - expect.entries)) <= 1e-12
 
 
 class TestCommonStinespring:

@@ -289,6 +289,9 @@ class TestEnergyCap:
                     assert rho is drawn
                 psi = mix_to_cap(gen.pure(lay), cap)
                 assert self._a_energy(h, psi) <= e_cap + 1e-12
-            ens = mix_to_cap(gen.ensemble(single_factor("A", 4), 3), EnergyCap(h, e_cap))
+            drawn_ens = gen.ensemble(single_factor("A", 4), 3)
+            # the raw average is exactly Hermitian, so validation leaves it unchanged
+            assert np.array_equal(drawn_ens.average_entries(), drawn_ens.average_state().entries)
+            ens = mix_to_cap(drawn_ens, EnergyCap(h, e_cap))
             avg = float(np.real(np.trace(h.to_matrix() @ ens.average_state().entries)))
             assert avg <= e_cap + 1e-12

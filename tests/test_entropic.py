@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chanbound.channels import erasure_channel, ErasureSpec, identity_channel, random_channel
+from chanbound.channels import apply, erasure_channel, ErasureSpec, identity_channel, random_channel
 from chanbound.entropic import (
     Ensemble,
     channel_mutual_information,
@@ -82,6 +82,17 @@ class TestEntropy:
         rho = DensityMatrix(SystemLayout([("A", 2)]), np.diag([0.25, 0.75]))
         oracle = -(0.25 * math.log(0.25) + 0.75 * math.log(0.75))
         assert abs(von_neumann_entropy(rho) - oracle) < 1e-12
+
+
+    def test_validated_spectrum_matches_raw_entries(self, gen):
+        lay = SystemLayout([("A", 3), ("C", 2)])
+        states = [
+            apply(random_channel(3, 2, 4, seed=31), gen.density(lay)),
+            partial_trace(gen.density(lay), ("C",)),
+            gen.ensemble(lay, 3).average_state(),
+        ]
+        for rho in states:
+            assert von_neumann_entropy(rho) == von_neumann_entropy(rho.entries)
 
 
 class TestRelativeEntropy:

@@ -62,6 +62,13 @@ class TestDensityMatrix:
         rho = DensityMatrix(lay, m)
         assert np.allclose(rho.entries, rho.entries.conj().T)
 
+    def test_spectrum_kept_read_only(self, gen):
+        rho = gen.density(SystemLayout([("A", 3), ("B", 2)]))
+        assert np.array_equal(rho.spectrum, np.linalg.eigvalsh(rho.entries))
+        with pytest.raises(ValueError):
+            rho.spectrum[0] = 0.5
+        assert "spectrum" not in repr(rho)
+
     def test_spectrum_sums_to_one(self, gen):
         lay = SystemLayout([("A", 5)])
         for _ in range(20):
