@@ -1,7 +1,9 @@
+import csv
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,6 +217,38 @@ def test_prop5_tail_warned_certificate(truncation, dims, warned):
     (row,) = rep.verdicts
     assert row.certificates["tail_warned"] is warned
     assert row.certificates["converged"] is True
+
+
+# Trial counts of the committed seed-7 reports; thm1 and thm2 run their default grids.
+GOLDEN_TRIALS = {
+    "lemma4": 8, "identities": 4, "prop3": 4, "prop7": 4, "prop2": 3, "prop6": 3,
+    "prop4": 2, "prop5": 2, "prop8": 2, "thm1": 1, "thm2": 1, "metrics": 6,
+}
+
+
+def test_golden_reports(tmp_path):
+    """Every suite reproduces its committed seed-7 report.
+
+    Names and outcomes must match exactly and floats to 1e-9 max(1, |x|),
+    which absorbs rounding differences between CPUs but not a change in
+    draw order.  Regenerate one with
+    `chanbound verify --suite S --trials N --seed 7 --out tests/golden/S.csv`.
+    """
+    golden_dir = Path(__file__).parent / "golden"
+    for suite, trials in GOLDEN_TRIALS.items():
+        out = tmp_path / f"{suite}.csv"
+        emit_report(run_suite(CampaignConfig(suite=suite, trials=trials, seed=7)), "csv", out)
+        with open(golden_dir / f"{suite}.csv", newline="") as fh:
+            want = list(csv.DictReader(fh))
+        with open(out, newline="") as fh:
+            got = list(csv.DictReader(fh))
+        assert len(got) == len(want), suite
+        for g_row, w_row in zip(got, want):
+            for key in ("suite", "trial", "bound_name", "outcome"):
+                assert g_row[key] == w_row[key], (suite, w_row["trial"], key)
+            for key in ("lhs", "eps_lo", "eps_hi", "rhs_lo", "rhs_hi"):
+                x, y = float(g_row[key]), float(w_row[key])
+                assert x == y or abs(x - y) <= 1e-9 * max(1.0, abs(y)), (suite, w_row["trial"], w_row["bound_name"], key)
 
 
 class TestCLI:
