@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -342,15 +342,6 @@ class ErasureCapacities:
     c_p: float
     c_p_bar: float
 
-    def by_name(self, capacity: str) -> float:
-        return {
-            "chi": self.c_chi,
-            "c": self.c,
-            "q": self.q,
-            "p": self.c_p,
-            "pbar": self.c_p_bar,
-        }[capacity]
-
 
 def erasure_capacities(
     d: int, p: float, energy: Optional[tuple[Hamiltonian, float]] = None
@@ -387,3 +378,16 @@ def erasure_isometry_gap(x: float) -> float:
     if not 0.0 <= x <= 0.5:
         raise ValueError(f"x = {x} outside [0, 1/2]")
     return math.sqrt(max(0.0, 2.0 - math.sqrt(1.0 - 2.0 * x) - math.sqrt(1.0 + 2.0 * x)))
+
+
+def erasure_family(
+    x: float, m: float, bound: Callable[[str, float], float], capacities: Sequence[str] = CAPACITIES
+) -> list[tuple[str, float, float, float]]:
+    """(capacity, gap, epsilon, bound) of erase(1/2 - x) against erase(1/2), per capacity.
+
+    The gap is `erasure_delta` at scale m (log d, or F_H(E) under an energy
+    cap), epsilon the closed-form isometry gap, and `bound(capacity, eps)`
+    the theorem's bound at that epsilon.
+    """
+    eps = erasure_isometry_gap(x)
+    return [(cap, erasure_delta(cap, x, m), eps, bound(cap, eps)) for cap in capacities]

@@ -21,7 +21,6 @@ import numpy as np
 from .entropic import Ensemble, entropy_of_spectrum
 from .qstate import (
     DensityMatrix,
-    HermitianOperator,
     PureState,
     QStateError,
     SystemLayout,
@@ -104,9 +103,6 @@ class Hamiltonian:
         if self.eigenbasis is None:
             return diag
         return self.eigenbasis @ diag @ self.eigenbasis.conj().T
-
-    def to_operator(self, label: str = "A", shift: float = 0.0) -> HermitianOperator:
-        return HermitianOperator(single_factor(label, self.dim), self.to_matrix(shift))
 
 
 def _gibbs_weights(eigenvalues: np.ndarray, lam: float) -> np.ndarray:

@@ -1,16 +1,23 @@
 """Verification campaigns: one suite per statement family.
 
-Each suite draws seeded random instances, computes the left-hand side
-exactly, brackets (or computes) epsilon, and classifies the inequality
-with the three-way verdict logic.  Same config and seed give identical
-results independent of scheduling.
+Each suite is a row of `_SUITES`: a setup that builds the campaign's fixed
+parts once (energy system, layouts, cap, fixed channel or ensemble, bound
+handles) and a draw that turns one trial's seeded generators into rows
+(bound name, lhs, epsilon, rhs, certificates).  Epsilon is a float when it
+is known exactly, or an (eps_lo, eps_hi) bracket; rhs is the bound's value,
+or the bound as a function of epsilon.  `run_suite` alone runs the trials
+and classifies each row with the three-way verdict logic, so the same
+config and seed give identical results independent of scheduling.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -63,20 +70,13 @@ from ..qstate import (
 from .generators import Generators
 from .verdict import BoundVerdict, DEFAULT_TOL, summarize
 
-SUITE_NAMES = (
-    "lemma4",
-    "prop2",
-    "prop3",
-    "prop4",
-    "prop5",
-    "prop6",
-    "prop7",
-    "prop8",
-    "thm1",
-    "thm2",
-    "identities",
-    "metrics",
-)
+# trial index of the stream that draws a campaign's fixed channel or ensemble
+_FIXED_TRIAL = 10**9
+
+_ENERGY_KEYS = {
+    "oscillator": {"kind", "E", "modes", "frequencies", "hbar", "truncation"},
+    "spectrum": {"kind", "E", "eigenvalues"},
+}
 
 
 @dataclass
@@ -91,9 +91,11 @@ class CampaignConfig:
     def __post_init__(self):
         if self.suite not in SUITE_NAMES:
             raise ValueError(f"unknown suite {self.suite!r}; expected one of {SUITE_NAMES}")
+        self.trials, self.seed = int(self.trials), int(self.seed)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        self.seed = int(self.seed)
+        self.dims, self.budgets = dict(self.dims), dict(self.budgets)
+        self.energy = dict(self.energy) if self.energy else None
 
     def budget(self, key: str, default):
         return self.budgets.get(key, default)
@@ -102,46 +104,35 @@ class CampaignConfig:
         return int(self.dims.get(key, default))
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "seed": self.seed,
-            "dims": dict(self.dims),
-            "energy": dict(self.energy) if self.energy else None,
-            "budgets": dict(self.budgets),
-        }
+        return dataclasses.asdict(self)
 
 
 def config_from_dict(doc: dict) -> CampaignConfig:
-    known = {"suite", "trials", "seed", "dims", "energy", "budgets"}
-    unknown = set(doc) - known
+    unknown = set(doc) - {f.name for f in dataclasses.fields(CampaignConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return CampaignConfig(
-        suite=str(doc["suite"]),
-        trials=int(doc.get("trials", 100)),
-        seed=int(doc.get("seed", 7)),
-        dims=dict(doc.get("dims", {})),
-        energy=doc.get("energy"),
-        budgets=dict(doc.get("budgets", {})),
-    )
+    return CampaignConfig(**doc)
 
 
 def parse_energy(doc: dict):
-    """Energy config -> (Hamiltonian or OscillatorSpec, E)."""
+    """Energy config -> (Hamiltonian or OscillatorSpec, E); a key the kind does not take is an error."""
     kind = doc.get("kind", "oscillator")
+    if kind not in _ENERGY_KEYS:
+        raise ValueError(f"unknown energy kind {kind!r}")
+    unknown = set(doc) - _ENERGY_KEYS[kind]
+    if unknown:
+        raise ValueError(f"unknown {kind} energy keys: {sorted(unknown)}")
     e = float(doc["E"])
-    if kind == "oscillator":
-        spec = OscillatorSpec(
-            modes=int(doc.get("modes", 1)),
-            frequencies=tuple(doc.get("frequencies", [1.0] * int(doc.get("modes", 1)))),
-            hbar=float(doc.get("hbar", 1.0)),
-            truncation=int(doc.get("truncation", 40)),
-        )
-        return spec, e
     if kind == "spectrum":
         return Hamiltonian(np.asarray(doc["eigenvalues"], dtype=float)), e
-    raise ValueError(f"unknown energy kind {kind!r}")
+    modes = int(doc.get("modes", 1))
+    spec = OscillatorSpec(
+        modes=modes,
+        frequencies=tuple(doc.get("frequencies", [1.0] * modes)),
+        hbar=float(doc.get("hbar", 1.0)),
+        truncation=int(doc.get("truncation", 40)),
+    )
+    return spec, e
 
 
 @dataclass(frozen=True)
@@ -154,51 +145,77 @@ class CampaignReport:
 
 
 def run_suite(config: CampaignConfig) -> CampaignReport:
-    fn = _SUITES[config.suite]
-    verdicts = fn(config)
-    return CampaignReport(
-        suite=config.suite,
-        seed=config.seed,
-        config=config.to_dict(),
-        verdicts=tuple(verdicts),
-        summary=summarize(verdicts),
-    )
+    """Set the suite up once, draw every trial, and classify each row (see the module docstring)."""
+    setup, draw = _SUITES[config.suite]
+    fixed = setup(config)
+    if draw is None:
+        trials = enumerate([row] for row in fixed)
+    else:
+        trials = ((t, draw(fixed, Generators.for_trial(config.seed, t), t)) for t in range(config.trials))
+    tol = config.budget("verdict_tol", DEFAULT_TOL)
+    verdicts = []
+    for trial, rows in trials:
+        for name, lhs, eps, rhs, certs in rows:
+            if isinstance(eps, tuple):
+                (eps_lo, eps_hi), rhs_lo, rhs_hi = eps, rhs(eps[0]), rhs(eps[1])
+            else:
+                eps_lo = eps_hi = eps
+                rhs_lo = rhs_hi = rhs(eps) if callable(rhs) else rhs
+            verdicts.append(BoundVerdict.check(config.suite, trial, name, lhs, eps_lo, eps_hi, rhs_lo, rhs_hi,
+                                               tol, certs))
+    return CampaignReport(config.suite, config.seed, config.to_dict(), tuple(verdicts), summarize(verdicts))
 
 
 # ---------------------------------------------------------------------------
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def _bracket(config: CampaignConfig, trial: int, phi, psi, constraint=None, diamond: bool = False):
-    """Bures (or diamond) bracket of a channel pair at the campaign's bracket
-    budget and tolerance; the trial index seeds the diamond bracket's samples."""
-    fn = diamond_bracket if diamond else channel_bures_bracket
-    return fn(phi, psi, constraint, budget=config.budget("bracket_budget", 500),
-              tol=config.budget("bracket_tol", 1e-6), seed=trial)
+def _le(name: str, value: float, cap: float):
+    """Row for the check value <= cap, with no epsilon: identities and sandwich relations."""
+    return name, value, 0.0, cap, {}
 
 
-def _trials(config: CampaignConfig):
-    """(trial index, the trial's seeded generators) for every trial of the campaign."""
-    for trial in range(config.trials):
-        yield trial, Generators.for_trial(config.seed, trial)
+def _bracketed(config: CampaignConfig, phi, psi, kind: str, constraint=None):
+    """(Energy-constrained) Bures bracket of a channel pair at the campaign's
+    bracket budget and tolerance, and the certificate every bracketed row carries."""
+    br = channel_bures_bracket(phi, psi, constraint, budget=config.budget("bracket_budget", 500),
+                               tol=config.budget("bracket_tol", 1e-6))
+    return br, {"epsilon_kind": kind, "beta_lower": br.lower, "beta_upper": br.upper,
+                "width": br.width, "converged": br.converged}
 
 
-def _inequality(config: CampaignConfig, trial: int, name: str, value: float, cap: float) -> BoundVerdict:
-    """The check value <= cap, with no epsilon: identities and sandwich relations."""
-    tol = config.budget("verdict_tol", DEFAULT_TOL)
-    return BoundVerdict.exact(config.suite, trial, name, value, 0.0, cap, tol)
+def _pair_setup(config: CampaignConfig, d_a: int, d_b: int, **parts):
+    """Fixed parts of a suite that draws channel pairs of dims (d_a, d_b, d_e)."""
+    return SimpleNamespace(config=config, dims=(d_a, config.dim("d_b", d_b), config.dim("d_e", 2)), **parts)
+
+
+def _channel_pair(gen: Generators, dims: tuple, same: bool = False):
+    """Two random channels of dims (d_a, d_b, d_e), or one channel twice."""
+    phi = gen.channel(*dims)
+    return phi, phi if same else gen.channel(*dims)
+
+
+def _channel_variation(config, name, pair, value, rhs_at, constraint=None, **certs):
+    """Row for one input under a channel pair: lhs |value(phi) - value(psi)|,
+    epsilon the pair's (energy-constrained) Bures bracket."""
+    kind = "bures_bracket" if constraint is None else "energy_constrained_bures_bracket"
+    br, bracket_certs = _bracketed(config, *pair, kind, constraint)
+    lhs = abs(value(pair[0]) - value(pair[1]))
+    return name, lhs, (br.lower, br.upper), rhs_at, {**bracket_certs, **certs}
 
 
 def _energy_input(config: CampaignConfig, default: dict):
-    """Energy config, or the suite's default -> (spec, Hamiltonian, E, f_bar).
+    """Energy config, or the suite's default -> (spec, Hamiltonian, E).
 
-    `spec` is the OscillatorSpec, or None for a spectrum.  f_bar is the
-    oscillator closed form, or the spectrum's numeric max entropy.
+    `spec` is the OscillatorSpec, or None for a spectrum.  A suite whose
+    default is an oscillator uses its closed forms, so it takes no spectrum.
     """
     handle, e_cap = parse_energy(config.energy or default)
     if isinstance(handle, OscillatorSpec):
-        return handle, handle.to_hamiltonian(), e_cap, lambda e: oscillator_f(handle, e + handle.ground_energy)
-    return None, handle, e_cap, lambda e: f_bar(handle, e)
+        return handle, handle.to_hamiltonian(), e_cap
+    if default["kind"] == "oscillator":
+        raise ValueError(f"{config.suite} runs on oscillator input systems")
+    return None, handle, e_cap
 
 
 def _tail_probe(fn, ham: Hamiltonian, e_cap: float):
@@ -231,13 +248,16 @@ def _qubits(labels: str) -> SystemLayout:
     return SystemLayout([(lbl, 2) for lbl in labels])
 
 
+def _cmi_abc(state: DensityMatrix) -> float:
+    return conditional_mutual_information(state, ("A",), ("B",), ("C",))
+
+
 def _cmi_abcd(state: DensityMatrix) -> float:
-    reduced = partial_trace(state, ("A", "B", "C"))
-    return conditional_mutual_information(reduced, ("A",), ("B",), ("C",))
+    return _cmi_abc(partial_trace(state, ("A", "B", "C")))
 
 
-def suite_lemma4(config: CampaignConfig) -> list[BoundVerdict]:
-    tol = config.budget("verdict_tol", DEFAULT_TOL)
+def _lemma4_setup(config: CampaignConfig):
+    """trial % 4 -> (input pair, checks); a check is (bound name, variant, arguments)."""
     layout = _qubits("ABCDR")
     layout_adf = SystemLayout([("A", 2), ("D", 2), ("B", 2), ("C", 2), ("R", 2)])
     e_cap = float(config.budget("lemma4_energy", 1.0))
@@ -246,8 +266,7 @@ def suite_lemma4(config: CampaignConfig) -> list[BoundVerdict]:
     cap = EnergyCap(ham_star, e_cap, SystemLayout([("AD", 4), ("B", 2), ("C", 2), ("R", 2)]), "AD")
     finite = {"d": 4}
     energy = {"f_handle": lambda e: f_h(ham_star, e), "energy": e_cap}
-    # trial % 4 -> (input pair, checks); a check is (bound name, variant, arguments)
-    kinds = (
+    return (
         (lambda gen: (gen.density(layout), gen.density(layout)),
          (("lemma4_finite", "finite", finite),)),
         (lambda gen: (_random_qc_state(gen, layout_adf), _random_qc_state(gen, layout_adf)),
@@ -258,17 +277,14 @@ def suite_lemma4(config: CampaignConfig) -> list[BoundVerdict]:
         (lambda gen: tuple(mix_to_cap(gen.pure(layout_adf), cap).to_density() for _ in range(2)),
          (("lemma4_energy", "energy", energy), ("lemma4_pure", "pure", energy))),
     )
-    out: list[BoundVerdict] = []
-    for trial, gen in _trials(config):
-        draw, checks = kinds[trial % 4]
-        rho, sigma = draw(gen)
-        eps = _half_trace_distance(rho, sigma)
-        lhs = abs(_cmi_abcd(rho) - _cmi_abcd(sigma))
-        for name, variant, kwargs in checks:
-            out.append(BoundVerdict.exact(
-                "lemma4", trial, name, lhs, eps, bnd.lemma4_bound(variant, eps, **kwargs), tol,
-            ))
-    return out
+
+
+def _lemma4_draw(kinds, gen: Generators, trial: int):
+    draw, checks = kinds[trial % 4]
+    rho, sigma = draw(gen)
+    eps = _half_trace_distance(rho, sigma)
+    lhs = abs(_cmi_abcd(rho) - _cmi_abcd(sigma))
+    return [(name, lhs, eps, bnd.lemma4_bound(variant, eps, **kwargs), {}) for name, variant, kwargs in checks]
 
 
 def _random_qc_state(gen: Generators, layout_adf: SystemLayout) -> DensityMatrix:
@@ -296,60 +312,42 @@ def _bc_preserving_pair(gen: Generators, layout: SystemLayout):
 # prop2 / prop6: output CMI / Holevo quantity under joint channel and input variation
 # ---------------------------------------------------------------------------
 
-def _joint_variation(config, d_a, d_b, draw, metric, output, bound, eps_kinds) -> list[BoundVerdict]:
+def _prop2_setup(config: CampaignConfig):
+    layout = SystemLayout([("A", config.dim("d_a", 2)), ("C", 2), ("D", 2)])
+    return _pair_setup(
+        config, layout.dim("A"), 2, draw=lambda gen: gen.density(layout), metric=_half_trace_distance,
+        output=_output_cmi, bound=bnd.prop2_bound,
+        eps_kinds=("exact_trace_distance", "trace_distance_plus_bures_bracket"),
+    )
+
+
+def _prop6_setup(config: CampaignConfig):
+    layout, m = SystemLayout([("A", config.dim("d_a", 3))]), config.dim("ensemble_size", 3)
+    return _pair_setup(
+        config, layout.dim("A"), 3, draw=lambda gen: gen.ensemble(layout, m),
+        metric=lambda mu, nu: min(ensemble_d0(mu, nu), ensemble_dk(mu, nu)), output=_output_holevo,
+        bound=bnd.prop6_bound, eps_kinds=("min_d0_dk", "min_d0_dk_plus_bures_bracket"),
+    )
+
+
+def _joint_variation(c, gen: Generators, trial: int):
     """A channel pair and an input pair vary together.
 
     trial % 3 == 1 keeps one channel, so epsilon is the input metric alone;
     trial % 3 == 2 keeps one input, so epsilon is the channels' Bures
     bracket alone; other trials add the two.  The bound takes both flags.
     """
-    tol = config.budget("verdict_tol", DEFAULT_TOL)
-    d_e = config.dim("d_e", 2)
-    out: list[BoundVerdict] = []
-    for trial, gen in _trials(config):
-        same_channel, same_input = trial % 3 == 1, trial % 3 == 2
-        phi = gen.channel(d_a, d_b, d_e)
-        psi = phi if same_channel else gen.channel(d_a, d_b, d_e)
-        x = draw(gen)
-        y = x if same_input else draw(gen)
-        metric_eps = 0.0 if same_input else metric(x, y)
-        if same_channel:
-            eps_lo = eps_hi = metric_eps
-            certs = {"epsilon_kind": eps_kinds[0]}
-        else:
-            br = _bracket(config, trial, phi, psi)
-            eps_lo, eps_hi = metric_eps + br.lower, metric_eps + br.upper
-            certs = {"epsilon_kind": eps_kinds[1], "beta_lower": br.lower,
-                     "beta_upper": br.upper, "converged": br.converged}
-        lhs = abs(output(phi, x) - output(psi, y))
-        out.append(BoundVerdict.check(
-            config.suite, trial, config.suite, lhs, eps_lo, eps_hi,
-            bound(eps_lo, d_a, same_channel, same_input),
-            bound(eps_hi, d_a, same_channel, same_input),
-            tol, certs,
-        ))
-    return out
-
-
-def suite_prop2(config: CampaignConfig) -> list[BoundVerdict]:
-    d_a = config.dim("d_a", 2)
-    layout = SystemLayout([("A", d_a), ("C", 2), ("D", 2)])
-    return _joint_variation(
-        config, d_a, config.dim("d_b", 2), lambda gen: gen.density(layout),
-        _half_trace_distance, _output_cmi, bnd.prop2_bound,
-        ("exact_trace_distance", "trace_distance_plus_bures_bracket"),
-    )
-
-
-def suite_prop6(config: CampaignConfig) -> list[BoundVerdict]:
-    d_a = config.dim("d_a", 3)
-    m = config.dim("ensemble_size", 3)
-    layout = SystemLayout([("A", d_a)])
-    return _joint_variation(
-        config, d_a, config.dim("d_b", 3), lambda gen: gen.ensemble(layout, m),
-        lambda mu, nu: min(ensemble_d0(mu, nu), ensemble_dk(mu, nu)), _output_holevo,
-        bnd.prop6_bound, ("min_d0_dk", "min_d0_dk_plus_bures_bracket"),
-    )
+    same_channel, same_input = trial % 3 == 1, trial % 3 == 2
+    phi, psi = _channel_pair(gen, c.dims, same_channel)
+    x = c.draw(gen)
+    y = x if same_input else c.draw(gen)
+    eps = 0.0 if same_input else c.metric(x, y)
+    certs = {"epsilon_kind": c.eps_kinds[0]}
+    if not same_channel:
+        br, certs = _bracketed(c.config, phi, psi, c.eps_kinds[1])
+        eps = (eps + br.lower, eps + br.upper)
+    lhs = abs(c.output(phi, x) - c.output(psi, y))
+    return [(c.config.suite, lhs, eps, lambda e: c.bound(e, c.dims[0], same_channel, same_input), certs)]
 
 
 # ---------------------------------------------------------------------------
@@ -357,37 +355,54 @@ def suite_prop6(config: CampaignConfig) -> list[BoundVerdict]:
 # input variation with an input energy cap
 # ---------------------------------------------------------------------------
 
-def _capped_inputs(config: CampaignConfig, default: dict, factors: list):
-    """The energy cap on A of the layout A + `factors`, E - E_0, f_bar and the fixed channel."""
-    _, ham, e_cap, fbar = _energy_input(config, default)
-    cap = EnergyCap(ham, e_cap, SystemLayout([("A", ham.dim)] + factors))
-    channel = Generators.for_trial(config.seed, 10**9).channel(ham.dim, config.dim("d_b", 3), config.dim("d_e", 2))
-    return cap, e_cap - ham.ground_energy, fbar, channel
+def _capped_inputs(config: CampaignConfig, default: dict, factors: list, **parts):
+    """The energy cap on A of the layout A + `factors`, E - E_0, f_bar and the fixed channel.
+
+    f_bar is the oscillator closed form, or the spectrum's numeric max entropy.
+    """
+    spec, ham, e_cap = _energy_input(config, default)
+    return SimpleNamespace(
+        cap=EnergyCap(ham, e_cap, SystemLayout([("A", ham.dim)] + factors)), e_bar=e_cap - ham.ground_energy,
+        fbar=(lambda e: oscillator_f(spec, e + spec.ground_energy)) if spec else (lambda e: f_bar(ham, e)),
+        channel=Generators.for_trial(config.seed, _FIXED_TRIAL).channel(
+            ham.dim, config.dim("d_b", 3), config.dim("d_e", 2)),
+        **parts,
+    )
 
 
-def suite_prop3(config: CampaignConfig) -> list[BoundVerdict]:
-    tol = config.budget("verdict_tol", DEFAULT_TOL)
+def _prop3_setup(config: CampaignConfig):
     default = {"kind": "spectrum", "eigenvalues": list(range(config.dim("d_a", 4))), "E": 1.0}
-    cap, e_bar, fbar, channel = _capped_inputs(config, default, [("C", 2), ("D", 2)])
-    out: list[BoundVerdict] = []
-    for trial, gen in _trials(config):
-        pure = trial % 2 == 1
-        if pure:
-            rho, sigma = (mix_to_cap(gen.pure(cap.layout), cap).to_density() for _ in range(2))
-        else:
-            rho, sigma = (mix_to_cap(gen.density(cap.layout), cap) for _ in range(2))
-        eps = _half_trace_distance(rho, sigma)
-        lhs = abs(_output_cmi(channel, rho) - _output_cmi(channel, sigma))
-        rhs = bnd.prop3_bound(eps, fbar, e_bar, pure=pure)
-        name = "prop3_pure" if pure else "prop3"
-        out.append(BoundVerdict.exact("prop3", trial, name, lhs, eps, rhs, tol,
-                                      {"epsilon_kind": "exact_trace_distance"}))
-    return out
+    return _capped_inputs(config, default, [("C", 2), ("D", 2)])
+
+
+def _prop3_draw(c, gen: Generators, trial: int):
+    pure = trial % 2 == 1
+    if pure:
+        rho, sigma = (mix_to_cap(gen.pure(c.cap.layout), c.cap).to_density() for _ in range(2))
+    else:
+        rho, sigma = (mix_to_cap(gen.density(c.cap.layout), c.cap) for _ in range(2))
+    eps = _half_trace_distance(rho, sigma)
+    lhs = abs(_output_cmi(c.channel, rho) - _output_cmi(c.channel, sigma))
+    return [("prop3_pure" if pure else "prop3", lhs, eps, bnd.prop3_bound(eps, c.fbar, c.e_bar, pure=pure),
+             {"epsilon_kind": "exact_trace_distance"})]
+
+
+def _prop7_setup(config: CampaignConfig):
+    default = {"kind": "spectrum", "eigenvalues": [0, 1, 2, 3], "E": 1.0}
+    return _capped_inputs(config, default, [], m=config.dim("ensemble_size", 3))
+
+
+def _prop7_draw(c, gen: Generators, trial: int):
+    mu, nu = (mix_to_cap(gen.ensemble(c.cap.layout, c.m), c.cap) for _ in range(2))
+    eps = ensemble_dk(mu, nu)
+    lhs = abs(_output_holevo(c.channel, mu) - _output_holevo(c.channel, nu))
+    return [("prop7", lhs, eps, bnd.prop7_bound(eps, c.fbar, c.e_bar) if eps > 0 else 0.0,
+             {"epsilon_kind": "kantorovich_exact"})]
 
 
 # ---------------------------------------------------------------------------
-# prop4 / prop5: n-copy output CMI under channel variation, without and
-# with an energy-constrained channel distance
+# prop4 / prop5 / prop8: n-copy output CMI, and output Holevo quantity (n = 1),
+# under channel variation, without and with an energy-constrained channel distance
 # ---------------------------------------------------------------------------
 
 def _n_copy_layout(n: int, d_a: int):
@@ -402,118 +417,61 @@ def _n_copy_cmi(channel: StinespringChannel, n: int, rho: DensityMatrix) -> floa
     return conditional_mutual_information(out, b_labels, ("D",), ("C",))
 
 
-def _n_copy_verdict(config, trial, bound_name, n, phi, psi, rho, rhs_at, certs, constraint=None):
-    """n-copy output CMI of one input under two channels.
-
-    Epsilon is the pair's (energy-constrained) Bures bracket; `certs` adds
-    suite certificates after the bracket's own.
-    """
-    br = _bracket(config, trial, phi, psi, constraint)
-    lhs = abs(_n_copy_cmi(phi, n, rho) - _n_copy_cmi(psi, n, rho))
-    kind = "bures_bracket" if constraint is None else "energy_constrained_bures_bracket"
-    return BoundVerdict.check(
-        config.suite, trial, bound_name,
-        lhs, br.lower, br.upper, rhs_at(br.lower), rhs_at(br.upper),
-        config.budget("verdict_tol", DEFAULT_TOL),
-        {"epsilon_kind": kind, "converged": br.converged, "width": br.width, **certs},
-    )
+def _prop4_setup(config: CampaignConfig):
+    return _pair_setup(config, config.dim("d_a", 2), 2, n=config.dims.get("n"))
 
 
-def suite_prop4(config: CampaignConfig) -> list[BoundVerdict]:
-    d_a = config.dim("d_a", 2)
-    n_fixed = config.dims.get("n")
-    out: list[BoundVerdict] = []
-    for trial, gen in _trials(config):
-        n = int(n_fixed) if n_fixed is not None else (1 if trial % 2 == 0 else 2)
-        _, layout = _n_copy_layout(n, d_a)
-        phi = gen.channel(d_a, config.dim("d_b", 2), config.dim("d_e", 2))
-        psi = gen.channel(d_a, config.dim("d_b", 2), config.dim("d_e", 2))
-        rho = gen.density(layout)
-        out.append(_n_copy_verdict(
-            config, trial, f"prop4_n{n}", n, phi, psi, rho,
-            lambda eps: bnd.prop4_bound(eps, d_a, n), {},
-        ))
-    return out
+def _prop4_draw(c, gen: Generators, trial: int):
+    n = int(c.n) if c.n is not None else (1 if trial % 2 == 0 else 2)
+    _, layout = _n_copy_layout(n, c.dims[0])
+    pair = _channel_pair(gen, c.dims)
+    rho = gen.density(layout)
+    return [_channel_variation(c.config, f"prop4_n{n}", pair, lambda ch: _n_copy_cmi(ch, n, rho),
+                               lambda eps: bnd.prop4_bound(eps, c.dims[0], n))]
 
 
 def _copy_energies(rho: DensityMatrix, labels, h_mat: np.ndarray) -> list[float]:
     return [float(np.real(np.trace(h_mat @ partial_trace(rho, (lbl,)).entries))) for lbl in labels]
 
 
-def suite_prop5(config: CampaignConfig) -> list[BoundVerdict]:
+def _prop5_setup(config: CampaignConfig):
     default = {"kind": "oscillator", "modes": 1, "frequencies": [1.0], "truncation": 6, "E": 1.2}
-    spec, ham, e_cap, _ = _energy_input(config, default)
-    if spec is None:
-        raise ValueError("prop5 runs on oscillator input systems")
-    d_a = ham.dim
-    e0 = ham.ground_energy
-    h_mat = ham.to_matrix()
-    constraint = EnergyConstraint(ham, e_cap)
+    spec, ham, e_cap = _energy_input(config, default)
     gamma_fn, d_max = bnd.gamma_fn_from_oscillator(spec)
-    e_bar = e_cap - spec.ground_energy
-    _, tail_warned = _tail_probe(gibbs_spectrum, ham, e_cap)
-    d_b, d_e = config.dim("d_b", 3), config.dim("d_e", 2)
-    out: list[BoundVerdict] = []
-    for trial, gen in _trials(config):
-        n = 1 if trial % 2 == 0 else 2
-        labels, layout = _n_copy_layout(n, d_a)
-        rho = gen.density(layout)
+    return _pair_setup(
+        config, ham.dim, 3, ham=ham, e_cap=e_cap,
+        t_at=lambda eps, t: bnd.t_st(eps, e_cap - spec.ground_energy, gamma_fn, s=0, t=t, d_max=d_max).value,
+        constraint=EnergyConstraint(ham, e_cap),
+        certs={"truncation": spec.truncation, "tail_warned": _tail_probe(gibbs_spectrum, ham, e_cap)[1]},
+    )
+
+
+def _prop5_draw(c, gen: Generators, trial: int):
+    n = 1 if trial % 2 == 0 else 2
+    labels, layout = _n_copy_layout(n, c.dims[0])
+    e_cap, e0, h_mat = c.e_cap, c.ham.ground_energy, c.ham.to_matrix()
+    rho = gen.density(layout)
+    energies = _copy_energies(rho, labels, h_mat)
+    # trials 0, 1 (mod 4) cap every copy; trials 2, 3 cap the copies' total
+    if trial % 4 < 2:
+        t = max(cap_weight(e, e_cap, e0) for e in energies)
+    else:
+        t = cap_weight(sum(energies), n * e_cap, n * e0)
+    if t > 0.0:
+        rho = DensityMatrix(layout, (1 - t) * rho.entries + t * ground_product(c.ham, layout, labels))
         energies = _copy_energies(rho, labels, h_mat)
-        # trials 0, 1 (mod 4) cap every copy; trials 2, 3 cap the copies' total
-        if trial % 4 < 2:
-            t = max(cap_weight(e, e_cap, e0) for e in energies)
-        else:
-            t = cap_weight(sum(energies), n * e_cap, n * e0)
-        if t > 0.0:
-            rho = DensityMatrix(layout, (1 - t) * rho.entries + t * ground_product(ham, layout, labels))
-            energies = _copy_energies(rho, labels, h_mat)
-        t_flag = 0 if all(e <= e_cap + 1e-9 for e in energies) else 1
-        phi = gen.channel(d_a, d_b, d_e)
-        psi = gen.channel(d_a, d_b, d_e)
-
-        def rhs_at(eps: float) -> float:
-            t_val = bnd.t_st(eps, e_bar, gamma_fn, s=0, t=t_flag, d_max=d_max).value
-            return n * (t_val + g(eps) + 2.0 * eps * math.log(2.0))
-
-        out.append(_n_copy_verdict(
-            config, trial, f"prop5_n{n}_t{t_flag}", n, phi, psi, rho, rhs_at,
-            {"per_copy_energies": energies, "truncation": spec.truncation, "tail_warned": tail_warned},
-            constraint,
-        ))
-    return out
+    t_flag = 0 if all(e <= e_cap + 1e-9 for e in energies) else 1
+    return [_channel_variation(
+        c.config, f"prop5_n{n}_t{t_flag}", _channel_pair(gen, c.dims), lambda ch: _n_copy_cmi(ch, n, rho),
+        lambda eps: n * (c.t_at(eps, t_flag) + g(eps) + 2.0 * eps * math.log(2.0)), c.constraint,
+        per_copy_energies=energies, **c.certs,
+    )]
 
 
-def suite_prop7(config: CampaignConfig) -> list[BoundVerdict]:
-    tol = config.budget("verdict_tol", DEFAULT_TOL)
-    default = {"kind": "spectrum", "eigenvalues": [0, 1, 2, 3], "E": 1.0}
-    cap, e_bar, fbar, channel = _capped_inputs(config, default, [])
-    m = config.dim("ensemble_size", 3)
-    out: list[BoundVerdict] = []
-    for trial, gen in _trials(config):
-        mu = mix_to_cap(gen.ensemble(cap.layout, m), cap)
-        nu = mix_to_cap(gen.ensemble(cap.layout, m), cap)
-        eps = ensemble_dk(mu, nu)
-        lhs = abs(_output_holevo(channel, mu) - _output_holevo(channel, nu))
-        rhs = bnd.prop7_bound(eps, fbar, e_bar) if eps > 0 else 0.0
-        out.append(BoundVerdict.exact("prop7", trial, "prop7", lhs, eps, rhs, tol,
-                                      {"epsilon_kind": "kantorovich_exact"}))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# prop8: output Holevo quantity under channel variation with energy cap
-# ---------------------------------------------------------------------------
-
-def suite_prop8(config: CampaignConfig) -> list[BoundVerdict]:
-    tol = config.budget("verdict_tol", DEFAULT_TOL)
-    default = {"kind": "spectrum", "eigenvalues": [0, 1, 2, 3], "E": 0.6}
-    spec, ham, e_cap, _ = _energy_input(config, default)
+def _prop8_setup(config: CampaignConfig):
+    spec, ham, e_cap = _energy_input(config, {"kind": "spectrum", "eigenvalues": [0, 1, 2, 3], "E": 0.6})
     if spec is not None:
-        spec_r = float(config.budget("p_r", 0.5))
-
-        def t_handle(eps: float) -> float:
-            return bnd.p_r(spec, e_cap, eps, spec_r)
-
+        t_handle = functools.partial(bnd.p_r, spec, e_cap, r=float(config.budget("p_r", 0.5)))
     else:
         gamma_fn, d_max = bnd.gamma_fn_from_hamiltonian(ham)
         s_flag = check_s_flag(ham)
@@ -522,236 +480,189 @@ def suite_prop8(config: CampaignConfig) -> list[BoundVerdict]:
         def t_handle(eps: float) -> float:
             return bnd.t_st(eps, e_bar, gamma_fn, s=s_flag, t=0, d_max=d_max).value
 
-    d_a = ham.dim
-    m = config.dim("ensemble_size", 3)
-    layout = SystemLayout([("A", d_a)])
-    mu = mix_to_cap(Generators.for_trial(config.seed, 10**9).ensemble(layout, m), EnergyCap(ham, e_cap, layout))
-    constraint = EnergyConstraint(ham, e_cap)
-    out: list[BoundVerdict] = []
-    for trial, gen in _trials(config):
-        phi = gen.channel(d_a, config.dim("d_b", 3), config.dim("d_e", 2))
-        psi = gen.channel(d_a, config.dim("d_b", 3), config.dim("d_e", 2))
-        br = _bracket(config, trial, phi, psi, constraint)
-        lhs = abs(_output_holevo(phi, mu) - _output_holevo(psi, mu))
-        out.append(BoundVerdict.check(
-            "prop8", trial, "prop8",
-            lhs, br.lower, br.upper,
-            bnd.prop8_bound(br.lower, t_handle),
-            bnd.prop8_bound(br.upper, t_handle),
-            tol,
-            {"epsilon_kind": "energy_constrained_bures_bracket", "converged": br.converged},
-        ))
-    return out
+    layout = SystemLayout([("A", ham.dim)])
+    ens = Generators.for_trial(config.seed, _FIXED_TRIAL).ensemble(layout, config.dim("ensemble_size", 3))
+    return _pair_setup(
+        config, ham.dim, 3, mu=mix_to_cap(ens, EnergyCap(ham, e_cap, layout)),
+        constraint=EnergyConstraint(ham, e_cap), rhs_at=lambda eps: bnd.prop8_bound(eps, t_handle),
+    )
+
+
+def _prop8_draw(c, gen: Generators, trial: int):
+    return [_channel_variation(c.config, "prop8", _channel_pair(gen, c.dims),
+                               lambda ch: _output_holevo(ch, c.mu), c.rhs_at, c.constraint)]
 
 
 # ---------------------------------------------------------------------------
 # thm1 / thm2: closed-form capacity verification on the erasure family
 # ---------------------------------------------------------------------------
 
-def _erasure_verdicts(config, first_trial, x, m_scale, rhs_at, certs) -> list[BoundVerdict]:
-    """Capacity gaps of erase(1/2 - x) over erase(1/2), one verdict per capacity.
-
-    The gaps scale with m_scale (log d, or the max entropy at the energy
-    cap); epsilon is the closed-form isometry gap and rhs_at(capacity, eps)
-    the bound.  Trials number the rows from first_trial.
-    """
-    eps = bnd.erasure_isometry_gap(x)
-    return [
-        BoundVerdict.exact(
-            config.suite, first_trial + k, f"{config.suite}_{cap}",
-            bnd.erasure_delta(cap, x, m_scale), eps, rhs_at(cap, eps),
-            config.budget("verdict_tol", DEFAULT_TOL),
-            {"epsilon_kind": "isometry_gap_closed_form", **certs},
-        )
-        for k, cap in enumerate(bnd.CAPACITIES)
-    ]
+def _erasure_rows(suite: str, x, m_scale: float, bound_at, certs: dict):
+    """Rows of the capacity gaps of erase(1/2 - x) over erase(1/2), one per capacity."""
+    for cap, gap, eps, rhs in bnd.erasure_family(x, m_scale, bound_at):
+        yield f"{suite}_{cap}", gap, eps, rhs, {"epsilon_kind": "isometry_gap_closed_form", **certs}
 
 
-def suite_thm1(config: CampaignConfig) -> list[BoundVerdict]:
-    x_values = config.dims.get("x_grid", [0.01, 0.05])
-    out: list[BoundVerdict] = []
+def _thm1_grid(config: CampaignConfig):
     for d in config.dims.get("d_grid", list(range(2, 65))):
-        for x in x_values:
-            out += _erasure_verdicts(
-                config, len(out), x, math.log(d),
-                lambda cap, eps: bnd.theorem1_bound(cap, eps, d_a=int(d)), {"d": int(d), "x": float(x)},
-            )
-    return out
+        for x in config.dims.get("x_grid", [0.01, 0.05]):
+            yield from _erasure_rows("thm1", x, math.log(d), functools.partial(bnd.theorem1_bound, d_a=int(d)),
+                                     {"d": int(d), "x": float(x)})
 
 
-def suite_thm2(config: CampaignConfig) -> list[BoundVerdict]:
+def _thm2_grid(config: CampaignConfig):
     default = {"kind": "oscillator", "modes": 1, "frequencies": [1.0], "truncation": 40, "E": 5.0}
-    spec, ham, _, _ = _energy_input(config, default)
-    if spec is None:
-        raise ValueError("thm2 runs on oscillator input systems")
-    x_values = config.dims.get("x_grid", [0.01, 0.05])
-    out: list[BoundVerdict] = []
+    spec, ham, _ = _energy_input(config, default)
     for e_cap in config.dims.get("e_grid", [2.0, 5.0, 10.0]):
         m_scale, tail_warned = _tail_probe(f_h, ham, e_cap)
         r_values = config.dims.get("r_grid", [1.0, 0.3, 1.0 / oscillator_f(spec, e_cap)])
-        for x in x_values:
+        for x in config.dims.get("x_grid", [0.01, 0.05]):
             for r in r_values:
-                out += _erasure_verdicts(
-                    config, len(out), x, m_scale,
+                yield from _erasure_rows(
+                    "thm2", x, m_scale,
                     lambda cap, eps: bnd.theorem2_bound(cap, eps, lambda t, e: bnd.p_r(spec, e_cap, e, r)),
                     {"E": float(e_cap), "x": float(x), "r": float(r), "M": m_scale, "tail_warned": tail_warned},
                 )
-    return out
 
 
 # ---------------------------------------------------------------------------
 # identities: equalities and auxiliary inequalities used by the proofs
 # ---------------------------------------------------------------------------
 
-def suite_identities(config: CampaignConfig) -> list[BoundVerdict]:
+def _identities_draw(config: CampaignConfig, gen: Generators, trial: int):
     eq_tol = config.budget("identity_tol", 1e-9)
-    out: list[BoundVerdict] = []
-    ham8 = Hamiltonian(np.arange(8.0))
-    for trial, gen in _trials(config):
+    # Holevo quantity equals the qc-state mutual information
+    ens = gen.ensemble(SystemLayout([("A", 3)]), 4)
+    chi_gap = abs(holevo_quantity(ens) - mutual_information(qc_state(ens, "X"), ("A",), ("X",)))
 
-        # Holevo quantity equals the qc-state mutual information
-        layout_a = SystemLayout([("A", 3)])
-        ens = gen.ensemble(layout_a, 4)
-        qc = qc_state(ens, "X")
-        lhs = abs(holevo_quantity(ens) - mutual_information(qc, ("A",), ("X",)))
-        out.append(_inequality(config, trial, "chi_equals_qc_mi", lhs, eq_tol))
+    # chain rule on four qubits (the two-body term lives on the marginal)
+    rho4 = gen.density(_qubits("XYZC"))
+    full = conditional_mutual_information(rho4, ("X",), ("Y", "Z"), ("C",))
+    split = conditional_mutual_information(
+        partial_trace(rho4, ("X", "Y", "C")), ("X",), ("Y",), ("C",)
+    ) + conditional_mutual_information(rho4, ("X",), ("Z",), ("Y", "C"))
 
-        # chain rule on four qubits (the two-body term lives on the marginal)
-        lay4 = _qubits("XYZC")
-        rho4 = gen.density(lay4)
-        full = conditional_mutual_information(rho4, ("X",), ("Y", "Z"), ("C",))
-        split = conditional_mutual_information(
-            partial_trace(rho4, ("X", "Y", "C")), ("X",), ("Y",), ("C",)
-        ) + conditional_mutual_information(rho4, ("X",), ("Z",), ("Y", "C"))
-        out.append(_inequality(config, trial, "chain_rule", abs(full - split), config.budget("chain_tol", 1e-8)))
+    # almost-affinity of the CMI in the mixing weight
+    lay3 = _qubits("ABC")
+    r1, r2 = gen.density(lay3), gen.density(lay3)
+    p = 0.1 + 0.8 * float(gen.rng.random())
+    mix = DensityMatrix(lay3, p * r1.entries + (1 - p) * r2.entries)
+    dev = abs(p * _cmi_abc(r1) + (1 - p) * _cmi_abc(r2) - _cmi_abc(mix))
+    rows = [
+        _le("chi_equals_qc_mi", chi_gap, eq_tol),
+        _le("chain_rule", abs(full - split), config.budget("chain_tol", 1e-8)),
+        _le("almost_affinity", dev, h2(p) + eq_tol),
+    ]
 
-        # almost-affinity of the CMI in the mixing weight
-        lay3 = _qubits("ABC")
-        r1, r2 = gen.density(lay3), gen.density(lay3)
-        p = 0.1 + 0.8 * float(gen.rng.random())
-        mix = DensityMatrix(lay3, p * r1.entries + (1 - p) * r2.entries)
-        dev = abs(
-            p * conditional_mutual_information(r1, ("A",), ("B",), ("C",))
-            + (1 - p) * conditional_mutual_information(r2, ("A",), ("B",), ("C",))
-            - conditional_mutual_information(mix, ("A",), ("B",), ("C",))
-        )
-        out.append(_inequality(config, trial, "almost_affinity", dev, h2(p) + eq_tol))
+    # isometry perturbation inequalities
+    u_iso = gen.unitary(4)[:, :2]
+    v_iso = gen.unitary(4)[:, :2]
+    rho2 = gen.density(_qubits("Q"))
+    mid = trace_norm(u_iso @ rho2.entries @ u_iso.conj().T - v_iso @ rho2.entries @ v_iso.conj().T)
+    step1 = 2.0 * trace_norm((u_iso - v_iso) @ rho2.entries)
+    step2 = 2.0 * float(np.linalg.norm(u_iso - v_iso, 2))
+    rows += [_le("isometry_state_step", mid, step1 + eq_tol), _le("isometry_norm_step", step1, step2 + eq_tol)]
 
-        # isometry perturbation inequalities
-        u_iso = gen.unitary(4)[:, :2]
-        v_iso = gen.unitary(4)[:, :2]
-        rho2 = gen.density(_qubits("Q"))
-        mid = trace_norm(u_iso @ rho2.entries @ u_iso.conj().T - v_iso @ rho2.entries @ v_iso.conj().T)
-        step1 = 2.0 * trace_norm((u_iso - v_iso) @ rho2.entries)
-        step2 = 2.0 * float(np.linalg.norm(u_iso - v_iso, 2))
-        out.append(_inequality(config, trial, "isometry_state_step", mid, step1 + eq_tol))
-        out.append(_inequality(config, trial, "isometry_norm_step", step1, step2 + eq_tol))
+    # scaling inequality x f(z/x) <= y f(z/y) for concave nonnegative f
+    x_val = 0.05 + float(gen.rng.random())
+    y_val = x_val + 0.05 + float(gen.rng.random())
+    z_val = 2.0 * float(gen.rng.random())
+    rows += [_le(fname, x_val * fn(z_val / x_val), y_val * fn(z_val / y_val) + eq_tol)
+             for fname, fn in (("concave_scaling_g", g), ("concave_scaling_sqrt", math.sqrt))]
 
-        # scaling inequality x f(z/x) <= y f(z/y) for concave nonnegative f
-        x_val = 0.05 + float(gen.rng.random())
-        y_val = x_val + 0.05 + float(gen.rng.random())
-        z_val = 2.0 * float(gen.rng.random())
-        for fname, fn in (("concave_scaling_g", g), ("concave_scaling_sqrt", math.sqrt)):
-            out.append(_inequality(
-                config, trial, fname, x_val * fn(z_val / x_val), y_val * fn(z_val / y_val) + eq_tol,
-            ))
+    # scaled-argument monotonicity: x log(a/x^2 + b) increasing for b >= e/2
+    a_val = 0.1 + 2.0 * float(gen.rng.random())
+    b_val = math.e / 2.0 + 2.0 * float(gen.rng.random())
+    grid = np.linspace(0.05, 3.0, 24)
+    vals = grid * np.log(a_val / grid**2 + b_val)
+    rows.append(_le("xlog_monotone", float(np.max(-np.diff(vals))), eq_tol))
 
-        # scaled-argument monotonicity: x log(a/x^2 + b) increasing for b >= e/2
-        a_val = 0.1 + 2.0 * float(gen.rng.random())
-        b_val = math.e / 2.0 + 2.0 * float(gen.rng.random())
-        grid = np.linspace(0.05, 3.0, 24)
-        vals = grid * np.log(a_val / grid**2 + b_val)
-        out.append(_inequality(config, trial, "xlog_monotone", float(np.max(-np.diff(vals))), eq_tol))
-
-        # rank-truncation claims on an 8x4 bipartite pure state
-        out.extend(_truncation_verdicts(config, gen, trial, ham8))
-    return out
+    # rank-truncation claims on an 8x4 bipartite pure state
+    return rows + _truncation_rows(gen, trial, float(config.budget("truncation_energy", 1.2)), eq_tol)
 
 
-def _truncation_verdicts(config, gen, trial, ham) -> list[BoundVerdict]:
-    eq_tol = config.budget("identity_tol", 1e-9)
-    e_cap = float(config.budget("truncation_energy", 1.2))
+def _truncation_rows(gen: Generators, trial: int, e_cap: float, eq_tol: float) -> list:
+    ham = Hamiltonian(np.arange(8.0))
     d_keep = 2 if trial % 2 == 0 else 4
-    if gamma(ham, d_keep) < e_cap - ham.ground_energy:
-        e_cap = ham.ground_energy + 0.9 * gamma(ham, d_keep)
-    psi = gen.energy_feasible_pure(SystemLayout([("A", ham.dim), ("B", 4)]), "A", ham, e_cap)
-    sigma = truncate_pure_state(psi, "A", ham, e_cap, d_keep)
-    rho_m, sig_m = psi.to_density(), sigma.to_density()
-    e_bar = e_cap - ham.ground_energy
     gam = gamma(ham, d_keep)
+    if gam < e_cap - ham.ground_energy:
+        e_cap = ham.ground_energy + 0.9 * gam
+    psi = gen.energy_feasible_pure(SystemLayout([("A", ham.dim), ("B", 4)]), "A", ham, e_cap)
+    rho_m, sig_m = psi.to_density(), truncate_pure_state(psi, "A", ham, e_cap, d_keep).to_density()
+    e_bar = e_cap - ham.ground_energy
 
-    rank = int(np.sum(np.linalg.eigvalsh(partial_trace(sig_m, ("A",)).entries) > 1e-10))
-    energy_a = float(np.real(np.trace(ham.to_matrix() @ partial_trace(sig_m, ("A",)).entries)))
-    dist = _half_trace_distance(rho_m, sig_m)
+    sig_a = partial_trace(sig_m, ("A",)).entries
+    rank = int(np.sum(np.linalg.eigvalsh(sig_a) > 1e-10))
+    energy_a = float(np.real(np.trace(ham.to_matrix() @ sig_a)))
     diff = HermitianOperator.difference(rho_m, sig_m)
-    pos, neg = jordan_parts(diff)
     tn = trace_norm(diff.entries)
     h_bar_a = ham.to_matrix(shift=ham.ground_energy)
-    j_bounds = []
-    for part in (pos, neg):
-        part_a = partial_trace_hermitian(part, ("A",))
-        j_bounds.append(tn * float(np.real(np.trace(h_bar_a @ part_a.entries))))
+    j_pos, j_neg = (tn * float(np.real(np.trace(h_bar_a @ partial_trace_hermitian(part, ("A",)).entries)))
+                    for part in jordan_parts(diff))
     return [
-        _inequality(config, trial, "trunc_rank", float(rank), float(d_keep)),
-        _inequality(config, trial, "trunc_energy", energy_a, e_cap + eq_tol),
-        _inequality(config, trial, "trunc_distance", dist,
-                    math.sqrt(e_bar / gam) + eq_tol if gam > 0 else math.inf),
-        _inequality(config, trial, "trunc_jordan_pos", j_bounds[0], 2 * e_bar + eq_tol),
-        _inequality(config, trial, "trunc_jordan_neg", j_bounds[1], 2 * e_bar + eq_tol),
+        _le("trunc_rank", float(rank), float(d_keep)),
+        _le("trunc_energy", energy_a, e_cap + eq_tol),
+        _le("trunc_distance", _half_trace_distance(rho_m, sig_m),
+            math.sqrt(e_bar / gam) + eq_tol if gam > 0 else math.inf),
+        _le("trunc_jordan_pos", j_pos, 2 * e_bar + eq_tol),
+        _le("trunc_jordan_neg", j_neg, 2 * e_bar + eq_tol),
     ]
 
 
 # ---------------------------------------------------------------------------
-# metrics: sandwich relations and see-saw certification
+# metrics: sandwich relations and bracket certification
 # ---------------------------------------------------------------------------
 
-def suite_metrics(config: CampaignConfig) -> list[BoundVerdict]:
-    eq_tol = config.budget("identity_tol", 1e-9)
-    brute_samples = config.budget("brute_samples", 4000)
-    out: list[BoundVerdict] = []
-    lay = SystemLayout([("A", 3)])
-    for trial, gen in _trials(config):
-        rho, sigma, tau = gen.density(lay), gen.density(lay), gen.density(lay)
-        beta = bures_state_distance(rho, sigma)
-        half_tn = _half_trace_distance(rho, sigma)
-        out.append(_inequality(config, trial, "bures_lower_sandwich", half_tn, beta + eq_tol))
-        out.append(_inequality(config, trial, "bures_upper_sandwich", beta, math.sqrt(2 * half_tn) + eq_tol))
-        out.append(_inequality(
-            config, trial, "bures_triangle", bures_state_distance(rho, sigma),
-            bures_state_distance(rho, tau) + bures_state_distance(tau, sigma) + eq_tol,
-        ))
+def _metrics_draw(config: CampaignConfig, gen: Generators, trial: int):
+    eq_tol, lay = config.budget("identity_tol", 1e-9), SystemLayout([("A", 3)])
+    rho, sigma, tau = gen.density(lay), gen.density(lay), gen.density(lay)
+    beta = bures_state_distance(rho, sigma)
+    half_tn = _half_trace_distance(rho, sigma)
+    rows = [
+        _le("bures_lower_sandwich", half_tn, beta + eq_tol),
+        _le("bures_upper_sandwich", beta, math.sqrt(2 * half_tn) + eq_tol),
+        _le("bures_triangle", beta, bures_state_distance(rho, tau) + bures_state_distance(tau, sigma) + eq_tol),
+    ]
 
-        # D_K <= D_0 holds for shared probability vectors (diagonal coupling);
-        # with independent probabilities the two metrics are not ordered
-        mu = gen.ensemble(lay, 3)
-        nu = Ensemble([(p, gen.density(lay)) for p, _ in mu.items])
-        out.append(_inequality(
-            config, trial, "dk_le_d0_matched", ensemble_dk(mu, nu), ensemble_d0(mu, nu) + eq_tol,
-        ))
+    # D_K <= D_0 holds for shared probability vectors (diagonal coupling);
+    # with independent probabilities the two metrics are not ordered
+    mu = gen.ensemble(lay, 3)
+    nu = Ensemble([(p, gen.density(lay)) for p, _ in mu.items])
+    rows.append(_le("dk_le_d0_matched", ensemble_dk(mu, nu), ensemble_d0(mu, nu) + eq_tol))
 
-        if trial % 5 == 0:
-            phi = gen.channel(2, 2, 2)
-            psi = gen.channel(2, 2, 2)
-            br = _bracket(config, trial, phi, psi)
-            dia = _bracket(config, trial, phi, psi, diamond=True)
-            out.append(_inequality(config, trial, "half_diamond_le_beta", 0.5 * dia.lower, br.upper + 1e-6))
-            out.append(_inequality(config, trial, "beta_le_sqrt_diamond", br.lower, math.sqrt(dia.upper) + 1e-6))
-            brute = bures_sup_bruteforce(phi, psi, samples=brute_samples, seed=trial)
-            out.append(_inequality(config, trial, "brute_le_upper", brute, br.upper + 1e-4))
-    return out
+    if trial % 5 == 0:
+        phi, psi = _channel_pair(gen, (2, 2, 2))
+        br, _ = _bracketed(config, phi, psi, "bures_bracket")
+        dia = diamond_bracket(phi, psi, tol=config.budget("bracket_tol", 1e-6), seed=trial, bures_bracket=br)
+        brute = bures_sup_bruteforce(phi, psi, samples=config.budget("brute_samples", 4000), seed=trial)
+        rows += [
+            _le("half_diamond_le_beta", 0.5 * dia.lower, br.upper + 1e-6),
+            _le("beta_le_sqrt_diamond", br.lower, math.sqrt(dia.upper) + 1e-6),
+            _le("brute_le_upper", brute, br.upper + 1e-4),
+        ]
+    return rows
 
 
+def _config_only(config: CampaignConfig) -> CampaignConfig:
+    """Setup of a suite whose only fixed parts are its config's budgets."""
+    return config
+
+
+# suite -> (setup, draw): setup(config) builds the campaign's fixed parts once and
+# draw(fixed, gen, trial) returns the trial's rows; a suite without a draw is a
+# closed-form grid whose setup yields the rows themselves.
 _SUITES = {
-    "lemma4": suite_lemma4,
-    "prop2": suite_prop2,
-    "prop3": suite_prop3,
-    "prop4": suite_prop4,
-    "prop5": suite_prop5,
-    "prop6": suite_prop6,
-    "prop7": suite_prop7,
-    "prop8": suite_prop8,
-    "thm1": suite_thm1,
-    "thm2": suite_thm2,
-    "identities": suite_identities,
-    "metrics": suite_metrics,
+    "lemma4": (_lemma4_setup, _lemma4_draw),
+    "prop2": (_prop2_setup, _joint_variation),
+    "prop3": (_prop3_setup, _prop3_draw),
+    "prop4": (_prop4_setup, _prop4_draw),
+    "prop5": (_prop5_setup, _prop5_draw),
+    "prop6": (_prop6_setup, _joint_variation),
+    "prop7": (_prop7_setup, _prop7_draw),
+    "prop8": (_prop8_setup, _prop8_draw),
+    "thm1": (_thm1_grid, None),
+    "thm2": (_thm2_grid, None),
+    "identities": (_config_only, _identities_draw),
+    "metrics": (_config_only, _metrics_draw),
 }
+SUITE_NAMES = tuple(_SUITES)

@@ -7,8 +7,8 @@ hundred are fine.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Iterable
 
 from .. import bounds as bnd
 from ..energy import OscillatorSpec, f_h
@@ -19,75 +19,40 @@ FAMILIES = ("erasure_dim", "erasure_energy")
 
 
 def sweep_tightness(family: str, grid: dict) -> list[SweepRow]:
-    if family == "erasure_dim":
-        return _sweep_dim(grid)
-    if family == "erasure_energy":
-        return _sweep_energy(grid)
-    raise ValueError(f"unknown sweep family {family!r}; expected one of {FAMILIES}")
+    points = {"erasure_dim": _dim_points, "erasure_energy": _energy_points}
+    if family not in points:
+        raise ValueError(f"unknown sweep family {family!r}; expected one of {FAMILIES}")
+    capacities = grid.get("capacities", bnd.CAPACITIES)
+    return [
+        SweepRow(family, cap, variable, value, x, r, delta, eps, bound, delta / bound if bound > 0 else 0.0)
+        for variable, value, x, r, m_scale, bound_at in points[family](grid)
+        for cap, delta, eps, bound in bnd.erasure_family(x, m_scale, bound_at, capacities)
+    ]
 
 
-def _capacities(grid: dict) -> Iterable[str]:
-    return grid.get("capacities", bnd.CAPACITIES)
+def _dim_points(grid: dict):
+    """(variable, value, x, r, M, bound) per point: M = log d and the Theorem 1 bound."""
+    for log_d in grid.get("log_d", [math.log(d) for d in grid.get("d", range(2, 65))]):
+        for x in grid.get("x", [0.01]):
+            yield "log_d", float(log_d), float(x), None, float(log_d), functools.partial(
+                bnd.theorem1_bound, log_d_a=float(log_d))
 
 
-def _sweep_dim(grid: dict) -> list[SweepRow]:
-    log_d_values = grid.get("log_d", [math.log(d) for d in grid.get("d", range(2, 65))])
-    x_values = grid.get("x", [0.01])
-    rows: list[SweepRow] = []
-    for log_d in log_d_values:
-        for x in x_values:
-            eps = bnd.erasure_isometry_gap(float(x))
-            for cap in _capacities(grid):
-                delta = bnd.erasure_delta(cap, float(x), float(log_d))
-                bound = bnd.theorem1_bound(cap, eps, log_d_a=float(log_d))
-                rows.append(SweepRow(
-                    family="erasure_dim",
-                    capacity=cap,
-                    variable="log_d",
-                    value=float(log_d),
-                    x=float(x),
-                    r=None,
-                    delta=delta,
-                    epsilon=eps,
-                    bound=bound,
-                    ratio=delta / bound if bound > 0 else 0.0,
-                ))
-    return rows
-
-
-def _sweep_energy(grid: dict) -> list[SweepRow]:
-    doc = dict(grid.get("oscillator", {"kind": "oscillator", "modes": 1, "frequencies": [1.0], "truncation": 40}))
+def _energy_points(grid: dict):
+    """(variable, value, x, r, M, bound) per point: M = F_H(E) and the Theorem 2 bound with P_r."""
+    doc = dict(grid.get("oscillator", {"modes": 1, "frequencies": [1.0], "truncation": 40}))
     doc.setdefault("kind", "oscillator")
     doc.setdefault("E", 1.0)  # placeholder; the grid supplies the actual energies
     spec, _ = parse_energy(doc)
     if not isinstance(spec, OscillatorSpec):
         raise ValueError("erasure_energy sweeps take an oscillator spec")
     ham = spec.to_hamiltonian()
-    e_values = grid.get("E", [2.0, 5.0, 10.0])
-    x_values = grid.get("x", [0.01])
-    rows: list[SweepRow] = []
-    for e_cap in e_values:
-        m_scale = f_h(ham, float(e_cap))
-        r_values = grid.get("r", [1.0 / bnd.oscillator_f(spec, float(e_cap))])
-        for x in x_values:
-            eps = bnd.erasure_isometry_gap(float(x))
-            for r in r_values:
-                def t_fn(t: int, eps_val: float, _r=float(r), _e=float(e_cap)) -> float:
-                    return bnd.p_r(spec, _e, eps_val, _r)
+    for e_cap in map(float, grid.get("E", [2.0, 5.0, 10.0])):
+        m_scale = f_h(ham, e_cap)
+        r_values = grid.get("r", [1.0 / bnd.oscillator_f(spec, e_cap)])
+        for x in grid.get("x", [0.01]):
+            for r in map(float, r_values):
+                def bound_at(cap: str, eps: float, _r=r, _e=e_cap) -> float:
+                    return bnd.theorem2_bound(cap, eps, lambda t, e: bnd.p_r(spec, _e, e, _r))
 
-                for cap in _capacities(grid):
-                    delta = bnd.erasure_delta(cap, float(x), m_scale)
-                    bound = bnd.theorem2_bound(cap, eps, t_fn)
-                    rows.append(SweepRow(
-                        family="erasure_energy",
-                        capacity=cap,
-                        variable="E",
-                        value=float(e_cap),
-                        x=float(x),
-                        r=float(r),
-                        delta=delta,
-                        epsilon=eps,
-                        bound=bound,
-                        ratio=delta / bound if bound > 0 else 0.0,
-                    ))
-    return rows
+                yield "E", e_cap, float(x), r, m_scale, bound_at

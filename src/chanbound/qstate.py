@@ -203,14 +203,6 @@ def basis_pure(layout: SystemLayout, index: int) -> PureState:
     return PureState(layout, vec)
 
 
-def convex_mix(p: float, rho: DensityMatrix, sigma: DensityMatrix) -> DensityMatrix:
-    if rho.layout != sigma.layout:
-        raise QStateError("mixing requires matching layouts")
-    if not 0.0 <= p <= 1.0:
-        raise QStateError(f"mixing weight {p} outside [0, 1]")
-    return DensityMatrix(rho.layout, p * rho.entries + (1.0 - p) * sigma.entries)
-
-
 def tensor_product(a, b):
     """Kronecker product with concatenated layouts; labels must be disjoint."""
     if type(a) is not type(b):

@@ -106,6 +106,17 @@ class TestConfig:
         ham, e2 = parse_energy({"kind": "spectrum", "eigenvalues": [0, 1], "E": 0.5})
         assert ham.dim == 2 and e2 == 0.5
 
+    @pytest.mark.parametrize("suite,doc,key", [
+        ("prop5", {"kind": "oscillator", "truncaton": 6, "E": 1.2}, "truncaton"),
+        ("prop5", {"truncaton": 6, "E": 1.2}, "truncaton"),  # kind defaults to oscillator
+        ("prop7", {"kind": "spectrum", "eigenvalues": [0, 1], "truncation": 6, "E": 0.5}, "truncation"),
+    ])
+    def test_unknown_energy_keys_rejected(self, suite, doc, key):
+        with pytest.raises(ValueError, match=key):
+            parse_energy(doc)
+        with pytest.raises(ValueError, match=key):
+            run_suite(CampaignConfig(suite=suite, trials=1, energy=doc))
+
 
 class TestReports:
     def _small_report(self):
@@ -207,6 +218,19 @@ def test_energy_constrained_brackets_converge(suite, trials):
     assert all(v.certificates["converged"] is True for v in bracketed)
 
 
+@pytest.mark.parametrize("suite,trials", [("prop2", 3), ("prop4", 1), ("prop5", 1), ("prop6", 3), ("prop8", 1)])
+def test_bracketed_rows_share_certificate_keys(suite, trials):
+    # every row whose epsilon is a Bures bracket records the same bracket certificate
+    rep = run_suite(CampaignConfig(suite=suite, trials=trials, seed=7))
+    bracketed = [v for v in rep.verdicts if "bracket" in v.certificates["epsilon_kind"]]
+    assert bracketed
+    for v in bracketed:
+        certs = v.certificates
+        assert {"epsilon_kind", "beta_lower", "beta_upper", "width", "converged"} <= set(certs)
+        assert certs["width"] == certs["beta_upper"] - certs["beta_lower"]
+        assert v.eps_hi - v.eps_lo == pytest.approx(certs["width"], abs=1e-15)
+
+
 @pytest.mark.parametrize("truncation,dims,warned", [
     (6, {}, True),  # default config: Gibbs weight 7.9e-3 on the top level at E = 1.2
     (30, {"d_b": 6, "d_e": 5}, False),  # a 30-level input needs d_b * d_e >= 30
@@ -248,7 +272,8 @@ def test_golden_reports(tmp_path):
                 assert g_row[key] == w_row[key], (suite, w_row["trial"], key)
             for key in ("lhs", "eps_lo", "eps_hi", "rhs_lo", "rhs_hi"):
                 x, y = float(g_row[key]), float(w_row[key])
-                assert x == y or abs(x - y) <= 1e-9 * max(1.0, abs(y)), (suite, w_row["trial"], w_row["bound_name"], key)
+                where = (suite, w_row["trial"], w_row["bound_name"], key)
+                assert x == y or abs(x - y) <= 1e-9 * max(1.0, abs(y)), where
 
 
 class TestCLI:
