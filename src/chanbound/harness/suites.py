@@ -439,7 +439,7 @@ def _prop5_setup(config: CampaignConfig):
     spec, ham, e_cap = _energy_input(config, default)
     gamma_fn, d_max = bnd.gamma_fn_from_oscillator(spec)
     return _pair_setup(
-        config, ham.dim, 3, ham=ham, e_cap=e_cap,
+        config, ham.dim, 3, ham=ham, h_mat=ham.to_matrix(), e_cap=e_cap,
         t_at=lambda eps, t: bnd.t_st(eps, e_cap - spec.ground_energy, gamma_fn, s=0, t=t, d_max=d_max).value,
         constraint=EnergyConstraint(ham, e_cap),
         certs={"truncation": spec.truncation, "tail_warned": _tail_probe(gibbs_spectrum, ham, e_cap)[1]},
@@ -449,7 +449,7 @@ def _prop5_setup(config: CampaignConfig):
 def _prop5_draw(c, gen: Generators, trial: int):
     n = 1 if trial % 2 == 0 else 2
     labels, layout = _n_copy_layout(n, c.dims[0])
-    e_cap, e0, h_mat = c.e_cap, c.ham.ground_energy, c.ham.to_matrix()
+    e_cap, e0, h_mat = c.e_cap, c.ham.ground_energy, c.h_mat
     rho = gen.density(layout)
     energies = _copy_energies(rho, labels, h_mat)
     # trials 0, 1 (mod 4) cap every copy; trials 2, 3 cap the copies' total
@@ -529,8 +529,13 @@ def _thm2_grid(config: CampaignConfig):
 # identities: equalities and auxiliary inequalities used by the proofs
 # ---------------------------------------------------------------------------
 
-def _identities_draw(config: CampaignConfig, gen: Generators, trial: int):
-    eq_tol = config.budget("identity_tol", 1e-9)
+def _identities_setup(config: CampaignConfig):
+    # one Hamiltonian per campaign: `gamma` caches its values per Hamiltonian object
+    return SimpleNamespace(config=config, ham=Hamiltonian(np.arange(8.0)))
+
+
+def _identities_draw(c, gen: Generators, trial: int):
+    eq_tol = c.config.budget("identity_tol", 1e-9)
     # Holevo quantity equals the qc-state mutual information
     ens = gen.ensemble(SystemLayout([("A", 3)]), 4)
     chi_gap = abs(holevo_quantity(ens) - mutual_information(qc_state(ens, "X"), ("A",), ("X",)))
@@ -550,7 +555,7 @@ def _identities_draw(config: CampaignConfig, gen: Generators, trial: int):
     dev = abs(p * _cmi_abc(r1) + (1 - p) * _cmi_abc(r2) - _cmi_abc(mix))
     rows = [
         _le("chi_equals_qc_mi", chi_gap, eq_tol),
-        _le("chain_rule", abs(full - split), config.budget("chain_tol", 1e-8)),
+        _le("chain_rule", abs(full - split), c.config.budget("chain_tol", 1e-8)),
         _le("almost_affinity", dev, h2(p) + eq_tol),
     ]
 
@@ -578,11 +583,10 @@ def _identities_draw(config: CampaignConfig, gen: Generators, trial: int):
     rows.append(_le("xlog_monotone", float(np.max(-np.diff(vals))), eq_tol))
 
     # rank-truncation claims on an 8x4 bipartite pure state
-    return rows + _truncation_rows(gen, trial, float(config.budget("truncation_energy", 1.2)), eq_tol)
+    return rows + _truncation_rows(gen, trial, c.ham, float(c.config.budget("truncation_energy", 1.2)), eq_tol)
 
 
-def _truncation_rows(gen: Generators, trial: int, e_cap: float, eq_tol: float) -> list:
-    ham = Hamiltonian(np.arange(8.0))
+def _truncation_rows(gen: Generators, trial: int, ham: Hamiltonian, e_cap: float, eq_tol: float) -> list:
     d_keep = 2 if trial % 2 == 0 else 4
     gam = gamma(ham, d_keep)
     if gam < e_cap - ham.ground_energy:
@@ -662,7 +666,7 @@ _SUITES = {
     "prop8": (_prop8_setup, _prop8_draw),
     "thm1": (_thm1_grid, None),
     "thm2": (_thm2_grid, None),
-    "identities": (_config_only, _identities_draw),
+    "identities": (_identities_setup, _identities_draw),
     "metrics": (_config_only, _metrics_draw),
 }
 SUITE_NAMES = tuple(_SUITES)
