@@ -146,7 +146,11 @@ class CampaignReport:
 
 def run_suite(config: CampaignConfig) -> CampaignReport:
     """Set the suite up once, draw every trial, and classify each row (see the module docstring)."""
-    setup, draw = _SUITES[config.suite]
+    setup, draw, dims_keys, budget_keys = _SUITES[config.suite]
+    for part, keys in (("dims", dims_keys), ("budgets", budget_keys + ("verdict_tol",))):
+        unknown = sorted(set(getattr(config, part)) - set(keys))
+        if unknown:
+            raise ValueError(f"{config.suite} takes no {part} keys {unknown}; it reads {sorted(keys)}")
     fixed = setup(config)
     if draw is None:
         trials = enumerate([row] for row in fixed)
@@ -652,21 +656,25 @@ def _config_only(config: CampaignConfig) -> CampaignConfig:
     return config
 
 
-# suite -> (setup, draw): setup(config) builds the campaign's fixed parts once and
-# draw(fixed, gen, trial) returns the trial's rows; a suite without a draw is a
-# closed-form grid whose setup yields the rows themselves.
+_PAIR_DIMS = ("d_a", "d_b", "d_e")
+_BRACKET_BUDGETS = ("bracket_budget", "bracket_tol")
+
+# suite -> (setup, draw, dims keys, budgets keys): setup(config) builds the campaign's
+# fixed parts once and draw(fixed, gen, trial) returns the trial's rows; a suite without
+# a draw is a closed-form grid whose setup yields the rows themselves.  The keys are the
+# ones the suite reads besides verdict_tol; `run_suite` rejects any other.
 _SUITES = {
-    "lemma4": (_lemma4_setup, _lemma4_draw),
-    "prop2": (_prop2_setup, _joint_variation),
-    "prop3": (_prop3_setup, _prop3_draw),
-    "prop4": (_prop4_setup, _prop4_draw),
-    "prop5": (_prop5_setup, _prop5_draw),
-    "prop6": (_prop6_setup, _joint_variation),
-    "prop7": (_prop7_setup, _prop7_draw),
-    "prop8": (_prop8_setup, _prop8_draw),
-    "thm1": (_thm1_grid, None),
-    "thm2": (_thm2_grid, None),
-    "identities": (_identities_setup, _identities_draw),
-    "metrics": (_config_only, _metrics_draw),
+    "lemma4": (_lemma4_setup, _lemma4_draw, (), ("lemma4_energy",)),
+    "prop2": (_prop2_setup, _joint_variation, _PAIR_DIMS, _BRACKET_BUDGETS),
+    "prop3": (_prop3_setup, _prop3_draw, _PAIR_DIMS, ()),
+    "prop4": (_prop4_setup, _prop4_draw, _PAIR_DIMS + ("n",), _BRACKET_BUDGETS),
+    "prop5": (_prop5_setup, _prop5_draw, ("d_b", "d_e"), _BRACKET_BUDGETS),
+    "prop6": (_prop6_setup, _joint_variation, _PAIR_DIMS + ("ensemble_size",), _BRACKET_BUDGETS),
+    "prop7": (_prop7_setup, _prop7_draw, ("d_b", "d_e", "ensemble_size"), ()),
+    "prop8": (_prop8_setup, _prop8_draw, ("d_b", "d_e", "ensemble_size"), _BRACKET_BUDGETS + ("p_r",)),
+    "thm1": (_thm1_grid, None, ("d_grid", "x_grid"), ()),
+    "thm2": (_thm2_grid, None, ("e_grid", "x_grid", "r_grid"), ()),
+    "identities": (_identities_setup, _identities_draw, (), ("identity_tol", "chain_tol", "truncation_energy")),
+    "metrics": (_config_only, _metrics_draw, (), ("identity_tol", "brute_samples") + _BRACKET_BUDGETS),
 }
 SUITE_NAMES = tuple(_SUITES)

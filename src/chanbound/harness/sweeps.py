@@ -19,13 +19,19 @@ FAMILIES = ("erasure_dim", "erasure_energy")
 
 
 def sweep_tightness(family: str, grid: dict) -> list[SweepRow]:
-    points = {"erasure_dim": _dim_points, "erasure_energy": _energy_points}
-    if family not in points:
+    # family -> (grid points, the grid keys it reads besides "capacities")
+    families = {"erasure_dim": (_dim_points, {"log_d", "d", "x"}),
+                "erasure_energy": (_energy_points, {"oscillator", "E", "r", "x"})}
+    if family not in families:
         raise ValueError(f"unknown sweep family {family!r}; expected one of {FAMILIES}")
+    points, keys = families[family]
+    unknown = sorted(set(grid) - keys - {"capacities"})
+    if unknown:
+        raise ValueError(f"unknown {family} grid keys {unknown}; it reads {sorted(keys | {'capacities'})}")
     capacities = grid.get("capacities", bnd.CAPACITIES)
     return [
         SweepRow(family, cap, variable, value, x, r, delta, eps, bound, delta / bound if bound > 0 else 0.0)
-        for variable, value, x, r, m_scale, bound_at in points[family](grid)
+        for variable, value, x, r, m_scale, bound_at in points(grid)
         for cap, delta, eps, bound in bnd.erasure_family(x, m_scale, bound_at, capacities)
     ]
 

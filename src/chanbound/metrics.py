@@ -502,19 +502,10 @@ def _extend_isometry(v: np.ndarray, d_r: int) -> np.ndarray:
     return np.kron(v, np.eye(d_r))
 
 
-def _apply_ext(w: np.ndarray, rho_ar: np.ndarray, d_b: int, d_e: int, d_r: int) -> np.ndarray:
-    """(Phi (x) Id_R)(rho) from the extended isometry w = V (x) I_R."""
-    y = w @ rho_ar @ w.conj().T
-    y = y.reshape(d_b, d_e, d_r, d_b, d_e, d_r)
-    out = np.einsum("berBeR->brBR", y)
-    return out.reshape(d_b * d_r, d_b * d_r)
-
-
-def _embed_out_operator(u_br: np.ndarray, d_b: int, d_e: int, d_r: int) -> np.ndarray:
-    u4 = u_br.reshape(d_b, d_r, d_b, d_r)
-    u6 = np.einsum("brBR,eE->berBER", u4, np.eye(d_e))
-    n = d_b * d_e * d_r
-    return u6.reshape(n, n)
+def _extended_kraus(ch: StinespringChannel, d_r: int) -> np.ndarray:
+    """Kraus operators K_e (x) I_R of Phi (x) id_R: the blocks of the extended isometry V (x) I_R."""
+    w = _extend_isometry(ch.isometry, d_r).reshape(ch.d_b, ch.d_e, d_r, -1)
+    return w.swapaxes(0, 1).reshape(ch.d_e, ch.d_b * d_r, -1)
 
 
 def diamond_bracket(
@@ -542,52 +533,53 @@ def diamond_bracket(
     if bures is None:
         bures = channel_bures_bracket(phi, psi, constraint, budget=budget, tol=tol)
     upper = min(2.0 * bures.upper, 2.0)
-    d_a, d_b = phi.d_a, phi.d_b
-    d_r = d_a
-    w_phi = _extend_isometry(phi.isometry, d_r)
-    w_psi = _extend_isometry(psi.isometry, d_r)
+    d_a = d_r = phi.d_a
     h_ext = e_cap = cap = None
     if constraint is not None:
         cap = EnergyCap(constraint.hamiltonian, constraint.bound, SystemLayout([("A", d_a), ("R", d_r)]))
         h_ext, e_cap = cap.operator, cap.bound
 
-    rng = np.random.default_rng(seed)
-    best_low, low_state, low_energy = 0.0, None, None
+    # (Phi - Psi) (x) id and its adjoint as signed sums over the Kraus operators of both channels
+    kraus = np.concatenate([_extended_kraus(phi, d_r), _extended_kraus(psi, d_r)])
+    kraus_h = kraus.conj().transpose(0, 2, 1)
+    signs = np.repeat([1.0, -1.0], [phi.d_e, psi.d_e])
+
+    def sandwich(left, x, right):
+        return np.einsum("k,skij->sij", signs, left @ x[:, None] @ right)
+
+    # all samples ascend in lockstep; a sample stops once its step moves less than 1e-13.
+    # norms[s, t] is the trace norm at the t-th state of sample s (-inf after it stopped)
+    draws = np.random.default_rng(seed).standard_normal((samples, 2, d_a * d_r))
+    vecs = draws[:, 0] + 1j * draws[:, 1]
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    if cap is not None:
+        vecs = np.array([mix_to_cap(vec, cap) for vec in vecs])
+    rho = vecs[:, :, None] * vecs[:, None, :].conj()
+    norms = np.full((samples, ascent_steps + 1), -np.inf)
+    states = np.empty(norms.shape + rho.shape[1:], dtype=np.complex128)
+    live = np.arange(samples)
     iterations = 0
-
-    def delta_norm(rho: np.ndarray):
-        d1 = _apply_ext(w_phi, rho, d_b, phi.d_e, d_r)
-        d2 = _apply_ext(w_psi, rho, d_b, psi.d_e, d_r)
-        return float(np.abs(np.linalg.eigvalsh(d1 - d2)).sum()), d1 - d2
-
-    for _ in range(samples):
-        vec = rng.standard_normal(d_a * d_r) + 1j * rng.standard_normal(d_a * d_r)
-        vec /= np.linalg.norm(vec)
-        if cap is not None:
-            vec = mix_to_cap(vec, cap)
-        rho = np.outer(vec, vec.conj())
-        for _ in range(ascent_steps):
-            iterations += 1
-            tn, diff = delta_norm(rho)
-            if tn > best_low:
-                best_low, low_state = tn, rho
-                low_energy = cap.energy(rho) if cap is not None else None
-            dw, du = np.linalg.eigh(diff)
-            sign_op = (du * np.sign(dw)) @ du.conj().T
-            u_ext = _embed_out_operator(sign_op, d_b, phi.d_e, d_r)
-            g1 = w_phi.conj().T @ u_ext @ w_phi
-            u_ext2 = _embed_out_operator(sign_op, d_b, psi.d_e, d_r)
-            g2 = w_psi.conj().T @ u_ext2 @ w_psi
-            grad = (g1 + g1.conj().T) / 2.0 - (g2 + g2.conj().T) / 2.0
-            rho_next, _, _ = _constrained_minimum(-grad, h_ext, e_cap)
-            if np.linalg.norm(rho_next - rho) < 1e-13:
-                break
-            rho = rho_next
-        tn, _ = delta_norm(rho)
-        if tn > best_low:
-            best_low, low_state = tn, rho
-            low_energy = cap.energy(rho) if cap is not None else None
-
+    for step in range(ascent_steps + 1):
+        dw, du = np.linalg.eigh(sandwich(kraus, rho[live], kraus_h))
+        norms[live, step], states[live, step] = np.abs(dw).sum(axis=1), rho[live]
+        if step == ascent_steps:
+            break
+        iterations += len(live)
+        sign_op = (du * np.sign(dw)[:, None, :]) @ du.conj().transpose(0, 2, 1)
+        grad = sandwich(kraus_h, sign_op, kraus)
+        grad = (grad + grad.conj().transpose(0, 2, 1)) / 2.0
+        rho_next = np.array([_constrained_minimum(-g, h_ext, e_cap)[0] for g in grad])
+        moved = np.linalg.norm(rho_next - rho[live], axis=(1, 2)) >= 1e-13
+        rho[live[moved]] = rho_next[moved]
+        live = live[moved]
+        if not len(live):
+            break
+    # the first maximum in sample-major order, as a scan of the samples in turn finds it
+    best = np.unravel_index(np.argmax(norms), norms.shape)
+    best_low, low_state, low_energy = 0.0, None, None
+    if norms[best] > 0.0:
+        best_low, low_state = float(norms[best]), states[best]
+        low_energy = cap.energy(low_state) if cap is not None else None
     best_low = min(best_low, upper + 1e-12)
     return Bracket(
         lower=best_low,
@@ -657,6 +649,14 @@ def bures_sup_bruteforce(
     return max(best, 0.0)
 
 
+def _trace_norms(y: np.ndarray) -> np.ndarray:
+    """Trace norms of a stack of matrices; 2 x 2 ones in closed form, (s_1 + s_2)^2 = ||Y||_F^2 + 2 |det Y|."""
+    if y.shape[1:] != (2, 2):
+        return np.linalg.svd(y, compute_uv=False).sum(axis=1)
+    det = y[:, 0, 0] * y[:, 1, 1] - y[:, 0, 1] * y[:, 1, 0]
+    return np.sqrt(np.einsum("nef,nef->n", y, y.conj()).real + 2.0 * np.abs(det))
+
+
 def _batched_output_bures(w_phi, w_psi, vecs, d_b, d_e1, d_e2, d_r) -> np.ndarray:
     """Output Bures distances for a batch of pure inputs, without output states.
 
@@ -664,10 +664,12 @@ def _batched_output_bures(w_phi, w_psi, vecs, d_b, d_e1, d_e2, d_r) -> np.ndarra
     factors the output exactly as Y^T conj(Y).  By Uhlmann's theorem the root
     fidelity ||sqrt(rho) sqrt(sigma)||_1 is then the trace norm of the small
     overlap Y_phi Y_psi*, so no noisy rank-deficient spectrum is square-rooted.
+    The overlap is sesquilinear in v: the outer products v conj(v)^T times one
+    form of the two dilations, summed over B and R once per call.
     """
-    m = vecs.shape[0]
-    y_phi = (vecs @ w_phi.T).reshape(m, d_b, d_e1, d_r)
-    y_psi = (vecs @ w_psi.T).reshape(m, d_b, d_e2, d_r)
-    overlap = np.einsum("nber,nbfr->nef", y_phi, y_psi.conj())
-    root_f = np.clip(np.linalg.svd(overlap, compute_uv=False).sum(axis=1), 0.0, 1.0)
+    m, dim = vecs.shape
+    form = np.einsum("beri,bfrj->ijef", w_phi.reshape(d_b, d_e1, d_r, dim),
+                     w_psi.reshape(d_b, d_e2, d_r, dim).conj()).reshape(dim * dim, d_e1 * d_e2)
+    outer = (vecs[:, :, None] * vecs[:, None, :].conj()).reshape(m, dim * dim)
+    root_f = np.clip(_trace_norms((outer @ form).reshape(m, d_e1, d_e2)), 0.0, 1.0)
     return np.sqrt(np.clip(2.0 * (1.0 - root_f), 0.0, None))

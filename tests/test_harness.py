@@ -118,6 +118,24 @@ class TestConfig:
             run_suite(CampaignConfig(suite=suite, trials=1, energy=doc))
 
 
+    @pytest.mark.parametrize("suite,part,doc,key", [
+        ("thm1", "dims", {"d_gird": [2]}, "d_gird"),
+        ("thm1", "budgets", {"verdict_tolerance": 1.0}, "verdict_tolerance"),
+        ("prop5", "dims", {"d_a": 3}, "d_a"),  # the input dimension comes from the truncation
+        ("metrics", "budgets", {"p_r": 0.5}, "p_r"),
+    ])
+    def test_unknown_dims_and_budgets_keys_rejected(self, suite, part, doc, key):
+        with pytest.raises(ValueError, match=key):
+            run_suite(CampaignConfig(suite=suite, trials=1, **{part: doc}))
+
+    def test_benchmark_overrides_accepted(self):
+        osc40 = {"kind": "oscillator", "modes": 1, "frequencies": [1.0], "truncation": 40, "E": 1.5}
+        for suite in ("prop3", "prop7"):
+            rep = run_suite(CampaignConfig(suite=suite, trials=1, seed=7, energy=osc40,
+                                           dims={"d_b": 8, "d_e": 5}, budgets={"verdict_tol": 1e-9}))
+            assert rep.summary["pass"] == rep.summary["total"] == 1
+
+
 class TestReports:
     def _small_report(self):
         return run_suite(CampaignConfig(suite="thm1", trials=1, seed=7,
@@ -176,6 +194,14 @@ class TestSweeps:
         assert len(rows) == 2
         assert all(row.delta <= row.bound + 1e-12 for row in rows)
         assert rows[0].ratio < rows[1].ratio  # tight for large E
+
+    @pytest.mark.parametrize("family,grid,key", [
+        ("erasure_dim", {"xs": [0.3]}, "xs"),
+        ("erasure_energy", {"E": [2.0], "log_d": [5.0]}, "log_d"),
+    ])
+    def test_unknown_grid_keys_rejected(self, family, grid, key):
+        with pytest.raises(ValueError, match=key):
+            sweep_tightness(family, grid)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):

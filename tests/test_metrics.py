@@ -11,7 +11,7 @@ from chanbound.channels import (
     erasure_channel,
     random_channel,
 )
-from chanbound.energy import EnergyDomainError, Hamiltonian
+from chanbound.energy import EnergyCap, EnergyDomainError, Hamiltonian, mix_to_cap
 from chanbound.entropic import Ensemble
 from chanbound.harness.generators import Generators
 from chanbound.metrics import (
@@ -21,7 +21,9 @@ from chanbound.metrics import (
     _constrained_minimum,
     _env_overlap,
     _extend_isometry,
+    _extended_kraus,
     _hermitian_pinch,
+    _trace_norms,
     bures_state_distance,
     bures_sup_bruteforce,
     channel_bures_bracket,
@@ -355,6 +357,64 @@ class TestDiamond:
         assert dia.lower_state_energy is not None
         assert dia.lower_state_energy <= 0.8 + 1e-9
 
+    @pytest.mark.parametrize("constrained,pairs", [(False, range(10)), (True, [None])])
+    def test_lockstep_matches_sequential_loop(self, constrained, pairs):
+        for k in pairs:
+            if constrained:  # the 3-level case of test_constrained_inputs_feasible
+                phi, psi, seed = random_channel(3, 2, 2, seed=43), random_channel(3, 2, 2, seed=44), 10
+                constraint = EnergyConstraint(Hamiltonian(np.arange(3.0)), 0.8)
+            else:
+                phi, psi, seed = random_channel(2, 2, 2, seed=500 + 2 * k), random_channel(2, 2, 2, seed=501 + 2 * k), k
+                constraint = None
+            dia = diamond_bracket(phi, psi, constraint, seed=seed)
+            lower, energy, iterations = _sequential_diamond(phi, psi, constraint, seed)
+            assert abs(dia.lower - lower) <= 1e-12
+            assert dia.iterations == iterations
+            if constrained:
+                assert dia.lower_state_energy == pytest.approx(energy, abs=1e-12)
+                assert dia.lower_state_energy <= 0.8 + 1e-9
+
+
+def _sequential_diamond(phi, psi, constraint, seed, samples=64, ascent_steps=12):
+    """Diamond lower endpoint by ascending from one sampled input at a time.
+
+    The per-sample loop that `diamond_bracket` runs in lockstep, on the same
+    Kraus maps: (lower, energy of the lower state or None, iterations).
+    """
+    d_a = d_r = phi.d_a
+    cap = h_ext = e_cap = None
+    if constraint is not None:
+        cap = EnergyCap(constraint.hamiltonian, constraint.bound, SystemLayout([("A", d_a), ("R", d_r)]))
+        h_ext, e_cap = cap.operator, cap.bound
+    kraus = np.concatenate([_extended_kraus(phi, d_r), _extended_kraus(psi, d_r)])
+    kraus_h = kraus.conj().transpose(0, 2, 1)
+    signs = np.repeat([1.0, -1.0], [phi.d_e, psi.d_e])
+
+    def sandwich(left, x, right):
+        return np.einsum("k,kij->ij", signs, left @ x @ right)
+
+    rng = np.random.default_rng(seed)
+    best, best_energy, iterations = 0.0, None, 0
+    for _ in range(samples):
+        vec = rng.standard_normal(d_a * d_r) + 1j * rng.standard_normal(d_a * d_r)
+        vec /= np.linalg.norm(vec)
+        if cap is not None:
+            vec = mix_to_cap(vec, cap)
+        rho = np.outer(vec, vec.conj())
+        for step in range(ascent_steps + 1):
+            dw, du = np.linalg.eigh(sandwich(kraus, rho, kraus_h))
+            if np.abs(dw).sum() > best:
+                best, best_energy = np.abs(dw).sum(), cap.energy(rho) if cap is not None else None
+            if step == ascent_steps:
+                break
+            iterations += 1
+            grad = sandwich(kraus_h, (du * np.sign(dw)) @ du.conj().T, kraus)
+            rho_next, _, _ = _constrained_minimum(-(grad + grad.conj().T) / 2.0, h_ext, e_cap)
+            if np.linalg.norm(rho_next - rho) < 1e-13:
+                break
+            rho = rho_next
+    return best, best_energy, iterations
+
 
 def _spectral_output_bures(w_phi, w_psi, vecs, d_b, d_e1, d_e2, d_r):
     """Output Bures distances through spectral square roots of the output states.
@@ -423,6 +483,27 @@ class TestBruteForceOracle:
                 prod = sqrt_output(w_phi, d_e1, v) * sqrt_output(w_psi, d_e2, v)
                 root_f = mp.fsum(mp.svd_c(prod, compute_uv=False))
                 ref = mp.sqrt(2 * (1 - root_f))
+                assert abs(val - float(ref)) <= 1e-13
+
+    @pytest.mark.parametrize("kind", ["random", "rank_one", "near_singular"])
+    def test_closed_form_2x2_trace_norm_matches_40_digits(self, kind):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(54)
+
+        def cplx(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        y = cplx(200, 2, 2) if kind == "random" else cplx(200, 2, 1) @ cplx(200, 1, 2)
+        if kind == "near_singular":
+            y += 1e-12 * cplx(200, 2, 2)
+        y /= np.linalg.norm(y, axis=(1, 2), keepdims=True)  # an overlap has ||Y||_F <= 1
+        det = np.abs(np.linalg.det(y))
+        if kind == "near_singular":
+            assert 1e-14 < np.median(det) < 1e-11
+        got = _trace_norms(y)
+        with mpmath.mp.workdps(40):
+            for mat, val in zip(y, got):
+                ref = mpmath.fsum(mpmath.svd_c(mpmath.matrix(mat.tolist()), compute_uv=False))
                 assert abs(val - float(ref)) <= 1e-13
 
     def test_matches_spectral_square_roots_on_full_rank_outputs(self):

@@ -201,6 +201,26 @@ class TestNorms:
         oracle = math.sqrt(float(np.real(v.conj() @ g @ v)))
         assert abs(operator_norm(m) - oracle) < 1e-8
 
+    def test_hermitian_path_matches_svd(self, gen):
+        for d in (2, 5, 16, 40):
+            lay = SystemLayout([("A", d)])
+            for a in (gen.density(lay).entries - gen.density(lay).entries, random_hermitian(gen.rng, d)):
+                assert np.array_equal(a, a.conj().T)
+                assert abs(trace_norm(a) - np.linalg.svd(a, compute_uv=False).sum()) <= 1e-12
+
+    def test_non_hermitian_takes_svd(self, gen, monkeypatch):
+        spectra = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: spectra.append(a) or eigvalsh(a))
+        h = random_hermitian(gen.rng, 6)
+        near = h.copy()
+        near[0, 5] += 1e-3  # off the lower triangle, which eigvalsh alone reads
+        assert abs(trace_norm(near) - np.linalg.svd(near, compute_uv=False).sum()) <= 1e-12
+        assert abs(trace_norm(near[:, :4]) - np.linalg.svd(near[:, :4], compute_uv=False).sum()) <= 1e-12
+        assert not spectra
+        trace_norm(h)
+        assert len(spectra) == 1
+
     def test_trace_distance_range(self, gen):
         lay = SystemLayout([("A", 3)])
         for _ in range(20):
