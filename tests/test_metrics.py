@@ -357,23 +357,21 @@ class TestDiamond:
         assert dia.lower_state_energy is not None
         assert dia.lower_state_energy <= 0.8 + 1e-9
 
-    @pytest.mark.parametrize("constrained,pairs", [(False, range(10)), (True, [None])])
-    def test_lockstep_matches_sequential_loop(self, constrained, pairs):
-        for k in pairs:
-            if constrained:  # the 3-level case of test_constrained_inputs_feasible
-                phi, psi, seed = random_channel(3, 2, 2, seed=43), random_channel(3, 2, 2, seed=44), 10
-                constraint = EnergyConstraint(Hamiltonian(np.arange(3.0)), 0.8)
-            else:
-                phi, psi, seed = random_channel(2, 2, 2, seed=500 + 2 * k), random_channel(2, 2, 2, seed=501 + 2 * k), k
-                constraint = None
-            dia = diamond_bracket(phi, psi, constraint, seed=seed)
-            lower, energy, iterations = _sequential_diamond(phi, psi, constraint, seed)
-            assert abs(dia.lower - lower) <= 1e-12
-            assert dia.iterations == iterations
-            if constrained:
-                assert dia.lower_state_energy == pytest.approx(energy, abs=1e-12)
-                assert dia.lower_state_energy <= 0.8 + 1e-9
-
+    @pytest.mark.parametrize("k", [*range(10), "constrained"])
+    def test_lockstep_matches_sequential_loop(self, k):
+        if k == "constrained":  # the 3-level case of test_constrained_inputs_feasible
+            phi, psi = random_channel(3, 2, 2, seed=43), random_channel(3, 2, 2, seed=44)
+            seed, constraint = 10, EnergyConstraint(Hamiltonian(np.arange(3.0)), 0.8)
+        else:
+            phi, psi = (random_channel(2, 2, 2, seed=500 + 2 * k + j) for j in (0, 1))
+            seed, constraint = k, None
+        dia = diamond_bracket(phi, psi, constraint, seed=seed)
+        lower, energy, iterations = _sequential_diamond(phi, psi, constraint, seed)
+        assert abs(dia.lower - lower) <= 1e-12
+        assert dia.iterations == iterations
+        if constraint is not None:
+            assert dia.lower_state_energy == pytest.approx(energy, abs=1e-12)
+            assert dia.lower_state_energy <= 0.8 + 1e-9
 
 def _sequential_diamond(phi, psi, constraint, seed, samples=64, ascent_steps=12):
     """Diamond lower endpoint by ascending from one sampled input at a time.
