@@ -142,11 +142,12 @@ def gibbs_lambda(h: Hamiltonian, energy: float) -> float:
                 raise EnergyDomainError(f"energy {energy} too close to the top energy")
     for _ in range(300):
         mid = 0.5 * (lo + hi)
-        if _mean_energy(ev, mid) > energy:
+        e_mid = _mean_energy(ev, mid)
+        if e_mid > energy:
             lo = mid
         else:
             hi = mid
-        if abs(_mean_energy(ev, mid) - energy) <= ENERGY_SOLVE_TOL:
+        if abs(e_mid - energy) <= ENERGY_SOLVE_TOL:
             return mid
     return 0.5 * (lo + hi)
 
@@ -416,7 +417,7 @@ class EnergyCap:
         """Mean energy of an amplitude vector or a density matrix."""
         if state.ndim == 1:
             return float(np.real(state.conj() @ self.operator @ state))
-        return float(np.real(np.trace(self.operator @ state)))
+        return float(np.einsum("ij,ji->", self.operator, state).real)
 
     def weight(self, state: np.ndarray) -> float:
         return cap_weight(self.energy(state), self.bound, self.hamiltonian.ground_energy)
@@ -431,7 +432,12 @@ def mix_to_cap(state, cap: EnergyCap):
     its raw average sum p_i rho_i and mixes every member with it.  Pure
     states (a PureState or an amplitude vector) blend toward
     `cap.ground_vector` and are renormalised; the blend's energy is not
-    affine in the weight, so the least feasible weight is bisected.  Raises
+    affine in the weight, but its cap condition is a quadratic in the
+    weight, so the least feasible weight is that quadratic's root.  A pure
+    blend is returned only once `cap.energy(vec) <= cap.bound` holds
+    exactly: when rounding fails that check, the weight steps toward 1 by
+    a doubling number of ulps, down to the ground vector itself at weight 1.
+    The result depends on the state and the cap alone.  Raises
     EnergyDomainError when the cap is below the ground energy.
     """
     if isinstance(state, Ensemble):
@@ -451,18 +457,30 @@ def mix_to_cap(state, cap: EnergyCap):
         return state
     if state.ndim == 2:
         return (1.0 - t) * state + t * cap.ground_state
+    # v = (1 - t) s + t g meets the cap iff <v, (H - E) v> <= 0, which is
+    # a + 2 b u + c u^2 <= 0 in u = t / (1 - t); a > 0 > c, so the least
+    # feasible u is the positive root, taken in the form without cancellation
     ground = cap.ground_vector
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        vec = (1 - mid) * state + mid * ground
+    h_s = cap.operator @ state
+    a = float(np.vdot(state, h_s).real) - cap.bound * float(np.vdot(state, state).real)
+    b = float(np.vdot(h_s, ground).real) - cap.bound * float(np.vdot(state, ground).real)
+    c = float(np.vdot(ground, cap.operator @ ground).real) - cap.bound * float(np.vdot(ground, ground).real)
+    root = math.sqrt(max(b * b - a * c, 0.0))
+    if a <= 0.0:
+        t = 0.0
+    elif b > 0.0:  # u = (b + root) / (-c)
+        t = 1.0 if c >= 0.0 else (b + root) / (b + root - c)
+    else:  # u = a / (root - b)
+        t = a / (a + root - b)
+    # rounding may leave the blend just over the cap: step t toward 1 by doubling ulps
+    ulps = 1.0
+    while True:
+        vec = (1.0 - t) * state + t * ground
         vec = vec / np.linalg.norm(vec)
-        if cap.energy(vec) > cap.bound:
-            lo = mid
-        else:
-            hi = mid
-    vec = (1 - hi) * state + hi * ground
-    return vec / np.linalg.norm(vec)
+        if t >= 1.0 or cap.energy(vec) <= cap.bound:
+            return vec
+        t = min(1.0, t + ulps * np.finfo(float).eps)
+        ulps *= 2.0
 
 
 def _schmidt(psi: PureState, a_label: str):

@@ -142,59 +142,90 @@ class Bracket:
 def _ground_min_energy_state(m: np.ndarray, h_mat: Optional[np.ndarray]):
     """Least-energy state in the bottom eigenspace of m.
 
-    Returns (pure density matrix, its energy, lambda_min(m)).  Without a
-    Hamiltonian the bottom eigenvector is returned with energy 0.
+    Returns (pure density matrix, its energy, lambda_min(m), curvature).
+    The curvature is the second-order perturbation estimate
+    2 sum_k |<u_k, H vec>|^2 / (lambda_min - w_k) over the eigenvectors
+    outside the bottom eigenspace: the derivative of the energy of the
+    ground state of m + mu H in mu, taken from the same `eigh`.  Without a
+    Hamiltonian the bottom eigenvector is returned with energy and
+    curvature 0.
     """
     w, u = np.linalg.eigh(m)
     lam0 = float(w[0])
     if h_mat is None:
         vec = u[:, 0]
-        return np.outer(vec, vec.conj()), 0.0, lam0
+        return np.outer(vec, vec.conj()), 0.0, lam0, 0.0
     sel = w <= lam0 + 1e-11 + abs(lam0) * 1e-12
     basis = u[:, sel]
     hr = basis.conj().T @ h_mat @ basis
     hw, hu = np.linalg.eigh((hr + hr.conj().T) / 2.0)
     vec = basis @ hu[:, 0]
-    return np.outer(vec, vec.conj()), float(hw[0].real), lam0
+    coupling = u[:, ~sel].conj().T @ (h_mat @ vec)
+    curvature = 2.0 * float(np.sum(np.abs(coupling) ** 2 / (lam0 - w[~sel])))
+    return np.outer(vec, vec.conj()), float(hw[0].real), lam0, curvature
+
+
+_MU_DOUBLINGS = 120  # multiplier evaluations before the cap is declared infeasible
+_MU_STEPS = 200  # multiplier evaluations in all
+_MU_WIDTH = 1e-13  # relative bracket width that ends the multiplier solve
+_MU_GAP = 1e-15  # relative primal-dual gap that ends it
 
 
 def _constrained_minimum(m: np.ndarray, h_mat: Optional[np.ndarray], e_cap: Optional[float]):
     """Minimize Tr[m rho] over states with Tr[h rho] <= e_cap.
 
     Returns (feasible minimizer, certified dual lower bound on the minimum,
-    multiplier).  The dual value max_mu lambda_min(m + mu h) - mu E is sound
-    for any mu >= 0, so bisection inaccuracy never breaks certification.
+    multiplier).  The dual value lambda_min(m + mu h) - mu E is sound for
+    any mu >= 0, so the returned dual is the maximum over every evaluated
+    mu and solver accuracy only moves its tightness.  The multiplier takes
+    Newton steps on the energy e(mu) of the least-energy ground state of
+    m + mu h, with the curvature of `_ground_min_energy_state`, from mu = 1.
+    The bracket [mu_lo, mu_hi] around e(mu) = E is the safeguard: until
+    some mu has e(mu) <= E, a step that does not raise mu is replaced by
+    doubling mu; after that, a step that leaves the bracket, or that is
+    longer than half the step before last, is replaced by its midpoint.
+    The solve stops at relative bracket width 1e-13, or once the primal
+    value of the minimizer is within 1e-15 max(1, |primal|) of the dual.
+    The minimizer interpolates the ground states at mu_lo and mu_hi to
+    energy E.  Every step is a function of (m, h, E) alone, so two calls on
+    the same input return bit-identical results.
     """
-    rho0, e0, lam0 = _ground_min_energy_state(m, h_mat)
+    rho0, e0, lam0, _ = _ground_min_energy_state(m, h_mat)
     if h_mat is None or e_cap is None or e0 <= e_cap + 1e-12:
         return rho0, lam0, 0.0
     duals = [(lam0, 0.0)]
-    mu_hi = 1.0
-    rho_b = e_b = None
-    for _ in range(120):
-        rho_b, e_b, lam_b = _ground_min_energy_state(m + mu_hi * h_mat, h_mat)
-        duals.append((lam_b - mu_hi * e_cap, mu_hi))
-        if e_b <= e_cap:
-            break
-        mu_hi *= 2.0
-    else:
-        raise QStateError("no multiplier makes the energy cap feasible")
-    mu_lo, rho_a, e_a = 0.0, rho0, e0
-    for _ in range(90):
-        if mu_hi - mu_lo <= 1e-13 * max(1.0, mu_hi):
-            break
-        mid = 0.5 * (mu_lo + mu_hi)
-        rho_m, e_m, lam_m = _ground_min_energy_state(m + mid * h_mat, h_mat)
-        duals.append((lam_m - mid * e_cap, mid))
+    best = lam0
+    lo, hi = (0.0, rho0, e0), None
+    steps = [math.inf, math.inf]  # the last two moves of mu
+    mu = 1.0
+    for step in range(_MU_STEPS):
+        rho_m, e_m, lam_m, curv = _ground_min_energy_state(m + mu * h_mat, h_mat)
+        duals.append((lam_m - mu * e_cap, mu))
+        best = max(best, duals[-1][0])
+        newton = mu + (e_cap - e_m) / curv if curv < 0.0 else math.nan
         if e_m <= e_cap:
-            mu_hi, rho_b, e_b = mid, rho_m, e_m
+            hi = (mu, rho_m, e_m)
         else:
-            mu_lo, rho_a, e_a = mid, rho_m, e_m
-    if e_a > e_cap >= e_b and e_a - e_b > 1e-15:
-        t = (e_cap - e_b) / (e_a - e_b)
-        rho = t * rho_a + (1.0 - t) * rho_b
-    else:
-        rho = rho_b
+            lo = (mu, rho_m, e_m)
+            if hi is None:
+                if step >= _MU_DOUBLINGS:
+                    raise QStateError("no multiplier makes the energy cap feasible")
+                mu = newton if mu < newton < math.inf else 2.0 * mu
+                continue
+        (mu_lo, rho_a, e_a), (mu_hi, rho_b, e_b) = lo, hi
+        if e_a > e_cap >= e_b and e_a - e_b > 1e-15:
+            t = (e_cap - e_b) / (e_a - e_b)
+            rho = t * rho_a + (1.0 - t) * rho_b
+        else:
+            rho = rho_b
+        primal = float(np.einsum("ij,ji->", m, rho).real)
+        width = mu_hi - mu_lo
+        if width <= _MU_WIDTH * max(1.0, mu_hi) or primal - best <= _MU_GAP * max(1.0, abs(primal)):
+            break
+        if not (mu_lo < newton < mu_hi and abs(newton - mu) <= 0.5 * steps[0]):
+            newton = 0.5 * (mu_lo + mu_hi)
+        steps = [steps[1], abs(newton - mu)]
+        mu = newton
     dual, mu = max(duals, key=lambda pair: pair[0])
     return rho, dual, mu
 
@@ -377,7 +408,7 @@ class _SaddleTracker:
             self.low_sq = max(cand, 0.0)
             self.low_state = rho
             self.low_energy = (
-                float(np.real(np.trace(self.h_mat @ rho))) if self.h_mat is not None else None
+                float(np.einsum("ij,ji->", self.h_mat, rho).real) if self.h_mat is not None else None
             )
 
     def offer_upper(self, dual: float, contraction: np.ndarray, mu: float):

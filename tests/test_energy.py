@@ -10,6 +10,7 @@ from chanbound.energy import (
     Hamiltonian,
     OscillatorSpec,
     TruncationTailWarning,
+    _mean_energy,
     check_s_flag,
     f_bar,
     f_bar_inverse,
@@ -40,6 +41,71 @@ from chanbound.qstate import (
 @pytest.fixture
 def osc60():
     return OscillatorSpec(1, (1.0,), truncation=60)
+
+
+def _two_evaluation_gibbs_lambda(h, energy):
+    """`gibbs_lambda` as it was: the bisection evaluates the mean energy twice per step."""
+    ev = h.eigenvalues
+    if abs(energy - h.uniform_energy) <= 1e-15:
+        return 0.0
+    if energy < h.uniform_energy:
+        lo, hi = 0.0, 1.0
+        while _mean_energy(ev, hi) > energy:
+            lo, hi = hi, hi * 2.0
+    else:
+        lo, hi = -1.0, 0.0
+        while _mean_energy(ev, lo) < energy:
+            lo, hi = lo * 2.0, lo
+    for _ in range(300):
+        mid = 0.5 * (lo + hi)
+        if _mean_energy(ev, mid) > energy:
+            lo = mid
+        else:
+            hi = mid
+        if abs(_mean_energy(ev, mid) - energy) <= 1e-10:
+            return mid
+    return 0.5 * (lo + hi)
+
+
+def _bisected_mix(state, cap):
+    """`mix_to_cap` on an amplitude vector as it was: 80 bisection steps on the weight."""
+    if cap.weight(state) == 0.0:
+        return state
+    ground = cap.ground_vector
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        vec = (1 - mid) * state + mid * ground
+        vec = vec / np.linalg.norm(vec)
+        if cap.energy(vec) > cap.bound:
+            lo = mid
+        else:
+            hi = mid
+    vec = (1 - hi) * state + hi * ground
+    return vec / np.linalg.norm(vec)
+
+
+def _mix_instance(gen, k, excess=None):
+    """A pure state and a cap: degenerate grounds, rotated eigenbases, E_0 > 0, A first or last.
+
+    Without `excess` the cap is drawn uniformly from [E_0 + 1e-9, uniform energy).
+    """
+    rng = gen.rng
+    d_a = int(rng.integers(2, 6))
+    ev = np.sort(rng.uniform(0.0, 3.0, d_a))
+    if k % 3 == 0:
+        ev[1] = ev[0]
+    if k % 4 == 1:
+        ev = ev + rng.uniform(0.1, 2.0)
+    h = Hamiltonian(ev, eigenbasis=gen.unitary(d_a) if k % 2 else None)
+    other = ("B", int(rng.integers(2, 4)))
+    lay = SystemLayout([("A", d_a), other] if k % 5 < 3 else [other, ("A", d_a)])
+    e0 = h.ground_energy
+    if excess is None:
+        bound = e0 + 1e-9 + rng.uniform() * (h.uniform_energy - e0 - 1e-9)
+    else:
+        bound = e0 + excess
+    return gen.pure(lay).amplitudes, EnergyCap(h, bound, lay)
 
 
 class TestHamiltonian:
@@ -82,6 +148,21 @@ class TestGibbs:
             gibbs_state(h, 1.5)
         with pytest.raises(EnergyDomainError):
             gibbs_state(h, -0.1)
+
+    @pytest.mark.parametrize("kind", ["levels", "osc6", "osc40", "degenerate"])
+    def test_lambda_matches_two_evaluation_reference(self, kind):
+        # one mean-energy evaluation per bisection step leaves lambda bit-identical
+        h = {
+            "levels": Hamiltonian(np.array([0.0, 1.0, 2.0, 3.0])),
+            "osc6": OscillatorSpec(1, (1.0,), truncation=6).to_hamiltonian(),
+            "osc40": OscillatorSpec(1, (1.0,), truncation=40).to_hamiltonian(),
+            "degenerate": Hamiltonian(np.array([0.5, 0.5, 1.0, 2.0, 4.0])),
+        }[kind]
+        span = h.max_energy - h.ground_energy
+        grid = h.ground_energy + span * np.concatenate([[1e-6, 1e-3], np.linspace(0.01, 0.99, 60)])
+        grid = np.append(grid, h.uniform_energy)
+        for e in grid:
+            assert gibbs_lambda(h, e) == _two_evaluation_gibbs_lambda(h, e)
 
     def test_lambda_strictly_decreasing(self, osc60):
         h = osc60.to_hamiltonian()
@@ -295,3 +376,74 @@ class TestEnergyCap:
             ens = mix_to_cap(drawn_ens, EnergyCap(h, e_cap))
             avg = float(np.real(np.trace(h.to_matrix() @ ens.average_state().entries)))
             assert avg <= e_cap + 1e-12
+
+    def test_pure_mix_matches_bisection(self, gen):
+        # the quadratic's root against the 80-step bisection it replaced.  Caps
+        # within ~1e-8 of E_0 > 0 are left out here: there the exact check itself
+        # resolves the vector to ~1e-11 only, for either method
+        mixed = 0
+        for k in range(700):
+            state, cap = _mix_instance(gen, k)
+            vec = mix_to_cap(state, cap)
+            if vec is state:
+                assert cap.energy(state) <= cap.bound
+                continue
+            mixed += 1
+            assert cap.energy(vec) <= cap.bound
+            assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+            assert np.max(np.abs(vec - _bisected_mix(state, cap))) <= 1e-12
+        assert mixed >= 500
+
+    def test_pure_mix_at_ground_cap_or_flat_hamiltonian(self, gen):
+        # the quadratic's coefficients are rounding noise here, so only unit
+        # norm and feasibility are required; the latter to 1e-12, since at
+        # weight 1 the ground vector's computed energy may exceed E_0 by ulps
+        for k in range(200):
+            state, cap = _mix_instance(gen, k, excess=0.0)
+            vec = mix_to_cap(state, cap)
+            assert cap.energy(vec) <= cap.bound + 1e-12
+            assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+        for level in (0.0, 0.7, 2.5):
+            for k in range(20):
+                lay = SystemLayout([("A", 3), ("B", 2)] if k % 2 else [("B", 2), ("A", 3)])
+                h = Hamiltonian(np.full(3, level), eigenbasis=gen.unitary(3) if k % 4 > 1 else None)
+                cap = EnergyCap(h, level, lay)
+                vec = mix_to_cap(gen.pure(lay).amplitudes, cap)
+                assert cap.energy(vec) <= cap.bound + 1e-12
+                assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12
+
+    def test_pure_state_under_cap_is_returned_unchanged(self, gen):
+        h = Hamiltonian(np.array([0.0, 1.0, 2.0]))
+        lay = SystemLayout([("A", 3), ("B", 2)])
+        cap = EnergyCap(h, 1.9, lay)
+        for _ in range(20):
+            psi = gen.pure(lay)
+            if cap.energy(psi.amplitudes) <= cap.bound:
+                assert mix_to_cap(psi, cap) is psi
+                assert mix_to_cap(psi.amplitudes, cap) is psi.amplitudes
+
+    def test_pure_mix_steps_past_a_failed_exact_check(self, gen, monkeypatch):
+        # the first exact check of the blend reports one ulp over the cap; the
+        # weight must step toward the ground until the true check passes
+        true_energy = EnergyCap.energy
+        for k in range(40):
+            state, cap = _mix_instance(gen, k)
+            if cap.energy(state) <= cap.bound:
+                continue
+            checks = []
+
+            def energy(self, vec, state=state, checks=checks):
+                if vec is state:
+                    return true_energy(self, vec)
+                checks.append(vec)
+                if len(checks) == 1:
+                    return float(np.nextafter(self.bound, np.inf))
+                return true_energy(self, vec)
+
+            monkeypatch.setattr(EnergyCap, "energy", energy)
+            vec = mix_to_cap(state, cap)
+            monkeypatch.setattr(EnergyCap, "energy", true_energy)
+            assert len(checks) >= 2
+            assert vec is checks[-1] and not np.array_equal(vec, checks[0])
+            assert cap.energy(vec) <= cap.bound
+            assert abs(np.linalg.norm(vec) - 1.0) <= 1e-12

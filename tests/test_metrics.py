@@ -22,6 +22,7 @@ from chanbound.metrics import (
     _env_overlap,
     _extend_isometry,
     _extended_kraus,
+    _ground_min_energy_state,
     _hermitian_pinch,
     _trace_norms,
     bures_state_distance,
@@ -315,6 +316,98 @@ class TestChannelBures:
         psi = random_channel(2, 2, 3, seed=40)
         br = channel_bures_bracket(phi, psi, seed=7)
         assert 0.0 <= br.lower <= br.upper <= math.sqrt(2) + 1e-12
+
+
+def _bisected_constrained_minimum(m, h_mat, e_cap):
+    """`_constrained_minimum` as it was: doubling, then up to 90 bisection steps on mu."""
+    rho0, e0, lam0, _ = _ground_min_energy_state(m, h_mat)
+    if e0 <= e_cap + 1e-12:
+        return rho0, lam0, 0.0
+    duals = [(lam0, 0.0)]
+    mu_hi = 1.0
+    for _ in range(120):
+        rho_b, e_b, lam_b, _ = _ground_min_energy_state(m + mu_hi * h_mat, h_mat)
+        duals.append((lam_b - mu_hi * e_cap, mu_hi))
+        if e_b <= e_cap:
+            break
+        mu_hi *= 2.0
+    mu_lo, rho_a, e_a = 0.0, rho0, e0
+    for _ in range(90):
+        if mu_hi - mu_lo <= 1e-13 * max(1.0, mu_hi):
+            break
+        mid = 0.5 * (mu_lo + mu_hi)
+        rho_m, e_m, lam_m, _ = _ground_min_energy_state(m + mid * h_mat, h_mat)
+        duals.append((lam_m - mid * e_cap, mid))
+        if e_m <= e_cap:
+            mu_hi, rho_b, e_b = mid, rho_m, e_m
+        else:
+            mu_lo, rho_a, e_a = mid, rho_m, e_m
+    if e_a > e_cap >= e_b and e_a - e_b > 1e-15:
+        t = (e_cap - e_b) / (e_a - e_b)
+        rho = t * rho_a + (1.0 - t) * rho_b
+    else:
+        rho = rho_b
+    dual, mu = max(duals, key=lambda pair: pair[0])
+    return rho, dual, mu
+
+
+def _multiplier_instances(seed, count):
+    """(m, H, E) with d from 2 to 7, degenerate and rotated H, caps in (E_0, uniform energy)."""
+    gen = Generators(np.random.default_rng(seed))
+    for k in range(count):
+        d = 2 + k % 6
+        ev = np.sort(gen.rng.uniform(0.0, 3.0, d))
+        if k % 3 == 0:
+            ev[1] = ev[0]
+        h = Hamiltonian(ev, eigenbasis=gen.unitary(d) if k % 2 else None)
+        a = gen.rng.standard_normal((d, d)) + 1j * gen.rng.standard_normal((d, d))
+        m = gen.rng.uniform(0.1, 3.0) * (a + a.conj().T) / 2.0
+        e_cap = h.ground_energy + gen.rng.uniform(1e-6, 1.0) * (h.uniform_energy - h.ground_energy)
+        yield m, h.to_matrix(), e_cap
+
+
+class TestConstrainedMinimum:
+    def test_newton_dual_matches_bisection(self, monkeypatch):
+        real_eigh = np.linalg.eigh
+        calls = []
+
+        def counting_eigh(a, *args, **kwargs):
+            calls[-1] += 1
+            return real_eigh(a, *args, **kwargs)
+
+        solved = 0
+        for m, h_mat, e_cap in _multiplier_instances(71, 400):
+            ref_rho, ref_dual, _ = _bisected_constrained_minimum(m, h_mat, e_cap)
+            calls.append(0)
+            monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+            rho, dual, mu = _constrained_minimum(m, h_mat, e_cap)
+            monkeypatch.setattr(np.linalg, "eigh", real_eigh)
+            solved += mu > 0.0
+            assert dual >= ref_dual - 1e-12 * max(1.0, abs(ref_dual))
+            assert np.linalg.eigvalsh(rho).min() >= -1e-12
+            assert abs(np.trace(rho).real - 1.0) <= 1e-12
+            assert np.einsum("ij,ji->", h_mat, rho).real <= e_cap + 1e-12
+            again = _constrained_minimum(m, h_mat, e_cap)
+            assert np.array_equal(again[0], rho) and again[1] == dual and again[2] == mu
+        assert solved >= 250  # the cap binds, so the multiplier is solved for
+        assert np.mean(calls) <= 20.0  # the bisection averages about 80
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_level_crossing_terminates(self, rotated):
+        # m and H commute, so the ground state of m + mu H switches from energy
+        # 2 to energy 0 at mu = 1/2: e(mu) jumps across E = 1 and the curvature
+        # is 0 on both sides
+        m, h_mat = np.diag([0.0, 1.0, 2.0]).astype(complex), np.diag([2.0, 0.0, 1.0]).astype(complex)
+        if rotated:
+            u = Generators(np.random.default_rng(5)).unitary(3)
+            m, h_mat = u @ m @ u.conj().T, u @ h_mat @ u.conj().T
+        rho, dual, mu = _constrained_minimum(m, h_mat, 1.0)
+        _, ref_dual, ref_mu = _bisected_constrained_minimum(m, h_mat, 1.0)
+        assert abs(dual - ref_dual) <= 1e-12
+        assert abs(mu - 0.5) <= 1e-12 and abs(ref_mu - 0.5) <= 1e-12
+        assert abs(dual - 0.5) <= 1e-12  # the two crossing levels mixed half and half
+        assert np.einsum("ij,ji->", h_mat, rho).real <= 1.0 + 1e-12
+        assert abs(np.einsum("ij,ji->", m, rho).real - dual) <= 1e-12
 
 
 class TestDiamond:
