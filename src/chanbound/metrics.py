@@ -193,15 +193,15 @@ def _constrained_minimum(m: np.ndarray, h_mat: Optional[np.ndarray], e_cap: Opti
     rho0, e0, lam0, _ = _ground_min_energy_state(m, h_mat)
     if h_mat is None or e_cap is None or e0 <= e_cap + 1e-12:
         return rho0, lam0, 0.0
-    duals = [(lam0, 0.0)]
-    best = lam0
+    best, best_mu = lam0, 0.0  # the first maximal dual and its multiplier
     lo, hi = (0.0, rho0, e0), None
     steps = [math.inf, math.inf]  # the last two moves of mu
     mu = 1.0
     for step in range(_MU_STEPS):
         rho_m, e_m, lam_m, curv = _ground_min_energy_state(m + mu * h_mat, h_mat)
-        duals.append((lam_m - mu * e_cap, mu))
-        best = max(best, duals[-1][0])
+        dual = lam_m - mu * e_cap
+        if dual > best:
+            best, best_mu = dual, mu
         newton = mu + (e_cap - e_m) / curv if curv < 0.0 else math.nan
         if e_m <= e_cap:
             hi = (mu, rho_m, e_m)
@@ -226,8 +226,7 @@ def _constrained_minimum(m: np.ndarray, h_mat: Optional[np.ndarray], e_cap: Opti
             newton = 0.5 * (mu_lo + mu_hi)
         steps = [steps[1], abs(newton - mu)]
         mu = newton
-    dual, mu = max(duals, key=lambda pair: pair[0])
-    return rho, dual, mu
+    return rho, best, best_mu
 
 
 def _env_overlap(v_phi: np.ndarray, v_psi: np.ndarray, rho: np.ndarray, d_b: int, d_e: int) -> np.ndarray:
