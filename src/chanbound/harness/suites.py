@@ -599,9 +599,9 @@ def _truncation_rows(gen: Generators, trial: int, ham: Hamiltonian, e_cap: float
     rho_m, sig_m = psi.to_density(), truncate_pure_state(psi, "A", ham, e_cap, d_keep).to_density()
     e_bar = e_cap - ham.ground_energy
 
-    sig_a = partial_trace(sig_m, ("A",)).entries
-    rank = int(np.sum(np.linalg.eigvalsh(sig_a) > 1e-10))
-    energy_a = float(np.real(np.trace(ham.to_matrix() @ sig_a)))
+    sig_a = partial_trace(sig_m, ("A",))
+    rank = int(np.sum(sig_a.spectrum > 1e-10))
+    energy_a = float(np.real(np.trace(ham.to_matrix() @ sig_a.entries)))
     diff = HermitianOperator.difference(rho_m, sig_m)
     tn = trace_norm(diff.entries)
     h_bar_a = ham.to_matrix(shift=ham.ground_energy)

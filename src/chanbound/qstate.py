@@ -2,13 +2,16 @@
 
 States and operators carry a :class:`SystemLayout` naming their tensor
 factors.  All values are immutable after construction and every operation
-is a pure function, so concurrent use is safe.
+is a pure function, so concurrent use is safe.  The one value filled in
+after construction, a density matrix's spectrum, is computed on first read
+by a deterministic call; racing first reads store equal arrays.
 """
 
 from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,6 +24,11 @@ RECONSTRUCTION_TOL = 1e-9
 
 #: Dense storage only; verification systems are small by design.
 MAX_TOTAL_DIM = 4096
+
+#: Below this dimension a density matrix's PSD check is its eigvalsh, as
+#: eigvalsh costs at most 4x a Cholesky factorisation there and nearly every
+#: small state (a marginal) has its spectrum read for an entropy anyway.
+CHOLESKY_MIN_DIM = 32
 
 _AXIS_LETTERS = string.ascii_lowercase + string.ascii_uppercase
 
@@ -106,10 +114,11 @@ def _as_square_complex(entries: np.ndarray, dim: int, what: str) -> np.ndarray:
 
 
 def _check_and_symmetrize(entries: np.ndarray, what: str) -> np.ndarray:
-    dev = np.max(np.abs(entries - entries.conj().T))
+    adjoint = entries.conj().T
+    dev = np.max(np.abs(entries - adjoint))
     if dev > 1e-8:
         raise QStateError(f"{what} is not Hermitian: max deviation {dev:.3e}")
-    sym = (entries + entries.conj().T) / 2.0
+    sym = (entries + adjoint) / 2.0
     sym.setflags(write=False)
     return sym
 
@@ -135,17 +144,59 @@ class HermitianOperator:
         return float(np.trace(self.entries).real)
 
 
+def _cholesky_margin(d: int) -> float:
+    """Rounding allowance m of the shifted Cholesky test on a trace-one d x d state.
+
+    Once λ_min > EIGENVALUE_FLOOR, the trace bounds both Tr(ρ + shift) and
+    ‖ρ‖₂ by `scale`.  A successful factorisation of the computed ρ + s·I is
+    exact for a perturbation of 2-norm at most γ_{d+1}·Tr(RᴴR) (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, Thm 10.3, as
+    ‖|Rᴴ||R|‖₂ ≤ Tr(RᴴR)); 4(d + 1)·u covers γ_{d+1} in complex arithmetic.
+    eigvalsh's own error is allowed 8·d²·u·‖ρ‖₂, a worst-case d² growth for
+    its Householder reduction with a safety factor of 8.
+    """
+    unit_roundoff = np.finfo(np.float64).eps / 2
+    scale = 1.0 + TRACE_TOL + (d + 1) * -EIGENVALUE_FLOOR
+    return unit_roundoff * scale * (4.0 * (d + 1) + 8.0 * d * d)
+
+
+def _certainly_above_floor(sym: np.ndarray) -> bool:
+    """True only if eigvalsh(sym)[0] would not fall below EIGENVALUE_FLOOR.
+
+    Factors a copy of sym + (-EIGENVALUE_FLOOR - m)·I with
+    `np.linalg.cholesky`.  Success proves λ_min(sym) ≥ EIGENVALUE_FLOOR + m
+    - (Cholesky's error), which leaves eigvalsh's error inside the floor.
+    False means "undecided": the factorisation failed, or m is too large
+    for d.
+    """
+    d = sym.shape[0]
+    shift = -EIGENVALUE_FLOOR - _cholesky_margin(d)
+    if shift <= 0.0:
+        return False
+    shifted = sym.copy()
+    shifted.flat[:: d + 1] += shift
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, PSD, unit-trace operator over a labeled layout.
 
-    `spectrum` holds the ascending eigenvalues of `entries` that the PSD
-    check computed, read-only, so entropies need no second eigensolve.
+    Construction checks Hermiticity to 1e-8, the trace to TRACE_TOL and
+    λ_min ≥ EIGENVALUE_FLOOR.  From CHOLESKY_MIN_DIM up, the last check is
+    a shifted Cholesky factorisation that accepts only states eigvalsh
+    would accept.  Below that dimension, near the floor, or where the
+    margin is too large for d, eigvalsh decides and its spectrum is kept.
+    `spectrum` holds the ascending eigenvalues of `entries`, read-only,
+    computed on first read by `np.linalg.eigvalsh` and cached.
     """
 
     layout: SystemLayout
     entries: np.ndarray
-    spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         arr = _as_square_complex(self.entries, self.layout.total_dim, "density matrix")
@@ -153,13 +204,17 @@ class DensityMatrix:
         tr = np.trace(sym).real
         if abs(tr - 1.0) > TRACE_TOL:
             raise QStateError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
-        spectrum = np.linalg.eigvalsh(sym)
-        lo = float(spectrum[0])
-        if lo < EIGENVALUE_FLOOR:
-            raise QStateError(f"negative eigenvalue {lo:.3e} below floor {EIGENVALUE_FLOOR}")
-        spectrum.setflags(write=False)
         object.__setattr__(self, "entries", sym)
-        object.__setattr__(self, "spectrum", spectrum)
+        if len(sym) < CHOLESKY_MIN_DIM or not _certainly_above_floor(sym):
+            lo = float(self.spectrum[0])
+            if lo < EIGENVALUE_FLOOR:
+                raise QStateError(f"negative eigenvalue {lo:.3e} below floor {EIGENVALUE_FLOOR}")
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        spectrum = np.linalg.eigvalsh(self.entries)
+        spectrum.setflags(write=False)
+        return spectrum
 
     def as_hermitian(self) -> HermitianOperator:
         return HermitianOperator(self.layout, self.entries)

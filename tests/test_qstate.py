@@ -1,9 +1,13 @@
+import dataclasses
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from chanbound.qstate import (
+    EIGENVALUE_FLOOR,
     DensityMatrix,
     HermitianOperator,
     PureState,
@@ -20,6 +24,7 @@ from chanbound.qstate import (
     tensor_product,
     trace_norm,
 )
+from chanbound import qstate
 from conftest import random_hermitian
 
 
@@ -75,6 +80,144 @@ class TestDensityMatrix:
             w = np.linalg.eigvalsh(gen.density(lay).entries)
             assert abs(w.sum() - 1) < 1e-9
             assert w.min() >= -1e-9
+
+
+def _haar_unitary(rng, d):
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _eigvalsh_rule(entries):
+    """The PSD rule before the Cholesky check: the error text, or None to accept."""
+    sym = (entries + entries.conj().T) / 2.0
+    lo = float(np.linalg.eigvalsh(sym)[0])
+    if lo < EIGENVALUE_FLOOR:
+        return f"negative eigenvalue {lo:.3e} below floor {EIGENVALUE_FLOOR}"
+    return None
+
+
+def _floor_sweep_states(rng, d):
+    """U diag(λ) U* with λ_min at and around the floor, plus rank-deficient states."""
+    u = _haar_unitary(rng, d)
+    spectra = []
+    for k in (-500, -100, -10, -1, 0, 1, 10):
+        lam_min = EIGENVALUE_FLOOR * (1 + k * 1e-3)
+        rest = rng.random(d - 1)
+        spectra.append(np.concatenate(([lam_min], rest / rest.sum() * (1 - lam_min))))
+    spectra.append(np.eye(d)[-1])  # pure
+    spectra.append(np.concatenate((np.zeros(d - d // 2), np.full(d // 2, 1 / (d // 2)))))
+    return [(u * lam) @ u.conj().T for lam in spectra]
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Shapes of the arguments of every np.linalg.eigvalsh call from here on."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+class TestPsdCheck:
+    """The shifted Cholesky check against the eigvalsh rule it replaced."""
+
+    @pytest.mark.parametrize("d", [2, 8, 40, 160, 512])
+    def test_floor_sweep_matches_eigvalsh_rule(self, d):
+        rng = np.random.default_rng(9000 + d)
+        lay = SystemLayout([("A", d)])
+        outcomes = []
+        for entries in _floor_sweep_states(rng, d):
+            expected = _eigvalsh_rule(entries)
+            if qstate._certainly_above_floor((entries + entries.conj().T) / 2.0):
+                assert expected is None
+            if expected is None:
+                DensityMatrix(lay, entries)
+            else:
+                with pytest.raises(QStateError) as err:
+                    DensityMatrix(lay, entries)
+                assert str(err.value) == expected
+            outcomes.append(expected is None)
+        assert any(outcomes) and not all(outcomes)
+
+    def test_margin_decides_the_fast_path(self):
+        assert qstate._cholesky_margin(160) < -EIGENVALUE_FLOOR
+        assert qstate._cholesky_margin(512) >= -EIGENVALUE_FLOOR
+        rng = np.random.default_rng(9001)
+        for d, fast in ((2, True), (160, True), (512, False)):
+            vec = _haar_unitary(rng, d)[:, 0]
+            pure = np.outer(vec, vec.conj())
+            assert qstate._certainly_above_floor((pure + pure.conj().T) / 2.0) is fast
+
+    def test_fast_path_accepts_just_above_floor(self):
+        rng = np.random.default_rng(9002)
+        u = _haar_unitary(rng, 2)
+        lam = np.array([EIGENVALUE_FLOOR * 0.999, 1 - EIGENVALUE_FLOOR * 0.999])
+        entries = (u * lam) @ u.conj().T
+        sym = (entries + entries.conj().T) / 2.0
+        assert qstate._certainly_above_floor(sym)
+        assert _eigvalsh_rule(entries) is None
+
+    def test_construction_calls_no_eigvalsh(self, eigvalsh_calls):
+        rng = np.random.default_rng(9003)
+        lay = SystemLayout([("A", 40)])
+        g = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+        w = g @ g.conj().T
+        rho = DensityMatrix(lay, w / np.trace(w).real)
+        PureState(lay, _haar_unitary(rng, 40)[:, 0]).to_density()
+        assert eigvalsh_calls == []
+        first = rho.spectrum
+        assert eigvalsh_calls == [(40, 40)]
+        assert rho.spectrum is first
+        assert eigvalsh_calls == [(40, 40)]
+        assert np.array_equal(first, np.linalg.eigvalsh(rho.entries))
+        with pytest.raises(ValueError):
+            first[0] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rho.spectrum = first.copy()
+
+    def test_small_states_keep_the_spectrum_of_their_check(self, gen, eigvalsh_calls):
+        d = qstate.CHOLESKY_MIN_DIM - 1
+        rho = gen.density(SystemLayout([("A", d)]))
+        assert eigvalsh_calls == [(d, d)]
+        assert not rho.spectrum.flags.writeable
+        assert eigvalsh_calls == [(d, d)]
+
+    def test_fallback_keeps_the_spectrum_it_computed(self, eigvalsh_calls):
+        rng = np.random.default_rng(9004)
+        u = _haar_unitary(rng, 512)
+        rho = DensityMatrix(SystemLayout([("A", 512)]), (u / 512) @ u.conj().T)
+        assert eigvalsh_calls == [(512, 512)]
+        spectrum = rho.spectrum
+        assert eigvalsh_calls == [(512, 512)]
+        assert np.array_equal(spectrum, np.linalg.eigvalsh(rho.entries))
+        assert not spectrum.flags.writeable
+
+    def test_concurrent_first_reads_agree(self):
+        rng = np.random.default_rng(9005)
+        lay = SystemLayout([("A", 40)])
+        states = []
+        for _ in range(12):
+            g = rng.standard_normal((40, 8)) + 1j * rng.standard_normal((40, 8))
+            w = g @ g.conj().T
+            states.append(DensityMatrix(lay, w / np.trace(w).real))
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [(i, pool.submit(lambda r: r.spectrum, rho))
+                           for i, rho in enumerate(states) for _ in range(8)]
+                reads = [(i, f.result(timeout=60)) for i, f in futures]
+        finally:
+            sys.setswitchinterval(switch)
+        for i, w in reads:
+            assert np.array_equal(w, states[i].spectrum)
+            assert np.array_equal(w, np.linalg.eigvalsh(states[i].entries))
 
 
 class TestTensorProduct:
