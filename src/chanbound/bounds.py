@@ -120,43 +120,32 @@ class TstResult:
     scanned: int
 
 
-def gamma_fn_from_hamiltonian(h: Hamiltonian) -> tuple[Callable[[int], Optional[float]], int]:
-    """Numeric gamma(d) handle for the T functional plus its largest valid d."""
+def gamma_fn_from_hamiltonian(h: Hamiltonian) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
+    """Numeric gamma handle, NaN outside [d_0, dim], for the T functional plus its largest valid d."""
 
-    def fn(d: int) -> Optional[float]:
-        if d < h.ground_multiplicity:
-            return None
-        return gamma(h, d)
+    def fn(ds: np.ndarray) -> np.ndarray:
+        vals = np.full(ds.shape, np.nan)
+        inside = (ds >= h.ground_multiplicity) & (ds <= h.dim)
+        vals[inside] = [gamma(h, d) for d in ds[inside]]
+        return vals
 
     return fn, h.dim
 
 
-def gamma_fn_from_oscillator(spec: OscillatorSpec) -> tuple[Callable[[int], Optional[float]], Optional[int]]:
-    """Closed-form gamma-hat handle; valid for every d above its domain floor."""
+def gamma_fn_from_oscillator(spec: OscillatorSpec) -> tuple[Callable[[np.ndarray], np.ndarray], Optional[int]]:
+    """Closed-form gamma-hat handle, NaN below its domain floor; valid for every larger d."""
     floor = oscillator_gamma_hat_domain_min(spec)
 
-    def fn(d: int) -> Optional[float]:
-        if d < floor:
-            return None
-        return oscillator_gamma_hat_unchecked(spec, d)
+    def fn(ds: np.ndarray) -> np.ndarray:
+        return np.where(ds < floor, np.nan, oscillator_gamma_hat_unchecked(spec, ds))
 
-    l = spec.modes
-    scale = (l / math.e) * spec.geometric_energy
-    shift = 2 * spec.ground_energy
-
-    def batch(ds: np.ndarray) -> np.ndarray:
-        vals = scale * ds.astype(float) ** (1.0 / l) - shift
-        vals[ds < floor] = np.nan
-        return vals
-
-    fn.batch = batch
     return fn, None
 
 
 def t_st(
     epsilon: float,
     e_bar: float,
-    gamma_fn: Callable[[int], Optional[float]],
+    gamma_fn: Callable[[np.ndarray], np.ndarray],
     s: int,
     t: int,
     d_cap: int = 10**6,
@@ -170,7 +159,8 @@ def t_st(
 
     The scan runs upward from the smallest feasible d and stops once the
     objective has increased for `patience` consecutive d past the incumbent
-    (the objective is not proven unimodal) or at the cap.
+    (the objective is not proven unimodal) or at the cap.  `gamma_fn` maps
+    an integer array of d to gamma(d), with NaN where d is outside its domain.
     """
     eps = float(epsilon)
     if eps < 0:
@@ -191,12 +181,7 @@ def t_st(
     while d <= hi and not stop:
         block_end = min(d + 65536, hi + 1)
         ds = np.arange(d, block_end)
-        if hasattr(gamma_fn, "batch"):
-            gams = gamma_fn.batch(ds)
-        else:
-            gams = np.array(
-                [g_val if (g_val := gamma_fn(int(dd))) is not None else np.nan for dd in ds]
-            )
+        gams = gamma_fn(ds)
         with np.errstate(invalid="ignore"):
             feasible = ~np.isnan(gams)
             feasible &= np.where(feasible, gams, -1.0) >= 2.0 * e_bar
@@ -231,6 +216,12 @@ def t_st(
             f"no feasible d <= {hi} with gamma(d) >= 2(E - E_0) = {2 * e_bar}"
         )
     return TstResult(value=best, d_star=best_d, scanned=scanned)
+
+
+def prop5_bound(epsilon: float, n: int, t_handle: Callable[[float], float]) -> float:
+    """n-copy output-CMI bound n (T(eps) + g(eps) + 2 eps log 2); n T(0) at eps = 0."""
+    eps = float(epsilon)
+    return n * (t_handle(eps) + g(eps) + 2.0 * eps * LOG2)
 
 
 def p_r(spec: OscillatorSpec, energy: float, epsilon: float, r: float) -> float:

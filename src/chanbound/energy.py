@@ -14,7 +14,7 @@ import threading
 import warnings
 import weakref
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .qstate import (
 
 DEGENERACY_TOL = 1e-9
 ENERGY_SOLVE_TOL = 1e-10
-INVERSE_SOLVE_TOL = 1e-10
 
 #: Gibbs weight on the top eigenvalue above which truncation is suspect.
 TAIL_WARN_THRESHOLD = 1e-8
@@ -116,6 +115,26 @@ def _mean_energy(eigenvalues: np.ndarray, lam: float) -> float:
     return float(_gibbs_weights(eigenvalues, lam) @ eigenvalues)
 
 
+def _bisect(fn: Callable[[float], float], target: float, lo: float, hi: float, tol: float) -> float:
+    """Root of the decreasing fn(x) = target in [lo, hi] by bisection.
+
+    Returns the first midpoint within tol of the target, or the midpoint
+    once [lo, hi] no longer halves in floating point.
+    """
+    for _ in range(300):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        value = fn(mid)
+        if value > target:
+            lo = mid
+        else:
+            hi = mid
+        if abs(value - target) <= tol:
+            return mid
+    return 0.5 * (lo + hi)
+
+
 def gibbs_lambda(h: Hamiltonian, energy: float) -> float:
     """Inverse-temperature parameter matching the prescribed mean energy."""
     ev = h.eigenvalues
@@ -140,16 +159,7 @@ def gibbs_lambda(h: Hamiltonian, energy: float) -> float:
             lo, hi = lo * 2.0, lo
             if lo < -1e12:
                 raise EnergyDomainError(f"energy {energy} too close to the top energy")
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        e_mid = _mean_energy(ev, mid)
-        if e_mid > energy:
-            lo = mid
-        else:
-            hi = mid
-        if abs(e_mid - energy) <= ENERGY_SOLVE_TOL:
-            return mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda lam: _mean_energy(ev, lam), energy, lo, hi, ENERGY_SOLVE_TOL)
 
 
 def gibbs_spectrum(h: Hamiltonian, energy: float) -> np.ndarray:
@@ -204,7 +214,12 @@ def f_bar(h: Hamiltonian, e_bar: float) -> float:
 
 
 def f_bar_inverse(h: Hamiltonian, y: float) -> float:
-    """Inverse of f_bar by bisection; domain [log d_0, log dim]."""
+    """Inverse of f_bar on [log d_0, log dim], by one solve in lambda.
+
+    The Gibbs entropy S(lambda) falls from log dim at lambda = 0 toward
+    log d_0; S(lambda) = y is bisected, and the Gibbs mean energy above E_0
+    at that lambda is returned.
+    """
     lo_y = math.log(h.ground_multiplicity)
     hi_y = math.log(h.dim)
     if y < lo_y - 1e-12:
@@ -213,20 +228,21 @@ def f_bar_inverse(h: Hamiltonian, y: float) -> float:
         raise EnergyDomainError(f"target {y} above log dim = {hi_y}")
     if y <= lo_y:
         return 0.0
-    hi = h.uniform_energy - h.ground_energy
     if y >= hi_y:
-        return hi
-    lo = 0.0
-    with warnings.catch_warnings():
-        # probe energies are solver internals, not user-requested states
-        warnings.simplefilter("ignore", TruncationTailWarning)
-        while hi - lo > INVERSE_SOLVE_TOL:
-            mid = 0.5 * (lo + hi)
-            if f_bar(h, mid) < y:
-                lo = mid
-            else:
-                hi = mid
-    return 0.5 * (lo + hi)
+        return h.uniform_energy - h.ground_energy
+    ev = h.eigenvalues - h.ground_energy
+
+    def entropy(lam: float) -> float:
+        w = _gibbs_weights(ev, lam)
+        w = w[w > 0.0]
+        return float(-w @ np.log(w))
+
+    lo, hi = 0.0, 1.0
+    while entropy(hi) > y:
+        lo, hi = hi, hi * 2.0
+        if hi > 1e12:
+            raise EnergyDomainError(f"target {y} too close to log d_0 = {lo_y}")
+    return _mean_energy(ev, _bisect(entropy, y, lo, hi, 0.0))
 
 
 _gamma_lock = threading.Lock()
@@ -315,7 +331,8 @@ def oscillator_gamma_hat_domain_min(spec: OscillatorSpec) -> int:
     return d
 
 
-def oscillator_gamma_hat_unchecked(spec: OscillatorSpec, d: int) -> float:
+def oscillator_gamma_hat_unchecked(spec: OscillatorSpec, d):
+    """(l/e) E_* d^(1/l) - 2 E_0 for an integer d, or elementwise on an integer array."""
     l = spec.modes
     return (l / math.e) * spec.geometric_energy * d ** (1.0 / l) - 2 * spec.ground_energy
 

@@ -168,8 +168,7 @@ def _eval_bound(name: str, p: dict) -> float:
         if name == "t_st":
             return t_fn(int(p.get("t", 0)), eps)
         if name == "prop5":
-            n = int(p.get("n", 1))
-            return n * (t_fn(int(p.get("t", 0)), eps) + bnd.g(eps) + 2 * eps * LOG2)
+            return bnd.prop5_bound(eps, int(p.get("n", 1)), lambda e: t_fn(int(p.get("t", 0)), e))
         if name == "prop8":
             return bnd.prop8_bound(eps, lambda e: t_fn(0, e))
         return bnd.theorem2_bound(name.split("_", 1)[1], eps, t_fn)

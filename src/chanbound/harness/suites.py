@@ -467,7 +467,7 @@ def _prop5_draw(c, gen: Generators, trial: int):
     t_flag = 0 if all(e <= e_cap + 1e-9 for e in energies) else 1
     return [_channel_variation(
         c.config, f"prop5_n{n}_t{t_flag}", _channel_pair(gen, c.dims), lambda ch: _n_copy_cmi(ch, n, rho),
-        lambda eps: n * (c.t_at(eps, t_flag) + g(eps) + 2.0 * eps * math.log(2.0)), c.constraint,
+        lambda eps: bnd.prop5_bound(eps, n, lambda e: c.t_at(e, t_flag)), c.constraint,
         per_copy_energies=energies, **c.certs,
     )]
 

@@ -15,6 +15,7 @@ from chanbound.bounds import (
     prop2_bound,
     prop3_bound,
     prop4_bound,
+    prop5_bound,
     prop6_bound,
     prop7_bound,
     prop8_bound,
@@ -23,7 +24,16 @@ from chanbound.bounds import (
     theorem2_bound,
 )
 from chanbound.channels import ErasureSpec, erasure_channel
-from chanbound.energy import Hamiltonian, OscillatorSpec, f_h, oscillator_f, oscillator_f_bar
+from chanbound.energy import (
+    Hamiltonian,
+    OscillatorSpec,
+    f_h,
+    gamma,
+    oscillator_f,
+    oscillator_f_bar,
+    oscillator_gamma_hat,
+    oscillator_gamma_hat_domain_min,
+)
 
 LOG2 = math.log(2.0)
 
@@ -149,6 +159,14 @@ class TestPropositionEvaluators:
         for eps in (0.05, 0.3, 0.9):
             assert prop7_bound(eps, fbar, 1.0) == prop3_bound(eps, fbar, 1.0)
 
+    def test_prop5_composite_structure(self):
+        t_handle = lambda e: 1.5 + e
+        for eps in EPS_GRID:
+            oracle = 2 * ((1.5 + eps) + g_oracle(eps) + 2 * eps * LOG2)
+            assert rel_err(prop5_bound(eps, 2, t_handle), oracle) < 1e-12
+        # no epsilon-zero shortcut: the T functional keeps its d-minimum at eps = 0
+        assert prop5_bound(0.0, 2, t_handle) == 3.0
+
     def test_prop8_composite_structure(self):
         t_handle = lambda e: 1.5 + e
         for eps in EPS_GRID:
@@ -207,6 +225,40 @@ class TestTFunctional:
 
         with pytest.raises(QStateError):
             t_st(0.1, 5.0, gamma_fn, s=0, t=0, d_max=d_max)
+
+    def test_handles_are_nan_outside_their_domain(self):
+        h = Hamiltonian(np.array([0.5, 0.5, 1.0, 2.0, 4.0]))
+        gamma_fn, _ = gamma_fn_from_hamiltonian(h)
+        ds = np.arange(1, 8)
+        want = [gamma(h, d) if 2 <= d <= 5 else np.nan for d in ds]
+        np.testing.assert_array_equal(gamma_fn(ds), want)
+        floor = oscillator_gamma_hat_domain_min(self.spec)
+        ds = np.arange(1, floor + 3)
+        want = [oscillator_gamma_hat(self.spec, d) if d >= floor else np.nan for d in ds]
+        np.testing.assert_array_equal(self.gamma_fn(ds), want)
+
+    @pytest.mark.parametrize("s", [0, 1])
+    def test_numeric_handle_matches_direct_scan_oracle_exactly(self, s):
+        h = Hamiltonian(np.array([0.0, 1.0, 2.0, 3.0]))
+        gamma_fn, d_max = gamma_fn_from_hamiltonian(h)
+        for e_bar in (0.0, 0.1, 0.3):
+            for eps in (0.0, 0.05, 0.2):
+                for t in (0, 1):
+                    got = t_st(eps, e_bar, gamma_fn, s=s, t=t, d_max=d_max)
+                    best_val, best_d = math.inf, 0
+                    for d in range(h.ground_multiplicity, h.dim + 1):
+                        gam = gamma(h, d)
+                        if gam < 2 * e_bar or (e_bar > 0 and gam <= 0):
+                            continue
+                        ratio = 2.0**s * e_bar / gam if gam > 0 else 0.0
+                        r = math.sqrt(ratio)
+                        obj = (4.0 * r + 4.0 * s * t * ratio + 2.0 * eps) * math.log(d) + 4.0 * (
+                            (r + 1.0) * math.log(r + 1.0) - (r * math.log(r) if r > 0 else 0.0)
+                        )
+                        if obj < best_val:
+                            best_val, best_d = obj, d
+                    assert got.value == best_val
+                    assert got.d_star == best_d
 
     def test_numeric_handle_small_spectrum(self):
         h = Hamiltonian(np.array([0.0, 1.0, 2.0, 3.0]))

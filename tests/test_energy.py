@@ -213,6 +213,37 @@ class TestMaxEntropyFunctions:
         for e_bar in (0.4, 1.3, 4.0):
             assert abs(f_bar_inverse(h, f_bar(h, e_bar)) - e_bar) < 1e-8
 
+    @pytest.mark.parametrize("kind", ["levels", "arange8", "degenerate", "osc40"])
+    def test_gamma_matches_mpmath(self, kind):
+        # gamma(d) = f_bar^{-1}(log d) against a 40-digit root of the Gibbs entropy in lambda
+        mp = pytest.importorskip("mpmath").mp
+        h = {
+            "levels": Hamiltonian(np.array([0.0, 1.0, 2.0, 3.0])),
+            "arange8": Hamiltonian(np.arange(8.0)),
+            "degenerate": Hamiltonian(np.array([0.5, 0.5, 1.0, 2.0, 4.0])),
+            "osc40": OscillatorSpec(1, (1.0,), truncation=40).to_hamiltonian(),
+        }[kind]
+        top = 30 if kind == "osc40" else h.dim - 1
+        with mp.workdps(40):
+            shifted = [mp.mpf(float(e)) - mp.mpf(h.ground_energy) for e in h.eigenvalues]
+
+            def weights(lam):
+                w = [mp.exp(-lam * e) for e in shifted]
+                z = mp.fsum(w)
+                return [x / z for x in w]
+
+            def entropy(lam):
+                return -mp.fsum(w * mp.log(w) for w in weights(lam))
+
+            for d in range(h.ground_multiplicity + 1, top + 1):
+                y = mp.log(d)
+                lo, hi = mp.mpf(0), mp.mpf(1)
+                while entropy(hi) > y:
+                    lo, hi = hi, 2 * hi
+                lam = mp.findroot(lambda x: entropy(x) - y, (lo, hi), solver="anderson")
+                ref = mp.fsum(w * e for w, e in zip(weights(lam), shifted))
+                assert abs(gamma(h, d) - float(ref)) <= 1e-12
+
     def test_inverse_domain_checks(self):
         h = Hamiltonian(np.array([0.0, 0.0, 1.0]))
         with pytest.raises(EnergyDomainError):
