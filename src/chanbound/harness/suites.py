@@ -641,7 +641,8 @@ def _metrics_draw(config: CampaignConfig, gen: Generators, trial: int):
     if trial % 5 == 0:
         phi, psi = _channel_pair(gen, (2, 2, 2))
         br, _ = _bracketed(config, phi, psi, "bures_bracket")
-        dia = diamond_bracket(phi, psi, tol=config.budget("bracket_tol", 1e-6), seed=trial, bures_bracket=br)
+        dia = diamond_bracket(phi, psi, budget=config.budget("bracket_budget", 500),
+                              tol=config.budget("bracket_tol", 1e-6))
         brute = bures_sup_bruteforce(phi, psi, samples=config.budget("brute_samples", 4000), seed=trial)
         rows += [
             _le("half_diamond_le_beta", 0.5 * dia.lower, br.upper + 1e-6),

@@ -9,16 +9,14 @@ a false counterexample to a proven statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Optional, get_type_hints
 
 PASS = "PASS"
 INCONCLUSIVE = "INCONCLUSIVE"
 VIOLATION = "VIOLATION"
 
 DEFAULT_TOL = 1e-9
-
-CSV_HEADER = "suite,trial,bound_name,lhs,eps_lo,eps_hi,rhs_lo,rhs_hi,outcome"
 
 
 def classify(lhs: float, rhs_at_lower: float, rhs_at_upper: float, tol: float = DEFAULT_TOL) -> str:
@@ -87,51 +85,28 @@ class BoundVerdict:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trial": self.trial,
-            "bound_name": self.bound_name,
-            "lhs": self.lhs,
-            "eps_lo": self.eps_lo,
-            "eps_hi": self.eps_hi,
-            "rhs_lo": self.rhs_lo,
-            "rhs_hi": self.rhs_hi,
-            "outcome": self.outcome,
-            "certificates": self.certificates,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_csv_row(self) -> str:
-        cells = [
-            self.suite,
-            str(self.trial),
-            self.bound_name,
-            _fmt(self.lhs),
-            _fmt(self.eps_lo),
-            _fmt(self.eps_hi),
-            _fmt(self.rhs_lo),
-            _fmt(self.rhs_hi),
-            self.outcome,
-        ]
-        return ",".join(cells)
+        return _csv_row(self, CSV_HEADER)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# the CSV columns: every field but the certificates, in declaration order
+CSV_HEADER = ",".join(f.name for f in fields(BoundVerdict) if f.name != "certificates")
+_VERDICT_TYPES = get_type_hints(BoundVerdict)
+
+
+def _csv_row(record, header: str) -> str:
+    """The record's fields named in `header`: text and integers as they are, None empty, floats to 17 digits."""
+    cells = (getattr(record, name) for name in header.split(","))
+    return ",".join("" if x is None else str(x) if isinstance(x, (str, int)) else format(float(x), ".17g")
+                    for x in cells)
 
 
 def verdict_from_dict(doc: dict) -> BoundVerdict:
-    return BoundVerdict(
-        suite=str(doc["suite"]),
-        trial=int(doc["trial"]),
-        bound_name=str(doc["bound_name"]),
-        lhs=float(doc["lhs"]),
-        eps_lo=float(doc["eps_lo"]),
-        eps_hi=float(doc["eps_hi"]),
-        rhs_lo=float(doc["rhs_lo"]),
-        rhs_hi=float(doc["rhs_hi"]),
-        outcome=str(doc["outcome"]),
-        certificates=dict(doc.get("certificates", {})),
-    )
+    """Inverse of `BoundVerdict.to_dict`: each column cast to its declared type; certificates may be absent."""
+    return BoundVerdict(**{name: _VERDICT_TYPES[name](doc[name]) for name in CSV_HEADER.split(",")},
+                        certificates=dict(doc.get("certificates", {})))
 
 
 def summarize(verdicts) -> dict:
@@ -170,35 +145,9 @@ class SweepRow:
     bound: float
     ratio: float
 
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "capacity": self.capacity,
-            "variable": self.variable,
-            "value": self.value,
-            "x": self.x,
-            "r": self.r,
-            "delta": self.delta,
-            "epsilon": self.epsilon,
-            "bound": self.bound,
-            "ratio": self.ratio,
-        }
 
-
-SWEEP_CSV_HEADER = "family,capacity,variable,value,x,r,delta,epsilon,bound,ratio"
+SWEEP_CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
 def sweep_row_to_csv(row: SweepRow) -> str:
-    cells = [
-        row.family,
-        row.capacity,
-        row.variable,
-        _fmt(row.value),
-        _fmt(row.x),
-        "" if row.r is None else _fmt(row.r),
-        _fmt(row.delta),
-        _fmt(row.epsilon),
-        _fmt(row.bound),
-        _fmt(row.ratio),
-    ]
-    return ",".join(cells)
+    return _csv_row(row, SWEEP_CSV_HEADER)

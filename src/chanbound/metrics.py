@@ -1,16 +1,15 @@
 """Distances between states, ensembles, and channels.
 
 Channel distances defined by optimization (Bures, diamond) are never
-reported as point values: they come back as certified brackets.  The
-channel Bures distance is beta = sqrt(2 - 2 F), where the root fidelity
+reported as point values: they come back as certified brackets from one
+log-barrier path solver, `_SaddleTracker`.  The channel Bures distance is
+beta = sqrt(2 - 2 F), where the root fidelity
 F = min_rho ||Tr_B(V_psi rho V_phi*)||_1 (optionally over Tr[H rho] <= E)
-is a small SDP.  `channel_bures_bracket` follows a log-barrier path on its
-dual and evaluates two witnesses after every centering: the normalised
-dual block, retracted onto the feasible inputs, gives the lower endpoint
-through its exact overlap norm, and environment contractions give the
-upper endpoint through the exact constrained minimum of their pinched
-Hermitian form and its Lagrange multiplier.  Every endpoint is such an
-evaluation, so solver accuracy moves the width, never the soundness.
+is a small SDP; the diamond distance is Watrous's SDP on the Choi matrix
+of Phi - Psi.  After every centering the path's input state and dual point
+are evaluated exactly (an overlap or output trace norm, and a dual value
+with its multiplier), and only these evaluations become endpoints, so
+solver accuracy moves the width, never the soundness.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from scipy.optimize import linprog
 from .channels import StinespringChannel, common_stinespring
 from .energy import EnergyCap, EnergyDomainError, Hamiltonian, mix_to_cap
 from .entropic import Ensemble
-from .qstate import DensityMatrix, QStateError, SystemLayout, trace_norm
+from .qstate import DensityMatrix, QStateError, trace_norm
 
 BRACKET_TOL = 1e-6
 
@@ -114,7 +113,8 @@ class Bracket:
     """Certified interval for an optimization-defined quantity.
 
     `lower` is achieved by `lower_state` (a feasible input), `upper` is the
-    dual value of `upper_contraction` with multiplier `upper_multiplier`.
+    dual value of `upper_contraction` (an environment contraction for Bures,
+    the dual matrix Z for the diamond norm) with multiplier `upper_multiplier`.
     """
 
     lower: float
@@ -294,6 +294,11 @@ def channel_bures_bracket(
     certified endpoints with converged=False, never an exception.  `seed`
     is ignored: the bracket is deterministic.
     """
+    return _solve_bracket(_SaddleTracker, phi, psi, constraint, budget, tol)
+
+
+def _solve_bracket(tracker, phi, psi, constraint, budget: int, tol: float) -> Bracket:
+    """Bracket from `tracker`, a `_SaddleTracker` class, on a common dilation of phi and psi."""
     if phi.d_a != psi.d_a or phi.d_b != psi.d_b:
         raise QStateError("channels must share input and output dimensions")
     if (phi.d_b, phi.d_e) == (psi.d_b, psi.d_e):
@@ -304,16 +309,16 @@ def channel_bures_bracket(
         v_phi, v_psi = cph.isometry, cps.isometry
         d_b, d_e = cph.d_b, cph.d_e
     if constraint is None:
-        return _SaddleTracker(v_phi, v_psi, d_b, d_e, None).bracket(budget, tol)
+        return tracker(v_phi, v_psi, d_b, d_e, None).bracket(budget, tol)
     ham = constraint.hamiltonian
     if ham.dim != phi.d_a:
         raise QStateError("constraint Hamiltonian does not match the input dimension")
     cap = EnergyCap(ham, constraint.bound)
     if cap.bound > ham.ground_energy:
-        return _SaddleTracker(v_phi, v_psi, d_b, d_e, cap).bracket(budget, tol)
+        return tracker(v_phi, v_psi, d_b, d_e, cap).bracket(budget, tol)
     basis = ham.eigenbasis if ham.eigenbasis is not None else np.eye(ham.dim, dtype=np.complex128)
     basis = basis[:, ham.eigenvalues <= cap.bound]
-    br = _SaddleTracker(v_phi @ basis, v_psi @ basis, d_b, d_e, None).bracket(budget, tol)
+    br = tracker(v_phi @ basis, v_psi @ basis, d_b, d_e, None).bracket(budget, tol)
     rho = basis @ br.lower_state @ basis.conj().T
     return replace(br, lower_state=rho, lower_state_energy=cap.energy(rho))
 
@@ -337,26 +342,25 @@ def _lmi_barrier(f: np.ndarray, basis: np.ndarray):
 
 
 class _SaddleTracker:
-    """Barrier path for the dual SDP of the root fidelity; keeps the best certified endpoints.
+    """Barrier path for a small SDP in LMI form; keeps the best certified endpoints.
 
-    The dual is  max t - mu E  over the contraction C (2 d_e^2 real
-    coordinates), t and mu >= 0, subject to M(C) + mu H - t I >= 0 (the
-    d_a block F1) and [[I, C], [C*, I]] >= 0 (the 2 d_e block F2), where
-    M(C) = `_hermitian_pinch` is real-linear in C; without a cap mu and its
-    terms are dropped.  The solver shifts H and E by E_0 (t absorbs mu E_0),
-    so t stays of order one.  Each centering minimizes
-    tau (mu E - t) - log det F1 - log det F2 - log mu by damped Newton
-    steps; feasibility of a step is tested by Cholesky factorization,
-    halving the step until it succeeds.
-
-    After each centering two witnesses are certified.  The dual block
-    F1^-1 / tau, retracted onto the feasible set by `_polish_state`, is an
-    input state whose overlap norm gives the lower endpoint; the strict
-    contraction C, and the Uhlmann contraction (polar factor) of that
-    state's overlap, are re-evaluated by `polish_dual` through the exact
-    constrained minimum of M(C) for the upper endpoint.  The solver's
-    iterates enter the bracket only through these evaluations, so an
+    The SDP minimizes objective . y subject to C_i + sum_k y_k A_i[k] > 0
+    for each block (C_i, A_i) of `_lmi` and, under a cap, mu = y[-1] > 0.
+    mu enters the first block as mu (H - E_0) and the objective as
+    mu (E - E_0), so t stays of order one however large mu grows.  Each
+    centering minimizes tau objective . y minus the log det of every block
+    (and log mu) by damped Newton steps, halving a step until Cholesky
+    accepts it.  After each centering `_certify` turns the iterate into
+    witnesses, and only their exact evaluations become endpoints, so an
     inaccurate or failed solve can only leave the bracket wider.
+
+    This class solves the dual of the root fidelity:  max t - mu E  over the
+    contraction C, t and mu >= 0, subject to M(C) + mu H - t I >= 0 (the d_a
+    block F1) and [[I, C], [C*, I]] >= 0, where M(C) = `_hermitian_pinch` is
+    real-linear in C.  The dual block F1^-1 / tau, retracted by
+    `_polish_state`, is an input state whose overlap norm gives the lower
+    endpoint; `polish_dual` certifies the path's C and the Uhlmann
+    contraction of that state through the exact constrained minimum of M(C).
     """
 
     def __init__(self, v_phi, v_psi, d_b, d_e, cap: Optional[EnergyCap]):
@@ -365,66 +369,60 @@ class _SaddleTracker:
         self.cap = cap
         self.h_mat = cap.operator if cap is not None else None
         self.e_cap = cap.bound if cap is not None else None
-        self.low_sq = 0.0  # certified lower bound on beta^2
-        self.up_sq = 2.0
+        self.lower, self.upper = -math.inf, math.inf
         self.low_state = None
         self.low_energy = None
         self.up_contraction = None
         self.up_mu = 0.0
         self.iterations = 0
+        blocks, objective, y0 = self._lmi()
+        if cap is not None:
+            # mu enters the first block, whose barrier dual is the input state, as mu (H - E_0)
+            e_0 = cap.hamiltonian.ground_energy
+            terms = [self.h_mat - e_0 * np.eye(len(self.h_mat))] + [np.zeros_like(c) for c, _ in blocks[1:]]
+            blocks = [(c, np.concatenate([a, term[None]])) for (c, a), term in zip(blocks, terms)]
+            objective, y0 = np.append(objective, self.e_cap - e_0), np.append(y0, 1.0)
+        self.blocks, self.objective, self.y0 = blocks, objective, y0
+        self.nu = sum(len(c) for c, _ in blocks) + (cap is not None)  # barrier parameter
 
-        # the blocks as linear maps of y = (Re C, Im C, t[, mu]): F1 = sum_k y_k
-        # f1[k], F2 = I + sum_k y_k f2[k]; M(E_ef) = Herm(k_ef) with
-        # k_ef[a, c] = sum_b conj(V_phi[b, e, a]) V_psi[b, f, c]
-        d_a = v_phi.shape[1]
+    def _lmi(self):
+        """Blocks, objective and start point over y = (Re C, Im C, t), with F1 = I at the start.
+
+        M(E_ef) = Herm(k_ef) with k_ef[a, c] = sum_b conj(V_phi[b, e, a]) V_psi[b, f, c].
+        """
+        d_a, d_b, d_e = self.v_phi.shape[1], self.d_b, self.d_e
         n_c = d_e * d_e
-        k = np.einsum("bea,bfc->efac", v_phi.reshape(d_b, d_e, d_a).conj(),
-                      v_psi.reshape(d_b, d_e, d_a)).reshape(n_c, d_a, d_a)
+        k = np.einsum("bea,bfc->efac", self.v_phi.reshape(d_b, d_e, d_a).conj(),
+                      self.v_psi.reshape(d_b, d_e, d_a)).reshape(n_c, d_a, d_a)
         k = np.concatenate([k, 1j * k])
-        blocks = [(k + k.conj().transpose(0, 2, 1)) / 2.0, -np.eye(d_a)[None]]
+        f1 = np.concatenate([(k + k.conj().transpose(0, 2, 1)) / 2.0, -np.eye(d_a)[None]])
         unit = np.eye(n_c).reshape(n_c, d_e, d_e)
         zero = np.zeros_like(unit)
-        f2 = [np.block([[zero, unit], [unit.transpose(0, 2, 1), zero]]),
-              np.block([[zero, 1j * unit], [-1j * unit.transpose(0, 2, 1), zero]])]
-        y0 = [np.zeros(2 * n_c), [-1.0]]
-        self.objective = np.zeros(2 * n_c + 1)  # minimized: mu E - t
-        self.objective[-1] = -1.0
-        self.nu = d_a + 2 * d_e  # barrier parameter
-        if cap is not None:
-            # H - E_0 and E - E_0 keep t at the scale of M(C) however large mu grows
-            e_0 = cap.hamiltonian.ground_energy
-            blocks.append(self.h_mat[None] - e_0 * np.eye(d_a))
-            y0[1] = [-1.0, 1.0]
-            self.objective = np.append(self.objective, self.e_cap - e_0)
-            self.nu += 1
-        self.f1 = np.concatenate(blocks).astype(np.complex128)
-        self.f2 = np.concatenate(f2 + [np.zeros((len(self.f1) - 2 * n_c, 2 * d_e, 2 * d_e))])
-        self.y0 = np.concatenate(y0)
+        f2 = np.concatenate([np.block([[zero, unit], [unit.transpose(0, 2, 1), zero]]),
+                             np.block([[zero, 1j * unit], [-1j * unit.transpose(0, 2, 1), zero]]),
+                             np.zeros((1, 2 * d_e, 2 * d_e))])
+        objective = np.append(np.zeros(2 * n_c), -1.0)  # minimized: mu E - t
+        y0 = np.append(np.zeros(2 * n_c), -1.0)
+        return [(np.zeros((d_a, d_a)), f1), (np.eye(2 * d_e), f2)], objective, y0
 
-    def offer_lower(self, tn: float, rho: np.ndarray):
-        cand = 2.0 - 2.0 * tn
-        if cand > self.low_sq or self.low_state is None:
-            self.low_sq = max(cand, 0.0)
+    def offer_lower(self, value: float, rho: np.ndarray):
+        if value > self.lower:
+            self.lower = value
             self.low_state = rho
-            self.low_energy = (
-                float(np.einsum("ij,ji->", self.h_mat, rho).real) if self.h_mat is not None else None
-            )
+            self.low_energy = self.cap.energy(rho) if self.cap is not None else None
 
-    def offer_upper(self, dual: float, contraction: np.ndarray, mu: float):
-        cand = 2.0 - 2.0 * dual
-        if cand < self.up_sq or self.up_contraction is None:
-            self.up_sq = max(cand, 0.0)
-            self.up_contraction = contraction
+    def offer_upper(self, value: float, witness: np.ndarray, mu: float):
+        if value < self.upper:
+            self.upper = value
+            self.up_contraction = witness
             self.up_mu = mu
 
     @property
     def width(self) -> float:
-        return math.sqrt(max(self.up_sq, 0.0)) - math.sqrt(max(self.low_sq, 0.0))
+        return self.upper - self.lower
 
     def _blocks(self, y: np.ndarray):
-        f1 = np.tensordot(y, self.f1, 1)
-        f2 = np.eye(2 * self.d_e) + np.tensordot(y, self.f2, 1)
-        return f1, f2
+        return [c + np.tensordot(y, a, 1) for c, a in self.blocks]
 
     def _feasible(self, y: np.ndarray) -> bool:
         if self.cap is not None and not y[-1] > 0.0:
@@ -438,11 +436,9 @@ class _SaddleTracker:
 
     def _newton_step(self, y: np.ndarray, tau: float):
         """Newton direction of the centering objective at tau, and its squared decrement."""
-        f1, f2 = self._blocks(y)
-        g1, h1 = _lmi_barrier(f1, self.f1)
-        g2, h2 = _lmi_barrier(f2, self.f2)
-        grad = tau * self.objective + g1 + g2
-        hess = h1 + h2
+        barriers = [_lmi_barrier(f, a) for f, (_, a) in zip(self._blocks(y), self.blocks)]
+        grad = sum((g for g, _ in barriers), tau * self.objective)
+        hess = sum(h for _, h in barriers)
         if self.cap is not None:
             grad[-1] -= 1.0 / y[-1]
             hess[-1, -1] += 1.0 / y[-1] ** 2
@@ -451,7 +447,7 @@ class _SaddleTracker:
         return step, float(-grad @ step)
 
     def descend(self, budget: int, tol: float):
-        """Follow the barrier path from C = 0, certifying the start and every centering.
+        """Follow the barrier path from the start point, certifying it and every centering.
 
         tau grows 20-fold per centering; each centering takes at most 80
         damped Newton steps (step 1 / (1 + lambda) while the decrement lambda
@@ -485,12 +481,11 @@ class _SaddleTracker:
             return
 
     def _certify(self, y: np.ndarray):
-        f1, _ = self._blocks(y)
-        s = np.linalg.inv(np.linalg.cholesky(f1))
+        s = np.linalg.inv(np.linalg.cholesky(self._blocks(y)[0]))
         rho = _polish_state(s.conj().T @ s, self.cap)
         x = _env_overlap(self.v_phi, self.v_psi, rho, self.d_b, self.d_e)
         uhlmann, tn = _polar_contraction(x)
-        self.offer_lower(tn, rho)
+        self.offer_lower(math.sqrt(max(2.0 - 2.0 * tn, 0.0)), rho)
         n_c = self.d_e * self.d_e
         self.polish_dual((y[:n_c] + 1j * y[n_c:2 * n_c]).reshape(self.d_e, self.d_e))
         self.polish_dual(uhlmann)
@@ -499,22 +494,77 @@ class _SaddleTracker:
         """Certify a contraction: the exact constrained minimum of M(c), with its multiplier."""
         m = _hermitian_pinch(self.v_phi, self.v_psi, c, self.d_b)
         _, dual, mu = _constrained_minimum(m, self.h_mat, self.e_cap)
-        self.offer_upper(dual, c, mu)
+        self.offer_upper(math.sqrt(max(2.0 - 2.0 * dual, 0.0)), c, mu)
 
     def bracket(self, budget: int, tol: float) -> Bracket:
         self.descend(budget, tol)
-        low = math.sqrt(max(self.low_sq, 0.0))
-        up = math.sqrt(max(self.up_sq, 0.0))
         return Bracket(
-            lower=min(low, up + 1e-12),
-            upper=up,
+            lower=min(self.lower, self.upper),
+            upper=self.upper,
             iterations=self.iterations,
-            converged=(up - low) <= tol,
+            converged=self.width <= tol,
             lower_state=self.low_state,
             upper_contraction=self.up_contraction,
             upper_multiplier=self.up_mu,
             lower_state_energy=self.low_energy,
         )
+
+
+def _hermitian_basis(n: int) -> np.ndarray:
+    """E_ii, E_ij + E_ji and i (E_ij - E_ji) for i < j: a real basis of the n x n Hermitian matrices."""
+    e = np.eye(n * n).reshape(n, n, n, n)
+    i, j = np.triu_indices(n, 1)
+    diag = np.arange(n)
+    return np.concatenate([e[diag, diag], e[i, j] + e[j, i], 1j * (e[i, j] - e[j, i])])
+
+
+class _DiamondTracker(_SaddleTracker):
+    """Barrier path for Watrous's SDP of the (energy-constrained) diamond norm.
+
+    1/2 ||Phi - Psi||_diamond = min t + mu (E - E_0) over Hermitian Z on
+    B (x) R, t and mu >= 0, subject to t I - Tr_B Z + mu (H - E_0) >= 0,
+    Z - J >= 0 and Z >= 0 (Watrous, arXiv:1207.5726; the cap's multiplier as
+    in Shirokov, arXiv:1706.00361).  J is the complex conjugate of the Choi
+    matrix of Phi - Psi, so the first block's barrier dual is the channel
+    input rho itself, not its conjugate on R.  The lower endpoint is
+    ||((Phi - Psi) (x) id)(psi)||_1 = ||(1 (x) sqrt(rho)) J (1 (x) sqrt(rho))||_1
+    at the purification psi of rho after `_polish_state`.  The upper one is
+    twice the dual value of Z + delta I at the least feasible t, capped at
+    2, where delta = max(0, -lambda_min(Z - J), -lambda_min(Z)).
+    """
+
+    def __init__(self, v_phi, v_psi, d_b, d_e, cap: Optional[EnergyCap]):
+        d_r = v_phi.shape[1]
+        w_phi, w_psi = (v.reshape(d_b, d_e, d_r).transpose(0, 2, 1).reshape(d_b * d_r, d_e).conj()
+                        for v in (v_phi, v_psi))
+        self.choi = w_phi @ w_phi.conj().T - w_psi @ w_psi.conj().T
+        super().__init__(v_phi, v_psi, d_b, d_e, cap)
+
+    def _lmi(self):
+        """Blocks, objective and start point over y = (Z, t), from Z = (lambda_max(J)+ + 1) I."""
+        d_b, d_r = self.d_b, self.v_phi.shape[1]
+        n = d_b * d_r
+        basis = _hermitian_basis(n)
+        z = np.concatenate([basis, np.zeros((1, n, n))])
+        tr_b = np.einsum("kbrbs->krs", basis.reshape(-1, d_b, d_r, d_b, d_r))
+        state = np.concatenate([-tr_b, np.eye(d_r)[None]])
+        c = max(np.linalg.eigvalsh(self.choi)[-1], 0.0) + 1.0
+        objective = np.append(np.zeros(n * n), 1.0)  # minimized: t + mu (E - E_0)
+        y0 = np.append(np.repeat([c, 0.0], [n, n * n - n]), c * d_b + 1.0)
+        return [(np.zeros((d_r, d_r)), state), (-self.choi, z), (np.zeros((n, n)), z)], objective, y0
+
+    def _certify(self, y: np.ndarray):
+        state, _, z = self._blocks(y)
+        s = np.linalg.inv(np.linalg.cholesky(state))
+        rho = _polish_state(s.conj().T @ s, self.cap)
+        root = np.kron(np.eye(self.d_b), _sqrt_psd(rho))
+        out = root @ self.choi @ root
+        self.offer_lower(trace_norm((out + out.conj().T) / 2.0), rho)  # exactly Hermitian: |eigvalsh|
+        # Z + delta I lowers the state block by delta d_b I; the least t keeping it PSD gives the dual value
+        delta = max(0.0, -np.linalg.eigvalsh(z - self.choi)[0], -np.linalg.eigvalsh(z)[0])
+        value = float(self.objective @ y) + delta * self.d_b - float(np.linalg.eigvalsh(state)[0])
+        mu = float(y[-1]) if self.cap is not None else 0.0
+        self.offer_upper(min(2.0 * value, 2.0), z + delta * np.eye(len(z)), mu)
 
 
 def _polish_state(z: np.ndarray, cap: Optional[EnergyCap]) -> np.ndarray:
@@ -532,95 +582,24 @@ def _extend_isometry(v: np.ndarray, d_r: int) -> np.ndarray:
     return np.kron(v, np.eye(d_r))
 
 
-def _extended_kraus(ch: StinespringChannel, d_r: int) -> np.ndarray:
-    """Kraus operators K_e (x) I_R of Phi (x) id_R: the blocks of the extended isometry V (x) I_R."""
-    w = _extend_isometry(ch.isometry, d_r).reshape(ch.d_b, ch.d_e, d_r, -1)
-    return w.swapaxes(0, 1).reshape(ch.d_e, ch.d_b * d_r, -1)
-
-
 def diamond_bracket(
     phi: StinespringChannel,
     psi: StinespringChannel,
     constraint: Optional[EnergyConstraint] = None,
     budget: int = 500,
-    samples: int = 64,
-    ascent_steps: int = 12,
     tol: float = BRACKET_TOL,
     seed: int = 0,
     bures_bracket: Optional[Bracket] = None,
 ) -> Bracket:
-    """Bracket for the (energy-constrained) diamond-norm distance.
+    """Certified bracket for the (energy-constrained) diamond-norm distance.
 
-    Lower endpoint: best exact ||(Phi - Psi) (x) Id (rho)||_1 over sampled
-    feasible inputs refined by sign-operator reweighting ascent.  Upper
-    endpoint: twice the Bures upper bound, via the norm-equivalence
-    sandwich, capped at the trivial bound 2.  No exact diamond-norm solver
-    is involved.
+    Watrous's SDP follows the barrier path of `_DiamondTracker` (endpoints
+    and witnesses as described there) as `channel_bures_bracket` does its
+    own, and lower <= upper <= 2 holds exactly.  `lower_state` is the input
+    on A, `upper_contraction` the feasible Z and `upper_multiplier` its mu.
+    `seed` and `bures_bracket` are accepted and ignored.
     """
-    if phi.d_a != psi.d_a or phi.d_b != psi.d_b:
-        raise QStateError("channels must share input and output dimensions")
-    bures = bures_bracket
-    if bures is None:
-        bures = channel_bures_bracket(phi, psi, constraint, budget=budget, tol=tol)
-    upper = min(2.0 * bures.upper, 2.0)
-    d_a = d_r = phi.d_a
-    h_ext = e_cap = cap = None
-    if constraint is not None:
-        cap = EnergyCap(constraint.hamiltonian, constraint.bound, SystemLayout([("A", d_a), ("R", d_r)]))
-        h_ext, e_cap = cap.operator, cap.bound
-
-    # (Phi - Psi) (x) id and its adjoint as signed sums over the Kraus operators of both channels
-    kraus = np.concatenate([_extended_kraus(phi, d_r), _extended_kraus(psi, d_r)])
-    kraus_h = kraus.conj().transpose(0, 2, 1)
-    signs = np.repeat([1.0, -1.0], [phi.d_e, psi.d_e])
-
-    def sandwich(left, x, right):
-        return np.einsum("k,skij->sij", signs, left @ x[:, None] @ right)
-
-    # all samples ascend in lockstep; a sample stops once its step moves less than 1e-13.
-    # norms[s, t] is the trace norm at the t-th state of sample s (-inf after it stopped)
-    draws = np.random.default_rng(seed).standard_normal((samples, 2, d_a * d_r))
-    vecs = draws[:, 0] + 1j * draws[:, 1]
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    if cap is not None:
-        vecs = np.array([mix_to_cap(vec, cap) for vec in vecs])
-    rho = vecs[:, :, None] * vecs[:, None, :].conj()
-    norms = np.full((samples, ascent_steps + 1), -np.inf)
-    states = np.empty(norms.shape + rho.shape[1:], dtype=np.complex128)
-    live = np.arange(samples)
-    iterations = 0
-    for step in range(ascent_steps + 1):
-        dw, du = np.linalg.eigh(sandwich(kraus, rho[live], kraus_h))
-        norms[live, step], states[live, step] = np.abs(dw).sum(axis=1), rho[live]
-        if step == ascent_steps:
-            break
-        iterations += len(live)
-        sign_op = (du * np.sign(dw)[:, None, :]) @ du.conj().transpose(0, 2, 1)
-        grad = sandwich(kraus_h, sign_op, kraus)
-        grad = (grad + grad.conj().transpose(0, 2, 1)) / 2.0
-        rho_next = np.array([_constrained_minimum(-g, h_ext, e_cap)[0] for g in grad])
-        moved = np.linalg.norm(rho_next - rho[live], axis=(1, 2)) >= 1e-13
-        rho[live[moved]] = rho_next[moved]
-        live = live[moved]
-        if not len(live):
-            break
-    # the first maximum in sample-major order, as a scan of the samples in turn finds it
-    best = np.unravel_index(np.argmax(norms), norms.shape)
-    best_low, low_state, low_energy = 0.0, None, None
-    if norms[best] > 0.0:
-        best_low, low_state = float(norms[best]), states[best]
-        low_energy = cap.energy(low_state) if cap is not None else None
-    best_low = min(best_low, upper + 1e-12)
-    return Bracket(
-        lower=best_low,
-        upper=upper,
-        iterations=iterations,
-        converged=(upper - best_low) <= tol,
-        lower_state=low_state,
-        upper_contraction=bures.upper_contraction,
-        upper_multiplier=bures.upper_multiplier,
-        lower_state_energy=low_energy,
-    )
+    return _solve_bracket(_DiamondTracker, phi, psi, constraint, budget, tol)
 
 
 def bures_sup_bruteforce(

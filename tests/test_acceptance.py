@@ -191,7 +191,7 @@ def test_criterion_07_seesaw_certification():
         phi = random_channel(2, 2, 2, seed=7000 + 2 * k)
         psi = random_channel(2, 2, 2, seed=7001 + 2 * k)
         br = channel_bures_bracket(phi, psi, seed=k)
-        dia = diamond_bracket(phi, psi, seed=k, bures_bracket=br)
+        dia = diamond_bracket(phi, psi)
         assert 0.5 * dia.lower <= br.upper + 1e-6
         if br.width <= 1e-4:
             converged += 1
