@@ -129,11 +129,11 @@ class Ensemble:
         if not normalized:
             raise QStateError("ensemble needs at least one item")
         total = sum(p for p, _ in normalized)
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise QStateError(f"probabilities sum to {total}, not 1")
         layout = normalized[0][1].layout
         for p, state in normalized:
-            if p < -1e-12:
+            if not p >= -1e-12:
                 raise QStateError(f"negative probability {p}")
             if state.layout != layout:
                 raise QStateError("all ensemble states must share one layout")

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .channels import StinespringChannel, common_stinespring
 from .energy import EnergyCap, EnergyDomainError, Hamiltonian, mix_to_cap
@@ -72,28 +71,135 @@ def ensemble_d0(mu: Ensemble, nu: Ensemble) -> float:
     return 0.5 * total
 
 
+#: Reduced-cost threshold below which a cell enters the transportation basis.
+_TRANSPORT_ENTER_TOL = 1e-14
+#: Slack of the D_K certificate: reduced costs, marginals and duality gap.
+_DK_CERT_TOL = 1e-12
+
+
+def _transport(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Transportation simplex: min <cost, x> over x >= 0 with row sums a, column sums b.
+
+    Starts from the northwest-corner plan, whose m + n - 1 cells (zeros
+    included) form a spanning tree of rows and columns.  Each step prices
+    that tree with MODI potentials (u_0 = 0, u_i + v_j = c_ij on tree
+    cells), enters the first cell in row-major order with reduced cost
+    c_ij - u_i - v_j below -_TRANSPORT_ENTER_TOL, and leaves by the first
+    cell in the same order among the cycle's minimal decreasing cells
+    (Bland's rule, so degenerate pivots cannot cycle).  Weights must be
+    nonnegative; when sum(a) != sum(b) the northwest corner leaves the
+    difference unshipped on one side, and pivots keep every marginal.
+    Returns the plan x and the potentials (u, v) of its final tree.
+    """
+    m, n = cost.shape
+    x = np.zeros((m, n))
+    rest_a, rest_b = [float(w) for w in a], [float(w) for w in b]
+    tree = []
+    i = j = 0
+    while True:
+        ship = min(rest_a[i], rest_b[j])
+        x[i, j] = ship
+        rest_a[i] -= ship
+        rest_b[j] -= ship
+        tree.append((i, j))
+        if i == m - 1 and j == n - 1:
+            break
+        if i < m - 1 and (j == n - 1 or rest_a[i] <= rest_b[j]):
+            i += 1
+        else:
+            j += 1
+    max_pivots = 100 * m * n + 100
+    for _ in range(max_pivots):
+        # root the tree at row 0; node k < m is row k, node m + k is column k
+        pot = [0.0] + [None] * (m + n - 1)
+        up = [None] * (m + n)  # (parent node, tree cell) of every non-root node
+        depth = [0] * (m + n)
+        adjacent = [[] for _ in range(m + n)]
+        for cell in tree:
+            adjacent[cell[0]].append((m + cell[1], cell))
+            adjacent[m + cell[1]].append((cell[0], cell))
+        order = [0]
+        for node in order:
+            for nxt, cell in adjacent[node]:
+                if pot[nxt] is None:
+                    pot[nxt] = cost[cell] - pot[node]
+                    up[nxt] = (node, cell)
+                    depth[nxt] = depth[node] + 1
+                    order.append(nxt)
+        u, v = np.array(pot[:m]), np.array(pot[m:])
+        entering = np.flatnonzero(cost - u[:, None] - v[None, :] < -_TRANSPORT_ENTER_TOL)
+        if entering.size == 0:
+            return x, u, v
+        ei, ej = divmod(int(entering[0]), n)
+        # the tree path from row ei to column ej closes the pivot cycle; along
+        # it the cells alternate, starting with one that gives up flow
+        from_row, from_col = [], []
+        r, c = ei, m + ej
+        while r != c:
+            if depth[r] >= depth[c]:
+                from_row.append(up[r][1])
+                r = up[r][0]
+            else:
+                from_col.append(up[c][1])
+                c = up[c][0]
+        path = from_row + from_col[::-1]
+        give = path[0::2]
+        theta = min(x[cell] for cell in give)
+        leaving = min(cell for cell in give if x[cell] == theta)
+        for cell in give:
+            x[cell] -= theta
+        for cell in path[1::2]:
+            x[cell] += theta
+        x[ei, ej] = theta
+        x[leaving] = 0.0
+        tree[tree.index(leaving)] = (ei, ej)
+    raise RuntimeError(f"transportation simplex did not finish in {max_pivots} pivots")
+
+
+def _dk_costs(mu: Ensemble, nu: Ensemble) -> np.ndarray:
+    """Trace norms ||rho_i - sigma_j||_1, one stacked eigvalsh per row i.
+
+    Density matrices are exactly Hermitian, so each entry equals
+    `trace_norm(rho_i - sigma_j)`, which takes the same eigvalsh path.
+    """
+    sigmas = np.stack([sigma.entries for sigma in nu.states])
+    return np.stack([np.abs(np.linalg.eigvalsh(rho.entries - sigmas)).sum(axis=1) for rho in mu.states])
+
+
 def ensemble_dk(mu: Ensemble, nu: Ensemble) -> float:
     """Kantorovich distance: optimal transport with trace-distance ground cost.
 
-    Solved as an exact LP over the transportation polytope.
+    Solved exactly by the transportation simplex `_transport` and certified
+    by its potentials before it is returned: the plan is nonnegative, meets
+    both marginals to within _DK_CERT_TOL + |sum p - sum q|, every reduced
+    cost is >= -_DK_CERT_TOL, and the cost exceeds the dual value
+    sum p_i u_i + sum q_j v_j by at most _DK_CERT_TOL (plus what an
+    imbalance |sum p - sum q| can move the dual by).  A failed check raises
+    RuntimeError.  Weights in [-1e-12, 0), which `Ensemble` admits, count
+    as 0.
     """
     if mu.layout != nu.layout:
         raise QStateError("ensembles must share a layout")
-    m, n = len(mu), len(nu)
-    cost = np.empty((m, n))
-    for i, rho in enumerate(mu.states):
-        for j, sigma in enumerate(nu.states):
-            cost[i, j] = trace_norm(rho.entries - sigma.entries)
-    a_eq = np.zeros((m + n, m * n))
-    for i in range(m):
-        a_eq[i, i * n : (i + 1) * n] = 1.0
-    for j in range(n):
-        a_eq[m + j, j::n] = 1.0
-    b_eq = np.concatenate([mu.probabilities, nu.probabilities])
-    res = linprog(cost.reshape(-1), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not res.success:  # cannot happen with valid marginals
-        raise RuntimeError(f"transportation LP failed: {res.message}")
-    return 0.5 * float(res.fun)
+    cost = _dk_costs(mu, nu)
+    a = np.maximum(mu.probabilities, 0.0)
+    b = np.maximum(nu.probabilities, 0.0)
+    x, u, v = _transport(cost, a, b)
+    primal = float((cost * x).sum())
+    dual = float(a @ u + b @ v)
+    imbalance = abs(float(a.sum() - b.sum()))
+    marginal_miss = max(np.abs(x.sum(axis=1) - a).max(), np.abs(x.sum(axis=0) - b).max())
+    certified = (
+        x.min() >= 0.0
+        and marginal_miss <= _DK_CERT_TOL + imbalance
+        and (cost - u[:, None] - v[None, :]).min() >= -_DK_CERT_TOL
+        and primal - dual <= _DK_CERT_TOL + imbalance * max(np.abs(u).max(), np.abs(v).max())
+    )
+    if not certified:  # cannot happen with valid marginals
+        raise RuntimeError(
+            f"transportation plan failed its certificate: cost {primal!r}, dual {dual!r}, "
+            f"marginal miss {marginal_miss:.3e}"
+        )
+    return 0.5 * primal
 
 
 @dataclass(frozen=True)

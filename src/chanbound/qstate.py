@@ -114,11 +114,23 @@ def _as_square_complex(entries: np.ndarray, dim: int, what: str) -> np.ndarray:
 
 
 def _check_and_symmetrize(entries: np.ndarray, what: str) -> np.ndarray:
+    """Read-only Hermitian part of `entries`, which must be finite and Hermitian to 1e-8.
+
+    Exactly Hermitian input, such as the entries of a state built before,
+    is copied as it is; that equals its symmetrisation up to the sign of a
+    zero, as (x + x) / 2 == x.  An inf or NaN entry makes a difference
+    entry inf or NaN (inf - inf is NaN), so it takes the checked path and
+    fails there.
+    """
     adjoint = entries.conj().T
-    dev = np.max(np.abs(entries - adjoint))
-    if dev > 1e-8:
-        raise QStateError(f"{what} is not Hermitian: max deviation {dev:.3e}")
-    sym = (entries + adjoint) / 2.0
+    diff = entries - adjoint
+    if not diff.any():
+        sym = entries.copy()
+    else:
+        dev = np.max(np.abs(diff))
+        if not dev <= 1e-8:
+            raise QStateError(f"{what} is not finite and Hermitian: max deviation {dev:.3e}")
+        sym = (entries + adjoint) / 2.0
     sym.setflags(write=False)
     return sym
 
@@ -186,8 +198,8 @@ def _certainly_above_floor(sym: np.ndarray) -> bool:
 class DensityMatrix:
     """Hermitian, PSD, unit-trace operator over a labeled layout.
 
-    Construction checks Hermiticity to 1e-8, the trace to TRACE_TOL and
-    λ_min ≥ EIGENVALUE_FLOOR.  From CHOLESKY_MIN_DIM up, the last check is
+    Construction checks finite entries, Hermiticity to 1e-8, the trace to
+    TRACE_TOL and λ_min ≥ EIGENVALUE_FLOOR.  From CHOLESKY_MIN_DIM up, the last check is
     a shifted Cholesky factorisation that accepts only states eigvalsh
     would accept.  Below that dimension, near the floor, or where the
     margin is too large for d, eigvalsh decides and its spectrum is kept.
@@ -202,12 +214,12 @@ class DensityMatrix:
         arr = _as_square_complex(self.entries, self.layout.total_dim, "density matrix")
         sym = _check_and_symmetrize(arr, "density matrix")
         tr = np.trace(sym).real
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not abs(tr - 1.0) <= TRACE_TOL:
             raise QStateError(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
         object.__setattr__(self, "entries", sym)
         if len(sym) < CHOLESKY_MIN_DIM or not _certainly_above_floor(sym):
             lo = float(self.spectrum[0])
-            if lo < EIGENVALUE_FLOOR:
+            if not lo >= EIGENVALUE_FLOOR:
                 raise QStateError(f"negative eigenvalue {lo:.3e} below floor {EIGENVALUE_FLOOR}")
 
     @cached_property
@@ -234,7 +246,7 @@ class PureState:
                 f"amplitude vector has length {vec.size}, expected {self.layout.total_dim}"
             )
         norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > PURE_NORM_TOL:
+        if not abs(norm - 1.0) <= PURE_NORM_TOL:
             raise QStateError(f"norm {norm} deviates from 1 beyond {PURE_NORM_TOL}")
         vec = vec.copy()
         vec.setflags(write=False)

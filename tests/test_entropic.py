@@ -233,6 +233,20 @@ class TestHolevo:
             assert mi <= min(h_a, h_x) + 1e-9
 
 
+class TestEnsembleValidation:
+    @pytest.mark.parametrize("weights", [[np.nan], [np.nan, 1.0], [np.inf, -np.inf, 1.0], [np.inf]])
+    def test_non_finite_weights_rejected(self, weights):
+        rho = maximally_mixed(SystemLayout([("A", 2)]))
+        with pytest.raises(QStateError):
+            Ensemble([(p, rho) for p in weights])
+
+    def test_small_negative_weight_admitted(self):
+        rho = maximally_mixed(SystemLayout([("A", 2)]))
+        assert len(Ensemble([(-1e-13, rho), (1.0 + 1e-13, rho)])) == 2
+        with pytest.raises(QStateError):
+            Ensemble([(-1e-11, rho), (1.0 + 1e-11, rho)])
+
+
 class TestQcState:
     def test_single_element(self, gen):
         lay = SystemLayout([("A", 2)])

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -360,6 +361,18 @@ class TestCLI:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("family,capacity,")
         assert len(lines) == 6  # header + 5 capacities
+
+    def test_package_imports_no_scipy(self):
+        """A fresh interpreter loads the whole harness without any scipy module."""
+        import chanbound
+
+        src = str(Path(chanbound.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import sys, chanbound.harness.suites; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_entry_point_runs(self):
         proc = subprocess.run(

@@ -15,16 +15,19 @@ from chanbound.channels import (
 from chanbound.energy import EnergyDomainError, Hamiltonian
 from chanbound.entropic import Ensemble
 from chanbound.harness.generators import Generators
+from chanbound import metrics
 from chanbound.metrics import (
     Bracket,
     EnergyConstraint,
     _batched_output_bures,
     _constrained_minimum,
+    _dk_costs,
     _env_overlap,
     _extend_isometry,
     _ground_min_energy_state,
     _hermitian_pinch,
     _trace_norms,
+    _transport,
     bures_state_distance,
     bures_sup_bruteforce,
     channel_bures_bracket,
@@ -170,6 +173,131 @@ class TestEnsembleMetrics:
         dk = ensemble_dk(mu, nu)
         d0 = ensemble_d0(mu, nu)
         assert dk > d0 + 1e-3  # 0.2484... vs 0.2379...
+
+
+def _vertex_oracle(cost, a, b):
+    """Least cost over every vertex of the transportation polytope {x >= 0 : rows a, columns b}.
+
+    A vertex is the solution on m + n - 1 cells whose row and column
+    equations, the last column's left out as implied, have a nonsingular
+    (so unimodular, det = +-1) matrix.  Every vertex of the polytope arises
+    so, degenerate ones included; the oracle keeps those with x >= -1e-12.
+    """
+    m, n = cost.shape
+    k = m + n - 1
+    subsets = np.array(list(itertools.combinations(range(m * n), k)))
+    rows, cols = np.divmod(subsets, n)
+    mats = np.zeros((len(subsets), k, k))
+    which = np.broadcast_to(np.arange(len(subsets))[:, None], rows.shape)
+    pos = np.broadcast_to(np.arange(k), rows.shape)
+    mats[which, rows, pos] = 1.0
+    keep = cols < n - 1
+    mats[which[keep], m + cols[keep], pos[keep]] = 1.0
+    bases = np.abs(np.linalg.det(mats)) > 0.5
+    rhs = np.broadcast_to(np.concatenate([a, b[:-1]]), (int(bases.sum()), k))
+    x = np.linalg.solve(mats[bases], rhs[..., None])[..., 0]
+    feasible = x.min(axis=1) >= -1e-12
+    return (cost[rows[bases], cols[bases]] * x).sum(axis=1)[feasible].min()
+
+
+def _transport_instances():
+    """(cost, a, b) for m, n <= 4; the degenerate cases are named in their ids."""
+    rng = np.random.default_rng(1234)
+    cases = []
+    for k in range(40):
+        m, n = (int(v) for v in rng.integers(1, 5, size=2))
+        cases.append((f"random{k}", 2.0 * rng.random((m, n)), rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n))))
+    a, b = rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(3))
+    a[1] = 0.0
+    cases.append(("zero_weight", 2.0 * rng.random((4, 3)), a / a.sum(), b))
+    # partial sums meet (0.25 + 0.25 = 0.5), so the northwest corner ships a zero
+    a, b = np.array([0.25, 0.25, 0.5]), np.array([0.5, 0.25, 0.25])
+    cases.append(("equal_partial_sums", 2.0 * rng.random((3, 3)), a, b))
+    cases.append(("uniform_4x4", 2.0 * rng.random((4, 4)), np.full(4, 0.25), np.full(4, 0.25)))
+    for k in range(6):
+        cost = rng.integers(0, 2, size=(4, 4)).astype(float)  # many tied costs
+        cases.append((f"tied_costs{k}", cost, np.full(4, 0.25), np.array([0.5, 0.25, 0.125, 0.125])))
+    cases.append(("all_costs_tied", np.ones((3, 4)), rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(4))))
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+class TestTransport:
+    """The transportation simplex behind ensemble_dk against vertex enumeration."""
+
+    @pytest.mark.parametrize("cost,a,b", _transport_instances())
+    def test_matches_vertex_enumeration_with_certificate(self, cost, a, b):
+        x, u, v = _transport(cost, a, b)
+        primal = (cost * x).sum()
+        assert abs(primal - _vertex_oracle(cost, a, b)) <= 1e-12
+        assert x.min() >= 0.0
+        assert np.abs(x.sum(axis=1) - a).max() <= 1e-12
+        assert np.abs(x.sum(axis=0) - b).max() <= 1e-12
+        assert (cost - u[:, None] - v[None, :]).min() >= -1e-12  # dual feasible
+        assert abs(primal - (a @ u + b @ v)) <= 1e-12
+
+    @pytest.mark.parametrize("side", ["rows", "columns"])
+    def test_marginal_imbalance(self, side):
+        rng = np.random.default_rng(99)
+        for _ in range(20):
+            m, n = (int(v) for v in rng.integers(1, 5, size=2))
+            cost = 2.0 * rng.random((m, n))
+            a, b = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(n))
+            if side == "rows":
+                a[0] += 1e-10
+            else:
+                b[-1] += 1e-10
+            imbalance = abs(a.sum() - b.sum())
+            x, u, v = _transport(cost, a, b)
+            assert abs((cost * x).sum() - _vertex_oracle(cost, a, b)) <= 1e-12 + 2.0 * imbalance
+            assert x.min() >= 0.0
+            assert max(np.abs(x.sum(axis=1) - a).max(), np.abs(x.sum(axis=0) - b).max()) <= 1e-12 + imbalance
+            assert (cost - u[:, None] - v[None, :]).min() >= -1e-12
+
+    def test_ensemble_dk_clips_tiny_negative_weight(self, gen):
+        lay = SystemLayout([("A", 2)])
+        mu = Ensemble([(-1e-13, gen.density(lay)), (0.6, gen.density(lay)), (0.4 + 1e-13, gen.density(lay))])
+        nu = gen.ensemble(lay, 3)
+        cost = np.array([[trace_norm(r.entries - s.entries) for s in nu.states] for r in mu.states])
+        oracle = _vertex_oracle(cost, np.maximum(mu.probabilities, 0.0), nu.probabilities)
+        assert abs(ensemble_dk(mu, nu) - 0.5 * oracle) <= 1e-12
+
+    def test_ensemble_dk_admits_imbalanced_ensembles(self, gen):
+        lay = SystemLayout([("A", 3)])
+        p, q = gen.probabilities(3), gen.probabilities(4)
+        mu = Ensemble([(w * (1 - 5e-11) / p.sum(), gen.density(lay)) for w in p])
+        nu = Ensemble([(w * (1 + 5e-11) / q.sum(), gen.density(lay)) for w in q])
+        cost = _dk_costs(mu, nu)
+        oracle = _vertex_oracle(cost, mu.probabilities, nu.probabilities)
+        assert abs(ensemble_dk(mu, nu) - 0.5 * oracle) <= 1e-12 + 2e-10
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 40])
+    def test_cost_rows_equal_pairwise_trace_norms(self, gen, d):
+        lay = SystemLayout([("A", d)])
+        for m, n in ((1, 1), (3, 2), (4, 5)):
+            mu, nu = gen.ensemble(lay, m), gen.ensemble(lay, n)
+            pairwise = np.array([[trace_norm(r.entries - s.entries) for s in nu.states] for r in mu.states])
+            assert np.array_equal(_dk_costs(mu, nu), pairwise)
+
+    @pytest.mark.parametrize("tamper", ["potentials_too_high", "independent_coupling", "plan_short_of_marginal"])
+    def test_certificate_rejects_tampered_solution(self, gen, monkeypatch, tamper):
+        lay = SystemLayout([("A", 2)])
+        mu, nu = gen.ensemble(lay, 3), gen.ensemble(lay, 3)
+        assert ensemble_dk(mu, nu) > 1e-3
+        solve = metrics._transport
+
+        def tampered(cost, a, b):
+            x, u, v = solve(cost, a, b)
+            if tamper == "potentials_too_high":
+                return x, u + 1e-9, v
+            if tamper == "independent_coupling":
+                return np.outer(a, b), u, v
+            x = x.copy()
+            x[x > 0] *= 1 - 1e-9
+            return x, u, v
+
+        monkeypatch.setattr(metrics, "_transport", tampered)
+        with pytest.raises(RuntimeError):
+            ensemble_dk(mu, nu)
 
 
 class TestBracketType:

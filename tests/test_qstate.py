@@ -82,6 +82,51 @@ class TestDensityMatrix:
             assert w.min() >= -1e-9
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestNonFiniteRejected:
+    """inf and NaN fail every validator: no check is written as a comparison that NaN passes."""
+
+    @pytest.mark.parametrize("cls", [DensityMatrix, HermitianOperator])
+    @pytest.mark.parametrize("where", ["off_diagonal_pair", "diagonal"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("d", [2, 40])  # d = 40 takes the Cholesky PSD check
+    def test_operator_entries(self, cls, where, bad, d):
+        entries = np.eye(d, dtype=complex) / d
+        if where == "diagonal":
+            entries[0, 0] = bad
+        else:
+            entries[0, 1] = entries[1, 0] = bad
+        with pytest.raises(QStateError):
+            cls(SystemLayout([("A", d)]), entries)
+
+    @pytest.mark.parametrize("amplitudes", [[np.nan, 1.0], [np.inf, 0.0], [-np.inf, 1.0], [1.0, np.nan * 1j]])
+    def test_pure_state_amplitudes(self, amplitudes):
+        with pytest.raises(QStateError):
+            PureState(SystemLayout([("A", 2)]), np.array(amplitudes))
+
+
+class TestExactlyHermitianInput:
+    def test_copied_bit_for_bit(self, gen):
+        """Exactly Hermitian input comes back as its symmetrisation, as a read-only copy."""
+        lay = SystemLayout([("A", 6)])
+        g = random_hermitian(gen.rng, 6)
+        for m in (g, gen.density(lay).entries, np.diag([0.25, -0.0, 1.0, 2.0, 0.0, 3.0]) + 0j):
+            assert np.array_equal(m, m.conj().T)
+            op = HermitianOperator(lay, m)
+            assert op.entries.tobytes() == ((m + m.conj().T) / 2.0).tobytes()
+            assert not np.shares_memory(op.entries, m)
+            assert not op.entries.flags.writeable
+
+    def test_inexact_input_symmetrised_or_rejected(self, gen):
+        g = gen.rng.standard_normal((6, 6)) + 1j * gen.rng.standard_normal((6, 6))
+        m = np.outer(g[0], g[0].conj()) + 1e-12j * (g - g.T)
+        assert not np.array_equal(m, m.conj().T)
+        op = HermitianOperator(SystemLayout([("A", 6)]), m)
+        assert np.array_equal(op.entries, (m + m.conj().T) / 2.0)
+        with pytest.raises(QStateError):
+            HermitianOperator(SystemLayout([("A", 2)]), np.array([[0.5, 0.1 + 1e-7j], [0.1, 0.5]]))
+
+
 def _haar_unitary(rng, d):
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(z)
