@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -30,8 +30,8 @@ _T2_TFLAG = {"chi": 0, "c": 0, "q": 1, "pbar": 0, "p": 1}
 
 def _check_eps(epsilon: float, hi: float = 1.0) -> float:
     eps = float(epsilon)
-    if not 0.0 <= eps <= hi + 1e-12:
-        raise ValueError(f"epsilon {eps} outside [0, {hi}]")
+    if not (0.0 <= eps <= hi + 1e-12 and math.isfinite(eps)):
+        raise ValueError(f"epsilon {eps} is not a finite value in [0, {hi}]")
     return eps
 
 
@@ -76,9 +76,7 @@ def prop2_bound(
 
     same_channel drops the 2 eps log 2 term; same_state halves the g term.
     """
-    eps = float(epsilon)
-    if eps < 0:
-        raise ValueError(f"epsilon {eps} must be >= 0")
+    eps = _check_eps(epsilon, hi=math.inf)
     if eps == 0.0:
         return 0.0
     value = 2.0 * eps * math.log(d_a)
@@ -117,76 +115,49 @@ def prop4_bound(epsilon: float, d_a: int, n: int) -> float:
 class TstResult:
     value: float
     d_star: int
-    scanned: int
-
-
-def gamma_fn_from_hamiltonian(h: Hamiltonian) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
-    """Numeric gamma handle, NaN outside [d_0, dim], for the T functional plus its largest valid d."""
-
-    def fn(ds: np.ndarray) -> np.ndarray:
-        vals = np.full(ds.shape, np.nan)
-        inside = (ds >= h.ground_multiplicity) & (ds <= h.dim)
-        vals[inside] = [gamma(h, d) for d in ds[inside]]
-        return vals
-
-    return fn, h.dim
-
-
-def gamma_fn_from_oscillator(spec: OscillatorSpec) -> tuple[Callable[[np.ndarray], np.ndarray], Optional[int]]:
-    """Closed-form gamma-hat handle, NaN below its domain floor; valid for every larger d."""
-    floor = oscillator_gamma_hat_domain_min(spec)
-
-    def fn(ds: np.ndarray) -> np.ndarray:
-        return np.where(ds < floor, np.nan, oscillator_gamma_hat_unchecked(spec, ds))
-
-    return fn, None
 
 
 def t_st(
     epsilon: float,
     e_bar: float,
-    gamma_fn: Callable[[np.ndarray], np.ndarray],
+    handle: Union[Hamiltonian, OscillatorSpec],
     s: int,
     t: int,
     d_cap: int = 10**6,
-    d_max: Optional[int] = None,
-    patience: int = 50,
 ) -> TstResult:
-    """T_{s,t}(E, eps): minimum over integers d with gamma(d) >= 2 Ebar of
+    """T_{s,t}(E, eps): minimum over integers d <= d_cap with gamma(d) >= 2 Ebar of
 
         (4 sqrt(2^s Ebar/gamma(d)) + 4 s t Ebar/gamma(d) + 2 eps) log d
         + 4 g(sqrt(2^s Ebar/gamma(d))).
 
-    The scan runs upward from the smallest feasible d and stops once the
-    objective has increased for `patience` consecutive d past the incumbent
-    (the objective is not proven unimodal) or at the cap.  `gamma_fn` maps
-    an integer array of d to gamma(d), with NaN where d is outside its domain.
+    gamma is the handle's own: `energy.gamma` on [d_0, dim] for a
+    Hamiltonian, the closed-form gamma-hat from its domain floor for an
+    oscillator.  The scan runs upward in numpy blocks and stops once
+    2 eps log d reaches the best value: every term is >= 0 and
+    log d grows, so no larger d can beat it.  The result is the exact
+    minimum over the feasible d <= d_cap, at the smallest minimising d.
     """
-    eps = float(epsilon)
-    if eps < 0:
-        raise ValueError(f"epsilon {eps} must be >= 0")
+    eps = _check_eps(epsilon, hi=math.inf)
     if e_bar < -1e-12:
         raise ValueError(f"E - E_0 = {e_bar} must be >= 0")
     e_bar = max(e_bar, 0.0)
     if s not in (0, 1) or t not in (0, 1):
         raise ValueError("s and t are binary flags")
-    hi = d_cap if d_max is None else min(d_cap, d_max)
+    if isinstance(handle, OscillatorSpec):
+        d, hi = oscillator_gamma_hat_domain_min(handle), d_cap
+        gamma_of = lambda ds: oscillator_gamma_hat_unchecked(handle, ds)
+    else:
+        d, hi = handle.ground_multiplicity, min(handle.dim, d_cap)
+        gamma_of = lambda ds: np.array([gamma(handle, k) for k in ds])
     best = math.inf
     best_d = 0
-    scanned = 0
-    rise_run = 0
-    prev_obj = None
-    d = 1
-    stop = False
-    while d <= hi and not stop:
-        block_end = min(d + 65536, hi + 1)
-        ds = np.arange(d, block_end)
-        gams = gamma_fn(ds)
-        with np.errstate(invalid="ignore"):
-            feasible = ~np.isnan(gams)
-            feasible &= np.where(feasible, gams, -1.0) >= 2.0 * e_bar
-            if e_bar > 0.0:
-                feasible &= np.where(feasible, gams, -1.0) > 0.0
+    while d <= hi and 2.0 * eps * np.log(d) < best:
+        # blocks double up to 32768 d, past which their temporaries leave the cache
+        ds = np.arange(d, min(2 * d + 63, d + 32768, hi + 1))
+        gams = gamma_of(ds)
+        feasible = gams >= 2.0 * e_bar
+        if e_bar > 0.0:
+            feasible &= gams > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(feasible & (gams > 0), (2.0**s) * e_bar / gams, 0.0)
         root = np.sqrt(ratio)
@@ -194,33 +165,21 @@ def t_st(
             root > 0, root * np.log(np.where(root > 0, root, 1.0)), 0.0
         )
         obj = (4.0 * root + 4.0 * s * t * ratio + 2.0 * eps) * np.log(ds) + 4.0 * g_vals
-        for i in range(ds.size):
-            if not feasible[i]:
-                continue
-            scanned += 1
-            o = float(obj[i])
-            if o < best:
-                best, best_d = o, int(ds[i])
-                rise_run = 0
-            elif prev_obj is not None and o >= prev_obj:
-                rise_run += 1
-                if rise_run >= patience:
-                    stop = True
-                    break
-            else:
-                rise_run = 0
-            prev_obj = o
-        d = block_end
+        obj[~feasible] = math.inf
+        i = int(np.argmin(obj))
+        if obj[i] < best:
+            best, best_d = float(obj[i]), int(ds[i])
+        d = int(ds[-1]) + 1
     if best_d == 0:
         raise QStateError(
             f"no feasible d <= {hi} with gamma(d) >= 2(E - E_0) = {2 * e_bar}"
         )
-    return TstResult(value=best, d_star=best_d, scanned=scanned)
+    return TstResult(value=best, d_star=best_d)
 
 
 def prop5_bound(epsilon: float, n: int, t_handle: Callable[[float], float]) -> float:
     """n-copy output-CMI bound n (T(eps) + g(eps) + 2 eps log 2); n T(0) at eps = 0."""
-    eps = float(epsilon)
+    eps = _check_eps(epsilon, hi=math.inf)
     return n * (t_handle(eps) + g(eps) + 2.0 * eps * LOG2)
 
 
@@ -229,9 +188,7 @@ def p_r(spec: OscillatorSpec, energy: float, epsilon: float, r: float) -> float:
 
         2 eps (1 + 2r) F(E) + 4 l (2 + 1/r) eta(eps r) + 4 g(eps r) + 6 eps e^{-l}.
     """
-    eps = float(epsilon)
-    if eps < 0:
-        raise ValueError(f"epsilon {eps} must be >= 0")
+    eps = _check_eps(epsilon, hi=math.inf)
     if not 0.0 < r <= 1.0:
         raise ValueError(f"r = {r} outside (0, 1]")
     if eps * r > 1.0 + 1e-12:
@@ -254,9 +211,7 @@ def prop6_bound(
 
     same_channel drops the eps log 2 term; same_ensemble halves the g term.
     """
-    eps = float(epsilon)
-    if eps < 0:
-        raise ValueError(f"epsilon {eps} must be >= 0")
+    eps = _check_eps(epsilon, hi=math.inf)
     if eps == 0.0:
         return 0.0
     value = eps * math.log(d_a)
@@ -273,9 +228,7 @@ def prop7_bound(epsilon: float, f_bar_handle: Callable[[float], float], e_bar: f
 
 def prop8_bound(epsilon: float, t_handle: Callable[[float], float]) -> float:
     """Composite T(eps) + g(eps) + 2 eps log 2 for the channel-side Holevo variation."""
-    eps = float(epsilon)
-    if eps < 0:
-        raise ValueError(f"epsilon {eps} must be >= 0")
+    eps = _check_eps(epsilon, hi=math.inf)
     if eps == 0.0:
         return 0.0
     return t_handle(eps) + g(eps) + 2.0 * eps * LOG2
@@ -315,9 +268,7 @@ def theorem2_bound(
     """
     if capacity not in CAPACITIES:
         raise ValueError(f"unknown capacity {capacity!r}; expected one of {CAPACITIES}")
-    eps = float(epsilon)
-    if eps < 0:
-        raise ValueError(f"epsilon {eps} must be >= 0")
+    eps = _check_eps(epsilon, hi=math.inf)
     if eps == 0.0:
         return 0.0
     m = _T2_MULT[capacity]

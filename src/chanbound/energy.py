@@ -59,6 +59,8 @@ class Hamiltonian:
         ev = np.asarray(self.eigenvalues, dtype=float).reshape(-1)
         if ev.size < 1:
             raise QStateError("Hamiltonian needs at least one eigenvalue")
+        if not np.all(np.isfinite(ev)):
+            raise QStateError("eigenvalues must be finite")
         if np.any(np.diff(ev) < -1e-12):
             raise QStateError("eigenvalues must be nondecreasing")
         if ev[0] < -1e-12:
@@ -70,7 +72,7 @@ class Hamiltonian:
             u = np.asarray(self.eigenbasis, dtype=np.complex128)
             if u.shape != (ev.size, ev.size):
                 raise QStateError("eigenbasis shape does not match spectrum")
-            if np.max(np.abs(u.conj().T @ u - np.eye(ev.size))) > 1e-10:
+            if not np.max(np.abs(u.conj().T @ u - np.eye(ev.size))) <= 1e-10:
                 raise QStateError("eigenbasis is not unitary")
             u = u.copy()
             u.setflags(write=False)
@@ -347,19 +349,18 @@ def oscillator_gamma_hat(spec: OscillatorSpec, d: int) -> float:
     return value
 
 
-def check_s_flag(handle, grid: Optional[Sequence[float]] = None) -> int:
-    """0 when f_bar(E)/sqrt(E) is non-increasing on the grid, else 1.
+def check_s_flag(handle) -> int:
+    """0 when f_bar(E)/sqrt(E) is non-increasing on a grid, else 1.
 
     Oscillator closed forms are always 0 (x log(a/x^2 + b) is increasing for
     b >= e/2, which 2 E_0 >= E_* guarantees); finite spectra are decided on
-    the supplied grid.
+    60 points from top/1000 to top, the uniform energy above E_0.
     """
     if isinstance(handle, OscillatorSpec):
         return 0
     h: Hamiltonian = handle
-    if grid is None:
-        top = max(h.uniform_energy - h.ground_energy, 1e-6)
-        grid = np.linspace(top * 1e-3, top, 60)
+    top = max(h.uniform_energy - h.ground_energy, 1e-6)
+    grid = np.linspace(top * 1e-3, top, 60)
     values = np.array([f_bar(h, e) / math.sqrt(e) for e in grid if e > 0])
     return 0 if np.all(np.diff(values) <= 1e-12) else 1
 
@@ -384,17 +385,24 @@ def ground_product(h: Hamiltonian, layout: SystemLayout, labels: Sequence[str]) 
     return _factor_product(layout, dict.fromkeys(labels, ground), lambda dim: np.eye(dim) / dim)
 
 
+def check_cap(bound: float, ground_energy: float) -> float:
+    """The cap as a float; a non-finite cap, or one below E_0 that no input meets, is rejected."""
+    bound = float(bound)
+    if not math.isfinite(bound):
+        raise EnergyDomainError(f"energy cap {bound} is not finite")
+    if not bound >= ground_energy:
+        raise EnergyDomainError(f"energy cap {bound} is below E_0 = {ground_energy}; no input meets it")
+    return bound
+
+
 def cap_weight(energy: float, bound: float, ground_energy: float) -> float:
     """Least weight t with (1 - t) energy + t ground_energy <= bound.
 
     Mixing toward a ground state moves the mean energy affinely in t, so
-    the weight is exact; it is 0 when the energy already meets the cap.  A
-    cap below the ground energy admits no input and is rejected.
+    the weight is exact; it is 0 when the energy already meets the cap.
+    The cap goes through `check_cap`.
     """
-    if bound < ground_energy:
-        raise EnergyDomainError(
-            f"energy cap {bound} is below the ground energy E_0 = {ground_energy}; no input meets it"
-        )
+    check_cap(bound, ground_energy)
     if energy <= bound:
         return 0.0
     return (energy - bound) / (energy - ground_energy)
@@ -414,7 +422,7 @@ class EnergyCap:
         if self.layout.dim(label) != h.dim:
             raise QStateError("Hamiltonian dimension does not match the labeled factor")
         self.hamiltonian = h
-        self.bound = float(bound)
+        self.bound = check_cap(bound, h.ground_energy)
         self.label = label
         self.operator = _factor_product(self.layout, {label: h.to_matrix()}, np.eye)
 

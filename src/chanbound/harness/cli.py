@@ -159,12 +159,11 @@ def _eval_bound(name: str, p: dict) -> float:
         spec = _oscillator_from(p)
         e_cap = float(p["E"])
         e_bar = e_cap - spec.ground_energy
-        gamma_fn, _ = bnd.gamma_fn_from_oscillator(spec)
         d_cap = int(p.get("d_cap", 10**6))
         if "r" in p:
             t_fn = lambda t, e: bnd.p_r(spec, e_cap, e, float(p["r"]))
         else:
-            t_fn = lambda t, e: bnd.t_st(e, e_bar, gamma_fn, s=0, t=t, d_cap=d_cap).value
+            t_fn = lambda t, e: bnd.t_st(e, e_bar, spec, s=0, t=t, d_cap=d_cap).value
         if name == "t_st":
             return t_fn(int(p.get("t", 0)), eps)
         if name == "prop5":

@@ -441,10 +441,9 @@ def _copy_energies(rho: DensityMatrix, labels, h_mat: np.ndarray) -> list[float]
 def _prop5_setup(config: CampaignConfig):
     default = {"kind": "oscillator", "modes": 1, "frequencies": [1.0], "truncation": 6, "E": 1.2}
     spec, ham, e_cap = _energy_input(config, default)
-    gamma_fn, d_max = bnd.gamma_fn_from_oscillator(spec)
     return _pair_setup(
         config, ham.dim, 3, ham=ham, h_mat=ham.to_matrix(), e_cap=e_cap,
-        t_at=lambda eps, t: bnd.t_st(eps, e_cap - spec.ground_energy, gamma_fn, s=0, t=t, d_max=d_max).value,
+        t_at=lambda eps, t: bnd.t_st(eps, e_cap - spec.ground_energy, spec, s=0, t=t).value,
         constraint=EnergyConstraint(ham, e_cap),
         certs={"truncation": spec.truncation, "tail_warned": _tail_probe(gibbs_spectrum, ham, e_cap)[1]},
     )
@@ -477,12 +476,11 @@ def _prop8_setup(config: CampaignConfig):
     if spec is not None:
         t_handle = functools.partial(bnd.p_r, spec, e_cap, r=float(config.budget("p_r", 0.5)))
     else:
-        gamma_fn, d_max = bnd.gamma_fn_from_hamiltonian(ham)
         s_flag = check_s_flag(ham)
         e_bar = e_cap - ham.ground_energy
 
         def t_handle(eps: float) -> float:
-            return bnd.t_st(eps, e_bar, gamma_fn, s=s_flag, t=0, d_max=d_max).value
+            return bnd.t_st(eps, e_bar, ham, s=s_flag, t=0).value
 
     layout = SystemLayout([("A", ham.dim)])
     ens = Generators.for_trial(config.seed, _FIXED_TRIAL).ensemble(layout, config.dim("ensemble_size", 3))

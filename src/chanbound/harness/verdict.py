@@ -68,22 +68,6 @@ class BoundVerdict:
             certificates=certificates or {},
         )
 
-    @staticmethod
-    def exact(
-        suite: str,
-        trial: int,
-        bound_name: str,
-        lhs: float,
-        epsilon: float,
-        rhs: float,
-        tol: float = DEFAULT_TOL,
-        certificates: Optional[dict] = None,
-    ) -> "BoundVerdict":
-        """Exactly known epsilon: the verdict is binary by construction."""
-        return BoundVerdict.check(
-            suite, trial, bound_name, lhs, epsilon, epsilon, rhs, rhs, tol, certificates
-        )
-
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .channels import StinespringChannel, common_stinespring
-from .energy import EnergyCap, EnergyDomainError, Hamiltonian, mix_to_cap
+from .energy import EnergyCap, Hamiltonian, check_cap, mix_to_cap
 from .entropic import Ensemble
 from .qstate import DensityMatrix, QStateError, trace_norm
 
@@ -210,8 +210,7 @@ class EnergyConstraint:
     bound: float
 
     def __post_init__(self):
-        if self.bound < self.hamiltonian.ground_energy:
-            raise EnergyDomainError(f"energy bound {self.bound} is below E_0 = {self.hamiltonian.ground_energy}")
+        check_cap(self.bound, self.hamiltonian.ground_energy)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ import time
 import numpy as np
 
 from chanbound.bounds import (
-    gamma_fn_from_oscillator,
     lemma4_bound,
     p_r,
     prop2_bound,
@@ -244,8 +243,7 @@ def test_criterion_08_formula_oracles():
                   m * ((2.0 if t_flag else 1.0) + eps + g_oracle(eps) + 2 * eps * LOG2))
 
     # T functional: exact agreement with an independent direct scan
-    gamma_fn, _ = gamma_fn_from_oscillator(spec)
-    got = t_st(0.01, 4.5, gamma_fn, s=0, t=0)
+    got = t_st(0.01, 4.5, spec, s=0, t=0)
     best_val, best_d = math.inf, 0
     for d in range(3, 10**6 + 1):
         gam = (1.0 / math.e) * 1.0 * float(d) ** 1.0 - 1.0

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,8 +9,6 @@ from chanbound.bounds import (
     erasure_capacities,
     erasure_delta,
     erasure_isometry_gap,
-    gamma_fn_from_hamiltonian,
-    gamma_fn_from_oscillator,
     lemma4_bound,
     p_r,
     prop2_bound,
@@ -31,9 +30,10 @@ from chanbound.energy import (
     gamma,
     oscillator_f,
     oscillator_f_bar,
-    oscillator_gamma_hat,
     oscillator_gamma_hat_domain_min,
+    oscillator_gamma_hat_unchecked,
 )
+from chanbound.qstate import QStateError
 
 LOG2 = math.log(2.0)
 
@@ -51,6 +51,25 @@ EPS_GRID = np.linspace(0.004, 0.8, 20)
 
 def rel_err(a, b):
     return abs(a - b) / max(abs(b), 1e-300)
+
+
+_OSC = OscillatorSpec(1, (1.0,))
+_EPS_EVALUATORS = {
+    "prop2": lambda e: prop2_bound(e, 2),
+    "prop5": lambda e: prop5_bound(e, 1, lambda x: 1.0),
+    "prop6": lambda e: prop6_bound(e, 2),
+    "prop8": lambda e: prop8_bound(e, lambda x: 1.0),
+    "p_r": lambda e: p_r(_OSC, 5.0, e, 0.5),
+    "theorem2": lambda e: theorem2_bound("q", e, lambda t, x: 1.0),
+    "t_st": lambda e: t_st(e, 0.7, _OSC, s=0, t=0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EPS_EVALUATORS))
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -1e-3])
+def test_epsilon_non_finite_or_negative_rejected(name, eps):
+    with pytest.raises(ValueError, match="epsilon"):
+        _EPS_EVALUATORS[name](eps)
 
 
 class TestLemma4Evaluator:
@@ -175,14 +194,77 @@ class TestPropositionEvaluators:
         assert prop8_bound(0.0, t_handle) == 0.0
 
 
+def _patience_t_st(epsilon, e_bar, handle, s, t, d_cap=10**6, patience=50):
+    """`t_st` as it was: a NaN-masked gamma handle scanned d by d from d = 1 in
+    65,536-wide blocks, stopping after `patience` consecutive rises."""
+    if isinstance(handle, OscillatorSpec):
+        floor = oscillator_gamma_hat_domain_min(handle)
+        gamma_fn = lambda ds: np.where(ds < floor, np.nan, oscillator_gamma_hat_unchecked(handle, ds))
+        hi = d_cap
+    else:
+        def gamma_fn(ds):
+            vals = np.full(ds.shape, np.nan)
+            inside = (ds >= handle.ground_multiplicity) & (ds <= handle.dim)
+            vals[inside] = [gamma(handle, d) for d in ds[inside]]
+            return vals
+
+        hi = min(d_cap, handle.dim)
+    eps = float(epsilon)
+    e_bar = max(e_bar, 0.0)
+    best, best_d, rise_run, prev_obj, d, stop = math.inf, 0, 0, None, 1, False
+    while d <= hi and not stop:
+        block_end = min(d + 65536, hi + 1)
+        ds = np.arange(d, block_end)
+        gams = gamma_fn(ds)
+        with np.errstate(invalid="ignore"):
+            feasible = ~np.isnan(gams)
+            feasible &= np.where(feasible, gams, -1.0) >= 2.0 * e_bar
+            if e_bar > 0.0:
+                feasible &= np.where(feasible, gams, -1.0) > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(feasible & (gams > 0), (2.0**s) * e_bar / gams, 0.0)
+        root = np.sqrt(ratio)
+        g_vals = (root + 1.0) * np.log(root + 1.0) - np.where(
+            root > 0, root * np.log(np.where(root > 0, root, 1.0)), 0.0
+        )
+        obj = (4.0 * root + 4.0 * s * t * ratio + 2.0 * eps) * np.log(ds) + 4.0 * g_vals
+        for i in range(ds.size):
+            if not feasible[i]:
+                continue
+            o = float(obj[i])
+            if o < best:
+                best, best_d, rise_run = o, int(ds[i]), 0
+            elif prev_obj is not None and o >= prev_obj:
+                rise_run += 1
+                if rise_run >= patience:
+                    stop = True
+                    break
+            else:
+                rise_run = 0
+            prev_obj = o
+        d = block_end
+    if best_d == 0:
+        raise QStateError(f"no feasible d <= {hi} with gamma(d) >= 2(E - E_0) = {2 * e_bar}")
+    return best, best_d
+
+
+# (handle, E - E_0 values); on the spectra, 2.0, 3.0 and 9.0 exceed gamma(dim) / 2 and are infeasible
+_PIN_CASES = {
+    "osc1": (OscillatorSpec(1, (1.0,), truncation=6), (0.0, 0.7, 4.5)),
+    "osc2": (OscillatorSpec(2, (1.0, 2.0)), (0.5, 3.0)),
+    "unique_ground": (Hamiltonian(np.array([0.0, 1.0, 2.0, 3.0])), (0.0, 0.1, 0.3, 0.6, 2.0)),
+    "degenerate_ground": (Hamiltonian(np.array([0.5, 0.5, 1.0, 2.0, 4.0])), (0.0, 0.05, 0.2, 3.0)),
+    "ladder16": (Hamiltonian(np.arange(16.0)), (0.3, 2.0, 9.0)),
+}
+
+
 class TestTFunctional:
     def setup_method(self):
         self.spec = OscillatorSpec(1, (1.0,), truncation=40)
-        self.gamma_fn, self.d_max = gamma_fn_from_oscillator(self.spec)
 
     def test_matches_direct_scan_oracle_exactly(self):
         eps, e_bar = 0.01, 4.5
-        got = t_st(eps, e_bar, self.gamma_fn, s=0, t=0)
+        got = t_st(eps, e_bar, self.spec, s=0, t=0)
         best_val, best_d = math.inf, 0
         for d in range(3, 10**6 + 1):
             gam = (1.0 / math.e) * 1.0 * float(d) ** 1.0 - 1.0
@@ -198,53 +280,84 @@ class TestTFunctional:
         assert got.value == best_val
         assert got.d_star == best_d
 
+    @pytest.mark.parametrize("case", sorted(_PIN_CASES))
+    def test_matches_the_patience_scan(self, case):
+        # the oscillators' small-eps minima sit at the default cap, where the
+        # patience scan walks a million d in Python: a 4000 cap keeps those
+        # cases cheap and pins the cap end as well
+        handle, e_bars = _PIN_CASES[case]
+        for e_bar in e_bars:
+            for eps in (0.0, 0.01, 0.05, 0.1, 0.3, 0.7, 1.2, 1.4):
+                d_cap = 4000 if isinstance(handle, OscillatorSpec) and eps < 0.7 else 10**6
+                for s in (0, 1):
+                    for t in (0, 1):
+                        try:
+                            want = _patience_t_st(eps, e_bar, handle, s, t, d_cap)
+                        except QStateError as exc:
+                            with pytest.raises(QStateError, match=re.escape(str(exc))):
+                                t_st(eps, e_bar, handle, s, t, d_cap)
+                            continue
+                        got = t_st(eps, e_bar, handle, s, t, d_cap)
+                        assert (got.value, got.d_star) == want
+
+    def test_interior_minimum_matches_an_exhaustive_scan(self):
+        # prop5's default system at eps = 0.1: every feasible d <= d_cap
+        spec, e_bar, eps = OscillatorSpec(1, (1.0,), truncation=6), 0.7, 0.1
+        ds = np.arange(1, 10**6 + 1)
+        gam = (1.0 / math.e) * ds - 1.0
+        ok = (gam > 0) & (gam >= 2 * e_bar)
+        ds, gam = ds[ok], gam[ok]
+        r = np.sqrt(e_bar / gam)
+        obj = (4.0 * r + 2.0 * eps) * np.log(ds) + 4.0 * ((r + 1.0) * np.log(r + 1.0) - r * np.log(r))
+        k = int(np.argmin(obj))
+        got = t_st(eps, e_bar, spec, s=0, t=0)
+        assert (got.value, got.d_star) == (float(obj[k]), int(ds[k]))
+        assert got.d_star == 33_813
+
     def test_monotone_in_epsilon(self):
-        vals = [t_st(e, 1.5, self.gamma_fn, s=0, t=0).value for e in (0.0, 0.05, 0.2, 0.5)]
+        vals = [t_st(e, 1.5, self.spec, s=0, t=0).value for e in (0.0, 0.05, 0.2, 0.5)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_epsilon_zero_floor(self):
-        res = t_st(0.0, 1.5, self.gamma_fn, s=0, t=0)
+        res = t_st(0.0, 1.5, self.spec, s=0, t=0)
         assert res.value >= 0.0
         # equals the d-minimum of the eps-free expression by construction
-        probe = t_st(0.0, 1.5, self.gamma_fn, s=0, t=1)
+        probe = t_st(0.0, 1.5, self.spec, s=0, t=1)
         assert res.value == probe.value  # s=0 kills the st term
 
     def test_decreasing_toward_zero_grid(self):
-        vals = [t_st(e, 4.5, self.gamma_fn, s=0, t=0).value for e in (1e-2, 1e-3, 1e-4, 1e-5)]
+        vals = [t_st(e, 4.5, self.spec, s=0, t=0).value for e in (1e-2, 1e-3, 1e-4, 1e-5)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_s1_t1_term(self):
-        v00 = t_st(0.1, 1.5, self.gamma_fn, s=1, t=0).value
-        v11 = t_st(0.1, 1.5, self.gamma_fn, s=1, t=1).value
+        v00 = t_st(0.1, 1.5, self.spec, s=1, t=0).value
+        v11 = t_st(0.1, 1.5, self.spec, s=1, t=1).value
         assert v11 >= v00
 
     def test_numeric_handle_infeasible_rejected(self):
         h = Hamiltonian(np.array([0.0, 1.0]))
-        gamma_fn, d_max = gamma_fn_from_hamiltonian(h)
-        from chanbound.qstate import QStateError
-
         with pytest.raises(QStateError):
-            t_st(0.1, 5.0, gamma_fn, s=0, t=0, d_max=d_max)
+            t_st(0.1, 5.0, h, s=0, t=0)
 
-    def test_handles_are_nan_outside_their_domain(self):
+    def test_d_star_respects_the_domain_floor(self):
+        # at E - E_0 = 0 the objective is 2 eps log d, least at the first d
+        # of the domain: d_0 for a spectrum, the closed form's floor for an oscillator
         h = Hamiltonian(np.array([0.5, 0.5, 1.0, 2.0, 4.0]))
-        gamma_fn, _ = gamma_fn_from_hamiltonian(h)
-        ds = np.arange(1, 8)
-        want = [gamma(h, d) if 2 <= d <= 5 else np.nan for d in ds]
-        np.testing.assert_array_equal(gamma_fn(ds), want)
         floor = oscillator_gamma_hat_domain_min(self.spec)
-        ds = np.arange(1, floor + 3)
-        want = [oscillator_gamma_hat(self.spec, d) if d >= floor else np.nan for d in ds]
-        np.testing.assert_array_equal(self.gamma_fn(ds), want)
+        for eps in (0.05, 0.7):
+            assert t_st(eps, 0.0, h, s=0, t=0).d_star == h.ground_multiplicity == 2
+            assert t_st(eps, 0.0, self.spec, s=0, t=0).d_star == floor == 3
+            for e_bar in (0.05, 0.2):
+                assert t_st(eps, e_bar, h, s=1, t=0).d_star >= 2
+            assert t_st(eps, 1.5, self.spec, s=0, t=0).d_star >= floor
 
     @pytest.mark.parametrize("s", [0, 1])
     def test_numeric_handle_matches_direct_scan_oracle_exactly(self, s):
         h = Hamiltonian(np.array([0.0, 1.0, 2.0, 3.0]))
-        gamma_fn, d_max = gamma_fn_from_hamiltonian(h)
         for e_bar in (0.0, 0.1, 0.3):
             for eps in (0.0, 0.05, 0.2):
                 for t in (0, 1):
-                    got = t_st(eps, e_bar, gamma_fn, s=s, t=t, d_max=d_max)
+                    got = t_st(eps, e_bar, h, s=s, t=t)
                     best_val, best_d = math.inf, 0
                     for d in range(h.ground_multiplicity, h.dim + 1):
                         gam = gamma(h, d)
@@ -262,8 +375,7 @@ class TestTFunctional:
 
     def test_numeric_handle_small_spectrum(self):
         h = Hamiltonian(np.array([0.0, 1.0, 2.0, 3.0]))
-        gamma_fn, d_max = gamma_fn_from_hamiltonian(h)
-        res = t_st(0.2, 0.6, gamma_fn, s=1, t=0, d_max=d_max)
+        res = t_st(0.2, 0.6, h, s=1, t=0)
         assert res.d_star <= 4
         assert res.value > 0
 

@@ -11,6 +11,7 @@ from chanbound.energy import (
     OscillatorSpec,
     TruncationTailWarning,
     _mean_energy,
+    cap_weight,
     check_s_flag,
     f_bar,
     f_bar_inverse,
@@ -25,6 +26,7 @@ from chanbound.energy import (
     truncate_pure_state,
 )
 from chanbound.entropic import g, von_neumann_entropy
+from chanbound.metrics import EnergyConstraint
 from chanbound.qstate import (
     DensityMatrix,
     HermitianOperator,
@@ -122,6 +124,20 @@ class TestHamiltonian:
     def test_negative_ground_rejected(self):
         with pytest.raises(QStateError):
             Hamiltonian(np.array([-0.5, 1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_non_finite_eigenvalue_rejected(self, bad, at):
+        ev = np.array([0.0, 1.0, 2.0])
+        ev[at] = bad
+        with pytest.raises(QStateError):
+            Hamiltonian(ev)
+
+    def test_non_finite_eigenbasis_rejected(self):
+        u = np.eye(2, dtype=np.complex128)
+        u[0, 1] = math.nan
+        with pytest.raises(QStateError, match="unitary"):
+            Hamiltonian(np.array([0.0, 1.0]), eigenbasis=u)
 
 
 class TestGibbs:
@@ -383,6 +399,16 @@ class TestEnergyCap:
         energy = {"kind": "spectrum", "eigenvalues": [1, 2, 3, 4], "E": 0.5}
         with pytest.raises(EnergyDomainError, match=r"0\.5.*1\.0"):
             run_suite(CampaignConfig(suite="prop7", trials=2, seed=7, energy=energy))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cap_rejected(self, bad):
+        h = Hamiltonian(np.array([1.0, 2.0, 3.0, 4.0]))
+        with pytest.raises(EnergyDomainError):
+            EnergyCap(h, bad)
+        with pytest.raises(EnergyDomainError):
+            EnergyConstraint(h, bad)
+        with pytest.raises(EnergyDomainError):
+            cap_weight(2.0, bad, 1.0)
 
     def test_rotated_eigenbasis(self, gen):
         # ground space spanned by rotated vectors: every input form must be

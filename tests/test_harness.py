@@ -77,9 +77,9 @@ class TestVerdictLogic:
         assert classify(2.5, 1.5, 2.0) == VIOLATION
 
     def test_exact_epsilon_never_inconclusive(self):
-        v = BoundVerdict.exact("s", 0, "b", lhs=1.0, epsilon=0.3, rhs=0.9)
+        v = BoundVerdict.check("s", 0, "b", lhs=1.0, eps_lo=0.3, eps_hi=0.3, rhs_lo=0.9, rhs_hi=0.9)
         assert v.outcome == VIOLATION
-        v2 = BoundVerdict.exact("s", 0, "b", lhs=0.8, epsilon=0.3, rhs=0.9)
+        v2 = BoundVerdict.check("s", 0, "b", lhs=0.8, eps_lo=0.3, eps_hi=0.3, rhs_lo=0.9, rhs_hi=0.9)
         assert v2.outcome == PASS
 
     def test_summarize_and_exit_codes(self):
@@ -351,6 +351,16 @@ class TestCLI:
     def test_eval_missing_param_errors(self, capsys):
         code = cli_main(["eval", "--bound", "thm1_q", "--params", "eps=0.05"])
         assert code == 1
+
+    @pytest.mark.parametrize("bound, params", [
+        ("prop2", "eps=nan,d_a=2"),
+        ("t_st", "eps=nan,E=1.2"),
+        ("prop6", "eps=inf,d_a=2"),
+    ])
+    def test_eval_non_finite_epsilon_errors(self, capsys, bound, params):
+        assert cli_main(["eval", "--bound", bound, "--params", params]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "epsilon" in captured.err
 
     def test_sweep_writes_csv(self, tmp_path):
         grid = tmp_path / "grid.json"
