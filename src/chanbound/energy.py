@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .entropic import Ensemble, entropy_of_spectrum
+from .entropic import Ensemble, entropy_of_spectrum, eta
 from .qstate import (
     DensityMatrix,
     PureState,
@@ -106,62 +106,95 @@ class Hamiltonian:
         return self.eigenbasis @ diag @ self.eigenbasis.conj().T
 
 
-def _gibbs_weights(eigenvalues: np.ndarray, lam: float) -> np.ndarray:
+def _gibbs_weights(eigenvalues: np.ndarray, lam) -> np.ndarray:
+    """Gibbs weights at lam, a float, or one row per entry of a column of lams."""
     x = -lam * eigenvalues
-    x = x - x.max()
+    x = x - x.max(axis=-1, keepdims=True)
     w = np.exp(x)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def _mean_energy(eigenvalues: np.ndarray, lam: float) -> float:
     return float(_gibbs_weights(eigenvalues, lam) @ eigenvalues)
 
 
-def _bisect(fn: Callable[[float], float], target: float, lo: float, hi: float, tol: float) -> float:
-    """Root of the decreasing fn(x) = target in [lo, hi] by bisection.
+def _mean_energies(eigenvalues: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """`_mean_energy` at each lam: a stacked vector-vector matmul is one dot per row, as `w @ ev`."""
+    w = _gibbs_weights(eigenvalues, lams[:, None])
+    return (w[:, None, :] @ eigenvalues[:, None])[:, 0, 0]
 
-    Returns the first midpoint within tol of the target, or the midpoint
-    once [lo, hi] no longer halves in floating point.
+
+def _bisect(fn: Callable[[np.ndarray], np.ndarray], target: np.ndarray, lo: np.ndarray,
+            hi: np.ndarray, tol: float) -> np.ndarray:
+    """Roots of the decreasing fn(x) = target in [lo, hi], entry by entry, bisected in lockstep.
+
+    fn maps an array of points to their values.  Each entry ends at its
+    first midpoint within tol of its target, or at the midpoint once its
+    [lo, hi] no longer halves in floating point; so each root is the one
+    bisecting that entry alone gives.  An entry that ends collapses
+    [lo, hi] onto its root, whose midpoint is the root again.
     """
     for _ in range(300):
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        value = fn(mid)
-        if value > target:
-            lo = mid
-        else:
-            hi = mid
-        if abs(value - target) <= tol:
-            return mid
+        if ((mid == lo) | (mid == hi)).all():
+            break
+        # gap > 0 exactly when fn(mid) > target; |gap| <= tol ends the entry at mid
+        gap = fn(mid) - target
+        lo, hi = np.where(gap >= -tol, mid, lo), np.where(gap > tol, hi, mid)
     return 0.5 * (lo + hi)
 
 
-def gibbs_lambda(h: Hamiltonian, energy: float) -> float:
-    """Inverse-temperature parameter matching the prescribed mean energy."""
-    ev = h.eigenvalues
-    if energy < h.ground_energy - 1e-12 or energy >= h.max_energy - 1e-12:
-        if h.max_energy == h.ground_energy and abs(energy - h.ground_energy) <= 1e-12:
-            return 0.0
+def _gibbs_lambdas(eigenvalues: np.ndarray, energies) -> np.ndarray:
+    """Inverse temperature matching each mean energy, all solved in lockstep.
+
+    Each energy takes `_bisect`'s rule on the Gibbs mean energy: from
+    [0, 1] below the uniform energy (or [-1, 0] above it), the outer end
+    doubles while the mean energy there is still on the far side of the
+    target; then the bracket halves until the first midpoint within
+    `ENERGY_SOLVE_TOL`, or the midpoint once it no longer halves.  Every
+    row is evaluated as `_mean_energy` evaluates one lambda, so each entry
+    is bit-identical to solving its energy alone.  An energy within 1e-15
+    of the uniform energy is 0; so is E_0 on a constant spectrum.  Raises
+    EnergyDomainError for the first energy outside [E_0, E_max) or so close
+    to an end that the bracket passes 1e12.
+    """
+    ev = eigenvalues
+    energies = np.asarray(energies, dtype=float).reshape(-1)
+    e_0, e_max, uniform = float(ev[0]), float(ev[-1]), float(ev.mean())
+    outside = (energies < e_0 - 1e-12) | (energies >= e_max - 1e-12)
+    bad = outside & ~((e_max == e_0) & (np.abs(energies - e_0) <= 1e-12))
+    if bad.any():
         raise EnergyDomainError(
-            f"energy {energy} outside feasible interval "
-            f"[{h.ground_energy}, {h.max_energy})"
+            f"energy {float(energies[bad][0])} outside feasible interval [{e_0}, {e_max})"
         )
-    if abs(energy - h.uniform_energy) <= 1e-15:
-        return 0.0
-    if energy < h.uniform_energy:
-        lo, hi = 0.0, 1.0
-        while _mean_energy(ev, hi) > energy:
-            lo, hi = hi, hi * 2.0
-            if hi > 1e12:
-                raise EnergyDomainError(f"energy {energy} too close to the ground energy")
-    else:
-        lo, hi = -1.0, 0.0
-        while _mean_energy(ev, lo) < energy:
-            lo, hi = lo * 2.0, lo
-            if lo < -1e12:
-                raise EnergyDomainError(f"energy {energy} too close to the top energy")
-    return _bisect(lambda lam: _mean_energy(ev, lam), energy, lo, hi, ENERGY_SOLVE_TOL)
+    lams = np.zeros(energies.size)
+    solve = np.flatnonzero(~outside & ~(np.abs(energies - uniform) <= 1e-15))
+    target = energies[solve]
+    below = target < uniform
+    # the outer end doubles from 1 (below the uniform energy) or -1 (above)
+    edge = np.where(below, 1.0, -1.0)
+    grow = np.arange(target.size)
+    while grow.size:
+        mean = _mean_energies(ev, edge[grow])
+        grow = grow[np.where(below[grow], mean > target[grow], mean < target[grow])]
+        edge[grow] *= 2.0
+        far = grow[np.abs(edge[grow]) > 1e12]
+        if far.size:
+            end = "ground" if below[far[0]] else "top"
+            raise EnergyDomainError(f"energy {float(target[far[0]])} too close to the {end} energy")
+    inner = np.where(np.abs(edge) == 1.0, 0.0, edge / 2.0)
+    lo, hi = np.where(below, inner, edge), np.where(below, edge, inner)
+    lams[solve] = _bisect(lambda mid: _mean_energies(ev, mid), target, lo, hi, ENERGY_SOLVE_TOL)
+    return lams
+
+
+def gibbs_lambda(h: Hamiltonian, energy: float) -> float:
+    """Inverse-temperature parameter matching the prescribed mean energy.
+
+    The one-energy case of `_gibbs_lambdas`, the solver `check_s_flag`
+    runs on its whole grid at once.
+    """
+    return float(_gibbs_lambdas(h.eigenvalues, [energy])[0])
 
 
 def gibbs_spectrum(h: Hamiltonian, energy: float) -> np.ndarray:
@@ -174,15 +207,23 @@ def gibbs_spectrum(h: Hamiltonian, energy: float) -> np.ndarray:
         w[:d0] = 1.0 / d0
         return w
     w = _gibbs_weights(h.eigenvalues, gibbs_lambda(h, energy))
-    top = h.eigenvalues >= h.max_energy - DEGENERACY_TOL
-    if h.truncated and float(w[top].sum()) > TAIL_WARN_THRESHOLD:
-        warnings.warn(
-            f"Gibbs weight {float(w[top].sum()):.3e} on the top level at energy {energy}; "
-            "the spectrum truncation may be too small",
-            TruncationTailWarning,
-            stacklevel=2,
-        )
+    _warn_on_tail(h, w, energy)
     return w
+
+
+def _warn_on_tail(h: Hamiltonian, weights: np.ndarray, energies):
+    """TruncationTailWarning at the first Gibbs row (or the one state) heavy on a truncated top level."""
+    if not h.truncated:
+        return
+    tail = weights[..., h.eigenvalues >= h.max_energy - DEGENERACY_TOL].sum(axis=-1).reshape(-1)
+    heavy = np.flatnonzero(tail > TAIL_WARN_THRESHOLD)
+    if heavy.size:
+        warnings.warn(
+            f"Gibbs weight {float(tail[heavy[0]]):.3e} on the top level at energy "
+            f"{float(np.reshape(energies, -1)[heavy[0]])}; the spectrum truncation may be too small",
+            TruncationTailWarning,
+            stacklevel=3,
+        )
 
 
 def gibbs_state(h: Hamiltonian, energy: float, label: str = "A") -> DensityMatrix:
@@ -244,7 +285,9 @@ def f_bar_inverse(h: Hamiltonian, y: float) -> float:
         lo, hi = hi, hi * 2.0
         if hi > 1e12:
             raise EnergyDomainError(f"target {y} too close to log d_0 = {lo_y}")
-    return _mean_energy(ev, _bisect(entropy, y, lo, hi, 0.0))
+    lam = _bisect(lambda mid: np.array([entropy(x) for x in mid]), np.array([y]), np.array([lo]),
+                  np.array([hi]), 0.0)
+    return _mean_energy(ev, float(lam[0]))
 
 
 _gamma_lock = threading.Lock()
@@ -349,20 +392,39 @@ def oscillator_gamma_hat(spec: OscillatorSpec, d: int) -> float:
     return value
 
 
+def _s_flag_grid(h: Hamiltonian) -> np.ndarray:
+    """f_bar(E)/sqrt(E) at 60 points from top/1000 to top, the uniform energy above E_0.
+
+    The points on the Gibbs branch take one lockstep `_gibbs_lambdas` solve
+    and one row-wise entropy, so each value is bit-identical to
+    `f_bar(h, E) / sqrt(E)` evaluated alone; the rest (log dim at the top,
+    the ground mixture at E_0) are `f_h`'s.
+    """
+    top = max(h.uniform_energy - h.ground_energy, 1e-6)
+    grid = np.linspace(top * 1e-3, top, 60)
+    energies = grid + h.ground_energy
+    gibbs = (energies > h.ground_energy + 1e-14) & (energies < h.uniform_energy)
+    f = np.empty(grid.size)
+    f[~gibbs] = [f_h(h, e) for e in energies[~gibbs]]
+    w = _gibbs_weights(h.eigenvalues, _gibbs_lambdas(h.eigenvalues, energies[gibbs])[:, None])
+    _warn_on_tail(h, w, energies[gibbs])
+    f[gibbs] = np.sum(eta(w), axis=1)
+    return f / np.sqrt(grid)
+
+
 def check_s_flag(handle) -> int:
     """0 when f_bar(E)/sqrt(E) is non-increasing on a grid, else 1.
 
     Oscillator closed forms are always 0 (x log(a/x^2 + b) is increasing for
     b >= e/2, which 2 E_0 >= E_* guarantees); finite spectra are decided on
-    60 points from top/1000 to top, the uniform energy above E_0.
+    `_s_flag_grid`'s 60 points from top/1000 to top, the uniform energy
+    above E_0.  One lockstep Gibbs solve covers the grid, and each value
+    has the bits of its own `f_bar(h, E)/sqrt(E)`, so the decision is the
+    pointwise one.
     """
     if isinstance(handle, OscillatorSpec):
         return 0
-    h: Hamiltonian = handle
-    top = max(h.uniform_energy - h.ground_energy, 1e-6)
-    grid = np.linspace(top * 1e-3, top, 60)
-    values = np.array([f_bar(h, e) / math.sqrt(e) for e in grid if e > 0])
-    return 0 if np.all(np.diff(values) <= 1e-12) else 1
+    return 0 if np.all(np.diff(_s_flag_grid(handle)) <= 1e-12) else 1
 
 
 def _factor_product(layout: SystemLayout, blocks: dict, other) -> np.ndarray:

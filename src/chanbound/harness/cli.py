@@ -137,7 +137,13 @@ def _oscillator_from(params: dict) -> OscillatorSpec:
 
 
 def _eval_bound(name: str, p: dict) -> float:
-    eps = float(p.get("eps", p.get("epsilon", 0.0)))
+    """The bound `name` at params p; every bound but erasure_gap needs eps (or epsilon)."""
+    if name == "erasure_gap":
+        return bnd.erasure_isometry_gap(float(p["x"]))
+    eps = p.get("eps", p.get("epsilon"))
+    if eps is None:
+        raise KeyError("eps")
+    eps = float(eps)
     if name in ("lemma4_finite", "lemma4_qc"):
         variant = name.split("_", 1)[1]
         return bnd.lemma4_bound(variant, eps, d=int(p["d"]), part_c=bool(p.get("part_c", 0)))
@@ -184,8 +190,6 @@ def _eval_bound(name: str, p: dict) -> float:
         if "log_d_a" in p:
             return bnd.theorem1_bound(cap, eps, log_d_a=float(p["log_d_a"]))
         return bnd.theorem1_bound(cap, eps, d_a=int(p["d_a"]))
-    if name == "erasure_gap":
-        return bnd.erasure_isometry_gap(float(p["x"]))
     raise ValueError(f"unknown bound {name!r}")
 
 

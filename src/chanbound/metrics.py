@@ -263,8 +263,11 @@ def _ground_min_energy_state(m: np.ndarray, h_mat: Optional[np.ndarray]):
     sel = w <= lam0 + 1e-11 + abs(lam0) * 1e-12
     basis = u[:, sel]
     hr = basis.conj().T @ h_mat @ basis
-    hw, hu = np.linalg.eigh((hr + hr.conj().T) / 2.0)
-    vec = basis @ hu[:, 0]
+    if len(hr) == 1:  # the values LAPACK's eigh returns for a 1 x 1 Hermitian matrix
+        hw, vec = hr[0].real, basis[:, 0]
+    else:
+        hw, hu = np.linalg.eigh((hr + hr.conj().T) / 2.0)
+        vec = basis @ hu[:, 0]
     coupling = u[:, ~sel].conj().T @ (h_mat @ vec)
     curvature = 2.0 * float(np.sum(np.abs(coupling) ** 2 / (lam0 - w[~sel])))
     return np.outer(vec, vec.conj()), float(hw[0].real), lam0, curvature
@@ -488,6 +491,8 @@ class _SaddleTracker:
             blocks = [(c, np.concatenate([a, term[None]])) for (c, a), term in zip(blocks, terms)]
             objective, y0 = np.append(objective, self.e_cap - e_0), np.append(y0, 1.0)
         self.blocks, self.objective, self.y0 = blocks, objective, y0
+        # each stack as one (k, D^2) matrix: `_blocks` makes tensordot's own dot call
+        self.flat = [(c, a.reshape(len(a), -1)) for c, a in blocks]
         self.nu = sum(len(c) for c, _ in blocks) + (cap is not None)  # barrier parameter
 
     def _lmi(self):
@@ -527,7 +532,7 @@ class _SaddleTracker:
         return self.upper - self.lower
 
     def _blocks(self, y: np.ndarray):
-        return [c + np.tensordot(y, a, 1) for c, a in self.blocks]
+        return [c + np.dot(y[None], a).reshape(c.shape) for c, a in self.flat]
 
     def _feasible(self, y: np.ndarray) -> bool:
         if self.cap is not None and not y[-1] > 0.0:

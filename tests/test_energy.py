@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,7 +11,10 @@ from chanbound.energy import (
     Hamiltonian,
     OscillatorSpec,
     TruncationTailWarning,
+    _gibbs_lambdas,
+    _mean_energies,
     _mean_energy,
+    _s_flag_grid,
     cap_weight,
     check_s_flag,
     f_bar,
@@ -67,6 +71,53 @@ def _two_evaluation_gibbs_lambda(h, energy):
         if abs(_mean_energy(ev, mid) - energy) <= 1e-10:
             return mid
     return 0.5 * (lo + hi)
+
+
+def _scalar_gibbs_lambda(h, energy):
+    """`gibbs_lambda` as it was before the lockstep solver: one energy, one scalar bisection."""
+    ev = h.eigenvalues
+    if energy < h.ground_energy - 1e-12 or energy >= h.max_energy - 1e-12:
+        if h.max_energy == h.ground_energy and abs(energy - h.ground_energy) <= 1e-12:
+            return 0.0
+        raise EnergyDomainError(
+            f"energy {energy} outside feasible interval [{h.ground_energy}, {h.max_energy})"
+        )
+    if abs(energy - h.uniform_energy) <= 1e-15:
+        return 0.0
+    if energy < h.uniform_energy:
+        lo, hi = 0.0, 1.0
+        while _mean_energy(ev, hi) > energy:
+            lo, hi = hi, hi * 2.0
+            if hi > 1e12:
+                raise EnergyDomainError(f"energy {energy} too close to the ground energy")
+    else:
+        lo, hi = -1.0, 0.0
+        while _mean_energy(ev, lo) < energy:
+            lo, hi = lo * 2.0, lo
+            if lo < -1e12:
+                raise EnergyDomainError(f"energy {energy} too close to the top energy")
+    for _ in range(300):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        value = _mean_energy(ev, mid)
+        if value > energy:
+            lo = mid
+        else:
+            hi = mid
+        if abs(value - energy) <= 1e-10:
+            return mid
+    return 0.5 * (lo + hi)
+
+
+_LOCKSTEP_SPECTRA = {
+    "levels": [0.0, 1.0, 2.0, 3.0],
+    "arange8": list(range(8)),
+    "degenerate": [0.5, 0.5, 1.0, 2.0, 4.0],
+    "near_degenerate": [0.0, 1e-3, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+    "double_ground": [0.0, 0.0, 1.0, 5.0],
+    "shifted_top_degenerate": [2.0, 2.5, 3.0, 7.0, 7.0],
+}
 
 
 def _bisected_mix(state, cap):
@@ -179,6 +230,52 @@ class TestGibbs:
         grid = np.append(grid, h.uniform_energy)
         for e in grid:
             assert gibbs_lambda(h, e) == _two_evaluation_gibbs_lambda(h, e)
+
+    @pytest.mark.parametrize("kind", [*_LOCKSTEP_SPECTRA, "osc40"])
+    def test_lockstep_matches_scalar_solver(self, kind):
+        # one lockstep solve gives each energy the bits of its own scalar bisection
+        if kind == "osc40":
+            h = OscillatorSpec(1, (1.0,), truncation=40).to_hamiltonian()
+        else:
+            h = Hamiltonian(np.array(_LOCKSTEP_SPECTRA[kind], dtype=float))
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        e_0, span = h.ground_energy, h.max_energy - h.ground_energy
+        energies = np.concatenate([
+            e_0 + span * rng.uniform(0.0, 1.0, 70),  # both sides of the uniform energy
+            e_0 + (h.uniform_energy - e_0) * np.logspace(-9, 0, 10),
+            [e_0, h.uniform_energy, e_0 + 1e-14, h.max_energy - 2e-12],
+        ])
+        assert np.any(energies < h.uniform_energy) and np.any(energies > h.uniform_energy)
+        lams = _gibbs_lambdas(h.eigenvalues, energies)
+        assert lams.shape == energies.shape
+        assert np.array_equal(_mean_energies(h.eigenvalues, lams),
+                              [_mean_energy(h.eigenvalues, lam) for lam in lams])
+        for e, lam in zip(energies, lams):
+            assert lam == _scalar_gibbs_lambda(h, float(e))
+            assert gibbs_lambda(h, float(e)) == lam
+        assert np.array_equal(_gibbs_lambdas(h.eigenvalues, energies[::-1]), lams[::-1])
+
+    @pytest.mark.parametrize("spectrum, energy", [
+        ([0.0, 1.0, 2.0, 3.0], -0.1),  # below E_0
+        ([0.0, 1.0, 2.0, 3.0], 3.0),  # at the top
+        ([0.0, 1.0, 2.0, 3.0], 3.5),  # above it
+        ([0.0, 1.0, 2.0, 3.0], -5e-13),  # inside the 1e-12 slack, below every Gibbs mean
+        ([0.5, 0.5, 1.0], 0.5 - 5e-13),
+        ([1.0, 1.0, 1.0], 1.5),  # a constant spectrum has only E_0
+    ])
+    def test_domain_errors_unchanged(self, spectrum, energy):
+        h = Hamiltonian(np.array(spectrum))
+        with pytest.raises(EnergyDomainError) as ref:
+            _scalar_gibbs_lambda(h, energy)
+        with pytest.raises(EnergyDomainError, match=f"^{re.escape(str(ref.value))}$"):
+            gibbs_lambda(h, energy)
+        # in a batch, the bad energy raises the same error
+        with pytest.raises(EnergyDomainError, match=f"^{re.escape(str(ref.value))}$"):
+            _gibbs_lambdas(h.eigenvalues, [h.ground_energy, energy, h.ground_energy])
+
+    def test_constant_spectrum_ground_is_zero(self):
+        h = Hamiltonian(np.ones(3))
+        assert gibbs_lambda(h, 1.0) == _scalar_gibbs_lambda(h, 1.0) == 0.0
 
     def test_lambda_strictly_decreasing(self, osc60):
         h = osc60.to_hamiltonian()
@@ -316,7 +413,30 @@ class TestSFlag:
         assert check_s_flag(OscillatorSpec(2, (1.0, 2.0))) == 0
 
     def test_two_level_grid_decision(self):
-        assert check_s_flag(Hamiltonian(np.array([0.0, 1.0]))) in (0, 1)
+        assert check_s_flag(Hamiltonian(np.array([0.0, 1.0]))) == 1
+
+    @pytest.mark.parametrize("spectrum, flag", [
+        ([0.0, 1.0, 2.0, 3.0], 1),  # prop8's default
+        (list(range(8)), 1),
+        ([0.5, 0.5, 1.0, 2.0, 4.0], 0),
+        ([0.0, 0.0, 1.0, 5.0], 0),
+        ([0.0, 1e-3, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0], 0),  # 0 on the grid, though not below top/1000
+    ])
+    def test_pinned_flags(self, spectrum, flag):
+        assert check_s_flag(Hamiltonian(np.array(spectrum, dtype=float))) == flag
+
+    @pytest.mark.parametrize("kind", _LOCKSTEP_SPECTRA)
+    def test_grid_values_match_pointwise_f_bar(self, kind):
+        # the lockstep grid is bit-identical to f_bar(h, e) / sqrt(e) point by point
+        h = Hamiltonian(np.array(_LOCKSTEP_SPECTRA[kind], dtype=float))
+        top = max(h.uniform_energy - h.ground_energy, 1e-6)
+        grid = np.linspace(top * 1e-3, top, 60)
+        ref = np.array([f_bar(h, e) / math.sqrt(e) for e in grid])
+        assert np.array_equal(_s_flag_grid(h), ref)
+
+    def test_truncated_grid_warns(self):
+        with pytest.warns(TruncationTailWarning):
+            check_s_flag(OscillatorSpec(1, (1.0,), truncation=8).to_hamiltonian())
 
     def test_constant_spectrum(self):
         assert check_s_flag(Hamiltonian(np.zeros(4))) == 0

@@ -352,6 +352,13 @@ class TestCLI:
         code = cli_main(["eval", "--bound", "thm1_q", "--params", "eps=0.05"])
         assert code == 1
 
+    @pytest.mark.parametrize("bound, params", [("prop2", "d_a=2"), ("t_st", "E=1.2")])
+    def test_eval_missing_epsilon_errors(self, capsys, bound, params):
+        # a bound without eps is not evaluated at eps = 0
+        assert cli_main(["eval", "--bound", bound, "--params", params]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "missing parameter" in captured.err
+
     @pytest.mark.parametrize("bound, params", [
         ("prop2", "eps=nan,d_a=2"),
         ("t_st", "eps=nan,E=1.2"),
@@ -385,6 +392,7 @@ class TestCLI:
         assert proc.stdout.strip() == "[]"
 
     def test_entry_point_runs(self):
+        # erasure_gap is the one bound that takes no eps
         proc = subprocess.run(
             [sys.executable, "-m", "chanbound", "eval", "--bound", "erasure_gap", "--params", "x=0.05"],
             capture_output=True, text=True,

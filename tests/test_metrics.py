@@ -12,7 +12,7 @@ from chanbound.channels import (
     erasure_channel,
     random_channel,
 )
-from chanbound.energy import EnergyDomainError, Hamiltonian
+from chanbound.energy import EnergyCap, EnergyDomainError, Hamiltonian
 from chanbound.entropic import Ensemble
 from chanbound.harness.generators import Generators
 from chanbound import metrics
@@ -536,6 +536,52 @@ class TestConstrainedMinimum:
         assert abs(dual - 0.5) <= 1e-12  # the two crossing levels mixed half and half
         assert np.einsum("ij,ji->", h_mat, rho).real <= 1.0 + 1e-12
         assert abs(np.einsum("ij,ji->", m, rho).real - dual) <= 1e-12
+
+
+def _general_ground_min_energy_state(m, h_mat):
+    """`_ground_min_energy_state` with the bottom eigenspace always diagonalised by a second `eigh`."""
+    w, u = np.linalg.eigh(m)
+    lam0 = float(w[0])
+    sel = w <= lam0 + 1e-11 + abs(lam0) * 1e-12
+    basis = u[:, sel]
+    hr = basis.conj().T @ h_mat @ basis
+    hw, hu = np.linalg.eigh((hr + hr.conj().T) / 2.0)
+    vec = basis @ hu[:, 0]
+    coupling = u[:, ~sel].conj().T @ (h_mat @ vec)
+    curvature = 2.0 * float(np.sum(np.abs(coupling) ** 2 / (lam0 - w[~sel])))
+    return np.outer(vec, vec.conj()), float(hw[0].real), lam0, curvature
+
+
+class TestTrackerShortcuts:
+    @pytest.mark.parametrize("tracker, capped", [
+        (metrics._SaddleTracker, False),
+        (metrics._SaddleTracker, True),
+        (metrics._DiamondTracker, False),
+        (metrics._DiamondTracker, True),
+    ])
+    def test_flat_blocks_match_tensordot(self, tracker, capped):
+        phi, psi = random_channel(3, 2, 2, seed=61), random_channel(3, 2, 2, seed=62)
+        cap = EnergyCap(Hamiltonian(np.array([0.0, 1.0, 2.0])), 0.8) if capped else None
+        tr = tracker(phi.isometry, psi.isometry, 2, 2, cap)
+        y_rand = tr.y0 + 0.1 * np.random.default_rng(63).standard_normal(tr.y0.size)
+        for y in (tr.y0, y_rand):
+            got = tr._blocks(y)
+            ref = [c + np.tensordot(y, a, 1) for c, a in tr.blocks]
+            assert len(got) == len(ref)
+            assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+
+    def test_simple_ground_space_skips_second_eigh(self):
+        checked = 0
+        for m, h_mat, _ in _multiplier_instances(83, 60):
+            w = np.linalg.eigvalsh(m)
+            if w[1] <= w[0] + 1e-11 + abs(w[0]) * 1e-12:
+                continue  # the bottom eigenvalue is not simple
+            rho, energy, lam0, curvature = _ground_min_energy_state(m, h_mat)
+            ref = _general_ground_min_energy_state(m, h_mat)
+            assert rho.tobytes() == ref[0].tobytes()
+            assert (energy, lam0, curvature) == ref[1:]
+            checked += 1
+        assert checked >= 50
 
 
 class TestDiamond:
