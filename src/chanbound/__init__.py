@@ -42,10 +42,9 @@ from .channels import (
     random_channel,
     tensor_power_apply,
 )
-from .energy import Hamiltonian, OscillatorSpec, f_bar, f_bar_inverse, f_h, gamma, gibbs_state
+from .energy import EnergyCap, Hamiltonian, OscillatorSpec, f_bar, f_bar_inverse, f_h, gamma, gibbs_state
 from .metrics import (
     Bracket,
-    EnergyConstraint,
     bures_state_distance,
     channel_bures_bracket,
     diamond_bracket,

@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .energy import Hamiltonian, OscillatorSpec, f_h, gamma, oscillator_f, oscillator_gamma_hat_domain_min, oscillator_gamma_hat_unchecked
+from .energy import Hamiltonian, OscillatorSpec, f_h, oscillator_f, oscillator_gamma_hat_domain_min, oscillator_gamma_hat_unchecked
 from .entropic import eta, g
 from .qstate import QStateError
 
@@ -130,7 +130,7 @@ def t_st(
         (4 sqrt(2^s Ebar/gamma(d)) + 4 s t Ebar/gamma(d) + 2 eps) log d
         + 4 g(sqrt(2^s Ebar/gamma(d))).
 
-    gamma is the handle's own: `energy.gamma` on [d_0, dim] for a
+    gamma is the handle's own: its `gammas` array on [d_0, dim] for a
     Hamiltonian, the closed-form gamma-hat from its domain floor for an
     oscillator.  The scan runs upward in numpy blocks and stops once
     2 eps log d reaches the best value: every term is >= 0 and
@@ -138,8 +138,8 @@ def t_st(
     minimum over the feasible d <= d_cap, at the smallest minimising d.
     """
     eps = _check_eps(epsilon, hi=math.inf)
-    if e_bar < -1e-12:
-        raise ValueError(f"E - E_0 = {e_bar} must be >= 0")
+    if not -1e-12 <= e_bar < math.inf:  # NaN fails too
+        raise ValueError(f"E - E_0 = {e_bar} must be finite and >= 0")
     e_bar = max(e_bar, 0.0)
     if s not in (0, 1) or t not in (0, 1):
         raise ValueError("s and t are binary flags")
@@ -147,8 +147,9 @@ def t_st(
         d, hi = oscillator_gamma_hat_domain_min(handle), d_cap
         gamma_of = lambda ds: oscillator_gamma_hat_unchecked(handle, ds)
     else:
-        d, hi = handle.ground_multiplicity, min(handle.dim, d_cap)
-        gamma_of = lambda ds: np.array([gamma(handle, k) for k in ds])
+        d0 = handle.ground_multiplicity
+        d, hi = d0, min(handle.dim, d_cap)
+        gamma_of = lambda ds: handle.gammas[ds - d0]
     best = math.inf
     best_d = 0
     while d <= hi and 2.0 * eps * np.log(d) < best:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..channels import StinespringChannel, random_channel
+from ..channels import StinespringChannel, random_channel, random_isometry
 from ..energy import EnergyCap, Hamiltonian, mix_to_cap
 from ..entropic import Ensemble
 from ..qstate import DensityMatrix, PureState, SystemLayout
@@ -59,10 +59,7 @@ class Generators:
         return random_channel(d_a, d_b, d_e, self.rng, input_label, output_label, env_label)
 
     def unitary(self, d: int) -> np.ndarray:
-        q, r = np.linalg.qr(self._gaussian((d, d)))
-        phases = np.diagonal(r).copy()
-        phases = np.where(np.abs(phases) > 0, phases / np.abs(phases), 1.0)
-        return q * phases.conj()
+        return random_isometry(d, d, self.rng)
 
     def energy_feasible_density(
         self, layout: SystemLayout, a_label: str, h: Hamiltonian, energy: float

@@ -50,7 +50,6 @@ from ..entropic import (
     qc_state,
 )
 from ..metrics import (
-    EnergyConstraint,
     bures_state_distance,
     bures_sup_bruteforce,
     channel_bures_bracket,
@@ -179,10 +178,10 @@ def _le(name: str, value: float, cap: float):
     return name, value, 0.0, cap, {}
 
 
-def _bracketed(config: CampaignConfig, phi, psi, kind: str, constraint=None):
+def _bracketed(config: CampaignConfig, phi, psi, kind: str, cap=None):
     """(Energy-constrained) Bures bracket of a channel pair at the campaign's
     bracket budget and tolerance, and the certificate every bracketed row carries."""
-    br = channel_bures_bracket(phi, psi, constraint, budget=config.budget("bracket_budget", 500),
+    br = channel_bures_bracket(phi, psi, cap, budget=config.budget("bracket_budget", 500),
                                tol=config.budget("bracket_tol", 1e-6))
     return br, {"epsilon_kind": kind, "beta_lower": br.lower, "beta_upper": br.upper,
                 "width": br.width, "converged": br.converged}
@@ -199,11 +198,11 @@ def _channel_pair(gen: Generators, dims: tuple, same: bool = False):
     return phi, phi if same else gen.channel(*dims)
 
 
-def _channel_variation(config, name, pair, value, rhs_at, constraint=None, **certs):
+def _channel_variation(config, name, pair, value, rhs_at, cap=None, **certs):
     """Row for one input under a channel pair: lhs |value(phi) - value(psi)|,
     epsilon the pair's (energy-constrained) Bures bracket."""
-    kind = "bures_bracket" if constraint is None else "energy_constrained_bures_bracket"
-    br, bracket_certs = _bracketed(config, *pair, kind, constraint)
+    kind = "bures_bracket" if cap is None else "energy_constrained_bures_bracket"
+    br, bracket_certs = _bracketed(config, *pair, kind, cap)
     lhs = abs(value(pair[0]) - value(pair[1]))
     return name, lhs, (br.lower, br.upper), rhs_at, {**bracket_certs, **certs}
 
@@ -444,7 +443,7 @@ def _prop5_setup(config: CampaignConfig):
     return _pair_setup(
         config, ham.dim, 3, ham=ham, h_mat=ham.to_matrix(), e_cap=e_cap,
         t_at=lambda eps, t: bnd.t_st(eps, e_cap - spec.ground_energy, spec, s=0, t=t).value,
-        constraint=EnergyConstraint(ham, e_cap),
+        cap=EnergyCap(ham, e_cap),
         certs={"truncation": spec.truncation, "tail_warned": _tail_probe(gibbs_spectrum, ham, e_cap)[1]},
     )
 
@@ -466,7 +465,7 @@ def _prop5_draw(c, gen: Generators, trial: int):
     t_flag = 0 if all(e <= e_cap + 1e-9 for e in energies) else 1
     return [_channel_variation(
         c.config, f"prop5_n{n}_t{t_flag}", _channel_pair(gen, c.dims), lambda ch: _n_copy_cmi(ch, n, rho),
-        lambda eps: bnd.prop5_bound(eps, n, lambda e: c.t_at(e, t_flag)), c.constraint,
+        lambda eps: bnd.prop5_bound(eps, n, lambda e: c.t_at(e, t_flag)), c.cap,
         per_copy_energies=energies, **c.certs,
     )]
 
@@ -482,17 +481,15 @@ def _prop8_setup(config: CampaignConfig):
         def t_handle(eps: float) -> float:
             return bnd.t_st(eps, e_bar, ham, s=s_flag, t=0).value
 
-    layout = SystemLayout([("A", ham.dim)])
-    ens = Generators.for_trial(config.seed, _FIXED_TRIAL).ensemble(layout, config.dim("ensemble_size", 3))
-    return _pair_setup(
-        config, ham.dim, 3, mu=mix_to_cap(ens, EnergyCap(ham, e_cap, layout)),
-        constraint=EnergyConstraint(ham, e_cap), rhs_at=lambda eps: bnd.prop8_bound(eps, t_handle),
-    )
+    cap = EnergyCap(ham, e_cap)
+    ens = Generators.for_trial(config.seed, _FIXED_TRIAL).ensemble(cap.layout, config.dim("ensemble_size", 3))
+    return _pair_setup(config, ham.dim, 3, mu=mix_to_cap(ens, cap), cap=cap,
+                       rhs_at=lambda eps: bnd.prop8_bound(eps, t_handle))
 
 
 def _prop8_draw(c, gen: Generators, trial: int):
     return [_channel_variation(c.config, "prop8", _channel_pair(gen, c.dims),
-                               lambda ch: _output_holevo(ch, c.mu), c.rhs_at, c.constraint)]
+                               lambda ch: _output_holevo(ch, c.mu), c.rhs_at, c.cap)]
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +529,7 @@ def _thm2_grid(config: CampaignConfig):
 # ---------------------------------------------------------------------------
 
 def _identities_setup(config: CampaignConfig):
-    # one Hamiltonian per campaign: `gamma` caches its values per Hamiltonian object
+    # one Hamiltonian per campaign: its `gammas` array is cached on the object
     return SimpleNamespace(config=config, ham=Hamiltonian(np.arange(8.0)))
 
 

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .channels import StinespringChannel, common_stinespring
-from .energy import EnergyCap, Hamiltonian, check_cap, mix_to_cap
+from .energy import EnergyCap, mix_to_cap
 from .entropic import Ensemble
 from .qstate import DensityMatrix, QStateError, trace_norm
 
@@ -203,17 +203,6 @@ def ensemble_dk(mu: Ensemble, nu: Ensemble) -> float:
 
 
 @dataclass(frozen=True)
-class EnergyConstraint:
-    """Mean-energy cap Tr[H rho] <= bound on the channel input marginal."""
-
-    hamiltonian: Hamiltonian
-    bound: float
-
-    def __post_init__(self):
-        check_cap(self.bound, self.hamiltonian.ground_energy)
-
-
-@dataclass(frozen=True)
 class Bracket:
     """Certified interval for an optimization-defined quantity.
 
@@ -384,7 +373,7 @@ def _hermitian_pinch(v_phi: np.ndarray, v_psi: np.ndarray, c: np.ndarray, d_b: i
 def channel_bures_bracket(
     phi: StinespringChannel,
     psi: StinespringChannel,
-    constraint: Optional[EnergyConstraint] = None,
+    cap: Optional[EnergyCap] = None,
     budget: int = 500,
     tol: float = BRACKET_TOL,
     seed: int = 0,
@@ -396,16 +385,18 @@ def channel_bures_bracket(
     its dual (see `_SaddleTracker`) for at most `budget` Newton steps;
     after each centering the path's input state and contraction are
     evaluated as certificates, and only those evaluations become endpoints.
-    A cap at exactly E_0 admits only ground-eigenspace inputs, so that case
-    is solved exactly on the ground eigenspace without a constraint.
+    `cap`, an `EnergyCap` on one factor of dimension d_a, bounds the
+    input's mean energy.  A cap at exactly E_0 admits only ground-eigenspace
+    inputs, so that case is solved exactly on the ground eigenspace without
+    a constraint.
     Budget exhaustion or a numerical failure of the solver returns the best
     certified endpoints with converged=False, never an exception.  `seed`
     is ignored: the bracket is deterministic.
     """
-    return _solve_bracket(_SaddleTracker, phi, psi, constraint, budget, tol)
+    return _solve_bracket(_SaddleTracker, phi, psi, cap, budget, tol)
 
 
-def _solve_bracket(tracker, phi, psi, constraint, budget: int, tol: float) -> Bracket:
+def _solve_bracket(tracker, phi, psi, cap: Optional[EnergyCap], budget: int, tol: float) -> Bracket:
     """Bracket from `tracker`, a `_SaddleTracker` class, on a common dilation of phi and psi."""
     if phi.d_a != psi.d_a or phi.d_b != psi.d_b:
         raise QStateError("channels must share input and output dimensions")
@@ -416,12 +407,11 @@ def _solve_bracket(tracker, phi, psi, constraint, budget: int, tol: float) -> Br
         cph, cps = common_stinespring(phi, psi)
         v_phi, v_psi = cph.isometry, cps.isometry
         d_b, d_e = cph.d_b, cph.d_e
-    if constraint is None:
+    if cap is None:
         return tracker(v_phi, v_psi, d_b, d_e, None).bracket(budget, tol)
-    ham = constraint.hamiltonian
-    if ham.dim != phi.d_a:
-        raise QStateError("constraint Hamiltonian does not match the input dimension")
-    cap = EnergyCap(ham, constraint.bound)
+    if cap.layout.dims != (phi.d_a,):
+        raise QStateError(f"cap layout {cap.layout.factors} is not one factor of the input dimension {phi.d_a}")
+    ham = cap.hamiltonian
     if cap.bound > ham.ground_energy:
         return tracker(v_phi, v_psi, d_b, d_e, cap).bracket(budget, tol)
     basis = ham.eigenbasis if ham.eigenbasis is not None else np.eye(ham.dim, dtype=np.complex128)
@@ -695,7 +685,7 @@ def _extend_isometry(v: np.ndarray, d_r: int) -> np.ndarray:
 def diamond_bracket(
     phi: StinespringChannel,
     psi: StinespringChannel,
-    constraint: Optional[EnergyConstraint] = None,
+    cap: Optional[EnergyCap] = None,
     budget: int = 500,
     tol: float = BRACKET_TOL,
     seed: int = 0,
@@ -709,7 +699,7 @@ def diamond_bracket(
     on A, `upper_contraction` the feasible Z and `upper_multiplier` its mu.
     `seed` and `bures_bracket` are accepted and ignored.
     """
-    return _solve_bracket(_DiamondTracker, phi, psi, constraint, budget, tol)
+    return _solve_bracket(_DiamondTracker, phi, psi, cap, budget, tol)
 
 
 def bures_sup_bruteforce(

@@ -12,8 +12,8 @@ from chanbound.energy import (
     OscillatorSpec,
     TruncationTailWarning,
     _gibbs_lambdas,
+    _gibbs_weights,
     _mean_energies,
-    _mean_energy,
     _s_flag_grid,
     cap_weight,
     check_s_flag,
@@ -25,12 +25,12 @@ from chanbound.energy import (
     gibbs_state,
     mix_to_cap,
     oscillator_f,
+    oscillator_f_bar,
     oscillator_gamma_hat,
     oscillator_gamma_hat_domain_min,
     truncate_pure_state,
 )
 from chanbound.entropic import g, von_neumann_entropy
-from chanbound.metrics import EnergyConstraint
 from chanbound.qstate import (
     DensityMatrix,
     HermitianOperator,
@@ -47,6 +47,11 @@ from chanbound.qstate import (
 @pytest.fixture
 def osc60():
     return OscillatorSpec(1, (1.0,), truncation=60)
+
+
+def _mean_energy(ev, lam):
+    """The one-lambda Gibbs mean energy as it was: one dot of the weights with the spectrum."""
+    return float(_gibbs_weights(ev, lam) @ ev)
 
 
 def _two_evaluation_gibbs_lambda(h, energy):
@@ -108,6 +113,55 @@ def _scalar_gibbs_lambda(h, energy):
         if abs(value - energy) <= 1e-10:
             return mid
     return 0.5 * (lo + hi)
+
+
+def _scalar_f_bar_inverse(h, y):
+    """`f_bar_inverse` as it was before the gamma array: one target, one scalar bisection in lambda."""
+    lo_y, hi_y = math.log(h.ground_multiplicity), math.log(h.dim)
+    if y <= lo_y:
+        return 0.0
+    if y >= hi_y:
+        return h.uniform_energy - h.ground_energy
+    ev = h.eigenvalues - h.ground_energy
+
+    def entropy(lam):
+        w = _gibbs_weights(ev, lam)
+        w = w[w > 0.0]
+        return float(-w @ np.log(w))
+
+    lo, hi = 0.0, 1.0
+    while entropy(hi) > y:
+        lo, hi = hi, hi * 2.0
+    for _ in range(300):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        gap = entropy(mid) - y
+        if gap >= 0.0:
+            lo = mid
+        if not gap > 0.0:
+            hi = mid
+    return _mean_energy(ev, 0.5 * (lo + hi))
+
+
+_GAMMA_SPECTRA = {
+    "levels": lambda: Hamiltonian(np.array([0.0, 1.0, 2.0, 3.0])),
+    "arange8": lambda: Hamiltonian(np.arange(8.0)),
+    "arange16": lambda: Hamiltonian(np.arange(16.0)),
+    "degenerate": lambda: Hamiltonian(np.array([0.5, 0.5, 1.0, 2.0, 4.0])),
+    "double_ground": lambda: Hamiltonian(np.array([0.0, 0.0, 1.0, 5.0])),
+    "triple_ground": lambda: Hamiltonian(np.array([0.0, 0.0, 0.0, 1.0])),
+    "near_degenerate": lambda: Hamiltonian(np.array([0.0, 1e-3, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])),
+    "shifted_top_degenerate": lambda: Hamiltonian(np.array([2.0, 2.5, 3.0, 7.0, 7.0])),
+    # Gibbs weights underflow to 0 on the top levels, below and above 32 levels
+    "underflow": lambda: Hamiltonian(np.array([0.0, 1.0, 50.0, 400.0, 1000.0, 3000.0])),
+    "underflow43": lambda: Hamiltonian(np.r_[0.0, 1.0, 2.0, np.linspace(500.0, 5000.0, 40)]),
+    "underflow70": lambda: Hamiltonian(np.r_[0.0, 0.5, 1.0, 2.0, 3.0, np.geomspace(10.0, 1e5, 65)]),
+    "random50": lambda: Hamiltonian(np.sort(np.random.default_rng(3).uniform(0.0, 10.0, 50))),
+    "osc40": lambda: OscillatorSpec(1, (1.0,), truncation=40).to_hamiltonian(),
+    "osc60": lambda: OscillatorSpec(1, (1.0,), truncation=60).to_hamiltonian(),
+    "osc2x12": lambda: OscillatorSpec(2, (1.0, 2.0), truncation=12).to_hamiltonian(),
+}
 
 
 _LOCKSTEP_SPECTRA = {
@@ -273,6 +327,13 @@ class TestGibbs:
         with pytest.raises(EnergyDomainError, match=f"^{re.escape(str(ref.value))}$"):
             _gibbs_lambdas(h.eigenvalues, [h.ground_energy, energy, h.ground_energy])
 
+    def test_nan_energy_rejected(self):
+        h = Hamiltonian(np.arange(4.0))
+        with pytest.raises(EnergyDomainError, match="outside feasible interval"):
+            gibbs_lambda(h, math.nan)
+        with pytest.raises(EnergyDomainError, match="outside feasible interval"):
+            f_h(h, math.nan)
+
     def test_constant_spectrum_ground_is_zero(self):
         h = Hamiltonian(np.ones(3))
         assert gibbs_lambda(h, 1.0) == _scalar_gibbs_lambda(h, 1.0) == 0.0
@@ -363,6 +424,8 @@ class TestMaxEntropyFunctions:
             f_bar_inverse(h, math.log(2) - 0.1)
         with pytest.raises(EnergyDomainError):
             f_bar_inverse(h, math.log(3) + 0.1)
+        with pytest.raises(EnergyDomainError):
+            f_bar_inverse(h, math.nan)
 
     def test_gamma_nondecreasing(self, osc60):
         h = osc60.to_hamiltonian()
@@ -374,8 +437,46 @@ class TestMaxEntropyFunctions:
         h = osc60.to_hamiltonian()
         assert gamma(h, 7) == gamma(h, 7)
 
+    @pytest.mark.parametrize("kind", _GAMMA_SPECTRA)
+    def test_gammas_match_scalar_inverse(self, kind):
+        # one lockstep solve gives each gamma(d) the bits of its own scalar bisection
+        h = _GAMMA_SPECTRA[kind]()
+        ds = range(h.ground_multiplicity, h.dim + 1)
+        assert h.gammas.tolist() == [_scalar_f_bar_inverse(h, math.log(d)) for d in ds]
+        assert [gamma(h, d) for d in ds] == h.gammas.tolist()
+
+    def test_f_bar_inverse_matches_scalar_inverse(self):
+        h = _GAMMA_SPECTRA["underflow43"]()
+        for y in np.linspace(0.0, math.log(h.dim), 25):
+            assert f_bar_inverse(h, float(y)) == _scalar_f_bar_inverse(h, float(y))
+
+    def test_gammas_read_only_and_cached(self):
+        h = Hamiltonian(np.array([0.0, 0.0, 1.0, 2.0, 3.0]))
+        assert h.gammas is h.gammas
+        assert h.gammas.shape == (4,) and h.gammas[0] == 0.0
+        with pytest.raises(ValueError):
+            h.gammas[1] = 1.0
+        for d in (1, 6):
+            with pytest.raises(EnergyDomainError):
+                gamma(h, d)
+
 
 class TestOscillatorClosedForms:
+    @pytest.mark.parametrize("frequencies, hbar", [
+        ((math.nan,), 1.0), ((math.inf,), 1.0), ((1.0,), math.nan), ((1.0,), math.inf),
+    ])
+    def test_non_finite_spec_rejected(self, frequencies, hbar):
+        with pytest.raises(QStateError, match="finite"):
+            OscillatorSpec(1, frequencies, hbar=hbar)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_energy_rejected(self, bad):
+        spec = OscillatorSpec(1, (1.0,))
+        with pytest.raises(EnergyDomainError, match="finite"):
+            oscillator_f(spec, bad)
+        with pytest.raises(EnergyDomainError, match="finite"):
+            oscillator_f_bar(spec, bad)
+
     def test_f_formula_instance(self):
         spec = OscillatorSpec(1, (1.0,))
         assert abs(oscillator_f(spec, 5.0) - (math.log(5.5) + 1.0)) < 1e-14
@@ -526,7 +627,7 @@ class TestEnergyCap:
         with pytest.raises(EnergyDomainError):
             EnergyCap(h, bad)
         with pytest.raises(EnergyDomainError):
-            EnergyConstraint(h, bad)
+            EnergyCap(h, bad, SystemLayout([("A", 4), ("B", 2)]))
         with pytest.raises(EnergyDomainError):
             cap_weight(2.0, bad, 1.0)
 

@@ -369,6 +369,21 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == "" and "epsilon" in captured.err
 
+    @pytest.mark.parametrize("bound, params", [
+        ("p_r", "eps=0.1,E=nan"),
+        ("lemma4_energy", "eps=0.1,E=nan"),
+        ("prop3", "eps=0.1,E_bar=nan"),
+        ("prop5", "eps=0.1,E=nan,r=0.5"),
+        ("t_st", "eps=0.1,E=nan"),
+        ("prop8", "eps=0.1,E=inf"),
+        ("p_r", "eps=0.1,E=1.2,hbar=inf"),
+        ("p_r", "eps=0.1,E=1.2,omega=nan"),
+    ])
+    def test_eval_non_finite_oscillator_input_errors(self, capsys, bound, params):
+        assert cli_main(["eval", "--bound", bound, "--params", params]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
+
     def test_sweep_writes_csv(self, tmp_path):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"log_d": [10.0], "x": [1e-3]}))

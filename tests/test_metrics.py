@@ -18,7 +18,6 @@ from chanbound.harness.generators import Generators
 from chanbound import metrics
 from chanbound.metrics import (
     Bracket,
-    EnergyConstraint,
     _batched_output_bures,
     _constrained_minimum,
     _dk_costs,
@@ -340,7 +339,7 @@ class TestChannelBures:
         h = Hamiltonian(np.arange(4.0))
         phi = random_channel(4, 3, 2, seed=33)
         psi = random_channel(4, 3, 2, seed=34)
-        br = channel_bures_bracket(phi, psi, EnergyConstraint(h, 1.0), seed=4)
+        br = channel_bures_bracket(phi, psi, EnergyCap(h, 1.0), seed=4)
         assert br.lower_state_energy is not None
         assert br.lower_state_energy <= 1.0 + 1e-9
 
@@ -350,7 +349,7 @@ class TestChannelBures:
         psi = random_channel(2, 2, 2, seed=36)
         tol = 1e-4
         brackets = [
-            channel_bures_bracket(phi, psi, EnergyConstraint(h, e), tol=tol, seed=5)
+            channel_bures_bracket(phi, psi, EnergyCap(h, e), tol=tol, seed=5)
             for e in (0.2, 0.5, 0.9)
         ]
         for a, b in zip(brackets, brackets[1:]):
@@ -362,7 +361,7 @@ class TestChannelBures:
         phi = random_channel(2, 2, 2, seed=37)
         psi = random_channel(2, 2, 2, seed=38)
         free = channel_bures_bracket(phi, psi, seed=6)
-        tight = channel_bures_bracket(phi, psi, EnergyConstraint(h, 0.999), seed=6)
+        tight = channel_bures_bracket(phi, psi, EnergyCap(h, 0.999), seed=6)
         assert tight.upper <= free.upper + 1e-3
         assert tight.lower <= free.upper + 1e-6
 
@@ -383,12 +382,22 @@ class TestChannelBures:
         # a bound of exactly E_0 admits the ground state
         h = Hamiltonian(np.array([1.0, 2.0, 3.0]))
         with pytest.raises(EnergyDomainError, match="below E_0"):
-            EnergyConstraint(h, 1.0 - 1e-13)
+            EnergyCap(h, 1.0 - 1e-13)
         phi = random_channel(3, 2, 2, seed=45)
         psi = random_channel(3, 2, 2, seed=46)
-        br = channel_bures_bracket(phi, psi, EnergyConstraint(h, 1.0), seed=8)
+        br = channel_bures_bracket(phi, psi, EnergyCap(h, 1.0), seed=8)
         assert 0.0 <= br.lower <= br.upper + 1e-9
         assert br.lower_state_energy <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("bracket", [channel_bures_bracket, diamond_bracket])
+    def test_cap_layout_must_be_the_input(self, bracket):
+        # the cap sits on one factor of dimension d_a, or the bracket refuses it
+        phi = random_channel(3, 2, 2, seed=45)
+        psi = random_channel(3, 2, 2, seed=46)
+        for cap in (EnergyCap(Hamiltonian(np.arange(2.0)), 0.5),
+                    EnergyCap(Hamiltonian(np.arange(3.0)), 0.5, SystemLayout([("A", 3), ("R", 2)]))):
+            with pytest.raises(QStateError, match="one factor"):
+                bracket(phi, psi, cap)
 
     @pytest.mark.parametrize("excess", [0.0, 1e-12, 1e-9, 1e-6])
     def test_near_ground_caps(self, excess):
@@ -399,7 +408,7 @@ class TestChannelBures:
         phi = random_channel(3, 2, 2, seed=45)
         psi = random_channel(3, 2, 2, seed=46)
         cap = 1.0 + excess
-        br = channel_bures_bracket(phi, psi, EnergyConstraint(h, cap))
+        br = channel_bures_bracket(phi, psi, EnergyCap(h, cap))
         assert 0.0 <= br.lower <= br.upper + 1e-9
         assert br.lower_state_energy <= cap + 1e-9
         if excess == 0.0:
@@ -419,7 +428,7 @@ class TestChannelBures:
             phi, psi = random_channel(2, 2, 2, seed=61), random_channel(2, 2, 2, seed=62)
         elif kind == "constrained":
             h = Hamiltonian(np.arange(3.0))
-            constraint = EnergyConstraint(h, 0.5)
+            constraint = EnergyCap(h, 0.5)
             h_mat, e_cap = h.to_matrix(), 0.5
             phi, psi = random_channel(3, 2, 2, seed=63), random_channel(3, 2, 2, seed=64)
         else:
@@ -638,7 +647,7 @@ class TestDiamond:
         h = Hamiltonian(np.array([0.0, 1.0, 2.5]))
         phi = random_channel(3, 2, 2, seed=45)
         psi = random_channel(3, 2, 2, seed=46)
-        dia = diamond_bracket(phi, psi, EnergyConstraint(h, 0.0), tol=1e-9)
+        dia = diamond_bracket(phi, psi, EnergyCap(h, 0.0), tol=1e-9)
         v_phi, v_psi = (ch.isometry[:, 0].reshape(2, 2) for ch in (phi, psi))
         exact = trace_norm(v_phi @ v_phi.conj().T - v_psi @ v_psi.conj().T)
         assert abs(dia.lower - exact) <= 1e-8 and abs(dia.upper - exact) <= 1e-8
@@ -648,7 +657,7 @@ class TestDiamond:
         h = Hamiltonian(np.arange(3.0))
         phi = random_channel(3, 2, 2, seed=43)
         psi = random_channel(3, 2, 2, seed=44)
-        dia = diamond_bracket(phi, psi, EnergyConstraint(h, 0.8))
+        dia = diamond_bracket(phi, psi, EnergyCap(h, 0.8))
         assert dia.lower_state_energy is not None
         assert dia.lower_state_energy <= 0.8 + 1e-9
         # the SDP path has no sign step on rounding-noise eigenvalues, so the lower
@@ -662,7 +671,7 @@ class TestDiamond:
         h = Hamiltonian(np.arange(3.0), eigenbasis=Generators(np.random.default_rng(11)).unitary(3))
         phi = random_channel(3, 2, 2, seed=43)
         psi = random_channel(3, 2, 2, seed=44)
-        dia = diamond_bracket(phi, psi, EnergyConstraint(h, 0.8))
+        dia = diamond_bracket(phi, psi, EnergyCap(h, 0.8))
         pure = purify(DensityMatrix(SystemLayout([("A", 3)]), dia.lower_state), "R").to_density()
         assert abs(dia.lower - trace_norm(apply(phi, pure).entries - apply(psi, pure).entries)) <= 1e-10
         assert dia.lower_state_energy <= 0.8 + 1e-12 and dia.converged
