@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .energy import Hamiltonian, OscillatorSpec, f_h, oscillator_f, oscillator_gamma_hat_domain_min, oscillator_gamma_hat_unchecked
+from .energy import EnergyDomainError, Hamiltonian, OscillatorSpec, f_h, oscillator_f, oscillator_gamma_hat_domain_min, oscillator_gamma_hat_unchecked
 from .entropic import eta, g
 from .qstate import QStateError
 
@@ -35,6 +35,12 @@ def _check_eps(epsilon: float, hi: float = 1.0) -> float:
     return eps
 
 
+def _check_energy(energy: float, name: str):
+    """Reject a non-finite energy before any eps = 0 shortcut, as the oscillator handles do at eps > 0."""
+    if not math.isfinite(energy):
+        raise EnergyDomainError(f"{name} {energy} must be finite")
+
+
 def lemma4_bound(
     variant: str,
     epsilon: float,
@@ -54,6 +60,8 @@ def lemma4_bound(
     if variant not in LEMMA4_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {LEMMA4_VARIANTS}")
     eps = _check_eps(epsilon)
+    if variant in ("energy", "pure") and energy is not None:
+        _check_energy(energy, "energy")
     if eps == 0.0:
         return 0.0
     g_coef = 1.0 if part_c else 2.0
@@ -94,6 +102,7 @@ def prop3_bound(
 ) -> float:
     """Energy-constrained output-CMI bound 2 sqrt(2 eps) Fbar(Ebar/eps) + 2 g(sqrt(2 eps))."""
     eps = _check_eps(epsilon)
+    _check_energy(e_bar, "shifted energy")
     if eps == 0.0:
         return 0.0
     eff = eps * eps / 2.0 if pure else eps
@@ -194,11 +203,12 @@ def p_r(spec: OscillatorSpec, energy: float, epsilon: float, r: float) -> float:
         raise ValueError(f"r = {r} outside (0, 1]")
     if eps * r > 1.0 + 1e-12:
         raise ValueError(f"eps * r = {eps * r} > 1: outside the formula's domain")
+    f_e = oscillator_f(spec, energy)  # checks the energy at eps = 0 too
     if eps == 0.0:
         return 0.0
     l = spec.modes
     return (
-        2.0 * eps * (1.0 + 2.0 * r) * oscillator_f(spec, energy)
+        2.0 * eps * (1.0 + 2.0 * r) * f_e
         + 4.0 * l * (2.0 + 1.0 / r) * eta(eps * r)
         + 4.0 * g(eps * r)
         + 6.0 * eps * math.exp(-l)

@@ -149,11 +149,23 @@ def identity_channel(
     return StinespringChannel(np.eye(d), d, d, 1, input_label, output_label, env_label)
 
 
+def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
+    """Standard complex Gaussian array: real parts drawn first, then imaginary parts, written in place.
+
+    The same bits as rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+    without its three complex temporaries.
+    """
+    out = np.empty(shape, dtype=np.complex128)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    return out
+
+
 def random_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-style isometry from QR of a complex Gaussian matrix."""
     if rows < cols:
         raise QStateError(f"no isometry exists from dimension {cols} into {rows}")
-    m = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    m = complex_gaussian(rng, (rows, cols))
     q, r = np.linalg.qr(m)
     phases = np.diagonal(r).copy()
     phases = np.where(np.abs(phases) > 0, phases / np.abs(phases), 1.0)

@@ -160,6 +160,7 @@ def _bisect(fn: Callable[[np.ndarray], np.ndarray], target: np.ndarray, up: np.n
     the midpoint once its bracket no longer halves in floating point; so
     each root is the one solving that entry alone gives.  An entry that
     ends collapses [lo, hi] onto its root, whose midpoint is the root again.
+    A single entry halves by `_bisect_one` instead.
     """
     edge = np.where(up, 1.0, -1.0)
     grow = np.arange(target.size)
@@ -172,6 +173,8 @@ def _bisect(fn: Callable[[np.ndarray], np.ndarray], target: np.ndarray, up: np.n
             raise EnergyDomainError(runaway(int(far[0])))
     inner = np.where(np.abs(edge) == 1.0, 0.0, edge / 2.0)
     lo, hi = np.where(up, inner, edge), np.where(up, edge, inner)
+    if target.size == 1:
+        return np.array([_bisect_one(fn, float(target[0]), float(lo[0]), float(hi[0]), tol)])
     for _ in range(300):
         mid = 0.5 * (lo + hi)
         if ((mid == lo) | (mid == hi)).all():
@@ -179,6 +182,31 @@ def _bisect(fn: Callable[[np.ndarray], np.ndarray], target: np.ndarray, up: np.n
         # gap > 0 exactly when fn(mid) > target; |gap| <= tol ends the entry at mid
         gap = fn(mid) - target
         lo, hi = np.where(gap >= -tol, mid, lo), np.where(gap > tol, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _bisect_one(fn: Callable[[np.ndarray], np.ndarray], target: float, lo: float, hi: float, tol: float) -> float:
+    """`_bisect`'s halvings of one bracket [lo, hi], on Python floats, two halvings per fn call.
+
+    Each call evaluates the midpoint and both midpoints the next halving may
+    take, each computed as that halving computes it, and the stop test runs
+    before each halving, so the root is the lockstep rule's to the bit.  A
+    one-entry solve is bound by per-call numpy dispatch: on 1-element arrays
+    the lockstep bookkeeping costs as much as fn itself.
+    """
+    for _ in range(150):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        gap, gap_lo, gap_hi = (fn(np.array([mid, 0.5 * (lo + mid), 0.5 * (mid + hi)])) - target).tolist()
+        rise = gap > tol
+        lo, hi = (mid if gap >= -tol else lo), (hi if rise else mid)
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        # mid is now the upper candidate if the gap rose above tol, else the lower one
+        gap = gap_hi if rise else gap_lo
+        lo, hi = (mid if gap >= -tol else lo), (hi if gap > tol else mid)
     return 0.5 * (lo + hi)
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..channels import StinespringChannel, random_channel, random_isometry
+from ..channels import StinespringChannel, complex_gaussian, random_channel, random_isometry
 from ..energy import EnergyCap, Hamiltonian, mix_to_cap
 from ..entropic import Ensemble
 from ..qstate import DensityMatrix, PureState, SystemLayout
@@ -32,7 +32,7 @@ class Generators:
         return cls(trial_rng(campaign_seed, trial))
 
     def _gaussian(self, shape) -> np.ndarray:
-        return self.rng.standard_normal(shape) + 1j * self.rng.standard_normal(shape)
+        return complex_gaussian(self.rng, shape)
 
     def density(self, layout: SystemLayout) -> DensityMatrix:
         """Wishart-style G G* normalized to unit trace."""

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import StinespringChannel, common_stinespring
+from .channels import StinespringChannel, common_stinespring, complex_gaussian
 from .energy import EnergyCap, mix_to_cap
 from .entropic import Ensemble
 from .qstate import DensityMatrix, QStateError, trace_norm
@@ -365,8 +365,14 @@ def _segment_min_trace_norm(x0: np.ndarray, x1: np.ndarray):
     return best_t, best_val
 
 
+def _eye_kron(d: int, c: np.ndarray) -> np.ndarray:
+    """np.kron(np.eye(d), c): the one multiply kron makes, without its shape handling."""
+    rows, cols = c.shape
+    return np.multiply(np.eye(d)[:, None, :, None], c[None, :, None, :]).reshape(d * rows, d * cols)
+
+
 def _hermitian_pinch(v_phi: np.ndarray, v_psi: np.ndarray, c: np.ndarray, d_b: int):
-    k = v_phi.conj().T @ np.kron(np.eye(d_b), c) @ v_psi
+    k = v_phi.conj().T @ _eye_kron(d_b, c) @ v_psi
     return (k + k.conj().T) / 2.0
 
 
@@ -427,13 +433,14 @@ _BARRIER_GAP = 1e-10  # the path ends once the barrier's duality gap nu / tau is
 _TAU_GROWTH = 20.0
 
 
-def _lmi_barrier(f: np.ndarray, basis: np.ndarray):
-    """Gradient and Hessian of -log det f along the Hermitian `basis` stack.
+def _lmi_barrier(l: np.ndarray, basis: np.ndarray):
+    """Gradient and Hessian of -log det f along the Hermitian `basis` stack, from f = l l*.
 
-    With f^-1 = s* s and hat_k = s basis_k s*, they are -Tr hat_k and
-    Tr[hat_k hat_l].  Raises LinAlgError unless f is positive definite.
+    l is the Cholesky factor the step test kept.  With s = l^-1, so that
+    f^-1 = s* s, and hat_k = s basis_k s*, they are -Tr hat_k and
+    Tr[hat_k hat_l].
     """
-    s = np.linalg.inv(np.linalg.cholesky(f))
+    s = np.linalg.inv(l)
     hat = s @ basis @ s.conj().T
     flat = hat.reshape(len(basis), -1)
     return -np.einsum("kii->k", hat).real, (flat.conj() @ flat.T).real
@@ -524,19 +531,20 @@ class _SaddleTracker:
     def _blocks(self, y: np.ndarray):
         return [c + np.dot(y[None], a).reshape(c.shape) for c, a in self.flat]
 
-    def _feasible(self, y: np.ndarray) -> bool:
+    def _factors(self, y: np.ndarray):
+        """The step test: Cholesky factors of every block at y, or None unless y is strictly feasible."""
         if self.cap is not None and not y[-1] > 0.0:
-            return False
+            return None
         try:
-            for f in self._blocks(y):
-                np.linalg.cholesky(f)
+            return [np.linalg.cholesky(f) for f in self._blocks(y)]
         except np.linalg.LinAlgError:
-            return False
-        return True
+            return None
 
-    def _newton_step(self, y: np.ndarray, tau: float):
-        """Newton direction of the centering objective at tau, and its squared decrement."""
-        barriers = [_lmi_barrier(f, a) for f, (_, a) in zip(self._blocks(y), self.blocks)]
+    def _newton_step(self, y: np.ndarray, barriers: list, tau: float):
+        """Newton direction of the centering objective at tau, and its squared decrement.
+
+        `barriers` holds `_lmi_barrier` of every block at y; they do not depend on tau.
+        """
         grad = sum((g for g, _ in barriers), tau * self.objective)
         hess = sum(h for _, h in barriers)
         if self.cap is not None:
@@ -554,34 +562,42 @@ class _SaddleTracker:
         exceeds 1/4).  The path ends at width <= tol, at barrier gap
         nu / tau <= 1e-10, after `budget` Newton steps in all, or at the
         first numerical failure, keeping the certificates found so far.
+        Each iterate is factored once: the step test's Cholesky factors of
+        the accepted point serve its certification and its barrier terms,
+        which its first Newton step computes and a Newton step at the next
+        tau reuses.
         """
         y = self.y0
-        self._certify(y)
+        factors = [np.linalg.cholesky(f) for f in self._blocks(y)]  # the start point is strictly feasible
+        barriers = None
+        self._certify(y, factors)
         tau = 1.0
         try:
             while True:
                 for _ in range(_CENTERING_STEPS):
                     if self.iterations >= budget:
                         break
-                    step, lam2 = self._newton_step(y, tau)
+                    if barriers is None:
+                        barriers = [_lmi_barrier(l, a) for l, (_, a) in zip(factors, self.blocks)]
+                    step, lam2 = self._newton_step(y, barriers, tau)
                     if not np.isfinite(lam2) or lam2 / 2.0 <= _CENTERED:
                         break
                     self.iterations += 1
                     alpha = 1.0 if lam2 <= 1.0 / 16.0 else 1.0 / (1.0 + math.sqrt(lam2))
-                    while not self._feasible(y + alpha * step):
+                    while (trial := self._factors(y + alpha * step)) is None:
                         alpha /= 2.0
                         if alpha < 1e-12:
                             return
-                    y = y + alpha * step
-                self._certify(y)
+                    y, factors, barriers = y + alpha * step, trial, None
+                self._certify(y, factors)
                 if self.width <= tol or self.nu / tau <= _BARRIER_GAP or self.iterations >= budget:
                     return
                 tau *= _TAU_GROWTH
         except np.linalg.LinAlgError:
             return
 
-    def _certify(self, y: np.ndarray):
-        s = np.linalg.inv(np.linalg.cholesky(self._blocks(y)[0]))
+    def _certify(self, y: np.ndarray, factors: list):
+        s = np.linalg.inv(factors[0])
         rho = _polish_state(s.conj().T @ s, self.cap)
         x = _env_overlap(self.v_phi, self.v_psi, rho, self.d_b, self.d_e)
         uhlmann, tn = _polar_contraction(x)
@@ -653,11 +669,11 @@ class _DiamondTracker(_SaddleTracker):
         y0 = np.append(np.repeat([c, 0.0], [n, n * n - n]), c * d_b + 1.0)
         return [(np.zeros((d_r, d_r)), state), (-self.choi, z), (np.zeros((n, n)), z)], objective, y0
 
-    def _certify(self, y: np.ndarray):
+    def _certify(self, y: np.ndarray, factors: list):
         state, _, z = self._blocks(y)
-        s = np.linalg.inv(np.linalg.cholesky(state))
+        s = np.linalg.inv(factors[0])
         rho = _polish_state(s.conj().T @ s, self.cap)
-        root = np.kron(np.eye(self.d_b), _sqrt_psd(rho))
+        root = _eye_kron(self.d_b, _sqrt_psd(rho))
         out = root @ self.choi @ root
         self.offer_lower(trace_norm((out + out.conj().T) / 2.0), rho)  # exactly Hermitian: |eigvalsh|
         # Z + delta I lowers the state block by delta d_b I; the least t keeping it PSD gives the dual value
@@ -717,6 +733,9 @@ def bures_sup_bruteforce(
     budget (`samples` >= 2) is a flat Haar grid in batches of `chunk` >= 1;
     the rest refines around the running argmax at shrinking radii, which
     keeps the covering radius near the maximizer far below the global spacing.
+    Draws are built in place by `complex_gaussian` and scaled by 1 / norm,
+    which is how numpy divides a complex array by a real one, so the
+    samples and the value are those of a + 1j * b divided by its norm.
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
@@ -741,17 +760,18 @@ def bures_sup_bruteforce(
     while remaining > 0:
         m = min(chunk, remaining)
         remaining -= m
-        vecs = rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim))
-        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        vecs = complex_gaussian(rng, (m, dim))
+        vecs *= 1.0 / np.linalg.norm(vecs, axis=1, keepdims=True)
         val, vec = evaluate(vecs)
         if val > best:
             best, best_vec = val, vec
     radii = (0.3, 0.1, 0.03, 0.01, 0.003)
     per_stage = max((samples - coarse) // len(radii), 1)
     for radius in radii:
-        noise = rng.standard_normal((per_stage, dim)) + 1j * rng.standard_normal((per_stage, dim))
-        vecs = best_vec[None, :] + radius * noise
-        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        vecs = complex_gaussian(rng, (per_stage, dim))
+        vecs *= radius
+        vecs += best_vec
+        vecs *= 1.0 / np.linalg.norm(vecs, axis=1, keepdims=True)
         val, vec = evaluate(vecs)
         if val > best:
             best, best_vec = val, vec

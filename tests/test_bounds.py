@@ -24,6 +24,7 @@ from chanbound.bounds import (
 )
 from chanbound.channels import ErasureSpec, erasure_channel
 from chanbound.energy import (
+    EnergyDomainError,
     Hamiltonian,
     OscillatorSpec,
     f_h,
@@ -115,6 +116,16 @@ class TestLemma4Evaluator:
             expect = lemma4_bound("energy", eps * eps / 2.0, f_handle=handle, energy=1.0)
             assert rel_err(lemma4_bound("pure", eps, f_handle=handle, energy=1.0), expect) < 1e-12
 
+    @pytest.mark.parametrize("variant", ["energy", "pure"])
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_non_finite_energy_rejected_at_every_eps(self, variant, energy, eps):
+        def handle(e):
+            raise AssertionError("the handle is not called")
+
+        with pytest.raises(EnergyDomainError, match="energy .* must be finite"):
+            lemma4_bound(variant, eps, f_handle=handle, energy=energy)
+
     def test_domain_rejections(self):
         with pytest.raises(ValueError):
             lemma4_bound("finite", 1.2, d=2)
@@ -156,6 +167,16 @@ class TestPropositionEvaluators:
         with pytest.raises(ValueError):
             prop3_bound(1.2, lambda e: 1.0, 1.0)
         assert prop3_bound(0.0, lambda e: 1.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("e_bar", [math.nan, math.inf])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_prop3_non_finite_energy_rejected_at_every_eps(self, e_bar, eps):
+        def fbar(e):
+            raise AssertionError("the handle is not called")
+
+        for pure in (False, True):
+            with pytest.raises(EnergyDomainError, match="shifted energy .* must be finite"):
+                prop3_bound(eps, fbar, e_bar, pure=pure)
 
     def test_prop4_oracle(self):
         for eps in EPS_GRID:
@@ -398,6 +419,13 @@ class TestPR:
 
     def test_zero_epsilon(self):
         assert p_r(self.spec, 5.0, 0.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("energy", [math.nan, math.inf])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_non_finite_energy_rejected_at_every_eps(self, energy, eps):
+        # the message is the closed form's own, so eps = 0 and eps > 0 read alike
+        with pytest.raises(EnergyDomainError, match=r"energy (nan|inf) must be finite and >= the ground energy"):
+            p_r(self.spec, energy, eps, 1.0)
 
     def test_domain(self):
         with pytest.raises(ValueError):

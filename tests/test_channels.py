@@ -11,10 +11,12 @@ from chanbound.channels import (
     channel_to_dict,
     common_stinespring,
     complementary,
+    complex_gaussian,
     erasure_channel,
     identity_channel,
     load_channel,
     random_channel,
+    random_isometry,
     save_channel,
     tensor_power_apply,
 )
@@ -182,6 +184,25 @@ class TestRandomChannel:
         ch = random_channel(4, 2, 3, seed=7)
         out = apply(ch, maximally_mixed(SystemLayout([("A", 4)])))
         assert abs(np.trace(out.entries).real - 1.0) < 1e-10
+
+
+class TestComplexGaussian:
+    @pytest.mark.parametrize("shape", [(), 5, (5,), (3, 4), (2, 3, 4), (0, 3)])
+    def test_matches_sum_of_draws(self, shape):
+        # real parts drawn first, then imaginary parts: the bits of a + 1j * b
+        got = complex_gaussian(np.random.default_rng(17), shape)
+        rng = np.random.default_rng(17)
+        ref = np.asarray(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        assert got.dtype == np.complex128 and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+    def test_isometry_draws_unchanged(self):
+        rng = np.random.default_rng(18)
+        got = random_isometry(6, 3, rng)
+        rng = np.random.default_rng(18)
+        q, r = np.linalg.qr(rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3)))
+        phases = np.diagonal(r) / np.abs(np.diagonal(r))
+        assert got.tobytes() == (q * phases.conj()).tobytes()
 
 
 class TestTensorPower:

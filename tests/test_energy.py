@@ -11,6 +11,8 @@ from chanbound.energy import (
     Hamiltonian,
     OscillatorSpec,
     TruncationTailWarning,
+    ENERGY_SOLVE_TOL,
+    _bisect,
     _gibbs_lambdas,
     _gibbs_weights,
     _mean_energies,
@@ -112,6 +114,25 @@ def _scalar_gibbs_lambda(h, energy):
             hi = mid
         if abs(value - energy) <= 1e-10:
             return mid
+    return 0.5 * (lo + hi)
+
+
+def _one_halving_bisect(fn, target, up, tol):
+    """`energy._bisect` with one halving per fn call, as it was before it took two."""
+    edge = np.where(up, 1.0, -1.0)
+    grow = np.arange(target.size)
+    while grow.size:
+        value = fn(edge[grow])
+        grow = grow[np.where(up[grow], value > target[grow], value < target[grow])]
+        edge[grow] *= 2.0
+    inner = np.where(np.abs(edge) == 1.0, 0.0, edge / 2.0)
+    lo, hi = np.where(up, inner, edge), np.where(up, edge, inner)
+    for _ in range(300):
+        mid = 0.5 * (lo + hi)
+        if ((mid == lo) | (mid == hi)).all():
+            break
+        gap = fn(mid) - target
+        lo, hi = np.where(gap >= -tol, mid, lo), np.where(gap > tol, hi, mid)
     return 0.5 * (lo + hi)
 
 
@@ -284,6 +305,38 @@ class TestGibbs:
         grid = np.append(grid, h.uniform_energy)
         for e in grid:
             assert gibbs_lambda(h, e) == _two_evaluation_gibbs_lambda(h, e)
+
+    @pytest.mark.parametrize("spectrum", [[0.0, 1.0, 2.0, 3.0], [0.5, 0.5, 1.0, 2.0, 4.0]])
+    def test_single_entry_takes_two_halvings_per_call(self, spectrum):
+        # one entry halves on Python floats, each call evaluating a midpoint and both next
+        # candidates; a batch keeps one halving per call; both give the one-halving bits
+        ev = np.array(spectrum)
+        targets = ev[0] + (ev[-1] - ev[0]) * np.array([1e-9, 0.05, 0.3, 0.45, 0.55, 0.7, 0.95, 1.0 - 1e-9])
+        ups = targets < ev.mean()
+
+        def solve(solver, target, up):
+            sizes = []
+
+            def fn(x):
+                sizes.append(x.size)
+                return _mean_energies(ev, x)
+
+            return solver(fn, target, up, ENERGY_SOLVE_TOL), sizes
+
+        one = lambda fn, target, up, tol: _bisect(fn, target, up, tol, str)
+        total = 0
+        for target, up in zip(targets, ups):
+            got, got_sizes = solve(one, target[None], up[None])
+            ref, ref_sizes = solve(_one_halving_bisect, target[None], up[None])
+            assert got.tobytes() == ref.tobytes()
+            grow = got_sizes.count(1)  # the bracket search, alike in both
+            halvings = len(ref_sizes) - grow
+            assert got_sizes[grow:] == [3] * ((halvings + 1) // 2)
+            total += halvings
+        assert total >= 150
+        got, got_sizes = solve(one, targets, ups)
+        ref, ref_sizes = solve(_one_halving_bisect, targets, ups)
+        assert got.tobytes() == ref.tobytes() and got_sizes == ref_sizes
 
     @pytest.mark.parametrize("kind", [*_LOCKSTEP_SPECTRA, "osc40"])
     def test_lockstep_matches_scalar_solver(self, kind):

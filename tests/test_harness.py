@@ -384,6 +384,20 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == "" and "finite" in captured.err
 
+    @pytest.mark.parametrize("bound, params", [
+        ("p_r", "eps=0,E=nan"),
+        ("prop3", "eps=0,E_bar=nan"),
+        ("lemma4_energy", "eps=0,E=nan"),
+        ("lemma4_pure", "eps=0,E=inf"),
+    ])
+    def test_eval_non_finite_energy_errors_at_zero_epsilon(self, capsys, bound, params):
+        # the eps = 0 shortcut comes after the energy check, with the eps > 0 message
+        assert cli_main(["eval", "--bound", bound, "--params", params]) == 1
+        zero = capsys.readouterr()
+        assert cli_main(["eval", "--bound", bound, "--params", params.replace("eps=0", "eps=0.1")]) == 1
+        assert zero.out == "" and "must be finite" in zero.err
+        assert zero.err == capsys.readouterr().err
+
     def test_sweep_writes_csv(self, tmp_path):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"log_d": [10.0], "x": [1e-3]}))

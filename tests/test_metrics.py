@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -9,6 +10,7 @@ from chanbound.channels import (
     StinespringChannel,
     apply,
     common_stinespring,
+    complex_gaussian,
     erasure_channel,
     random_channel,
 )
@@ -561,13 +563,75 @@ def _general_ground_min_energy_state(m, h_mat):
     return np.outer(vec, vec.conj()), float(hw[0].real), lam0, curvature
 
 
+def _parent_descend(self, budget, tol):
+    """`_SaddleTracker.descend` as it was with a boolean step test: every block is
+    factored again by each Newton step, and block 0 by each certification."""
+
+    def feasible(y):
+        if self.cap is not None and not y[-1] > 0.0:
+            return False
+        try:
+            for f in self._blocks(y):
+                np.linalg.cholesky(f)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    def newton_step(y, tau):
+        barriers = []
+        for f, (_, a) in zip(self._blocks(y), self.blocks):
+            s = np.linalg.inv(np.linalg.cholesky(f))
+            hat = s @ a @ s.conj().T
+            flat = hat.reshape(len(a), -1)
+            barriers.append((-np.einsum("kii->k", hat).real, (flat.conj() @ flat.T).real))
+        grad = sum((g for g, _ in barriers), tau * self.objective)
+        hess = sum(h for _, h in barriers)
+        if self.cap is not None:
+            grad[-1] -= 1.0 / y[-1]
+            hess[-1, -1] += 1.0 / y[-1] ** 2
+        scale = 1.0 / np.sqrt(np.diagonal(hess))
+        step = -scale * np.linalg.solve(hess * np.outer(scale, scale), scale * grad)
+        return step, float(-grad @ step)
+
+    def certify(y):
+        self._certify(y, [np.linalg.cholesky(self._blocks(y)[0])])
+
+    y = self.y0
+    certify(y)
+    tau = 1.0
+    try:
+        while True:
+            for _ in range(metrics._CENTERING_STEPS):
+                if self.iterations >= budget:
+                    break
+                step, lam2 = newton_step(y, tau)
+                if not np.isfinite(lam2) or lam2 / 2.0 <= metrics._CENTERED:
+                    break
+                self.iterations += 1
+                alpha = 1.0 if lam2 <= 1.0 / 16.0 else 1.0 / (1.0 + math.sqrt(lam2))
+                while not feasible(y + alpha * step):
+                    alpha /= 2.0
+                    if alpha < 1e-12:
+                        return
+                y = y + alpha * step
+            certify(y)
+            if self.width <= tol or self.nu / tau <= metrics._BARRIER_GAP or self.iterations >= budget:
+                return
+            tau *= metrics._TAU_GROWTH
+    except np.linalg.LinAlgError:
+        return
+
+
+_TRACKERS = [
+    (metrics._SaddleTracker, False),
+    (metrics._SaddleTracker, True),
+    (metrics._DiamondTracker, False),
+    (metrics._DiamondTracker, True),
+]
+
+
 class TestTrackerShortcuts:
-    @pytest.mark.parametrize("tracker, capped", [
-        (metrics._SaddleTracker, False),
-        (metrics._SaddleTracker, True),
-        (metrics._DiamondTracker, False),
-        (metrics._DiamondTracker, True),
-    ])
+    @pytest.mark.parametrize("tracker, capped", _TRACKERS)
     def test_flat_blocks_match_tensordot(self, tracker, capped):
         phi, psi = random_channel(3, 2, 2, seed=61), random_channel(3, 2, 2, seed=62)
         cap = EnergyCap(Hamiltonian(np.array([0.0, 1.0, 2.0])), 0.8) if capped else None
@@ -578,6 +642,82 @@ class TestTrackerShortcuts:
             ref = [c + np.tensordot(y, a, 1) for c, a in tr.blocks]
             assert len(got) == len(ref)
             assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+
+    @pytest.mark.parametrize("tracker, capped", _TRACKERS)
+    def test_each_iterate_factored_once(self, tracker, capped, monkeypatch):
+        # the step test factors every block of the accepted point; its certification and
+        # its barrier terms start from those factors, and the terms serve every tau
+        phi, psi = random_channel(3, 2, 2, seed=61), random_channel(3, 2, 2, seed=62)
+        cap = EnergyCap(Hamiltonian(np.array([0.0, 1.0, 2.0])), 0.8) if capped else None
+        real_cholesky = np.linalg.cholesky
+        phase = ["descend"]
+        counts = collections.Counter()  # cholesky calls by the method they ran in
+        calls = collections.Counter()  # calls of the wrapped methods
+        step_tests = []  # (factorisations, accepted) per call of the step test
+
+        def counting_cholesky(a, *args, **kwargs):
+            counts[phase[-1]] += 1
+            return real_cholesky(a, *args, **kwargs)
+
+        def in_phase(name):
+            method = getattr(tracker, name)
+
+            def wrapped(self, *args):
+                calls[name] += 1
+                start = counts[name]
+                phase.append(name)
+                try:
+                    out = method(self, *args)
+                finally:
+                    phase.pop()
+                if name == "_factors":
+                    step_tests.append((counts[name] - start, out is not None))
+                return out
+            return wrapped
+
+        real_barrier = metrics._lmi_barrier
+
+        def counting_barrier(*args):
+            calls["_lmi_barrier"] += 1
+            return real_barrier(*args)
+
+        counted = type("Counted", (tracker,), {name: in_phase(name) for name in ("_factors", "_newton_step", "_certify")})
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        monkeypatch.setattr(metrics, "_lmi_barrier", counting_barrier)
+        br = metrics._solve_bracket(counted, phi, psi, cap, 500, metrics.BRACKET_TOL)
+        n_blocks = 3 if tracker is metrics._DiamondTracker else 2
+        assert br.converged and br.iterations >= 10
+        assert counts["_newton_step"] == 0 and counts["_certify"] == 0
+        # barrier terms once per iterate, the start included, against one Newton step more per centering
+        assert calls["_lmi_barrier"] <= n_blocks * (br.iterations + 1)
+        assert calls["_newton_step"] >= br.iterations + 3
+        assert counts["descend"] == n_blocks  # the start point, factored once
+        assert sum(accepted for _, accepted in step_tests) == br.iterations
+        assert all(n == n_blocks for n, accepted in step_tests if accepted)
+        assert all(n <= n_blocks for n, _ in step_tests)
+
+    @pytest.mark.parametrize("tracker, capped", _TRACKERS)
+    def test_factor_reuse_matches_parent_loop(self, tracker, capped):
+        # keeping the step test's factors changes no bit of the path: 20 seeded pairs
+        # against the loop that factored every iterate again
+        parent = type("Parent", (tracker,), {"descend": _parent_descend})
+        h = Hamiltonian(np.array([0.0, 1.0, 2.0]))
+        for k in range(20):
+            d_a = 2 + k % 2
+            phi, psi = random_channel(d_a, 2, 2, seed=8100 + 2 * k), random_channel(d_a, 2, 2, seed=8101 + 2 * k)
+            cap = EnergyCap(Hamiltonian(h.eigenvalues[:d_a]), 0.2 + 0.02 * k) if capped else None
+            got = metrics._solve_bracket(tracker, phi, psi, cap, 500, metrics.BRACKET_TOL)
+            ref = metrics._solve_bracket(parent, phi, psi, cap, 500, metrics.BRACKET_TOL)
+            assert (got.lower, got.upper, got.iterations, got.converged, got.upper_multiplier) == (
+                ref.lower, ref.upper, ref.iterations, ref.converged, ref.upper_multiplier), k
+
+    @pytest.mark.parametrize("d, shape", [(2, (2, 2)), (3, (2, 2)), (2, (3, 3)), (4, (1, 1)), (2, (2, 3))])
+    def test_eye_kron_matches_kron(self, d, shape):
+        c = complex_gaussian(np.random.default_rng(64), shape)
+        c.flat[0] = complex(-0.0, 0.0)  # signed zeros take the same products
+        c.flat[-1] = complex(0.0, -0.0)
+        for x in (c, c.real.copy(), c.conj().T):
+            assert metrics._eye_kron(d, x).tobytes() == np.kron(np.eye(d), x).tobytes()
 
     def test_simple_ground_space_skips_second_eigh(self):
         checked = 0
@@ -697,6 +837,41 @@ def _spectral_output_bures(w_phi, w_psi, vecs, d_b, d_e1, d_e2, d_r):
     return np.sqrt(np.clip(2.0 * (1.0 - root_f), 0.0, None))
 
 
+def _parent_bruteforce(phi, psi, samples, seed, chunk):
+    """`bures_sup_bruteforce` as it was: complex draws as a + 1j * b, normalised by division."""
+    d_r = phi.d_a
+    w_phi, w_psi = _extend_isometry(phi.isometry, d_r), _extend_isometry(psi.isometry, d_r)
+    rng = np.random.default_rng(seed)
+    dim = phi.d_a * d_r
+
+    def evaluate(vecs):
+        vals = _batched_output_bures(w_phi, w_psi, vecs, phi.d_b, phi.d_e, psi.d_e, d_r)
+        top = int(np.argmax(vals))
+        return float(vals[top]), vecs[top]
+
+    best, best_vec = -1.0, None
+    coarse = samples // 2
+    remaining = coarse
+    while remaining > 0:
+        m = min(chunk, remaining)
+        remaining -= m
+        vecs = rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        val, vec = evaluate(vecs)
+        if val > best:
+            best, best_vec = val, vec
+    radii = (0.3, 0.1, 0.03, 0.01, 0.003)
+    per_stage = max((samples - coarse) // len(radii), 1)
+    for radius in radii:
+        noise = rng.standard_normal((per_stage, dim)) + 1j * rng.standard_normal((per_stage, dim))
+        vecs = best_vec[None, :] + radius * noise
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        val, vec = evaluate(vecs)
+        if val > best:
+            best, best_vec = val, vec
+    return max(best, 0.0)
+
+
 def _unit_vectors(rng, m, dim):
     vecs = rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim))
     return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
@@ -775,6 +950,15 @@ class TestBruteForceOracle:
         got = _batched_output_bures(w_phi, w_psi, vecs, 2, 4, 4, 2)
         ref = _spectral_output_bures(w_phi, w_psi, vecs, 2, 4, 4, 2)
         assert np.max(np.abs(got - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("samples, chunk", [(4000, 20_000), (4000, 700), (100_000, 20_000), (100_000, 15_000)])
+    def test_in_place_draws_match_parent_oracle(self, samples, chunk):
+        # the in-place draws and the normalisation by 1 / norm give the same bits; a ragged
+        # chunk (700 into 2000, 15000 into 50000) ends the coarse grid on a short batch
+        for seeds, d_e2 in (((7000, 7001), 2), ((55, 56), 3)):
+            phi, psi = random_channel(2, 2, 2, seed=seeds[0]), random_channel(2, 2, d_e2, seed=seeds[1])
+            got = bures_sup_bruteforce(phi, psi, samples=samples, seed=3, chunk=chunk)
+            assert got == _parent_bruteforce(phi, psi, samples, 3, chunk)
 
     def test_sample_stream_unchanged_on_certify_pair(self):
         # the benchmark's criterion-07 pair: same draws, same argmax, so the
