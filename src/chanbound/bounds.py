@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .energy import EnergyDomainError, Hamiltonian, OscillatorSpec, f_h, oscillator_f, oscillator_gamma_hat_domain_min, oscillator_gamma_hat_unchecked
+from .energy import EnergyDomainError, Hamiltonian, OscillatorSpec, check_s_flag, f_h, oscillator_f, oscillator_gamma_hat_domain_min, oscillator_gamma_hat_unchecked
 from .entropic import eta, g
 from .qstate import QStateError
 
@@ -39,6 +39,13 @@ def _check_energy(energy: float, name: str):
     """Reject a non-finite energy before any eps = 0 shortcut, as the oscillator handles do at eps > 0."""
     if not math.isfinite(energy):
         raise EnergyDomainError(f"{name} {energy} must be finite")
+
+
+def _check_d_a(d_a):
+    """Reject an input dimension below 1 (NaN too) before it reaches log."""
+    if not d_a >= 1:
+        raise ValueError(f"d_a = {d_a} must be >= 1")
+    return d_a
 
 
 def lemma4_bound(
@@ -85,6 +92,7 @@ def prop2_bound(
     same_channel drops the 2 eps log 2 term; same_state halves the g term.
     """
     eps = _check_eps(epsilon, hi=math.inf)
+    _check_d_a(d_a)
     if eps == 0.0:
         return 0.0
     value = 2.0 * eps * math.log(d_a)
@@ -113,6 +121,7 @@ def prop3_bound(
 def prop4_bound(epsilon: float, d_a: int, n: int) -> float:
     """n-copy bound n (2 eps log(2 d_A) + g(eps)) for eps = channel Bures distance."""
     eps = _check_eps(epsilon, hi=math.sqrt(2.0))
+    _check_d_a(d_a)
     if n < 1:
         raise ValueError(f"n = {n} must be >= 1")
     if eps == 0.0:
@@ -190,6 +199,8 @@ def t_st(
 def prop5_bound(epsilon: float, n: int, t_handle: Callable[[float], float]) -> float:
     """n-copy output-CMI bound n (T(eps) + g(eps) + 2 eps log 2); n T(0) at eps = 0."""
     eps = _check_eps(epsilon, hi=math.inf)
+    if n < 1:
+        raise ValueError(f"n = {n} must be >= 1")
     return n * (t_handle(eps) + g(eps) + 2.0 * eps * LOG2)
 
 
@@ -215,6 +226,25 @@ def p_r(spec: OscillatorSpec, energy: float, epsilon: float, r: float) -> float:
     )
 
 
+def t_functional(
+    system: Union[Hamiltonian, OscillatorSpec], e_cap: float, r: Optional[float] = None, d_cap: int = 10**6
+) -> Callable[[int, float], float]:
+    """The handle t_fn(t, eps) through which Theorem 2 and Propositions 5 and 8 bound a variation.
+
+    With r it is the oscillator closed form P_r at r, which ignores t.
+    Otherwise it is T_{s,t}(E, eps) of `t_st` at E - E_0, with the s flag
+    of `check_s_flag` (0 for an oscillator), decided once here.  `t_st`
+    and `p_r` are looked up by name on each call, so wrapping either one
+    in this module reaches every handle.
+    """
+    if r is not None:
+        if not isinstance(system, OscillatorSpec):
+            raise ValueError("P_r is an oscillator closed form; a spectrum takes T")
+        return lambda t, eps: p_r(system, e_cap, eps, r)
+    e_bar, s = e_cap - system.ground_energy, check_s_flag(system)
+    return lambda t, eps: t_st(eps, e_bar, system, s=s, t=t, d_cap=d_cap).value
+
+
 def prop6_bound(
     epsilon: float, d_a: int, same_channel: bool = False, same_ensemble: bool = False
 ) -> float:
@@ -223,6 +253,7 @@ def prop6_bound(
     same_channel drops the eps log 2 term; same_ensemble halves the g term.
     """
     eps = _check_eps(epsilon, hi=math.inf)
+    _check_d_a(d_a)
     if eps == 0.0:
         return 0.0
     value = eps * math.log(d_a)
@@ -255,14 +286,20 @@ def theorem1_bound(
 
     Coefficients (a, b) per capacity: chi (1,1), c (2,1), q (2,1),
     pbar (2,2), p (4,2).  `log_d_a` supports closed-form sweeps at
-    dimensions far beyond dense simulation.
+    dimensions far beyond dense simulation; it must be finite and >= 0,
+    as d_a must be >= 1.
     """
     if capacity not in CAPACITIES:
         raise ValueError(f"unknown capacity {capacity!r}; expected one of {CAPACITIES}")
     eps = _check_eps(epsilon, hi=math.sqrt(2.0))
     if (d_a is None) == (log_d_a is None):
         raise ValueError("give exactly one of d_a and log_d_a")
-    ld = math.log(d_a) if d_a is not None else float(log_d_a)
+    if d_a is not None:
+        ld = math.log(_check_d_a(d_a))
+    else:
+        ld = float(log_d_a)
+        if not 0.0 <= ld < math.inf:  # NaN fails too
+            raise ValueError(f"log_d_a = {ld} must be finite and >= 0")
     if eps == 0.0:
         return 0.0
     return _T1_MAIN[capacity] * eps * (ld + LOG2) + _T1_G[capacity] * g(eps)

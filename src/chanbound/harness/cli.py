@@ -8,6 +8,7 @@ check certified a violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -162,20 +163,14 @@ def _eval_bound(name: str, p: dict) -> float:
     if name == "prop4":
         return bnd.prop4_bound(eps, int(p["d_a"]), int(p.get("n", 1)))
     if name in ("t_st", "prop5", "prop8", "thm2_chi", "thm2_c", "thm2_q", "thm2_pbar", "thm2_p"):
-        spec = _oscillator_from(p)
-        e_cap = float(p["E"])
-        e_bar = e_cap - spec.ground_energy
-        d_cap = int(p.get("d_cap", 10**6))
-        if "r" in p:
-            t_fn = lambda t, e: bnd.p_r(spec, e_cap, e, float(p["r"]))
-        else:
-            t_fn = lambda t, e: bnd.t_st(e, e_bar, spec, s=0, t=t, d_cap=d_cap).value
+        t_fn = bnd.t_functional(_oscillator_from(p), float(p["E"]), float(p["r"]) if "r" in p else None,
+                                int(p.get("d_cap", 10**6)))
         if name == "t_st":
             return t_fn(int(p.get("t", 0)), eps)
         if name == "prop5":
-            return bnd.prop5_bound(eps, int(p.get("n", 1)), lambda e: t_fn(int(p.get("t", 0)), e))
+            return bnd.prop5_bound(eps, int(p.get("n", 1)), functools.partial(t_fn, int(p.get("t", 0))))
         if name == "prop8":
-            return bnd.prop8_bound(eps, lambda e: t_fn(0, e))
+            return bnd.prop8_bound(eps, functools.partial(t_fn, 0))
         return bnd.theorem2_bound(name.split("_", 1)[1], eps, t_fn)
     if name in ("corollary_osc", "p_r"):
         spec = _oscillator_from(p)
@@ -200,7 +195,7 @@ def _cmd_eval(args) -> int:
     except KeyError as exc:
         print(f"error: missing parameter {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # int(inf) overflows
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.units == "bits":

@@ -30,7 +30,6 @@ from ..energy import (
     OscillatorSpec,
     TruncationTailWarning,
     cap_weight,
-    check_s_flag,
     f_bar,
     f_h,
     gamma,
@@ -67,7 +66,7 @@ from ..qstate import (
     trace_norm,
 )
 from .generators import Generators
-from .verdict import BoundVerdict, DEFAULT_TOL, summarize
+from .verdict import BoundVerdict, DEFAULT_TOL, classify, summarize
 
 # trial index of the stream that draws a campaign's fixed channel or ensemble
 _FIXED_TRIAL = 10**9
@@ -164,8 +163,9 @@ def run_suite(config: CampaignConfig) -> CampaignReport:
             else:
                 eps_lo = eps_hi = eps
                 rhs_lo = rhs_hi = rhs(eps) if callable(rhs) else rhs
-            verdicts.append(BoundVerdict.check(config.suite, trial, name, lhs, eps_lo, eps_hi, rhs_lo, rhs_hi,
-                                               tol, certs))
+            verdicts.append(BoundVerdict(config.suite, trial, name, float(lhs), float(eps_lo), float(eps_hi),
+                                         float(rhs_lo), float(rhs_hi), classify(lhs, rhs_lo, rhs_hi, tol),
+                                         certs or {}))
     return CampaignReport(config.suite, config.seed, config.to_dict(), tuple(verdicts), summarize(verdicts))
 
 
@@ -433,17 +433,15 @@ def _prop4_draw(c, gen: Generators, trial: int):
                                lambda eps: bnd.prop4_bound(eps, c.dims[0], n))]
 
 
-def _copy_energies(rho: DensityMatrix, labels, h_mat: np.ndarray) -> list[float]:
-    return [float(np.real(np.trace(h_mat @ partial_trace(rho, (lbl,)).entries))) for lbl in labels]
+def _copy_energies(rho: DensityMatrix, labels, cap: EnergyCap) -> list[float]:
+    return [float(np.real(np.trace(cap.operator @ partial_trace(rho, (lbl,)).entries))) for lbl in labels]
 
 
 def _prop5_setup(config: CampaignConfig):
     default = {"kind": "oscillator", "modes": 1, "frequencies": [1.0], "truncation": 6, "E": 1.2}
     spec, ham, e_cap = _energy_input(config, default)
     return _pair_setup(
-        config, ham.dim, 3, ham=ham, h_mat=ham.to_matrix(), e_cap=e_cap,
-        t_at=lambda eps, t: bnd.t_st(eps, e_cap - spec.ground_energy, spec, s=0, t=t).value,
-        cap=EnergyCap(ham, e_cap),
+        config, ham.dim, 3, cap=EnergyCap(ham, e_cap), t_fn=bnd.t_functional(spec, e_cap),
         certs={"truncation": spec.truncation, "tail_warned": _tail_probe(gibbs_spectrum, ham, e_cap)[1]},
     )
 
@@ -451,40 +449,34 @@ def _prop5_setup(config: CampaignConfig):
 def _prop5_draw(c, gen: Generators, trial: int):
     n = 1 if trial % 2 == 0 else 2
     labels, layout = _n_copy_layout(n, c.dims[0])
-    e_cap, e0, h_mat = c.e_cap, c.ham.ground_energy, c.h_mat
+    ham, e_cap = c.cap.hamiltonian, c.cap.bound
+    e0 = ham.ground_energy
     rho = gen.density(layout)
-    energies = _copy_energies(rho, labels, h_mat)
+    energies = _copy_energies(rho, labels, c.cap)
     # trials 0, 1 (mod 4) cap every copy; trials 2, 3 cap the copies' total
     if trial % 4 < 2:
         t = max(cap_weight(e, e_cap, e0) for e in energies)
     else:
         t = cap_weight(sum(energies), n * e_cap, n * e0)
     if t > 0.0:
-        rho = DensityMatrix(layout, (1 - t) * rho.entries + t * ground_product(c.ham, layout, labels))
-        energies = _copy_energies(rho, labels, h_mat)
+        rho = DensityMatrix(layout, (1 - t) * rho.entries + t * ground_product(ham, layout, labels))
+        energies = _copy_energies(rho, labels, c.cap)
     t_flag = 0 if all(e <= e_cap + 1e-9 for e in energies) else 1
     return [_channel_variation(
         c.config, f"prop5_n{n}_t{t_flag}", _channel_pair(gen, c.dims), lambda ch: _n_copy_cmi(ch, n, rho),
-        lambda eps: bnd.prop5_bound(eps, n, lambda e: c.t_at(e, t_flag)), c.cap,
+        lambda eps: bnd.prop5_bound(eps, n, functools.partial(c.t_fn, t_flag)), c.cap,
         per_copy_energies=energies, **c.certs,
     )]
 
 
 def _prop8_setup(config: CampaignConfig):
     spec, ham, e_cap = _energy_input(config, {"kind": "spectrum", "eigenvalues": [0, 1, 2, 3], "E": 0.6})
-    if spec is not None:
-        t_handle = functools.partial(bnd.p_r, spec, e_cap, r=float(config.budget("p_r", 0.5)))
-    else:
-        s_flag = check_s_flag(ham)
-        e_bar = e_cap - ham.ground_energy
-
-        def t_handle(eps: float) -> float:
-            return bnd.t_st(eps, e_bar, ham, s=s_flag, t=0).value
-
+    # an oscillator takes the closed form P_r in place of T
+    t_fn = bnd.t_functional(spec or ham, e_cap, r=float(config.budget("p_r", 0.5)) if spec else None)
     cap = EnergyCap(ham, e_cap)
     ens = Generators.for_trial(config.seed, _FIXED_TRIAL).ensemble(cap.layout, config.dim("ensemble_size", 3))
     return _pair_setup(config, ham.dim, 3, mu=mix_to_cap(ens, cap), cap=cap,
-                       rhs_at=lambda eps: bnd.prop8_bound(eps, t_handle))
+                       rhs_at=lambda eps: bnd.prop8_bound(eps, functools.partial(t_fn, 0)))
 
 
 def _prop8_draw(c, gen: Generators, trial: int):
@@ -517,11 +509,9 @@ def _thm2_grid(config: CampaignConfig):
         r_values = config.dims.get("r_grid", [1.0, 0.3, 1.0 / oscillator_f(spec, e_cap)])
         for x in config.dims.get("x_grid", [0.01, 0.05]):
             for r in r_values:
-                yield from _erasure_rows(
-                    "thm2", x, m_scale,
-                    lambda cap, eps: bnd.theorem2_bound(cap, eps, lambda t, e: bnd.p_r(spec, e_cap, e, r)),
-                    {"E": float(e_cap), "x": float(x), "r": float(r), "M": m_scale, "tail_warned": tail_warned},
-                )
+                bound_at = functools.partial(bnd.theorem2_bound, t_fn=bnd.t_functional(spec, e_cap, r=r))
+                yield from _erasure_rows("thm2", x, m_scale, bound_at, {
+                    "E": float(e_cap), "x": float(x), "r": float(r), "M": m_scale, "tail_warned": tail_warned})
 
 
 # ---------------------------------------------------------------------------

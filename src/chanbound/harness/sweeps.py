@@ -58,7 +58,5 @@ def _energy_points(grid: dict):
         r_values = grid.get("r", [1.0 / bnd.oscillator_f(spec, e_cap)])
         for x in grid.get("x", [0.01]):
             for r in map(float, r_values):
-                def bound_at(cap: str, eps: float, _r=r, _e=e_cap) -> float:
-                    return bnd.theorem2_bound(cap, eps, lambda t, e: bnd.p_r(spec, _e, e, _r))
-
-                yield "E", e_cap, float(x), r, m_scale, bound_at
+                yield "E", e_cap, float(x), r, m_scale, functools.partial(
+                    bnd.theorem2_bound, t_fn=bnd.t_functional(spec, e_cap, r=r))

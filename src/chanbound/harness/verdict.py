@@ -42,32 +42,6 @@ class BoundVerdict:
     outcome: str
     certificates: dict = field(default_factory=dict, repr=False)
 
-    @staticmethod
-    def check(
-        suite: str,
-        trial: int,
-        bound_name: str,
-        lhs: float,
-        eps_lo: float,
-        eps_hi: float,
-        rhs_lo: float,
-        rhs_hi: float,
-        tol: float = DEFAULT_TOL,
-        certificates: Optional[dict] = None,
-    ) -> "BoundVerdict":
-        return BoundVerdict(
-            suite=suite,
-            trial=trial,
-            bound_name=bound_name,
-            lhs=float(lhs),
-            eps_lo=float(eps_lo),
-            eps_hi=float(eps_hi),
-            rhs_lo=float(rhs_lo),
-            rhs_hi=float(rhs_hi),
-            outcome=classify(lhs, rhs_lo, rhs_hi, tol),
-            certificates=certificates or {},
-        )
-
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 

@@ -253,7 +253,9 @@ class PureState:
         object.__setattr__(self, "amplitudes", vec)
 
     def to_density(self) -> DensityMatrix:
-        return DensityMatrix(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
+        """|v><v|, made exactly Hermitian where it is built, as numpy's outer product need not be."""
+        m = np.outer(self.amplitudes, self.amplitudes.conj())
+        return DensityMatrix(self.layout, (m + m.conj().T) / 2.0)
 
     def marginal(self, keep: Sequence[str]) -> DensityMatrix:
         return partial_trace(self.to_density(), keep)

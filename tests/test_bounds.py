@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 
@@ -18,6 +19,7 @@ from chanbound.bounds import (
     prop6_bound,
     prop7_bound,
     prop8_bound,
+    t_functional,
     t_st,
     theorem1_bound,
     theorem2_bound,
@@ -27,6 +29,7 @@ from chanbound.energy import (
     EnergyDomainError,
     Hamiltonian,
     OscillatorSpec,
+    check_s_flag,
     f_h,
     gamma,
     oscillator_f,
@@ -206,6 +209,23 @@ class TestPropositionEvaluators:
             assert rel_err(prop5_bound(eps, 2, t_handle), oracle) < 1e-12
         # no epsilon-zero shortcut: the T functional keeps its d-minimum at eps = 0
         assert prop5_bound(0.0, 2, t_handle) == 3.0
+
+    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_prop5_rejects_fewer_than_one_copy(self, n, eps):
+        def handle(e):
+            raise AssertionError("T is not evaluated for a rejected n")
+
+        with pytest.raises(ValueError, match=f"n = {n} must be >= 1"):
+            prop5_bound(eps, n, handle)
+
+    @pytest.mark.parametrize("d_a", [0, -1, 0.5, math.nan])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_input_dimension_below_one_rejected(self, d_a, eps):
+        for evaluate in (lambda: prop2_bound(eps, d_a), lambda: prop4_bound(eps, d_a, 1),
+                         lambda: prop6_bound(eps, d_a), lambda: theorem1_bound("q", eps, d_a=d_a)):
+            with pytest.raises(ValueError, match=r"d_a = \S+ must be >= 1"):
+                evaluate()
 
     def test_prop8_composite_structure(self):
         t_handle = lambda e: 1.5 + e
@@ -447,6 +467,82 @@ class TestPR:
         assert excess_per_f[-1] < 0.5 * excess_per_f[0]
 
 
+_HANDLE_EPS = [0.01, 0.05, 0.1, 0.3, 0.7, 1.0, 1.2]
+
+
+class TestTFunctionalHandle:
+    """`t_functional` against test-side copies of the handles each caller used to build itself."""
+
+    def test_prop5_oscillator_t_st(self):
+        spec, e_cap = OscillatorSpec(1, (1.0,), truncation=6), 1.2
+        parent = lambda eps, t: t_st(eps, e_cap - spec.ground_energy, spec, s=0, t=t).value
+        handle = t_functional(spec, e_cap)
+        for t in (0, 1):
+            for eps in _HANDLE_EPS:
+                assert handle(t, eps) == parent(eps, t)
+
+    @pytest.mark.parametrize("spectrum, e_cap, s_flag", [
+        ([0.0, 1.0, 2.0, 3.0], 0.6, 1),  # prop8's default
+        ([0.5, 0.5, 1.0, 2.0, 4.0], 0.8, 0),
+    ])
+    def test_prop8_spectrum_takes_the_s_flag(self, spectrum, e_cap, s_flag):
+        ham = Hamiltonian(np.array(spectrum))
+        assert check_s_flag(ham) == s_flag
+
+        def parent(eps):
+            return t_st(eps, e_cap - ham.ground_energy, ham, s=check_s_flag(ham), t=0).value
+
+        handle = t_functional(ham, e_cap)
+        for eps in _HANDLE_EPS:
+            assert handle(0, eps) == parent(eps)
+
+    def test_prop8_oscillator_takes_p_r(self):
+        spec, e_cap, r = OscillatorSpec(1, (1.0,), truncation=6), 1.2, 0.5
+        parent = functools.partial(p_r, spec, e_cap, r=r)
+        handle = t_functional(spec, e_cap, r=r)
+        for eps in _HANDLE_EPS:
+            assert handle(0, eps) == handle(1, eps) == parent(eps)
+
+    def test_thm2_and_the_energy_sweep(self):
+        spec = OscillatorSpec(1, (1.0,), truncation=40)
+        for e_cap in (2.0, 5.0, 10.0):
+            for r in (1.0, 0.3, 1.0 / oscillator_f(spec, e_cap)):
+                parent = lambda cap, eps: theorem2_bound(cap, eps, lambda t, e: p_r(spec, e_cap, e, r))
+                bound_at = functools.partial(theorem2_bound, t_fn=t_functional(spec, e_cap, r=r))
+                for cap in CAPACITIES:
+                    for eps in _HANDLE_EPS[:-1]:  # eps r <= 1
+                        assert bound_at(cap, eps) == parent(cap, eps)
+
+    @pytest.mark.parametrize("spec", [OscillatorSpec(1, (1.0,)), OscillatorSpec(2, (1.0, 2.0))])
+    @pytest.mark.parametrize("d_cap", [500, 20000])
+    def test_eval_d_cap_path(self, spec, d_cap):
+        e_cap = spec.ground_energy + 1.2
+        e_bar = e_cap - spec.ground_energy
+        parent = lambda t, e: t_st(e, e_bar, spec, s=0, t=t, d_cap=d_cap).value
+        handle = t_functional(spec, e_cap, d_cap=d_cap)
+        for t in (0, 1):
+            for eps in [0.0, 1e-3] + _HANDLE_EPS:  # the two smallest scan up to the cap
+                assert handle(t, eps) == parent(t, eps)
+
+    def test_p_r_needs_an_oscillator(self):
+        with pytest.raises(ValueError, match="oscillator"):
+            t_functional(Hamiltonian(np.arange(4.0)), 1.0, r=0.5)
+
+    def test_looks_up_t_st_and_p_r_on_each_call(self, monkeypatch):
+        # a wrapper installed on the module after the handle is built still sees every call
+        import chanbound.bounds as bounds_module
+
+        spec, calls = OscillatorSpec(1, (1.0,), truncation=6), []
+        t_handle, p_handle = t_functional(spec, 1.2), t_functional(spec, 1.2, r=0.5)
+        for name in ("t_st", "p_r"):
+            original = getattr(bounds_module, name)
+            monkeypatch.setattr(bounds_module, name,
+                                lambda *a, _o=original, _n=name, **k: calls.append(_n) or _o(*a, **k))
+        t_handle(0, 0.1)
+        p_handle(0, 0.1)
+        assert calls == ["t_st", "p_r"]
+
+
 class TestTheoremEvaluators:
     def test_thm1_coefficient_table(self):
         eps, d_a = 0.05, 1024
@@ -464,6 +560,15 @@ class TestTheoremEvaluators:
         val_a = theorem1_bound("q", 0.01, d_a=64)
         val_b = theorem1_bound("q", 0.01, log_d_a=math.log(64))
         assert rel_err(val_a, val_b) < 1e-12
+
+    @pytest.mark.parametrize("log_d_a", [math.nan, math.inf, -math.inf, -5.0, -1e-300])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_thm1_log_dim_must_be_finite_and_nonnegative(self, log_d_a, eps):
+        with pytest.raises(ValueError, match=r"log_d_a = \S+ must be finite and >= 0"):
+            theorem1_bound("q", eps, log_d_a=log_d_a)
+
+    def test_thm1_log_dim_zero_is_one_dimension(self):
+        assert theorem1_bound("p", 0.1, log_d_a=0.0) == theorem1_bound("p", 0.1, d_a=1)
 
     def test_thm2_structure(self):
         t_fn = lambda t, e: (2.0 if t else 1.0) + e

@@ -25,7 +25,7 @@ from chanbound.harness.verdict import (
     exit_code,
     summarize,
 )
-from chanbound.qstate import SystemLayout
+from chanbound.qstate import DensityMatrix, SystemLayout
 
 
 class TestGenerators:
@@ -44,6 +44,23 @@ class TestGenerators:
         a = Generators.for_trial(7, 0).density(SystemLayout([("A", 3)]))
         b = Generators.for_trial(7, 1).density(SystemLayout([("A", 3)]))
         assert not np.allclose(a.entries, b.entries)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6, 17, 64])
+    def test_pure_projector_built_hermitian_matches_checked_path(self, d, monkeypatch):
+        """|v><v| is symmetrised where it is built: construction copies it, and its bytes
+        are the checked path's result on the raw outer product, signed zeros included."""
+        lay = SystemLayout([("A", d)])
+        states = [Generators(seed).pure(lay) for seed in range(8)]
+        want = [DensityMatrix(lay, np.outer(psi.amplitudes, psi.amplitudes.conj())).entries.tobytes()
+                for psi in states]
+
+        import chanbound.qstate as qstate
+
+        symmetrize, copied = qstate._check_and_symmetrize, []
+        monkeypatch.setattr(qstate, "_check_and_symmetrize",
+                            lambda a, what: copied.append(not (a - a.conj().T).any()) or symmetrize(a, what))
+        assert [psi.to_density().entries.tobytes() for psi in states] == want
+        assert copied == [True] * len(states)
 
     def test_probabilities_normalized(self, gen):
         p = gen.probabilities(6)
@@ -77,9 +94,11 @@ class TestVerdictLogic:
         assert classify(2.5, 1.5, 2.0) == VIOLATION
 
     def test_exact_epsilon_never_inconclusive(self):
-        v = BoundVerdict.check("s", 0, "b", lhs=1.0, eps_lo=0.3, eps_hi=0.3, rhs_lo=0.9, rhs_hi=0.9)
+        v = BoundVerdict("s", 0, "b", lhs=1.0, eps_lo=0.3, eps_hi=0.3, rhs_lo=0.9, rhs_hi=0.9,
+                         outcome=classify(1.0, 0.9, 0.9))
         assert v.outcome == VIOLATION
-        v2 = BoundVerdict.check("s", 0, "b", lhs=0.8, eps_lo=0.3, eps_hi=0.3, rhs_lo=0.9, rhs_hi=0.9)
+        v2 = BoundVerdict("s", 0, "b", lhs=0.8, eps_lo=0.3, eps_hi=0.3, rhs_lo=0.9, rhs_hi=0.9,
+                          outcome=classify(0.8, 0.9, 0.9))
         assert v2.outcome == PASS
 
     def test_summarize_and_exit_codes(self):
@@ -207,6 +226,11 @@ class TestSweeps:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             sweep_tightness("bogus", {})
+
+    @pytest.mark.parametrize("log_d", [math.nan, -3.0, math.inf])
+    def test_bad_log_dimension_raises(self, log_d):
+        with pytest.raises(ValueError, match="log_d_a"):
+            sweep_tightness("erasure_dim", {"log_d": [log_d]})
 
 
 class TestSuiteReproducibility:
@@ -397,6 +421,24 @@ class TestCLI:
         assert cli_main(["eval", "--bound", bound, "--params", params.replace("eps=0", "eps=0.1")]) == 1
         assert zero.out == "" and "must be finite" in zero.err
         assert zero.err == capsys.readouterr().err
+
+    @pytest.mark.parametrize("bound, params, message", [
+        ("prop5", "eps=0.1,E=1.2,n=-1", "n = -1 must be >= 1"),
+        ("prop5", "eps=0.1,E=1.2,n=0", "n = 0 must be >= 1"),
+        ("thm1_q", "eps=0.1,log_d_a=nan", "log_d_a = nan must be finite and >= 0"),
+        ("thm1_q", "eps=0.1,log_d_a=inf", "log_d_a = inf must be finite and >= 0"),
+        ("thm1_q", "eps=0.1,log_d_a=-5", "log_d_a = -5.0 must be finite and >= 0"),
+        ("thm1_q", "eps=0.1,d_a=0", "d_a = 0 must be >= 1"),
+        ("prop2", "eps=0.1,d_a=0", "d_a = 0 must be >= 1"),
+        ("prop4", "eps=0.1,d_a=-2", "d_a = -2 must be >= 1"),
+        ("prop6", "eps=0,d_a=0", "d_a = 0 must be >= 1"),
+        ("thm1_q", "eps=0.1,d_a=inf", "cannot convert float infinity to integer"),
+        ("prop4", "eps=0.1,d_a=2,n=-inf", "cannot convert float infinity to integer"),
+    ])
+    def test_eval_bad_copies_or_dimension_errors(self, capsys, bound, params, message):
+        assert cli_main(["eval", "--bound", bound, "--params", params]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
 
     def test_sweep_writes_csv(self, tmp_path):
         grid = tmp_path / "grid.json"
