@@ -19,6 +19,7 @@ from .qstate import (
     partial_trace,
     purify,
     tensor_product,
+    trace_distance,
     trace_norm,
 )
 from .entropic import (

@@ -41,11 +41,17 @@ def _check_energy(energy: float, name: str):
         raise EnergyDomainError(f"{name} {energy} must be finite")
 
 
-def _check_d_a(d_a):
-    """Reject an input dimension below 1 (NaN too) before it reaches log."""
-    if not d_a >= 1:
-        raise ValueError(f"d_a = {d_a} must be >= 1")
-    return d_a
+def check_dimension(d, name: str = "d_a"):
+    """Return `d` if it is an integer >= 1; else raise, naming `name`, before it reaches log.
+
+    Below 1 (NaN too) is "must be >= 1"; a value with a fractional part,
+    or an infinite one, is "must be an integer".
+    """
+    if not d >= 1:
+        raise ValueError(f"{name} = {d} must be >= 1")
+    if not (isinstance(d, int) or float(d).is_integer()):  # a huge int need not fit a float
+        raise ValueError(f"{name} = {d} must be an integer")
+    return d
 
 
 def lemma4_bound(
@@ -92,7 +98,7 @@ def prop2_bound(
     same_channel drops the 2 eps log 2 term; same_state halves the g term.
     """
     eps = _check_eps(epsilon, hi=math.inf)
-    _check_d_a(d_a)
+    check_dimension(d_a)
     if eps == 0.0:
         return 0.0
     value = 2.0 * eps * math.log(d_a)
@@ -121,7 +127,7 @@ def prop3_bound(
 def prop4_bound(epsilon: float, d_a: int, n: int) -> float:
     """n-copy bound n (2 eps log(2 d_A) + g(eps)) for eps = channel Bures distance."""
     eps = _check_eps(epsilon, hi=math.sqrt(2.0))
-    _check_d_a(d_a)
+    check_dimension(d_a)
     if n < 1:
         raise ValueError(f"n = {n} must be >= 1")
     if eps == 0.0:
@@ -253,7 +259,7 @@ def prop6_bound(
     same_channel drops the eps log 2 term; same_ensemble halves the g term.
     """
     eps = _check_eps(epsilon, hi=math.inf)
-    _check_d_a(d_a)
+    check_dimension(d_a)
     if eps == 0.0:
         return 0.0
     value = eps * math.log(d_a)
@@ -295,7 +301,7 @@ def theorem1_bound(
     if (d_a is None) == (log_d_a is None):
         raise ValueError("give exactly one of d_a and log_d_a")
     if d_a is not None:
-        ld = math.log(_check_d_a(d_a))
+        ld = math.log(check_dimension(d_a))
     else:
         ld = float(log_d_a)
         if not 0.0 <= ld < math.inf:  # NaN fails too

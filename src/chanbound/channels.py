@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qstate import MAX_TOTAL_DIM, DensityMatrix, QStateError
+from .qstate import MAX_TOTAL_DIM, DensityMatrix, PureState, QStateError, gram_density
 
 ISOMETRY_TOL = 1e-10
 
@@ -62,13 +62,15 @@ class StinespringChannel:
         return [v[:, e, :] for e in range(self.d_e)]
 
 
-def apply(channel: StinespringChannel, rho: DensityMatrix) -> DensityMatrix:
+def apply(channel: StinespringChannel, rho) -> DensityMatrix:
     """Apply the channel to the factor named by its input label.
 
     Extra factors of `rho` pass through untouched (Phi (x) Id); the output
     factor takes the input factor's position in the layout.  The environment
     is traced out inside the contraction that applies V and V-bar, so no
-    B (x) E state is built: the output is the only state validated.
+    B (x) E state is built: the output is the only state validated.  A
+    PureState stays a vector: V maps its amplitudes to a matrix M of shape
+    (pre * d_b * post, d_e), and the output is M M*, with no d x d input.
     """
     layout = rho.layout
     pos = layout.position(channel.input_label)
@@ -82,6 +84,10 @@ def apply(channel: StinespringChannel, rho: DensityMatrix) -> DensityMatrix:
     out_layout = layout.replace(channel.input_label, [(channel.output_label, channel.d_b)])
     pre, post = math.prod(layout.dims[:pos]), math.prod(layout.dims[pos + 1 :])
     v = channel.isometry.reshape(channel.d_b, channel.d_e, channel.d_a)
+    if isinstance(rho, PureState):
+        # V on the input index: (b, e, pre, post) -> (pre, b, post, e)
+        m = np.tensordot(v, rho.amplitudes.reshape(pre, channel.d_a, post), axes=([2], [1]))
+        return gram_density(out_layout, m.transpose(2, 0, 3, 1).reshape(-1, channel.d_e))
     tensor = rho.entries.reshape(pre, channel.d_a, post, pre, channel.d_a, post)
     # V on the row input index: (b, e, pre, post, pre', a', post')
     t = np.tensordot(v, tensor, axes=([2], [1]))

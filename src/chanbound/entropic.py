@@ -197,7 +197,7 @@ def channel_mutual_information(channel, rho: DensityMatrix, ref_label: str = "R"
     from .channels import apply
 
     psi = purify(rho, ref_label)
-    out = apply(channel, psi.to_density())
+    out = apply(channel, psi)
     part_r = (ref_label,)
     part_b = tuple(lbl for lbl in out.layout.labels if lbl != ref_label)
     return mutual_information(out, part_b, part_r)

@@ -124,8 +124,20 @@ def _parse_params(spec: str) -> dict:
     return params
 
 
+def _integer(p: dict, key: str, default=None) -> int:
+    """p[key], or `default` when given and the key is absent, as an int.
+
+    A finite float with a fractional part is an error naming the key, not
+    truncated; an infinite one fails in `int`, as before.
+    """
+    value = p[key] if default is None else p.get(key, default)
+    if isinstance(value, float) and math.isfinite(value) and not value.is_integer():
+        raise ValueError(f"{key} = {value} must be an integer")
+    return int(value)
+
+
 def _oscillator_from(params: dict) -> OscillatorSpec:
-    modes = int(params.get("l", params.get("modes", 1)))
+    modes = _integer(params, "l" if "l" in params else "modes", 1)
     freqs = params.get("frequencies", params.get("omega", [1.0] * modes))
     if isinstance(freqs, (int, float)):
         freqs = [float(freqs)] * modes
@@ -133,7 +145,7 @@ def _oscillator_from(params: dict) -> OscillatorSpec:
         modes=modes,
         frequencies=tuple(freqs),
         hbar=float(params.get("hbar", 1.0)),
-        truncation=int(params.get("truncation", 40)),
+        truncation=_integer(params, "truncation", 40),
     )
 
 
@@ -147,7 +159,7 @@ def _eval_bound(name: str, p: dict) -> float:
     eps = float(eps)
     if name in ("lemma4_finite", "lemma4_qc"):
         variant = name.split("_", 1)[1]
-        return bnd.lemma4_bound(variant, eps, d=int(p["d"]), part_c=bool(p.get("part_c", 0)))
+        return bnd.lemma4_bound(variant, eps, d=_integer(p, "d"), part_c=bool(p.get("part_c", 0)))
     if name in ("lemma4_energy", "lemma4_pure"):
         spec = _oscillator_from(p)
         handle = lambda e: oscillator_f(spec, e)
@@ -156,19 +168,19 @@ def _eval_bound(name: str, p: dict) -> float:
             part_c=bool(p.get("part_c", 0)),
         )
     if name == "prop2":
-        return bnd.prop2_bound(eps, int(p["d_a"]), bool(p.get("same_channel", 0)), bool(p.get("same_state", 0)))
+        return bnd.prop2_bound(eps, _integer(p, "d_a"), bool(p.get("same_channel", 0)), bool(p.get("same_state", 0)))
     if name == "prop3":
         spec = _oscillator_from(p)
         return bnd.prop3_bound(eps, lambda e: oscillator_f_bar(spec, e), float(p["E_bar"]), pure=bool(p.get("pure", 0)))
     if name == "prop4":
-        return bnd.prop4_bound(eps, int(p["d_a"]), int(p.get("n", 1)))
+        return bnd.prop4_bound(eps, _integer(p, "d_a"), _integer(p, "n", 1))
     if name in ("t_st", "prop5", "prop8", "thm2_chi", "thm2_c", "thm2_q", "thm2_pbar", "thm2_p"):
         t_fn = bnd.t_functional(_oscillator_from(p), float(p["E"]), float(p["r"]) if "r" in p else None,
-                                int(p.get("d_cap", 10**6)))
+                                _integer(p, "d_cap", 10**6))
         if name == "t_st":
-            return t_fn(int(p.get("t", 0)), eps)
+            return t_fn(_integer(p, "t", 0), eps)
         if name == "prop5":
-            return bnd.prop5_bound(eps, int(p.get("n", 1)), functools.partial(t_fn, int(p.get("t", 0))))
+            return bnd.prop5_bound(eps, _integer(p, "n", 1), functools.partial(t_fn, _integer(p, "t", 0)))
         if name == "prop8":
             return bnd.prop8_bound(eps, functools.partial(t_fn, 0))
         return bnd.theorem2_bound(name.split("_", 1)[1], eps, t_fn)
@@ -176,7 +188,7 @@ def _eval_bound(name: str, p: dict) -> float:
         spec = _oscillator_from(p)
         return bnd.p_r(spec, float(p["E"]), eps, float(p.get("r", 1.0)))
     if name == "prop6":
-        return bnd.prop6_bound(eps, int(p["d_a"]), bool(p.get("same_channel", 0)), bool(p.get("same_ensemble", 0)))
+        return bnd.prop6_bound(eps, _integer(p, "d_a"), bool(p.get("same_channel", 0)), bool(p.get("same_ensemble", 0)))
     if name == "prop7":
         spec = _oscillator_from(p)
         return bnd.prop7_bound(eps, lambda e: oscillator_f_bar(spec, e), float(p["E_bar"]))
@@ -184,7 +196,7 @@ def _eval_bound(name: str, p: dict) -> float:
         cap = name.split("_", 1)[1]
         if "log_d_a" in p:
             return bnd.theorem1_bound(cap, eps, log_d_a=float(p["log_d_a"]))
-        return bnd.theorem1_bound(cap, eps, d_a=int(p["d_a"]))
+        return bnd.theorem1_bound(cap, eps, d_a=_integer(p, "d_a"))
     raise ValueError(f"unknown bound {name!r}")
 
 

@@ -63,6 +63,7 @@ from ..qstate import (
     jordan_parts,
     partial_trace,
     partial_trace_hermitian,
+    trace_distance,
     trace_norm,
 )
 from .generators import Generators
@@ -230,11 +231,7 @@ def _tail_probe(fn, ham: Hamiltonian, e_cap: float):
     return value, any(issubclass(w.category, TruncationTailWarning) for w in caught)
 
 
-def _half_trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    return 0.5 * trace_norm(rho.entries - sigma.entries)
-
-
-def _output_cmi(channel: StinespringChannel, rho: DensityMatrix) -> float:
+def _output_cmi(channel: StinespringChannel, rho) -> float:
     out = apply(channel, rho)
     return conditional_mutual_information(out, (channel.output_label,), ("D",), ("C",))
 
@@ -255,7 +252,7 @@ def _cmi_abc(state: DensityMatrix) -> float:
     return conditional_mutual_information(state, ("A",), ("B",), ("C",))
 
 
-def _cmi_abcd(state: DensityMatrix) -> float:
+def _cmi_abcd(state) -> float:
     return _cmi_abc(partial_trace(state, ("A", "B", "C")))
 
 
@@ -277,7 +274,7 @@ def _lemma4_setup(config: CampaignConfig):
         (lambda gen: _bc_preserving_pair(gen, layout),
          (("lemma4_finite", "finite", finite),
           ("lemma4_finite_equal_bc", "finite", {**finite, "part_c": True}))),
-        (lambda gen: tuple(mix_to_cap(gen.pure(layout_adf), cap).to_density() for _ in range(2)),
+        (lambda gen: tuple(mix_to_cap(gen.pure(layout_adf), cap) for _ in range(2)),
          (("lemma4_energy", "energy", energy), ("lemma4_pure", "pure", energy))),
     )
 
@@ -285,7 +282,7 @@ def _lemma4_setup(config: CampaignConfig):
 def _lemma4_draw(kinds, gen: Generators, trial: int):
     draw, checks = kinds[trial % 4]
     rho, sigma = draw(gen)
-    eps = _half_trace_distance(rho, sigma)
+    eps = trace_distance(rho, sigma)
     lhs = abs(_cmi_abcd(rho) - _cmi_abcd(sigma))
     return [(name, lhs, eps, bnd.lemma4_bound(variant, eps, **kwargs), {}) for name, variant, kwargs in checks]
 
@@ -318,7 +315,7 @@ def _bc_preserving_pair(gen: Generators, layout: SystemLayout):
 def _prop2_setup(config: CampaignConfig):
     layout = SystemLayout([("A", config.dim("d_a", 2)), ("C", 2), ("D", 2)])
     return _pair_setup(
-        config, layout.dim("A"), 2, draw=lambda gen: gen.density(layout), metric=_half_trace_distance,
+        config, layout.dim("A"), 2, draw=lambda gen: gen.density(layout), metric=trace_distance,
         output=_output_cmi, bound=bnd.prop2_bound,
         eps_kinds=("exact_trace_distance", "trace_distance_plus_bures_bracket"),
     )
@@ -381,10 +378,10 @@ def _prop3_setup(config: CampaignConfig):
 def _prop3_draw(c, gen: Generators, trial: int):
     pure = trial % 2 == 1
     if pure:
-        rho, sigma = (mix_to_cap(gen.pure(c.cap.layout), c.cap).to_density() for _ in range(2))
+        rho, sigma = (mix_to_cap(gen.pure(c.cap.layout), c.cap) for _ in range(2))
     else:
         rho, sigma = (mix_to_cap(gen.density(c.cap.layout), c.cap) for _ in range(2))
-    eps = _half_trace_distance(rho, sigma)
+    eps = trace_distance(rho, sigma)
     lhs = abs(_output_cmi(c.channel, rho) - _output_cmi(c.channel, sigma))
     return [("prop3_pure" if pure else "prop3", lhs, eps, bnd.prop3_bound(eps, c.fbar, c.e_bar, pure=pure),
              {"epsilon_kind": "exact_trace_distance"})]
@@ -581,13 +578,13 @@ def _truncation_rows(gen: Generators, trial: int, ham: Hamiltonian, e_cap: float
     if gam < e_cap - ham.ground_energy:
         e_cap = ham.ground_energy + 0.9 * gam
     psi = gen.energy_feasible_pure(SystemLayout([("A", ham.dim), ("B", 4)]), "A", ham, e_cap)
-    rho_m, sig_m = psi.to_density(), truncate_pure_state(psi, "A", ham, e_cap, d_keep).to_density()
+    sig = truncate_pure_state(psi, "A", ham, e_cap, d_keep)
     e_bar = e_cap - ham.ground_energy
 
-    sig_a = partial_trace(sig_m, ("A",))
+    sig_a = partial_trace(sig, ("A",))
     rank = int(np.sum(sig_a.spectrum > 1e-10))
     energy_a = float(np.real(np.trace(ham.to_matrix() @ sig_a.entries)))
-    diff = HermitianOperator.difference(rho_m, sig_m)
+    diff = HermitianOperator.difference(psi.to_density(), sig.to_density())
     tn = trace_norm(diff.entries)
     h_bar_a = ham.to_matrix(shift=ham.ground_energy)
     j_pos, j_neg = (tn * float(np.real(np.trace(h_bar_a @ partial_trace_hermitian(part, ("A",)).entries)))
@@ -595,7 +592,7 @@ def _truncation_rows(gen: Generators, trial: int, ham: Hamiltonian, e_cap: float
     return [
         _le("trunc_rank", float(rank), float(d_keep)),
         _le("trunc_energy", energy_a, e_cap + eq_tol),
-        _le("trunc_distance", _half_trace_distance(rho_m, sig_m),
+        _le("trunc_distance", trace_distance(psi, sig),
             math.sqrt(e_bar / gam) + eq_tol if gam > 0 else math.inf),
         _le("trunc_jordan_pos", j_pos, 2 * e_bar + eq_tol),
         _le("trunc_jordan_neg", j_neg, 2 * e_bar + eq_tol),
@@ -610,7 +607,7 @@ def _metrics_draw(config: CampaignConfig, gen: Generators, trial: int):
     eq_tol, lay = config.budget("identity_tol", 1e-9), SystemLayout([("A", 3)])
     rho, sigma, tau = gen.density(lay), gen.density(lay), gen.density(lay)
     beta = bures_state_distance(rho, sigma)
-    half_tn = _half_trace_distance(rho, sigma)
+    half_tn = trace_distance(rho, sigma)
     rows = [
         _le("bures_lower_sandwich", half_tn, beta + eq_tol),
         _le("bures_upper_sandwich", beta, math.sqrt(2 * half_tn) + eq_tol),

@@ -37,8 +37,14 @@ def sweep_tightness(family: str, grid: dict) -> list[SweepRow]:
 
 
 def _dim_points(grid: dict):
-    """(variable, value, x, r, M, bound) per point: M = log d and the Theorem 1 bound."""
-    for log_d in grid.get("log_d", [math.log(d) for d in grid.get("d", range(2, 65))]):
+    """(variable, value, x, r, M, bound) per point: M = log d and the Theorem 1 bound.
+
+    A `log_d` grid is taken as it is; each entry of a `d` grid must be an
+    integer >= 1, as `theorem1_bound(d_a=...)` requires.
+    """
+    log_ds = grid["log_d"] if "log_d" in grid else [
+        math.log(bnd.check_dimension(d, "d")) for d in grid.get("d", range(2, 65))]
+    for log_d in log_ds:
         for x in grid.get("x", [0.01]):
             yield "log_d", float(log_d), float(x), None, float(log_d), functools.partial(
                 bnd.theorem1_bound, log_d_a=float(log_d))

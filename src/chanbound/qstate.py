@@ -9,6 +9,7 @@ by a deterministic call; racing first reads store equal arrays.
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -234,7 +235,12 @@ class DensityMatrix:
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """Normalized state vector over a labeled layout."""
+    """Normalized state vector over a labeled layout.
+
+    A pure state stays a vector through `partial_trace`, `trace_distance`
+    and `channels.apply`: each builds only the (smaller) density it returns,
+    or none at all, in place of the d x d projector of `to_density`.
+    """
 
     layout: SystemLayout
     amplitudes: np.ndarray
@@ -258,7 +264,7 @@ class PureState:
         return DensityMatrix(self.layout, (m + m.conj().T) / 2.0)
 
     def marginal(self, keep: Sequence[str]) -> DensityMatrix:
-        return partial_trace(self.to_density(), keep)
+        return partial_trace(self, keep)
 
 
 def maximally_mixed(layout: SystemLayout) -> DensityMatrix:
@@ -310,8 +316,25 @@ def _partial_trace_entries(
     return reduced, reduced_layout
 
 
-def partial_trace(rho: DensityMatrix, keep: Sequence[str]) -> DensityMatrix:
-    """Trace out every factor not named in `keep`; trace is preserved."""
+def gram_density(layout: SystemLayout, m: np.ndarray) -> DensityMatrix:
+    """The state M M* on `layout`, made exactly Hermitian where it is built, as a matrix product need not be."""
+    g = m @ m.conj().T
+    return DensityMatrix(layout, (g + g.conj().T) / 2.0)
+
+
+def partial_trace(rho, keep: Sequence[str]) -> DensityMatrix:
+    """Trace out every factor not named in `keep`; trace is preserved.
+
+    A PureState is traced as a vector: its amplitudes, reshaped to a
+    (kept, traced) matrix M, give the marginal M M*, and no projector of
+    the whole layout is built.
+    """
+    if isinstance(rho, PureState):
+        layout = rho.layout
+        reduced = layout.restricted(keep)
+        kept_axes = [layout.position(lbl) for lbl in reduced.labels]
+        m = np.moveaxis(rho.amplitudes.reshape(layout.dims), kept_axes, range(len(kept_axes)))
+        return gram_density(reduced, m.reshape(reduced.total_dim, -1))
     if set(keep) == set(rho.layout.labels):
         return rho
     entries, layout = _partial_trace_entries(rho.entries, rho.layout, keep)
@@ -353,6 +376,27 @@ def trace_norm(op) -> float:
     if np.array_equal(a, a.conj().T):
         return float(np.abs(np.linalg.eigvalsh(a)).sum())
     return float(np.linalg.svd(a, compute_uv=False).sum())
+
+
+def trace_distance(rho, sigma) -> float:
+    """½‖rho − sigma‖₁ of two states on one layout.
+
+    Two PureStates take the exact rank-2 form: with a = ‖ψ‖², b = ‖φ‖² and
+    φ⊥ = φ − (⟨ψ|φ⟩/a)ψ, the difference ψψ* − φφ* has trace norm
+    √((a − b)² + 4a‖φ⊥‖²) (Nielsen & Chuang, §9.2.1).  ‖φ⊥‖ is taken as a
+    norm, not as √(1 − |⟨ψ|φ⟩|²), so nearby states lose no digits to
+    cancellation.  Any other pair, a PureState taken by its `to_density`,
+    gives ½ `trace_norm` of the density difference.
+    """
+    if rho.layout != sigma.layout:
+        raise QStateError("trace distance requires matching layouts")
+    if isinstance(rho, PureState) and isinstance(sigma, PureState):
+        psi, phi = rho.amplitudes, sigma.amplitudes
+        a, b = float(np.vdot(psi, psi).real), float(np.vdot(phi, phi).real)
+        perp = phi - (np.vdot(psi, phi) / a) * psi
+        return 0.5 * math.sqrt((a - b) ** 2 + 4.0 * a * float(np.vdot(perp, perp).real))
+    rho, sigma = (s.to_density() if isinstance(s, PureState) else s for s in (rho, sigma))
+    return 0.5 * trace_norm(rho.entries - sigma.entries)
 
 
 def operator_norm(op) -> float:

@@ -227,6 +227,14 @@ class TestPropositionEvaluators:
             with pytest.raises(ValueError, match=r"d_a = \S+ must be >= 1"):
                 evaluate()
 
+    @pytest.mark.parametrize("d_a", [1.5, 2.5, math.inf])
+    def test_non_integral_input_dimension_rejected(self, d_a):
+        for evaluate in (lambda: prop2_bound(0.1, d_a), lambda: prop4_bound(0.1, d_a, 1),
+                         lambda: prop6_bound(0.0, d_a), lambda: theorem1_bound("q", 0.1, d_a=d_a)):
+            with pytest.raises(ValueError, match=rf"^d_a = {d_a} must be an integer$"):
+                evaluate()
+        assert prop4_bound(0.1, 2.0, 1) == prop4_bound(0.1, 2, 1)
+
     def test_prop8_composite_structure(self):
         t_handle = lambda e: 1.5 + e
         for eps in EPS_GRID:

@@ -108,6 +108,49 @@ class TestApply:
         assert np.max(np.abs(out.entries - expect)) <= 1e-12
 
 
+class TestPureApply:
+    """A PureState input stays a vector through `apply`: the same state as its projector's path."""
+
+    @pytest.mark.parametrize(
+        "factors, channel",
+        [
+            ([("A", 3), ("C", 2), ("D", 2)], random_channel(3, 2, 2, seed=21)),
+            ([("C", 2), ("A", 3), ("D", 2)], random_channel(3, 2, 2, seed=22)),
+            ([("C", 2), ("D", 2), ("A", 3)], random_channel(3, 2, 2, seed=23)),
+            ([("A", 3)], random_channel(3, 4, 2, seed=25)),
+            ([("C", 2), ("A", 3), ("D", 2)], identity_channel(3)),
+            ([("C", 2), ("A", 2), ("D", 3)], random_channel(2, 3, 5, seed=24)),
+            ([("C", 2), ("A", 40), ("D", 2)], random_channel(40, 8, 5, seed=26)),
+        ],
+        ids=["input-first", "input-middle", "input-last", "input-alone", "env-trivial", "env-above-input",
+             "oscillator-sized"],
+    )
+    def test_matches_density_path(self, gen, factors, channel):
+        lay = SystemLayout(factors)
+        for _ in range(4):
+            psi = gen.pure(lay)
+            out, want = apply(channel, psi), apply(channel, psi.to_density())
+            assert isinstance(out, DensityMatrix)
+            assert out.layout == want.layout
+            assert np.linalg.norm(out.entries - want.entries) <= 1e-14
+            assert np.array_equal(out.entries, out.entries.conj().T)
+
+    def test_tensor_power_takes_a_pure_input(self, gen):
+        lay = SystemLayout([("A1", 2), ("C", 2), ("A2", 2)])
+        psi, ch = gen.pure(lay), random_channel(2, 2, 3, seed=27)
+        out = tensor_power_apply(ch, 2, psi, ["A1", "A2"])
+        want = tensor_power_apply(ch, 2, psi.to_density(), ["A1", "A2"])
+        assert out.layout == want.layout
+        assert np.linalg.norm(out.entries - want.entries) <= 1e-14
+
+    def test_pure_input_checks_dimension_and_labels(self, gen):
+        psi = gen.pure(SystemLayout([("A", 2), ("B", 2)]))
+        with pytest.raises(QStateError):
+            apply(random_channel(3, 2, 2, seed=1), psi)
+        with pytest.raises(QStateError):
+            apply(random_channel(2, 2, 2, seed=1), psi)  # output label B collides
+
+
 class TestComplementary:
     def test_double_complement(self, gen):
         ch = random_channel(2, 3, 2, seed=3)

@@ -232,6 +232,24 @@ class TestSweeps:
         with pytest.raises(ValueError, match="log_d_a"):
             sweep_tightness("erasure_dim", {"log_d": [log_d]})
 
+    @pytest.mark.parametrize("d, message", [
+        (0, "d = 0 must be >= 1"),
+        (-2, "d = -2 must be >= 1"),
+        (math.nan, "d = nan must be >= 1"),
+        (2.5, "d = 2.5 must be an integer"),
+        (math.inf, "d = inf must be an integer"),
+    ])
+    def test_bad_dimension_grid_names_d(self, d, message):
+        with pytest.raises(ValueError) as exc:
+            sweep_tightness("erasure_dim", {"d": [4, d]})
+        assert str(exc.value) == message
+
+    def test_integral_dimension_grid_is_log_d(self):
+        by_d = sweep_tightness("erasure_dim", {"d": [3, 8.0, 10**400], "capacities": ["q"]})
+        by_log = sweep_tightness("erasure_dim", {"log_d": [math.log(3), math.log(8), math.log(10**400)],
+                                                 "capacities": ["q"]})
+        assert by_d == by_log
+
 
 class TestSuiteReproducibility:
     def test_same_seed_same_verdicts(self):
@@ -439,6 +457,31 @@ class TestCLI:
         assert cli_main(["eval", "--bound", bound, "--params", params]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("bound, params, message", [
+        ("prop4", "eps=0.1,d_a=2,n=2.5", "n = 2.5 must be an integer"),
+        ("prop4", "eps=0.1,d_a=2.9", "d_a = 2.9 must be an integer"),
+        ("prop2", "eps=0.1,d_a=1.5", "d_a = 1.5 must be an integer"),
+        ("prop6", "eps=0,d_a=3.25", "d_a = 3.25 must be an integer"),
+        ("thm1_q", "eps=0.1,d_a=2.5", "d_a = 2.5 must be an integer"),
+        ("lemma4_finite", "eps=0.1,d=3.5", "d = 3.5 must be an integer"),
+        ("prop5", "eps=0.1,E=1.2,n=1.5", "n = 1.5 must be an integer"),
+        ("prop5", "eps=0.1,E=1.2,t=0.5", "t = 0.5 must be an integer"),
+        ("t_st", "eps=0.1,E=1.2,t=0.5", "t = 0.5 must be an integer"),
+        ("t_st", "eps=0.1,E=1.2,d_cap=999.5", "d_cap = 999.5 must be an integer"),
+        ("t_st", "eps=0.1,E=1.2,truncation=6.5", "truncation = 6.5 must be an integer"),
+        ("p_r", "eps=0.1,E=1.2,modes=1.5", "modes = 1.5 must be an integer"),
+    ])
+    def test_eval_non_integral_parameter_errors(self, capsys, bound, params, message):
+        assert cli_main(["eval", "--bound", bound, "--params", params]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    def test_eval_integral_float_parameter_is_the_integer(self, capsys):
+        assert cli_main(["eval", "--bound", "prop4", "--params", "eps=0.1,d_a=2.0,n=2.0"]) == 0
+        as_float = capsys.readouterr().out
+        assert cli_main(["eval", "--bound", "prop4", "--params", "eps=0.1,d_a=2,n=2"]) == 0
+        assert as_float == capsys.readouterr().out
 
     def test_sweep_writes_csv(self, tmp_path):
         grid = tmp_path / "grid.json"

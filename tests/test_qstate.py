@@ -22,6 +22,7 @@ from chanbound.qstate import (
     partial_trace_hermitian,
     purify,
     tensor_product,
+    trace_distance,
     trace_norm,
 )
 from chanbound import qstate
@@ -414,6 +415,75 @@ class TestNorms:
         for _ in range(20):
             d = trace_norm(gen.density(lay).entries - gen.density(lay).entries)
             assert -1e-12 <= d <= 2 + 1e-12
+
+
+class TestPurePath:
+    """PureState marginals and trace distances computed on the vector match the projector's path."""
+
+    LAYOUTS = [
+        [("A", 2), ("B", 3)],
+        [("A", 3), ("C", 2), ("D", 2)],
+        [("C", 2), ("A", 4), ("D", 2), ("R", 3)],
+        [("A", 40), ("C", 2), ("D", 2)],
+    ]
+
+    @pytest.mark.parametrize("factors", LAYOUTS, ids=lambda f: "".join(lbl for lbl, _ in f))
+    def test_partial_trace_matches_density_path(self, gen, factors):
+        lay = SystemLayout(factors)
+        labels = lay.labels
+        keeps = [labels[:1], labels[-1:], labels[1:], labels[::-1][:2], labels]
+        for _ in range(3):
+            psi = gen.pure(lay)
+            rho = psi.to_density()
+            for keep in keeps:
+                got, want = partial_trace(psi, keep), partial_trace(rho, keep)
+                assert isinstance(got, DensityMatrix)
+                assert got.layout == want.layout
+                assert np.linalg.norm(got.entries - want.entries) <= 1e-14
+                assert np.array_equal(got.entries, got.entries.conj().T)
+            assert np.array_equal(psi.marginal(labels[:1]).entries, partial_trace(psi, labels[:1]).entries)
+
+    def test_partial_trace_rejects_unknown_labels(self, gen):
+        psi = gen.pure(SystemLayout([("A", 2), ("B", 2)]))
+        with pytest.raises(QStateError):
+            partial_trace(psi, ("Z",))
+
+    @pytest.mark.parametrize("d", [2, 5, 16, 160])
+    def test_trace_distance_matches_eigvalsh(self, gen, d):
+        lay = SystemLayout([("A", d)])
+        for _ in range(6):
+            psi, phi = gen.pure(lay), gen.pure(lay)
+            want = 0.5 * np.abs(np.linalg.eigvalsh(psi.to_density().entries - phi.to_density().entries)).sum()
+            assert abs(trace_distance(psi, phi) - want) <= 1e-14
+            assert trace_distance(psi, psi) == 0.0
+
+    def test_trace_distance_orthogonal_and_mixed_pairs(self, gen):
+        lay = SystemLayout([("A", 3)])
+        assert trace_distance(basis_pure(lay, 0), basis_pure(lay, 2)) == 1.0
+        psi, rho = gen.pure(lay), gen.density(lay)
+        want = 0.5 * trace_norm(psi.to_density().entries - rho.entries)
+        assert trace_distance(psi, rho) == want
+        assert trace_distance(rho, psi) == 0.5 * trace_norm(rho.entries - psi.to_density().entries)
+        with pytest.raises(QStateError):
+            trace_distance(psi, gen.pure(SystemLayout([("B", 3)])))
+
+    @pytest.mark.parametrize("d", [4, 40, 160])
+    def test_trace_distance_of_nearby_states_matches_mpmath(self, gen, d):
+        """φ = ψ + 1e-9·noise, renormalised, against ½√((a + b)² − 4|⟨ψ|φ⟩|²) at 40 digits."""
+        mpmath = pytest.importorskip("mpmath")
+        lay = SystemLayout([("A", d)])
+        for _ in range(4):
+            psi = gen.pure(lay)
+            v = psi.amplitudes + 1e-9 * (gen.rng.standard_normal(d) + 1j * gen.rng.standard_normal(d))
+            phi = PureState(lay, v / np.linalg.norm(v))
+            with mpmath.workdps(40):
+                x = [mpmath.mpc(complex(z)) for z in psi.amplitudes]
+                y = [mpmath.mpc(complex(z)) for z in phi.amplitudes]
+                a = mpmath.fsum(abs(z) ** 2 for z in x)
+                b = mpmath.fsum(abs(z) ** 2 for z in y)
+                overlap = mpmath.fsum(mpmath.conj(p) * q for p, q in zip(x, y))
+                want = mpmath.sqrt((a + b) ** 2 - 4 * abs(overlap) ** 2) / 2
+                assert abs(trace_distance(psi, phi) - want) <= 1e-15
 
 
 class TestPurify:
