@@ -7,6 +7,7 @@ V along the environment index.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qstate import MAX_TOTAL_DIM, DensityMatrix, PureState, QStateError, gram_density
+from .qstate import MAX_TOTAL_DIM, DensityMatrix, PureState, QStateError, SystemLayout, gram_density
 
 ISOMETRY_TOL = 1e-10
 
@@ -62,6 +63,25 @@ class StinespringChannel:
         return [v[:, e, :] for e in range(self.d_e)]
 
 
+@functools.lru_cache(maxsize=1024)
+def _apply_plan(layout: SystemLayout, input_label: str, output_label: str, env_label: str,
+                d_a: int, d_b: int) -> tuple[SystemLayout, int, int]:
+    """(output layout, pre, post) of a channel on the factor `input_label` of `layout`.
+
+    pre and post are the dimensions of the passthrough factors before and
+    after it.  Built once per layout and channel labels and dimensions; it
+    holds structure only, and a raising call leaves nothing cached.
+    """
+    pos = layout.position(input_label)
+    if layout.dims[pos] != d_a:
+        raise QStateError(f"input factor has dim {layout.dims[pos]}, channel expects {d_a}")
+    for lbl in (output_label, env_label):
+        if layout.has(lbl) and lbl != input_label:
+            raise QStateError(f"label {lbl!r} collides with a passthrough factor")
+    out_layout = layout.replace(input_label, [(output_label, d_b)])
+    return out_layout, math.prod(layout.dims[:pos]), math.prod(layout.dims[pos + 1 :])
+
+
 def apply(channel: StinespringChannel, rho) -> DensityMatrix:
     """Apply the channel to the factor named by its input label.
 
@@ -72,17 +92,8 @@ def apply(channel: StinespringChannel, rho) -> DensityMatrix:
     PureState stays a vector: V maps its amplitudes to a matrix M of shape
     (pre * d_b * post, d_e), and the output is M M*, with no d x d input.
     """
-    layout = rho.layout
-    pos = layout.position(channel.input_label)
-    if layout.dims[pos] != channel.d_a:
-        raise QStateError(
-            f"input factor has dim {layout.dims[pos]}, channel expects {channel.d_a}"
-        )
-    for lbl in (channel.output_label, channel.env_label):
-        if layout.has(lbl) and lbl != channel.input_label:
-            raise QStateError(f"label {lbl!r} collides with a passthrough factor")
-    out_layout = layout.replace(channel.input_label, [(channel.output_label, channel.d_b)])
-    pre, post = math.prod(layout.dims[:pos]), math.prod(layout.dims[pos + 1 :])
+    out_layout, pre, post = _apply_plan(rho.layout, channel.input_label, channel.output_label,
+                                        channel.env_label, channel.d_a, channel.d_b)
     v = channel.isometry.reshape(channel.d_b, channel.d_e, channel.d_a)
     if isinstance(rho, PureState):
         # V on the input index: (b, e, pre, post) -> (pre, b, post, e)

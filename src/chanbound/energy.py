@@ -546,13 +546,25 @@ class EnergyCap:
         return cap_weight(self.energy(state), self.bound, self.hamiltonian.ground_energy)
 
 
+def mix_members(probs, members: list, cap: EnergyCap) -> list:
+    """Density-matrix arrays of an ensemble, all mixed toward `cap.ground_state`
+    with one weight: `cap.weight` of the raw average sum p_i rho_i.
+
+    The list comes back as it is when that average meets the cap.
+    """
+    t = cap.weight(sum(p * rho for p, rho in zip(probs, members)))
+    if t == 0.0:
+        return members
+    return [(1.0 - t) * rho + t * cap.ground_state for rho in members]
+
+
 def mix_to_cap(state, cap: EnergyCap):
     """Bring a state under the energy cap by mixing it toward the ground.
 
     A state that meets the cap comes back unchanged.  Mixed states (a
     DensityMatrix or a density-matrix array) take the closed-form weight of
-    `cap_weight` toward `cap.ground_state`; an Ensemble takes the weight of
-    its raw average sum p_i rho_i and mixes every member with it.  Pure
+    `cap_weight` toward `cap.ground_state`; an Ensemble mixes its members
+    by `mix_members`, with the weight of its raw average sum p_i rho_i.  Pure
     states (a PureState or an amplitude vector) blend toward
     `cap.ground_vector` and are renormalised; the blend's energy is not
     affine in the weight, but its cap condition is a quadratic in the
@@ -564,13 +576,11 @@ def mix_to_cap(state, cap: EnergyCap):
     EnergyDomainError when the cap is below the ground energy.
     """
     if isinstance(state, Ensemble):
-        t = cap.weight(state.average_entries())
-        if t == 0.0:
+        members = [rho.entries for rho in state.states]
+        mixed = mix_members([p for p, _ in state.items], members, cap)
+        if mixed is members:
             return state
-        return Ensemble([
-            (p, DensityMatrix(rho.layout, (1.0 - t) * rho.entries + t * cap.ground_state))
-            for p, rho in state.items
-        ])
+        return Ensemble([(p, DensityMatrix(state.layout, rho)) for (p, _), rho in zip(state.items, mixed)])
     if isinstance(state, (DensityMatrix, PureState)):
         raw = state.entries if isinstance(state, DensityMatrix) else state.amplitudes
         mixed = mix_to_cap(raw, cap)

@@ -6,10 +6,12 @@ so trial results are deterministic and independent of scheduling order.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from ..channels import StinespringChannel, complex_gaussian, random_channel, random_isometry
-from ..energy import EnergyCap, Hamiltonian, mix_to_cap
+from ..energy import EnergyCap, Hamiltonian, mix_members, mix_to_cap
 from ..entropic import Ensemble
 from ..qstate import DensityMatrix, PureState, SystemLayout
 
@@ -34,23 +36,36 @@ class Generators:
     def _gaussian(self, shape) -> np.ndarray:
         return complex_gaussian(self.rng, shape)
 
-    def density(self, layout: SystemLayout) -> DensityMatrix:
-        """Wishart-style G G* normalized to unit trace."""
-        d = layout.total_dim
+    def _wishart(self, d: int) -> np.ndarray:
         gmat = self._gaussian((d, d))
         w = gmat @ gmat.conj().T
-        return DensityMatrix(layout, w / np.trace(w).real)
+        return w / np.trace(w).real
 
-    def pure(self, layout: SystemLayout) -> PureState:
+    def density(self, layout: SystemLayout, cap: Optional[EnergyCap] = None) -> DensityMatrix:
+        """Wishart-style G G* normalized to unit trace, mixed under `cap` by `mix_to_cap`.
+
+        A capped draw is mixed as a raw array and validated once, after the mix.
+        """
+        raw = self._wishart(layout.total_dim)
+        return DensityMatrix(layout, raw if cap is None else mix_to_cap(raw, cap))
+
+    def pure(self, layout: SystemLayout, cap: Optional[EnergyCap] = None) -> PureState:
+        """Normalized complex Gaussian vector, blended under `cap` by `mix_to_cap`."""
         vec = self._gaussian(layout.total_dim)
-        return PureState(layout, vec / np.linalg.norm(vec))
+        vec = vec / np.linalg.norm(vec)
+        return PureState(layout, vec if cap is None else mix_to_cap(vec, cap))
 
     def probabilities(self, m: int) -> np.ndarray:
         return self.rng.dirichlet(np.ones(m))
 
-    def ensemble(self, layout: SystemLayout, m: int) -> Ensemble:
+    def ensemble(self, layout: SystemLayout, m: int, cap: Optional[EnergyCap] = None) -> Ensemble:
+        """m Wishart draws with Dirichlet weights; under `cap`, every member is mixed
+        with the ensemble's one weight (`mix_members`) and validated once, after the mix."""
         probs = self.probabilities(m)
-        return Ensemble([(p, self.density(layout)) for p in probs])
+        members = [self._wishart(layout.total_dim) for _ in probs]
+        if cap is not None:
+            members = mix_members(probs, members, cap)
+        return Ensemble([(p, DensityMatrix(layout, rho)) for p, rho in zip(probs, members)])
 
     def channel(
         self, d_a: int, d_b: int, d_e: int,
@@ -65,10 +80,10 @@ class Generators:
         self, layout: SystemLayout, a_label: str, h: Hamiltonian, energy: float
     ) -> DensityMatrix:
         """Random state mixed toward the A-side ground state until feasible."""
-        return mix_to_cap(self.density(layout), EnergyCap(h, energy, layout, a_label))
+        return self.density(layout, EnergyCap(h, energy, layout, a_label))
 
     def energy_feasible_pure(
         self, layout: SystemLayout, a_label: str, h: Hamiltonian, energy: float
     ) -> PureState:
         """Random pure state blended toward a ground product vector until feasible."""
-        return mix_to_cap(self.pure(layout), EnergyCap(h, energy, layout, a_label))
+        return self.pure(layout, EnergyCap(h, energy, layout, a_label))

@@ -35,7 +35,6 @@ from ..energy import (
     gamma,
     gibbs_spectrum,
     ground_product,
-    mix_to_cap,
     oscillator_f,
     truncate_pure_state,
 )
@@ -274,7 +273,7 @@ def _lemma4_setup(config: CampaignConfig):
         (lambda gen: _bc_preserving_pair(gen, layout),
          (("lemma4_finite", "finite", finite),
           ("lemma4_finite_equal_bc", "finite", {**finite, "part_c": True}))),
-        (lambda gen: tuple(mix_to_cap(gen.pure(layout_adf), cap) for _ in range(2)),
+        (lambda gen: (gen.pure(layout_adf, cap), gen.pure(layout_adf, cap)),
          (("lemma4_energy", "energy", energy), ("lemma4_pure", "pure", energy))),
     )
 
@@ -377,10 +376,8 @@ def _prop3_setup(config: CampaignConfig):
 
 def _prop3_draw(c, gen: Generators, trial: int):
     pure = trial % 2 == 1
-    if pure:
-        rho, sigma = (mix_to_cap(gen.pure(c.cap.layout), c.cap) for _ in range(2))
-    else:
-        rho, sigma = (mix_to_cap(gen.density(c.cap.layout), c.cap) for _ in range(2))
+    draw = gen.pure if pure else gen.density
+    rho, sigma = draw(c.cap.layout, c.cap), draw(c.cap.layout, c.cap)
     eps = trace_distance(rho, sigma)
     lhs = abs(_output_cmi(c.channel, rho) - _output_cmi(c.channel, sigma))
     return [("prop3_pure" if pure else "prop3", lhs, eps, bnd.prop3_bound(eps, c.fbar, c.e_bar, pure=pure),
@@ -393,7 +390,7 @@ def _prop7_setup(config: CampaignConfig):
 
 
 def _prop7_draw(c, gen: Generators, trial: int):
-    mu, nu = (mix_to_cap(gen.ensemble(c.cap.layout, c.m), c.cap) for _ in range(2))
+    mu, nu = gen.ensemble(c.cap.layout, c.m, c.cap), gen.ensemble(c.cap.layout, c.m, c.cap)
     eps = ensemble_dk(mu, nu)
     lhs = abs(_output_holevo(c.channel, mu) - _output_holevo(c.channel, nu))
     return [("prop7", lhs, eps, bnd.prop7_bound(eps, c.fbar, c.e_bar) if eps > 0 else 0.0,
@@ -471,8 +468,8 @@ def _prop8_setup(config: CampaignConfig):
     # an oscillator takes the closed form P_r in place of T
     t_fn = bnd.t_functional(spec or ham, e_cap, r=float(config.budget("p_r", 0.5)) if spec else None)
     cap = EnergyCap(ham, e_cap)
-    ens = Generators.for_trial(config.seed, _FIXED_TRIAL).ensemble(cap.layout, config.dim("ensemble_size", 3))
-    return _pair_setup(config, ham.dim, 3, mu=mix_to_cap(ens, cap), cap=cap,
+    mu = Generators.for_trial(config.seed, _FIXED_TRIAL).ensemble(cap.layout, config.dim("ensemble_size", 3), cap)
+    return _pair_setup(config, ham.dim, 3, mu=mu, cap=cap,
                        rhs_at=lambda eps: bnd.prop8_bound(eps, functools.partial(t_fn, 0)))
 
 
@@ -516,8 +513,18 @@ def _thm2_grid(config: CampaignConfig):
 # ---------------------------------------------------------------------------
 
 def _identities_setup(config: CampaignConfig):
-    # one Hamiltonian per campaign: its `gammas` array is cached on the object
-    return SimpleNamespace(config=config, ham=Hamiltonian(np.arange(8.0)))
+    """One Hamiltonian per campaign (its `gammas` array is cached on the object),
+    and the truncation rows' cap for each kept rank d_keep: the truncation
+    energy, lowered to E_0 + 0.9 gamma(d_keep) where that exceeds gamma(d_keep)."""
+    ham = Hamiltonian(np.arange(8.0))
+    layout = SystemLayout([("A", ham.dim), ("B", 4)])
+    caps = {}
+    for d_keep in (2, 4):
+        gam, e_cap = gamma(ham, d_keep), float(config.budget("truncation_energy", 1.2))
+        if gam < e_cap - ham.ground_energy:
+            e_cap = ham.ground_energy + 0.9 * gam
+        caps[d_keep] = (EnergyCap(ham, e_cap, layout, "A"), gam)
+    return SimpleNamespace(config=config, ham=ham, caps=caps)
 
 
 def _identities_draw(c, gen: Generators, trial: int):
@@ -569,15 +576,14 @@ def _identities_draw(c, gen: Generators, trial: int):
     rows.append(_le("xlog_monotone", float(np.max(-np.diff(vals))), eq_tol))
 
     # rank-truncation claims on an 8x4 bipartite pure state
-    return rows + _truncation_rows(gen, trial, c.ham, float(c.config.budget("truncation_energy", 1.2)), eq_tol)
-
-
-def _truncation_rows(gen: Generators, trial: int, ham: Hamiltonian, e_cap: float, eq_tol: float) -> list:
     d_keep = 2 if trial % 2 == 0 else 4
-    gam = gamma(ham, d_keep)
-    if gam < e_cap - ham.ground_energy:
-        e_cap = ham.ground_energy + 0.9 * gam
-    psi = gen.energy_feasible_pure(SystemLayout([("A", ham.dim), ("B", 4)]), "A", ham, e_cap)
+    return rows + _truncation_rows(gen, c.ham, d_keep, *c.caps[d_keep], eq_tol)
+
+
+def _truncation_rows(gen: Generators, ham: Hamiltonian, d_keep: int, cap: EnergyCap, gam: float,
+                     eq_tol: float) -> list:
+    e_cap = cap.bound
+    psi = gen.pure(cap.layout, cap)
     sig = truncate_pure_state(psi, "A", ham, e_cap, d_keep)
     e_bar = e_cap - ham.ground_energy
 

@@ -799,6 +799,8 @@ def _batched_output_bures(w_phi, w_psi, vecs, d_b, d_e1, d_e2, d_r) -> np.ndarra
     m, dim = vecs.shape
     form = np.einsum("beri,bfrj->ijef", w_phi.reshape(d_b, d_e1, d_r, dim),
                      w_psi.reshape(d_b, d_e2, d_r, dim).conj()).reshape(dim * dim, d_e1 * d_e2)
-    outer = (vecs[:, :, None] * vecs[:, None, :].conj()).reshape(m, dim * dim)
-    root_f = np.clip(_trace_norms((outer @ form).reshape(m, d_e1, d_e2)), 0.0, 1.0)
+    # the sample axis last and contiguous, so the outer products' inner loops run over the m samples
+    cols = np.ascontiguousarray(vecs.T)
+    outer = (cols[:, None, :] * cols[None, :, :].conj()).reshape(dim * dim, m)
+    root_f = np.clip(_trace_norms((outer.T @ form).reshape(m, d_e1, d_e2)), 0.0, 1.0)
     return np.sqrt(np.clip(2.0 * (1.0 - root_f), 0.0, None))

@@ -4,7 +4,10 @@ States and operators carry a :class:`SystemLayout` naming their tensor
 factors.  All values are immutable after construction and every operation
 is a pure function, so concurrent use is safe.  The one value filled in
 after construction, a density matrix's spectrum, is computed on first read
-by a deterministic call; racing first reads store equal arrays.
+by a deterministic call; racing first reads store equal arrays.  A partial
+trace's plan (reduced layout, kept axes, einsum spec) is cached by its
+immutable layout and keep set: the cache holds structure only, never
+entries or any value computed from them.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -87,13 +90,6 @@ class SystemLayout:
 
     def has(self, label: str) -> bool:
         return any(lbl == label for lbl, _ in self.factors)
-
-    def restricted(self, keep: Sequence[str]) -> "SystemLayout":
-        keep_set = set(keep)
-        unknown = keep_set - set(self.labels)
-        if unknown:
-            raise QStateError(f"unknown labels {sorted(unknown)}; layout has {self.labels}")
-        return SystemLayout([f for f in self.factors if f[0] in keep_set])
 
     def replace(self, label: str, new_factors: Sequence[tuple[str, int]]) -> "SystemLayout":
         """New layout with `label` swapped for `new_factors` in place."""
@@ -291,29 +287,46 @@ def tensor_product(a, b):
     return type(a)(layout, np.kron(a.entries, b.entries))
 
 
-def _partial_trace_entries(
-    entries: np.ndarray, layout: SystemLayout, keep: Sequence[str]
-) -> tuple[np.ndarray, SystemLayout]:
-    keep_set = set(keep)
-    if not keep_set:
+@dataclass(frozen=True)
+class _TracePlan:
+    """Structure of one partial trace: the reduced layout, the kept axes in
+    layout order, and, for a density, the einsum spec over the dims + dims
+    tensor (None past the 52 axis letters einsum accepts)."""
+
+    layout: SystemLayout
+    kept_axes: tuple[int, ...]
+    spec: Optional[str]
+
+
+@lru_cache(maxsize=1024)
+def _trace_plan(layout: SystemLayout, keep: frozenset) -> _TracePlan:
+    """The plan of tracing `layout` down to `keep`, built once per (layout, keep).
+
+    It holds structure only; an empty or unknown `keep` raises, and a
+    raising call leaves nothing cached.
+    """
+    if not keep:
         raise QStateError("keep set must be non-empty")
-    unknown = keep_set - set(layout.labels)
+    unknown = keep - set(layout.labels)
     if unknown:
         raise QStateError(f"unknown labels {sorted(unknown)}; layout has {layout.labels}")
-    dims = layout.dims
-    n = len(dims)
-    if 2 * n > len(_AXIS_LETTERS):
+    n = len(layout.factors)
+    kept_axes = tuple(i for i, (lbl, _) in enumerate(layout.factors) if lbl in keep)
+    spec = None
+    if 2 * n <= len(_AXIS_LETTERS):
+        row = [_AXIS_LETTERS[i] for i in range(n)]
+        col = [_AXIS_LETTERS[n + i] if i in kept_axes else _AXIS_LETTERS[i] for i in range(n)]
+        out = [_AXIS_LETTERS[i] for i in kept_axes] + [_AXIS_LETTERS[n + i] for i in kept_axes]
+        spec = "".join(row) + "".join(col) + "->" + "".join(out)
+    reduced = SystemLayout([layout.factors[i] for i in kept_axes])
+    return _TracePlan(reduced, kept_axes, spec)
+
+
+def _traced_entries(entries: np.ndarray, layout: SystemLayout, plan: _TracePlan) -> np.ndarray:
+    if plan.spec is None:
         raise QStateError("too many tensor factors for einsum contraction")
-    keep_idx = [i for i, (lbl, _) in enumerate(layout.factors) if lbl in keep_set]
-    row = [_AXIS_LETTERS[i] for i in range(n)]
-    col = [_AXIS_LETTERS[n + i] if i in keep_idx else _AXIS_LETTERS[i] for i in range(n)]
-    out = [_AXIS_LETTERS[i] for i in keep_idx] + [_AXIS_LETTERS[n + i] for i in keep_idx]
-    spec = "".join(row) + "".join(col) + "->" + "".join(out)
-    tensor = entries.reshape(dims + dims)
-    reduced_layout = layout.restricted(sorted(keep_set, key=layout.position))
-    d = reduced_layout.total_dim
-    reduced = np.einsum(spec, tensor).reshape(d, d)
-    return reduced, reduced_layout
+    d = plan.layout.total_dim
+    return np.einsum(plan.spec, entries.reshape(layout.dims + layout.dims)).reshape(d, d)
 
 
 def gram_density(layout: SystemLayout, m: np.ndarray) -> DensityMatrix:
@@ -329,21 +342,18 @@ def partial_trace(rho, keep: Sequence[str]) -> DensityMatrix:
     (kept, traced) matrix M, give the marginal M M*, and no projector of
     the whole layout is built.
     """
+    plan = _trace_plan(rho.layout, frozenset(keep))
     if isinstance(rho, PureState):
-        layout = rho.layout
-        reduced = layout.restricted(keep)
-        kept_axes = [layout.position(lbl) for lbl in reduced.labels]
-        m = np.moveaxis(rho.amplitudes.reshape(layout.dims), kept_axes, range(len(kept_axes)))
-        return gram_density(reduced, m.reshape(reduced.total_dim, -1))
-    if set(keep) == set(rho.layout.labels):
+        m = np.moveaxis(rho.amplitudes.reshape(rho.layout.dims), plan.kept_axes, range(len(plan.kept_axes)))
+        return gram_density(plan.layout, m.reshape(plan.layout.total_dim, -1))
+    if plan.layout == rho.layout:
         return rho
-    entries, layout = _partial_trace_entries(rho.entries, rho.layout, keep)
-    return DensityMatrix(layout, entries)
+    return DensityMatrix(plan.layout, _traced_entries(rho.entries, rho.layout, plan))
 
 
 def partial_trace_hermitian(op: HermitianOperator, keep: Sequence[str]) -> HermitianOperator:
-    entries, layout = _partial_trace_entries(op.entries, op.layout, keep)
-    return HermitianOperator(layout, entries)
+    plan = _trace_plan(op.layout, frozenset(keep))
+    return HermitianOperator(plan.layout, _traced_entries(op.entries, op.layout, plan))
 
 
 def _entries_of(op) -> np.ndarray:

@@ -151,6 +151,47 @@ class TestPureApply:
             apply(random_channel(2, 2, 2, seed=1), psi)  # output label B collides
 
 
+def _as_density(state):
+    return state if isinstance(state, DensityMatrix) else state.to_density()
+
+
+class TestApplyPlanCache:
+    """`apply`'s plan is cached by layout and channel labels and dimensions; its checks run on every call."""
+
+    def test_layouts_and_labels_get_their_own_plans(self, gen):
+        ch = random_channel(2, 3, 2, seed=31)
+        cases = [
+            ([("A", 2), ("C", 2)], ch, [("B", 3), ("C", 2)]),
+            ([("A", 2), ("D", 2)], ch, [("B", 3), ("D", 2)]),
+            ([("C", 2), ("A", 2)], ch, [("C", 2), ("B", 3)]),
+            ([("A", 2), ("C", 2)], ch.relabeled("A", "Q", "E"), [("Q", 3), ("C", 2)]),
+            ([("X", 2), ("C", 2)], ch.relabeled("X", "B", "E"), [("B", 3), ("C", 2)]),
+        ]
+        for _ in range(2):
+            for factors, channel, out_factors in cases:
+                lay = SystemLayout(factors)
+                for state in (gen.density(lay), gen.pure(lay)):
+                    out = apply(channel, state)
+                    assert out.layout == SystemLayout(out_factors)
+                    assert np.linalg.norm(out.entries - apply(channel, _as_density(state)).entries) <= 1e-14
+
+    def test_errors_raise_on_every_call(self, gen):
+        ch = random_channel(2, 2, 2, seed=5)
+        cases = [
+            (SystemLayout([("A", 3), ("C", 2)]), "channel expects 2"),
+            (SystemLayout([("C", 2), ("A", 2), ("B", 2)]), "label 'B' collides"),
+            (SystemLayout([("A", 2), ("E", 2)]), "label 'E' collides"),
+            (SystemLayout([("C", 2)]), "unknown label 'A'"),
+        ]
+        for lay, message in cases:
+            for state in (gen.density(lay), gen.pure(lay)) * 2:
+                with pytest.raises(QStateError, match=message):
+                    apply(ch, state)
+        # the same layouts are accepted by a channel whose dimension and labels fit
+        fits = random_channel(3, 2, 2, seed=6)
+        assert apply(fits, gen.density(cases[0][0])).layout == SystemLayout([("B", 2), ("C", 2)])
+
+
 class TestComplementary:
     def test_double_complement(self, gen):
         ch = random_channel(2, 3, 2, seed=3)

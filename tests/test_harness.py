@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chanbound.energy import Hamiltonian
+from chanbound.energy import EnergyCap, Hamiltonian, OscillatorSpec, mix_to_cap
+from chanbound.entropic import Ensemble
+from chanbound.harness import suites
 from chanbound.harness.cli import main as cli_main
 from chanbound.harness.generators import Generators
 from chanbound.harness.report import emit_report, load_report
@@ -25,7 +27,7 @@ from chanbound.harness.verdict import (
     exit_code,
     summarize,
 )
-from chanbound.qstate import DensityMatrix, SystemLayout
+from chanbound.qstate import DensityMatrix, QStateError, SystemLayout
 
 
 class TestGenerators:
@@ -85,6 +87,87 @@ class TestGenerators:
 
             e = float(np.real(np.trace(h.to_matrix() @ psi.marginal(("A",)).entries)))
             assert e <= 0.9 + 1e-9
+
+
+# the benchmark's prop3 / prop7 configuration: oscillator input at truncation 40
+OSC40 = {"energy": {"kind": "oscillator", "modes": 1, "frequencies": [1.0], "truncation": 40, "E": 1.5},
+         "dims": {"d_b": 8, "d_e": 5}}
+
+
+def _mixed_ensemble(ens: Ensemble, cap: EnergyCap) -> Ensemble:
+    """An ensemble under the cap as it was mixed after validation: every member with
+    the weight of the validated members' average."""
+    t = cap.weight(ens.average_entries())
+    if t == 0.0:
+        return ens
+    return Ensemble([(p, DensityMatrix(ens.layout, (1.0 - t) * rho.entries + t * cap.ground_state))
+                     for p, rho in ens.items])
+
+
+class TestCappedDraws:
+    """A capped draw is mixed as a raw array and validated once, after the mix."""
+
+    @pytest.mark.parametrize("suite, trial, states", [("prop3", 0, 2), ("prop7", 0, 6), ("prop7", 1, 6)])
+    def test_one_validation_per_state_used(self, suite, trial, states, monkeypatch):
+        setup, draw = suites._SUITES[suite][:2]
+        fixed = setup(CampaignConfig(suite=suite, trials=1, seed=7, **OSC40))
+        built = []
+        post_init = DensityMatrix.__post_init__
+
+        def counted(rho):
+            built.append(rho.layout)
+            post_init(rho)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+        rows = draw(fixed, Generators.for_trial(7, trial), trial)
+        assert [name for name, *_ in rows] == [suite]
+        # a Wishart draw on 40 oscillator levels is far above E = 1.5, so every input was mixed
+        assert built.count(fixed.cap.layout) == states
+
+    def test_nan_draw_rejected_after_the_mix(self, monkeypatch):
+        lay = SystemLayout([("A", 4), ("B", 2)])
+        cap = EnergyCap(Hamiltonian(np.arange(4.0)), 0.9, lay)
+        gen = Generators(3)
+        gaussian = gen._gaussian
+
+        def poisoned(shape):
+            g = gaussian(shape)
+            g.flat[1] = np.nan
+            return g
+
+        monkeypatch.setattr(gen, "_gaussian", poisoned)
+        for draw in (lambda: gen.density(lay, cap), lambda: gen.ensemble(lay, 3, cap), lambda: gen.pure(lay, cap)):
+            with pytest.raises(QStateError), np.errstate(invalid="ignore"):
+                draw()
+
+    @pytest.mark.parametrize("factors", [[("A", 4), ("C", 2), ("D", 2)], [("A", 40)], [("A", 40), ("C", 2), ("D", 2)]],
+                             ids=["d16", "d40", "d160"])
+    def test_capped_draws_match_mixing_the_validated_draw(self, factors):
+        lay = SystemLayout(factors)
+        cap = EnergyCap(OscillatorSpec(1, (1.0,), truncation=lay.dims[0]).to_hamiltonian(), 1.5, lay)
+        for seed in range(6):
+            new, old = Generators(seed), Generators(seed)
+            rho, want = new.density(lay, cap), mix_to_cap(old.density(lay), cap)
+            assert rho.entries.tobytes() == want.entries.tobytes()
+            psi, want_psi = new.pure(lay, cap), mix_to_cap(old.pure(lay), cap)
+            assert psi.amplitudes.tobytes() == want_psi.amplitudes.tobytes()
+            if len(factors) == 1:
+                ens, want_ens = new.ensemble(lay, 3, cap), _mixed_ensemble(old.ensemble(lay, 3), cap)
+                assert [p for p, _ in ens.items] == [p for p, _ in want_ens.items]
+                assert [s.entries.tobytes() for s in ens.states] == [s.entries.tobytes() for s in want_ens.states]
+
+    def test_inexact_wishart_draw_moves_by_rounding_only(self):
+        # at d = 6 G G* is not exactly Hermitian, so the weight taken before
+        # validation sees the raw draw, not its symmetrisation
+        lay = SystemLayout([("A", 6)])
+        cap = EnergyCap(OscillatorSpec(1, (1.0,), truncation=6).to_hamiltonian(), 1.5, lay)
+        for seed in range(20):
+            rho, want = Generators(seed).density(lay, cap), mix_to_cap(Generators(seed).density(lay), cap)
+            assert np.max(np.abs(rho.entries - want.entries)) <= 1e-16
+            ens = Generators(seed).ensemble(lay, 3, cap)
+            want_ens = _mixed_ensemble(Generators(seed).ensemble(lay, 3), cap)
+            for got, ref in zip(ens.states, want_ens.states):
+                assert np.max(np.abs(got.entries - ref.entries)) <= 1e-16
 
 
 class TestVerdictLogic:

@@ -872,6 +872,16 @@ def _parent_bruteforce(phi, psi, samples, seed, chunk):
     return max(best, 0.0)
 
 
+def _sample_first_output_bures(w_phi, w_psi, vecs, d_b, d_e1, d_e2, d_r):
+    """`_batched_output_bures` as it was, with the sample axis first in the outer products."""
+    m, dim = vecs.shape
+    form = np.einsum("beri,bfrj->ijef", w_phi.reshape(d_b, d_e1, d_r, dim),
+                     w_psi.reshape(d_b, d_e2, d_r, dim).conj()).reshape(dim * dim, d_e1 * d_e2)
+    outer = (vecs[:, :, None] * vecs[:, None, :].conj()).reshape(m, dim * dim)
+    root_f = np.clip(_trace_norms((outer @ form).reshape(m, d_e1, d_e2)), 0.0, 1.0)
+    return np.sqrt(np.clip(2.0 * (1.0 - root_f), 0.0, None))
+
+
 def _unit_vectors(rng, m, dim):
     vecs = rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim))
     return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
@@ -959,6 +969,20 @@ class TestBruteForceOracle:
             phi, psi = random_channel(2, 2, 2, seed=seeds[0]), random_channel(2, 2, d_e2, seed=seeds[1])
             got = bures_sup_bruteforce(phi, psi, samples=samples, seed=3, chunk=chunk)
             assert got == _parent_bruteforce(phi, psi, samples, 3, chunk)
+
+    @pytest.mark.parametrize("dims, d_e2", [((2, 2, 2), 2), ((2, 2, 2), 3), ((2, 3, 3), 2), ((3, 2, 4), 4),
+                                            ((2, 2, 1), 2), ((3, 3, 2), 5)])
+    def test_sample_axis_last_matches_sample_first_bits(self, dims, d_e2):
+        # both layouts feed BLAS the same (m, dim^2) x (dim^2, d_e1 d_e2) product,
+        # so the closed 2 x 2 form and the SVD path give the same bits
+        phi, psi = random_channel(*dims, seed=60), random_channel(dims[0], dims[1], d_e2, seed=61)
+        d_r = dims[0]
+        w_phi, w_psi = _extend_isometry(phi.isometry, d_r), _extend_isometry(psi.isometry, d_r)
+        rng = np.random.default_rng(62)
+        for m in (1, 7, 700, 20_000):
+            vecs = _unit_vectors(rng, m, dims[0] * d_r)
+            args = (w_phi, w_psi, vecs, dims[1], dims[2], d_e2, d_r)
+            assert np.array_equal(_batched_output_bures(*args), _sample_first_output_bures(*args))
 
     def test_sample_stream_unchanged_on_certify_pair(self):
         # the benchmark's criterion-07 pair: same draws, same argmax, so the

@@ -327,6 +327,75 @@ class TestPartialTrace:
             partial_trace(gen.density(qubit_pair), ("Z",))
 
 
+def _uncached_partial_trace(state, keep):
+    """The partial trace as it was built on every call, with no plan cache: the
+    einsum spec for a density, the kept axes moved first for a pure state."""
+    layout, keep_set = state.layout, set(keep)
+    keep_idx = [i for i, (lbl, _) in enumerate(layout.factors) if lbl in keep_set]
+    reduced = SystemLayout([layout.factors[i] for i in keep_idx])
+    d = reduced.total_dim
+    if isinstance(state, PureState):
+        m = np.moveaxis(state.amplitudes.reshape(layout.dims), keep_idx, range(len(keep_idx)))
+        return qstate.gram_density(reduced, m.reshape(d, -1))
+    n, letters = len(layout.dims), qstate._AXIS_LETTERS
+    row = [letters[i] for i in range(n)]
+    col = [letters[n + i] if i in keep_idx else letters[i] for i in range(n)]
+    out = [letters[i] for i in keep_idx] + [letters[n + i] for i in keep_idx]
+    spec = "".join(row) + "".join(col) + "->" + "".join(out)
+    return DensityMatrix(reduced, np.einsum(spec, state.entries.reshape(layout.dims + layout.dims)).reshape(d, d))
+
+
+class TestTracePlanCache:
+    """The partial trace's plan is cached by (layout, keep set): structure only, never entries."""
+
+    LAYOUT = SystemLayout([("C", 2), ("A", 3), ("D", 2), ("R", 2)])
+
+    @staticmethod
+    def _spellings(keep):
+        """The keep set as a tuple, a list, reversed and with a label repeated."""
+        return [tuple(keep), list(keep), tuple(reversed(keep)), list(keep) + [keep[0]]]
+
+    @pytest.mark.parametrize("keep", [("A",), ("C", "D"), ("A", "R"), ("C", "A", "R")], ids="-".join)
+    def test_every_spelling_matches_the_uncached_expression(self, gen, keep):
+        qstate._trace_plan.cache_clear()
+        for _ in range(2):
+            rho, psi = gen.density(self.LAYOUT), gen.pure(self.LAYOUT)
+            want, pure_want = _uncached_partial_trace(rho, keep), _uncached_partial_trace(psi, keep)
+            for spelling in self._spellings(keep):
+                got, pure = partial_trace(rho, spelling), partial_trace(psi, spelling)
+                assert got.layout == want.layout and np.array_equal(got.entries, want.entries)
+                assert pure.layout == want.layout and np.array_equal(pure.entries, pure_want.entries)
+                herm = partial_trace_hermitian(rho.as_hermitian(), spelling)
+                assert herm.layout == want.layout and np.array_equal(herm.entries, want.entries)
+        # one plan per keep set, whatever its spelling
+        assert qstate._trace_plan.cache_info().currsize == 1
+
+    def test_full_keep_returns_the_state(self, gen):
+        rho = gen.density(self.LAYOUT)
+        for spelling in self._spellings(self.LAYOUT.labels):
+            assert partial_trace(rho, spelling) is rho
+
+    def test_equal_dims_different_labels_get_their_own_plans(self, gen):
+        layouts = [SystemLayout([("A", 2), ("B", 3)]), SystemLayout([("X", 2), ("Y", 3)]),
+                   SystemLayout([("A", 3), ("B", 2)])]
+        for lay, keep in zip(layouts, ("A", "X", "A")):
+            for state in (gen.density(lay), gen.pure(lay)):
+                out = partial_trace(state, (keep,))
+                assert out.layout == SystemLayout([lay.factors[0]])
+                assert out.entries.shape == (lay.dims[0], lay.dims[0])
+
+    @pytest.mark.parametrize("keep, message", [(("Z",), "unknown labels"), ((), "keep set must be non-empty")])
+    def test_errors_are_raised_again_not_cached(self, gen, keep, message):
+        messages = []
+        for state in (gen.density(self.LAYOUT), gen.pure(self.LAYOUT)) * 2:
+            with pytest.raises(QStateError, match=message) as err:
+                partial_trace(state, keep)
+            messages.append(str(err.value))
+        with pytest.raises(QStateError, match=message):
+            partial_trace_hermitian(gen.density(self.LAYOUT).as_hermitian(), keep)
+        assert len(set(messages)) == 1
+
+
 class TestEigh:
     def test_diagonal(self):
         op = HermitianOperator(SystemLayout([("A", 3)]), np.diag([3.0, 1.0, 2.0]))
