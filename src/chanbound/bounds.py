@@ -41,6 +41,18 @@ def _check_energy(energy: float, name: str):
         raise EnergyDomainError(f"{name} {energy} must be finite")
 
 
+def check_integer(value, name: str) -> int:
+    """int(value), never truncated: a finite value with a fractional part raises, naming `name`.
+
+    The one integer rule of evaluator counts and dimensions, `chanbound eval`
+    parameters and campaign configs; int() itself rejects inf and NaN.
+    """
+    # an int is never converted to float: a huge one need not fit
+    if not isinstance(value, int) and math.isfinite(float(value)) and not float(value).is_integer():
+        raise ValueError(f"{name} = {value} must be an integer")
+    return int(value)
+
+
 def check_dimension(d, name: str = "d_a"):
     """Return `d` if it is an integer >= 1; else raise, naming `name`, before it reaches log.
 
@@ -49,8 +61,9 @@ def check_dimension(d, name: str = "d_a"):
     """
     if not d >= 1:
         raise ValueError(f"{name} = {d} must be >= 1")
-    if not (isinstance(d, int) or float(d).is_integer()):  # a huge int need not fit a float
+    if d == math.inf:  # int() would raise OverflowError, not name the argument
         raise ValueError(f"{name} = {d} must be an integer")
+    check_integer(d, name)
     return d
 
 
@@ -73,14 +86,16 @@ def lemma4_bound(
     if variant not in LEMMA4_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {LEMMA4_VARIANTS}")
     eps = _check_eps(epsilon)
-    if variant in ("energy", "pure") and energy is not None:
+    if variant in ("finite", "qc"):
+        if d is None:
+            raise ValueError("finite variants need the support dimension d >= 1")
+        check_dimension(d, "d")
+    elif energy is not None:
         _check_energy(energy, "energy")
     if eps == 0.0:
         return 0.0
     g_coef = 1.0 if part_c else 2.0
     if variant in ("finite", "qc"):
-        if d is None or d < 1:
-            raise ValueError("finite variants need the support dimension d >= 1")
         main_coef = 2.0 if variant == "finite" else 1.0
         return main_coef * eps * math.log(d) + g_coef * g(eps)
     if f_handle is None or energy is None:
@@ -128,8 +143,7 @@ def prop4_bound(epsilon: float, d_a: int, n: int) -> float:
     """n-copy bound n (2 eps log(2 d_A) + g(eps)) for eps = channel Bures distance."""
     eps = _check_eps(epsilon, hi=math.sqrt(2.0))
     check_dimension(d_a)
-    if n < 1:
-        raise ValueError(f"n = {n} must be >= 1")
+    check_dimension(n, "n")
     if eps == 0.0:
         return 0.0
     return n * (2.0 * eps * math.log(2.0 * d_a) + g(eps))
@@ -160,6 +174,8 @@ def t_st(
     2 eps log d reaches the best value: every term is >= 0 and
     log d grows, so no larger d can beat it.  The result is the exact
     minimum over the feasible d <= d_cap, at the smallest minimising d.
+    Its g is written out on numpy arrays, not taken from `entropic.g`:
+    np.log and math.log differ in the last bit on some inputs.
     """
     eps = _check_eps(epsilon, hi=math.inf)
     if not -1e-12 <= e_bar < math.inf:  # NaN fails too
@@ -205,8 +221,7 @@ def t_st(
 def prop5_bound(epsilon: float, n: int, t_handle: Callable[[float], float]) -> float:
     """n-copy output-CMI bound n (T(eps) + g(eps) + 2 eps log 2); n T(0) at eps = 0."""
     eps = _check_eps(epsilon, hi=math.inf)
-    if n < 1:
-        raise ValueError(f"n = {n} must be >= 1")
+    check_dimension(n, "n")
     return n * (t_handle(eps) + g(eps) + 2.0 * eps * LOG2)
 
 
@@ -346,7 +361,7 @@ def erasure_capacities(
 
     M = log d unconstrained; with an energy cap (H, E), M = F_H(E).
     """
-    if d < 2:
+    if check_dimension(d, "d") < 2:
         raise ValueError(f"erasure input dimension {d} must be >= 2")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erasure probability {p} outside [0, 1]")

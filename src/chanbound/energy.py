@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .entropic import Ensemble, entropy_of_spectrum, eta
+from .entropic import Ensemble, entropy_of_spectrum
 from .qstate import (
     DensityMatrix,
     PureState,
@@ -136,6 +136,8 @@ def _entropies(eigenvalues: np.ndarray, lams: np.ndarray) -> np.ndarray:
 
     At lam >= 0 the w that underflow to 0 end the row, and a dot's summation
     order depends on its length: rows are grouped by their count of w > 0.
+    These dots, not `entropy_of_spectrum`'s sums, fix the bits of every
+    gamma and so of every T value.
     """
     w = _gibbs_weights(eigenvalues, lams[:, None])
     kept = np.count_nonzero(w > 0.0, axis=1)
@@ -248,38 +250,49 @@ def gibbs_lambda(h: Hamiltonian, energy: float) -> float:
     return float(_gibbs_lambdas(h.eigenvalues, [energy])[0])
 
 
-def gibbs_spectrum(h: Hamiltonian, energy: float) -> np.ndarray:
-    """Eigenvalue distribution of the Gibbs state at the given mean energy."""
-    if energy <= h.ground_energy + 1e-14:
-        if energy < h.ground_energy - 1e-12:
-            raise EnergyDomainError(f"energy {energy} below ground energy {h.ground_energy}")
-        d0 = h.ground_multiplicity
-        w = np.zeros(h.dim)
-        w[:d0] = 1.0 / d0
-        return w
-    w = _gibbs_weights(h.eigenvalues, gibbs_lambda(h, energy))
-    _warn_on_tail(h, w, energy)
+def _gibbs_spectra(h: Hamiltonian, energies) -> np.ndarray:
+    """Gibbs spectrum at each mean energy, one row each: the one energy -> spectrum path.
+
+    Rows at most 1e-14 above E_0 are uniform on the ground space; the rest
+    take one lockstep `_gibbs_lambdas` solve (each row has the bits of its
+    energy alone) and one `_warn_on_tail` call.  Energies below E_0 raise.
+    """
+    energies = np.asarray(energies, dtype=float).reshape(-1)
+    below = energies < h.ground_energy - 1e-12
+    if below.any():
+        raise EnergyDomainError(f"energy {float(energies[below][0])} below ground energy {h.ground_energy}")
+    ground = energies <= h.ground_energy + 1e-14
+    w = np.zeros((energies.size, h.dim))
+    w[ground, :h.ground_multiplicity] = 1.0 / h.ground_multiplicity
+    gibbs = energies[~ground]
+    w[~ground] = _gibbs_weights(h.eigenvalues, _gibbs_lambdas(h.eigenvalues, gibbs)[:, None])
+    _warn_on_tail(h, w[~ground], gibbs)
     return w
 
 
+def gibbs_spectrum(h: Hamiltonian, energy: float) -> np.ndarray:
+    """Eigenvalue distribution of the Gibbs state at the given mean energy: `_gibbs_spectra`'s one row."""
+    return _gibbs_spectra(h, [energy])[0]
+
+
 def _warn_on_tail(h: Hamiltonian, weights: np.ndarray, energies):
-    """TruncationTailWarning at the first Gibbs row (or the one state) heavy on a truncated top level."""
+    """TruncationTailWarning at the first Gibbs row heavy on a truncated top level, for the public caller."""
     if not h.truncated:
         return
-    tail = weights[..., h.eigenvalues >= h.max_energy - DEGENERACY_TOL].sum(axis=-1).reshape(-1)
+    tail = weights[..., h.eigenvalues >= h.max_energy - DEGENERACY_TOL].sum(axis=-1)
     heavy = np.flatnonzero(tail > TAIL_WARN_THRESHOLD)
     if heavy.size:
         warnings.warn(
             f"Gibbs weight {float(tail[heavy[0]]):.3e} on the top level at energy "
-            f"{float(np.reshape(energies, -1)[heavy[0]])}; the spectrum truncation may be too small",
+            f"{float(energies[heavy[0]])}; the spectrum truncation may be too small",
             TruncationTailWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
 def gibbs_state(h: Hamiltonian, energy: float, label: str = "A") -> DensityMatrix:
-    """Gibbs state exp(-lambda H)/Z with mean energy solved to 1e-10."""
-    w = gibbs_spectrum(h, energy)
+    """Gibbs state exp(-lambda H)/Z with mean energy solved to 1e-10: `_gibbs_spectra`'s one row."""
+    w = _gibbs_spectra(h, [energy])[0]
     layout = single_factor(label, h.dim)
     if h.eigenbasis is None:
         return DensityMatrix(layout, np.diag(w).astype(np.complex128))
@@ -287,17 +300,19 @@ def gibbs_state(h: Hamiltonian, energy: float, label: str = "A") -> DensityMatri
     return DensityMatrix(layout, (u * w) @ u.conj().T)
 
 
-def f_h(h: Hamiltonian, energy: float) -> float:
-    """Max entropy over states with mean energy <= `energy` (nats).
+def f_h(h: Hamiltonian, energy):
+    """Max entropy over states with mean energy <= `energy` (nats); elementwise on an array.
 
     Equals the Gibbs-state entropy on the increasing branch and saturates
     at log(dim) once the constraint goes slack (energy >= uniform energy).
+    The energies below the uniform one take one `_gibbs_spectra` call.
     """
-    if energy < h.ground_energy - 1e-12:
-        raise EnergyDomainError(f"energy {energy} below ground energy {h.ground_energy}")
-    if energy >= h.uniform_energy:
-        return math.log(h.dim)
-    return entropy_of_spectrum(gibbs_spectrum(h, energy))
+    energies = np.asarray(energy, dtype=float)
+    below = ~(energies >= h.uniform_energy)  # NaN too, which `_gibbs_spectra` rejects
+    out = np.full(energies.shape, math.log(h.dim))
+    if below.any():
+        out[below] = entropy_of_spectrum(_gibbs_spectra(h, energies[below]))
+    return out if energies.ndim else float(out)
 
 
 def f_bar(h: Hamiltonian, e_bar: float) -> float:
@@ -429,23 +444,10 @@ def oscillator_gamma_hat(spec: OscillatorSpec, d: int) -> float:
 
 
 def _s_flag_grid(h: Hamiltonian) -> np.ndarray:
-    """f_bar(E)/sqrt(E) at 60 points from top/1000 to top, the uniform energy above E_0.
-
-    The points on the Gibbs branch take one lockstep `_gibbs_lambdas` solve
-    and one row-wise entropy, so each value is bit-identical to
-    `f_bar(h, E) / sqrt(E)` evaluated alone; the rest (log dim at the top,
-    the ground mixture at E_0) are `f_h`'s.
-    """
+    """f_bar(E)/sqrt(E) at 60 points from top/1000 to top, the uniform energy above E_0, by one `f_h` call."""
     top = max(h.uniform_energy - h.ground_energy, 1e-6)
     grid = np.linspace(top * 1e-3, top, 60)
-    energies = grid + h.ground_energy
-    gibbs = (energies > h.ground_energy + 1e-14) & (energies < h.uniform_energy)
-    f = np.empty(grid.size)
-    f[~gibbs] = [f_h(h, e) for e in energies[~gibbs]]
-    w = _gibbs_weights(h.eigenvalues, _gibbs_lambdas(h.eigenvalues, energies[gibbs])[:, None])
-    _warn_on_tail(h, w, energies[gibbs])
-    f[gibbs] = np.sum(eta(w), axis=1)
-    return f / np.sqrt(grid)
+    return f_h(h, grid + h.ground_energy) / np.sqrt(grid)
 
 
 def check_s_flag(handle) -> int:
@@ -453,10 +455,7 @@ def check_s_flag(handle) -> int:
 
     Oscillator closed forms are always 0 (x log(a/x^2 + b) is increasing for
     b >= e/2, which 2 E_0 >= E_* guarantees); finite spectra are decided on
-    `_s_flag_grid`'s 60 points from top/1000 to top, the uniform energy
-    above E_0.  One lockstep Gibbs solve covers the grid, and each value
-    has the bits of its own `f_bar(h, E)/sqrt(E)`, so the decision is the
-    pointwise one.
+    `_s_flag_grid`, whose values have the bits of `f_bar(h, E)/sqrt(E)`.
     """
     if isinstance(handle, OscillatorSpec):
         return 0

@@ -29,7 +29,7 @@ SUPPORT_TOL = 1e-10
 
 
 def eta(x):
-    """eta(x) = -x log x, continuously extended by eta(0) = 0."""
+    """eta(x) = -x log x, eta(0) = 0; the scalar helper of `h2` and `bounds.p_r`, whose bits its np.log fixes."""
     arr = np.asarray(x, dtype=float)
     out = np.where(arr > ETA_ZERO_CUTOFF, -arr * np.log(np.where(arr > 0, arr, 1.0)), 0.0)
     if np.ndim(x) == 0:
@@ -51,19 +51,22 @@ def g(x: float) -> float:
     return (x + 1.0) * math.log(x + 1.0) - x * math.log(x)
 
 
-def _spectrum(rho) -> np.ndarray:
-    """Clipped eigenvalues: a DensityMatrix's validated spectrum, else eigvalsh."""
-    w = rho.spectrum if isinstance(rho, DensityMatrix) else np.linalg.eigvalsh(np.asarray(rho))
-    return np.clip(w, 0.0, None)
+def entropy_of_spectrum(weights) -> np.ndarray:
+    """Sum of eta(w) along the last axis, in nats: the one eta-sum here.  A row's terms are `eta`'s
+    and its sum runs over the whole row, zeros kept, so it has the bits of `eta` summed over the row.
+    An all-zero row is +0.0: a sum begun at its first term would keep (-1) log 1 = -0.0, printed -0.
+    """
+    w = np.asarray(weights, dtype=float)
+    kept = w > ETA_ZERO_CUTOFF
+    terms = np.zeros(w.shape)
+    terms[kept] = -w[kept] * np.log(w[kept])
+    return terms.sum(axis=-1) + 0.0
 
 
 def von_neumann_entropy(rho) -> float:
-    """H(rho) = sum eta(lambda_i) over the spectrum, in nats."""
-    return float(np.sum(eta(_spectrum(rho))))
-
-
-def entropy_of_spectrum(weights: np.ndarray) -> float:
-    return float(np.sum(eta(np.clip(np.asarray(weights, dtype=float), 0.0, None))))
+    """H(rho) = sum eta(lambda_i) over a DensityMatrix's validated spectrum, else eigvalsh's, in nats."""
+    w = rho.spectrum if isinstance(rho, DensityMatrix) else np.linalg.eigvalsh(rho)
+    return float(entropy_of_spectrum(w))
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -72,16 +75,11 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         raise QStateError("relative entropy requires matching layouts")
     w_s, u_s = eigh(sigma)
     kernel = u_s[:, w_s < SUPPORT_TOL]
-    if kernel.shape[1]:
-        leak = float(np.real(np.einsum("ij,jk,ki->", kernel.conj().T, rho.entries, kernel)))
-        if leak > SUPPORT_TOL:
-            return math.inf
-    w_r = _spectrum(rho)
-    term_r = float(np.sum(w_r[w_r > ETA_ZERO_CUTOFF] * np.log(w_r[w_r > ETA_ZERO_CUTOFF])))
+    if np.real(np.einsum("ij,jk,ki->", kernel.conj().T, rho.entries, kernel)) > SUPPORT_TOL:
+        return math.inf
     mask = w_s >= SUPPORT_TOL
     diag = np.real(np.einsum("ij,jk,ki->i", u_s[:, mask].conj().T, rho.entries, u_s[:, mask]))
-    term_s = float(np.sum(diag * np.log(w_s[mask])))
-    return term_r - term_s
+    return -float(entropy_of_spectrum(rho.spectrum)) - float(np.sum(diag * np.log(w_s[mask])))
 
 
 def _check_partition(layout: SystemLayout, parts: Sequence[Sequence[str]]):

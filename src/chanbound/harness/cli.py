@@ -125,15 +125,8 @@ def _parse_params(spec: str) -> dict:
 
 
 def _integer(p: dict, key: str, default=None) -> int:
-    """p[key], or `default` when given and the key is absent, as an int.
-
-    A finite float with a fractional part is an error naming the key, not
-    truncated; an infinite one fails in `int`, as before.
-    """
-    value = p[key] if default is None else p.get(key, default)
-    if isinstance(value, float) and math.isfinite(value) and not value.is_integer():
-        raise ValueError(f"{key} = {value} must be an integer")
-    return int(value)
+    """p[key], or `default` when given and the key is absent, through `bounds.check_integer`."""
+    return bnd.check_integer(p[key] if default is None else p.get(key, default), key)
 
 
 def _oscillator_from(params: dict) -> OscillatorSpec:

@@ -89,7 +89,7 @@ class CampaignConfig:
     def __post_init__(self):
         if self.suite not in SUITE_NAMES:
             raise ValueError(f"unknown suite {self.suite!r}; expected one of {SUITE_NAMES}")
-        self.trials, self.seed = int(self.trials), int(self.seed)
+        self.trials, self.seed = bnd.check_integer(self.trials, "trials"), bnd.check_integer(self.seed, "seed")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         self.dims, self.budgets = dict(self.dims), dict(self.budgets)
@@ -98,8 +98,9 @@ class CampaignConfig:
     def budget(self, key: str, default):
         return self.budgets.get(key, default)
 
-    def dim(self, key: str, default: int) -> int:
-        return int(self.dims.get(key, default))
+    def dim(self, key: str, default: Optional[int]) -> Optional[int]:
+        """dims[key] through `bounds.check_integer`, or `default` when the key is absent."""
+        return bnd.check_integer(self.dims[key], key) if key in self.dims else default
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -123,12 +124,12 @@ def parse_energy(doc: dict):
     e = float(doc["E"])
     if kind == "spectrum":
         return Hamiltonian(np.asarray(doc["eigenvalues"], dtype=float)), e
-    modes = int(doc.get("modes", 1))
+    modes = bnd.check_integer(doc.get("modes", 1), "modes")
     spec = OscillatorSpec(
         modes=modes,
         frequencies=tuple(doc.get("frequencies", [1.0] * modes)),
         hbar=float(doc.get("hbar", 1.0)),
-        truncation=int(doc.get("truncation", 40)),
+        truncation=bnd.check_integer(doc.get("truncation", 40), "truncation"),
     )
     return spec, e
 
@@ -415,11 +416,11 @@ def _n_copy_cmi(channel: StinespringChannel, n: int, rho: DensityMatrix) -> floa
 
 
 def _prop4_setup(config: CampaignConfig):
-    return _pair_setup(config, config.dim("d_a", 2), 2, n=config.dims.get("n"))
+    return _pair_setup(config, config.dim("d_a", 2), 2, n=config.dim("n", None))
 
 
 def _prop4_draw(c, gen: Generators, trial: int):
-    n = int(c.n) if c.n is not None else (1 if trial % 2 == 0 else 2)
+    n = c.n if c.n is not None else (1 if trial % 2 == 0 else 2)
     _, layout = _n_copy_layout(n, c.dims[0])
     pair = _channel_pair(gen, c.dims)
     rho = gen.density(layout)
@@ -490,9 +491,10 @@ def _erasure_rows(suite: str, x, m_scale: float, bound_at, certs: dict):
 
 def _thm1_grid(config: CampaignConfig):
     for d in config.dims.get("d_grid", list(range(2, 65))):
+        d = bnd.check_integer(d, "d_grid")
         for x in config.dims.get("x_grid", [0.01, 0.05]):
-            yield from _erasure_rows("thm1", x, math.log(d), functools.partial(bnd.theorem1_bound, d_a=int(d)),
-                                     {"d": int(d), "x": float(x)})
+            yield from _erasure_rows("thm1", x, math.log(d), functools.partial(bnd.theorem1_bound, d_a=d),
+                                     {"d": d, "x": float(x)})
 
 
 def _thm2_grid(config: CampaignConfig):

@@ -339,30 +339,13 @@ def _polar_contraction(x: np.ndarray):
     return c, float(s.sum())
 
 
-# Unreachable: kept only because bench/tracer.py looks this name up.
 def _segment_min_trace_norm(x0: np.ndarray, x1: np.ndarray):
-    """Minimize ||(1-t) x0 + t x1||_1 over t in [0, 1] (convex in t)."""
+    """Retired golden-section search for min ||(1-t) x0 + t x1||_1 over t in [0, 1].
 
-    def val(t: float) -> float:
-        return float(np.linalg.svd((1.0 - t) * x0 + t * x1, compute_uv=False).sum())
-
-    lo, hi = 0.0, 1.0
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a = hi - inv_phi * (hi - lo)
-    b = lo + inv_phi * (hi - lo)
-    fa, fb = val(a), val(b)
-    for _ in range(42):
-        if fa <= fb:
-            hi, b, fb = b, a, fa
-            a = hi - inv_phi * (hi - lo)
-            fa = val(a)
-        else:
-            lo, a, fa = a, b, fb
-            b = lo + inv_phi * (hi - lo)
-            fb = val(b)
-    candidates = [(val(0.0), 0.0), (val(1.0), 1.0), (fa, a), (fb, b)]
-    best_val, best_t = min(candidates)
-    return best_t, best_val
+    No code path calls it; the name stays because the benchmark tracer
+    wraps it by name.
+    """
+    raise NotImplementedError("_segment_min_trace_norm is retired; no bracket uses it")
 
 
 def _eye_kron(d: int, c: np.ndarray) -> np.ndarray:

@@ -18,3 +18,9 @@ def qubit_pair():
 def random_hermitian(rng, d, scale=1.0):
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return scale * (m + m.conj().T) / 2.0
+
+
+def parent_entropy_sum(weights) -> float:
+    """sum eta(w) as `von_neumann_entropy` once computed it: clip at 0, eta's where-expression, np.sum."""
+    w = np.clip(np.asarray(weights, dtype=float), 0.0, None)
+    return float(np.sum(np.where(w > 1e-12, -w * np.log(np.where(w > 0, w, 1.0)), 0.0)))

@@ -7,6 +7,7 @@ import pytest
 
 from chanbound.bounds import (
     CAPACITIES,
+    check_integer,
     erasure_capacities,
     erasure_delta,
     erasure_isometry_gap,
@@ -305,6 +306,46 @@ _PIN_CASES = {
     "degenerate_ground": (Hamiltonian(np.array([0.5, 0.5, 1.0, 2.0, 4.0])), (0.0, 0.05, 0.2, 3.0)),
     "ladder16": (Hamiltonian(np.arange(16.0)), (0.3, 2.0, 9.0)),
 }
+
+
+class TestCountsAndDimensions:
+    """d and n go through `check_dimension`, named, before any eps = 0 shortcut."""
+
+    BAD = [(math.nan, "must be >= 1"), (-math.inf, "must be >= 1"), (0, "must be >= 1"),
+           (math.inf, "must be an integer"), (2.5, "must be an integer")]
+
+    @pytest.mark.parametrize("value, rule", BAD)
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_lemma4_support_dimension(self, value, rule, eps):
+        for variant in ("finite", "qc"):
+            with pytest.raises(ValueError, match=f"^d = {value} {rule}$"):
+                lemma4_bound(variant, eps, d=value)
+
+    @pytest.mark.parametrize("value, rule", BAD)
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_copy_count(self, value, rule, eps):
+        def handle(e):
+            raise AssertionError("T is not evaluated for a rejected n")
+
+        for evaluate in (lambda: prop4_bound(eps, 2, value), lambda: prop5_bound(eps, value, handle)):
+            with pytest.raises(ValueError, match=f"^n = {value} {rule}$"):
+                evaluate()
+
+    @pytest.mark.parametrize("value, rule", BAD)
+    def test_erasure_dimension(self, value, rule):
+        with pytest.raises(ValueError, match=f"^d = {value} {rule}$"):
+            erasure_capacities(value, 0.1)
+        with pytest.raises(ValueError, match="^erasure input dimension 1 must be >= 2$"):
+            erasure_capacities(1, 0.1)
+
+    def test_integral_values_are_the_integers(self):
+        assert lemma4_bound("finite", 0.1, d=4.0) == lemma4_bound("finite", 0.1, d=4)
+        assert prop4_bound(0.1, 2, 3.0) == prop4_bound(0.1, 2, 3)
+        assert prop5_bound(0.1, np.int64(2), lambda e: 1.0) == prop5_bound(0.1, 2, lambda e: 1.0)
+        assert erasure_capacities(4.0, 0.25) == erasure_capacities(4, 0.25)
+        assert check_integer(10**400, "d") == 10**400  # a huge int is never converted to float
+        with pytest.raises(OverflowError):
+            check_integer(math.inf, "d")  # int() itself, as `chanbound eval` reports it
 
 
 class TestTFunctional:

@@ -24,6 +24,7 @@ from chanbound.energy import (
     f_h,
     gamma,
     gibbs_lambda,
+    gibbs_spectrum,
     gibbs_state,
     mix_to_cap,
     oscillator_f,
@@ -44,6 +45,8 @@ from chanbound.qstate import (
     single_factor,
     trace_norm,
 )
+
+from conftest import parent_entropy_sum
 
 
 @pytest.fixture
@@ -415,6 +418,110 @@ class TestGibbs:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             gibbs_state(Hamiltonian(np.arange(8.0)), 5.0)
+
+
+def _parent_gibbs_spectrum(h, energy):
+    """`gibbs_spectrum` as the parent wrote it, less its tail warning: the ground mixture, else one solve."""
+    if energy <= h.ground_energy + 1e-14:
+        w = np.zeros(h.dim)
+        w[:h.ground_multiplicity] = 1.0 / h.ground_multiplicity
+        return w
+    return _gibbs_weights(h.eigenvalues, gibbs_lambda(h, energy))
+
+
+def _parent_f_h(h, energy):
+    """`f_h` as the parent wrote it: log dim at or above the uniform energy, else clip + np.sum(eta(...))."""
+    if energy >= h.uniform_energy:
+        return math.log(h.dim)
+    return parent_entropy_sum(_parent_gibbs_spectrum(h, energy))
+
+
+def _parent_heavy_tail(h, energy):
+    """Whether the parent's `_warn_on_tail` warned at this energy."""
+    if not h.truncated or energy <= h.ground_energy + 1e-14:
+        return False
+    return _parent_gibbs_spectrum(h, energy)[h.eigenvalues >= h.max_energy - 1e-9].sum() > 1e-8
+
+
+_ROTATED = np.linalg.qr(np.random.default_rng(11).standard_normal((5, 5))
+                        + 1j * np.random.default_rng(12).standard_normal((5, 5)))[0]
+_PARENT_SPECTRA = {
+    **{kind: lambda ev=ev: Hamiltonian(np.array(ev, dtype=float)) for kind, ev in _LOCKSTEP_SPECTRA.items()},
+    "rotated": lambda: Hamiltonian(np.array([0.5, 0.5, 1.0, 2.0, 4.0]), eigenbasis=_ROTATED),
+    "osc6": lambda: OscillatorSpec(1, (1.0,), truncation=6).to_hamiltonian(),
+    "osc40": lambda: OscillatorSpec(1, (1.0,), truncation=40).to_hamiltonian(),
+    "osc2x6": lambda: OscillatorSpec(2, (1.0, 1.5), truncation=6).to_hamiltonian(),
+}
+
+
+def _parent_energies(h, seed):
+    rng = np.random.default_rng(seed)
+    e_0, span = h.ground_energy, h.max_energy - h.ground_energy
+    return np.concatenate([
+        e_0 + span * rng.uniform(0.0, 1.0, 60),  # both sides of the uniform energy
+        e_0 + (h.uniform_energy - e_0) * np.logspace(-12, 0, 14),
+        [e_0, e_0 - 5e-13, e_0 + 5e-15, e_0 + 1e-14, e_0 + 2e-14, np.nextafter(h.uniform_energy, 0.0),
+         h.uniform_energy, h.max_energy - 2e-12, h.max_energy, 2.0 * h.max_energy + 1.0],
+    ])
+
+
+class TestGibbsSpectraMatchParent:
+    """One energy -> spectrum path: each value equals the parent's one-energy formula with ==."""
+
+    @pytest.mark.parametrize("kind", _PARENT_SPECTRA)
+    def test_spectrum_state_and_f_h_one_at_a_time(self, kind):
+        h = _PARENT_SPECTRA[kind]()
+        for e in _parent_energies(h, sum(map(ord, kind))).tolist():
+            assert f_h(h, e) == _parent_f_h(h, e)
+            if e >= h.max_energy - 1e-12:
+                continue  # outside the Gibbs solver's domain; f_h is log dim there
+            w = _parent_gibbs_spectrum(h, e)
+            assert np.array_equal(gibbs_spectrum(h, e), w)
+            u = h.eigenbasis
+            ref = np.diag(w).astype(np.complex128) if u is None else (u * w) @ u.conj().T
+            assert np.array_equal(gibbs_state(h, e).entries, DensityMatrix(single_factor("A", h.dim), ref).entries)
+
+    @pytest.mark.parametrize("kind", _PARENT_SPECTRA)
+    def test_f_h_in_lockstep(self, kind):
+        h = _PARENT_SPECTRA[kind]()
+        energies = _parent_energies(h, sum(map(ord, kind)))
+        ref = [_parent_f_h(h, e) for e in energies.tolist()]
+        assert np.array_equal(f_h(h, energies), ref)
+        assert np.array_equal(f_h(h, energies[::-1]), ref[::-1])
+        assert np.array_equal(f_h(h, energies.reshape(-1, 2)), np.reshape(ref, (-1, 2)))
+        assert isinstance(f_h(h, float(energies[0])), float)
+
+    @pytest.mark.parametrize("truncation", [6, 8, 40])
+    def test_tail_warning_fires_once_per_call(self, truncation):
+        h = OscillatorSpec(1, (1.0,), truncation=truncation).to_hamiltonian()
+        energies = [e for e in _parent_energies(h, truncation).tolist() if e < h.uniform_energy]
+        heavy = [e for e in energies if _parent_heavy_tail(h, e)]
+        assert heavy
+        for e in energies:
+            for fn in (gibbs_spectrum, gibbs_state, f_h):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    fn(h, e)
+                assert len(caught) == (e in heavy)
+                if caught:
+                    assert caught[0].category is TruncationTailWarning and f"at energy {e};" in str(caught[0].message)
+                    assert caught[0].filename == __file__  # attributed to the caller
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            f_h(h, np.array(energies))
+        assert len(caught) == 1 and f"at energy {heavy[0]};" in str(caught[0].message)
+
+    @pytest.mark.parametrize("kind", ["levels", "double_ground", "osc6"])
+    def test_domain_errors_match_parent(self, kind):
+        h = _PARENT_SPECTRA[kind]()
+        below = h.ground_energy - 1e-9
+        for fn in (gibbs_spectrum, f_h):
+            with pytest.raises(EnergyDomainError, match=re.escape(f"energy {below} below ground energy {h.ground_energy}")):
+                fn(h, below)
+            with pytest.raises(EnergyDomainError, match="energy nan outside feasible interval"):
+                fn(h, math.nan)
+        with pytest.raises(EnergyDomainError, match="outside feasible interval"):
+            gibbs_spectrum(h, h.max_energy)
 
 
 class TestMaxEntropyFunctions:

@@ -11,6 +11,7 @@ from chanbound.entropic import (
     channel_mutual_information,
     coherent_information,
     conditional_mutual_information,
+    entropy_of_spectrum,
     eta,
     g,
     h2,
@@ -28,6 +29,8 @@ from chanbound.qstate import (
     maximally_mixed,
     partial_trace,
 )
+
+from conftest import parent_entropy_sum
 
 
 class TestScalarFunctions:
@@ -93,6 +96,48 @@ class TestEntropy:
         ]
         for rho in states:
             assert von_neumann_entropy(rho) == von_neumann_entropy(rho.entries)
+
+
+class TestEntropyKernel:
+    """`entropy_of_spectrum` keeps the bits of the parent's clip + np.sum(eta(...)) sum."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 7, 8, 9, 16, 32, 40, 160])
+    def test_random_states_match_parent_sum(self, gen, d):
+        lay = SystemLayout([("A", d)])
+        for _ in range(12):
+            rho = gen.density(lay)
+            assert von_neumann_entropy(rho) == parent_entropy_sum(rho.spectrum)
+            assert von_neumann_entropy(rho.entries) == parent_entropy_sum(np.linalg.eigvalsh(rho.entries))
+
+    @pytest.mark.parametrize("d", [3, 5, 8, 20])
+    def test_low_rank_states_match_parent_sum(self, gen, d):
+        # reduced states of pure states: rank 2, the other eigenvalues rounding noise about 0
+        for _ in range(12):
+            rho = partial_trace(gen.pure(SystemLayout([("A", d), ("B", 2)])).to_density(), ("A",))
+            assert np.min(rho.spectrum) < 1e-12
+            assert von_neumann_entropy(rho) == parent_entropy_sum(rho.spectrum)
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 9])
+    def test_pure_state_entropy_is_positive_zero(self, gen, d):
+        lay = SystemLayout([("A", d)])
+        for rho in (basis_pure(lay, d - 1).to_density(), DensityMatrix(lay, np.diag(np.eye(d)[0]))):
+            value = von_neumann_entropy(rho)
+            assert value == parent_entropy_sum(rho.spectrum) == 0.0
+            assert math.copysign(1.0, value) == 1.0  # d = 1: (-1) log 1 is -0.0
+        assert math.copysign(1.0, float(entropy_of_spectrum(np.zeros(d)))) == 1.0
+
+    def test_near_floor_spectra_match_parent_sum(self):
+        rng = np.random.default_rng(5)
+        floor = [1e-12, np.nextafter(1e-12, 1.0), np.nextafter(1e-12, 0.0), 5e-13, 0.0, -0.0, -1e-17, -1e-12]
+        rows = []
+        for _ in range(200):
+            w = np.r_[rng.choice(floor, rng.integers(1, 12)), rng.dirichlet(np.ones(rng.integers(1, 12)))]
+            rows.append(rng.permutation(w))
+        for w in rows:
+            assert entropy_of_spectrum(w) == parent_entropy_sum(w)
+            assert von_neumann_entropy(np.diag(w)) == parent_entropy_sum(np.linalg.eigvalsh(np.diag(w)))
+        block = np.array([np.resize(w, 16) for w in rows])  # rows summed along the last axis
+        assert np.array_equal(entropy_of_spectrum(block), [parent_entropy_sum(w) for w in block])
 
 
 class TestRelativeEntropy:

@@ -239,6 +239,38 @@ class TestConfig:
             assert rep.summary["pass"] == rep.summary["total"] == 1
 
 
+class TestConfigIntegers:
+    """Counts, seeds and dimensions in a campaign config go through `bounds.check_integer`."""
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"suite": "prop2", "trials": 2.5}, "trials = 2.5 must be an integer"),
+        ({"suite": "prop2", "trials": 1, "seed": 7.5}, "seed = 7.5 must be an integer"),
+        ({"suite": "prop2", "trials": 1, "dims": {"d_a": 2.5}}, "d_a = 2.5 must be an integer"),
+        ({"suite": "prop2", "trials": 1, "dims": {"d_e": 1.5}}, "d_e = 1.5 must be an integer"),
+        ({"suite": "prop4", "trials": 1, "dims": {"n": 1.5}}, "n = 1.5 must be an integer"),
+        ({"suite": "prop6", "trials": 1, "dims": {"ensemble_size": 2.7}}, "ensemble_size = 2.7 must be an integer"),
+        ({"suite": "prop7", "trials": 1, "dims": {"ensemble_size": 2.7}}, "ensemble_size = 2.7 must be an integer"),
+        ({"suite": "thm1", "dims": {"d_grid": [4, 2.5]}}, "d_grid = 2.5 must be an integer"),
+        ({"suite": "prop5", "trials": 1, "energy": {"E": 1.2, "truncation": 6.5}}, "truncation = 6.5 must be an integer"),
+        ({"suite": "prop5", "trials": 1, "energy": {"E": 1.2, "modes": 1.5}}, "modes = 1.5 must be an integer"),
+    ])
+    def test_fractional_values_rejected(self, doc, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_suite(config_from_dict(doc))
+
+    def test_integral_floats_run_as_integers(self):
+        as_ints = run_suite(config_from_dict({"suite": "prop4", "trials": 2, "seed": 3, "dims": {"n": 2}}))
+        as_floats = run_suite(config_from_dict({"suite": "prop4", "trials": 2.0, "seed": 3.0, "dims": {"n": 2.0}}))
+        assert as_floats.verdicts == as_ints.verdicts
+        assert {v.bound_name for v in as_ints.verdicts} == {"prop4_n2"}
+
+    def test_verify_rejects_fractional_trials(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suite": "prop2", "trials": 2.5}))
+        with pytest.raises(ValueError, match="^trials = 2.5 must be an integer$"):
+            cli_main(["verify", "--config", str(cfg)])
+
+
 class TestReports:
     def _small_report(self):
         return run_suite(CampaignConfig(suite="thm1", trials=1, seed=7,
