@@ -385,10 +385,17 @@ def erasure_delta(capacity: str, x: float, m: float) -> float:
 
 
 def erasure_isometry_gap(x: float) -> float:
-    """Closed-form operator norm of V_(1/2-x) - V_(1/2): sqrt(2 - sqrt(1-2x) - sqrt(1+2x))."""
+    """Closed-form operator norm of V_(1/2-x) - V_(1/2): sqrt(2 - sqrt(1-2x) - sqrt(1+2x)).
+
+    The radicand is about x^2, a difference of numbers near 1 that cancels
+    (to 0 at x = 1e-8), so it is evaluated as 8 x^2 / ((a + b)(1 + a)(1 + b))
+    with a = sqrt(1 - 2x) and b = sqrt(1 + 2x), which has no subtraction:
+    2 - a - b = 2x / (1 + a) - 2x / (1 + b) and b - a = 4x / (a + b).
+    """
     if not 0.0 <= x <= 0.5:
         raise ValueError(f"x = {x} outside [0, 1/2]")
-    return math.sqrt(max(0.0, 2.0 - math.sqrt(1.0 - 2.0 * x) - math.sqrt(1.0 + 2.0 * x)))
+    a, b = math.sqrt(1.0 - 2.0 * x), math.sqrt(1.0 + 2.0 * x)
+    return 2.0 * math.sqrt(2.0) * x / math.sqrt((a + b) * (1.0 + a) * (1.0 + b))
 
 
 def erasure_family(

@@ -64,20 +64,25 @@ def main(argv=None) -> int:
 
 
 def _cmd_verify(args) -> int:
-    doc = {}
-    if args.config:
-        doc = json.loads(args.config.read_text(encoding="utf-8"))
-    if args.suite:
-        doc["suite"] = args.suite
-    if args.trials is not None:
-        doc["trials"] = args.trials
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if "suite" not in doc:
-        print("error: no suite given (use --suite or a config file)", file=sys.stderr)
+    """Run a campaign; a config that cannot be read or is rejected is one `error:` line and exit 1."""
+    try:
+        doc = json.loads(args.config.read_text(encoding="utf-8")) if args.config else {}
+        if args.suite:
+            doc["suite"] = args.suite
+        if args.trials is not None:
+            doc["trials"] = args.trials
+        if args.seed is not None:
+            doc["seed"] = args.seed
+        if "suite" not in doc:
+            print("error: no suite given (use --suite or a config file)", file=sys.stderr)
+            return 1
+        report = run_suite(config_from_dict(doc))
+    except KeyError as exc:
+        print(f"error: missing config key {exc}", file=sys.stderr)
         return 1
-    config = config_from_dict(doc)
-    report = run_suite(config)
+    except (OSError, ValueError, TypeError, OverflowError) as exc:  # int(inf) overflows
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.out:
         fmt = args.format or ("csv" if str(args.out).endswith(".csv") else "json")
         emit_report(report, fmt, args.out)

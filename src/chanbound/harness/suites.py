@@ -77,6 +77,10 @@ _ENERGY_KEYS = {
 }
 
 
+#: budgets that count (Newton steps, oracle samples), held to the integer rule of counts
+_INTEGER_BUDGETS = ("bracket_budget", "brute_samples")
+
+
 @dataclass
 class CampaignConfig:
     suite: str
@@ -93,6 +97,9 @@ class CampaignConfig:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         self.dims, self.budgets = dict(self.dims), dict(self.budgets)
+        for key in _INTEGER_BUDGETS:
+            if key in self.budgets:
+                self.budgets[key] = bnd.check_integer(self.budgets[key], key)
         self.energy = dict(self.energy) if self.energy else None
 
     def budget(self, key: str, default):

@@ -416,29 +416,18 @@ _BARRIER_GAP = 1e-10  # the path ends once the barrier's duality gap nu / tau is
 _TAU_GROWTH = 20.0
 
 
-def _lmi_barrier(l: np.ndarray, basis: np.ndarray):
-    """Gradient and Hessian of -log det f along the Hermitian `basis` stack, from f = l l*.
-
-    l is the Cholesky factor the step test kept.  With s = l^-1, so that
-    f^-1 = s* s, and hat_k = s basis_k s*, they are -Tr hat_k and
-    Tr[hat_k hat_l].
-    """
-    s = np.linalg.inv(l)
-    hat = s @ basis @ s.conj().T
-    flat = hat.reshape(len(basis), -1)
-    return -np.einsum("kii->k", hat).real, (flat.conj() @ flat.T).real
-
-
 class _SaddleTracker:
     """Barrier path for a small SDP in LMI form; keeps the best certified endpoints.
 
     The SDP minimizes objective . y subject to C_i + sum_k y_k A_i[k] > 0
     for each block (C_i, A_i) of `_lmi` and, under a cap, mu = y[-1] > 0.
     mu enters the first block as mu (H - E_0) and the objective as
-    mu (E - E_0), so t stays of order one however large mu grows.  Each
-    centering minimizes tau objective . y minus the log det of every block
-    (and log mu) by damped Newton steps, halving a step until Cholesky
-    accepts it.  After each centering `_certify` turns the iterate into
+    mu (E - E_0), so t stays of order one however large mu grows.  The
+    blocks are one LMI F(y) > 0 whose matrix is block diagonal, block i at
+    rows and columns `slices[i]` (Vandenberghe and Boyd, SIAM Rev. 38, 1996).
+    Each centering minimizes tau objective . y - log det F(y) (- log mu) by
+    damped Newton steps, halving a step until one Cholesky factorisation of
+    F accepts it.  After each centering `_certify` turns the iterate into
     witnesses, and only their exact evaluations become endpoints, so an
     inaccurate or failed solve can only leave the bracket wider.
 
@@ -471,9 +460,23 @@ class _SaddleTracker:
             blocks = [(c, np.concatenate([a, term[None]])) for (c, a), term in zip(blocks, terms)]
             objective, y0 = np.append(objective, self.e_cap - e_0), np.append(y0, 1.0)
         self.blocks, self.objective, self.y0 = blocks, objective, y0
-        # each stack as one (k, D^2) matrix: `_blocks` makes tensordot's own dot call
-        self.flat = [(c, a.reshape(len(a), -1)) for c, a in blocks]
-        self.nu = sum(len(c) for c, _ in blocks) + (cap is not None)  # barrier parameter
+        sizes = [len(c) for c, _ in blocks]
+        n, k = sum(sizes), len(objective)
+        self.nu = n + (cap is not None)  # barrier parameter
+        self.slices = [slice(e - d, e) for d, e in zip(sizes, np.cumsum(sizes))]
+        # the blocks' entries, block by block and row by row, sit at `positions` of the
+        # flattened F, and their diagonal entries at `diagonal` of that sequence
+        rows = np.arange(n * n).reshape(n, n)
+        self.positions = np.concatenate([rows[sl, sl].ravel() for sl in self.slices])
+        self.diagonal = np.flatnonzero(np.isin(self.positions, rows.diagonal()))
+        self.c_cat = np.concatenate([c.ravel() for c, _ in blocks])
+        # `_barrier`'s hats in that order, one row per A_k, with their conjugates and Gram
+        # matrix: buffers kept for the whole path, as fresh ones cost page faults per iterate
+        self.hats = np.empty((k, len(self.c_cat)), dtype=np.complex128)
+        self.hats_conj = np.empty_like(self.hats)
+        self.gram = np.empty((k, k), dtype=np.complex128)
+        self.hat_blocks = [self.hats[:, e - d * d:e].reshape(k, d, d)
+                           for d, e in zip(sizes, np.cumsum([d * d for d in sizes]))]
 
     def _lmi(self):
         """Blocks, objective and start point over y = (Re C, Im C, t), with F1 = I at the start.
@@ -511,30 +514,64 @@ class _SaddleTracker:
     def width(self) -> float:
         return self.upper - self.lower
 
+    def _matrix(self, y: np.ndarray) -> np.ndarray:
+        """F(y) = C + sum_k y_k A_k, block diagonal.
+
+        Each block's sum is tensordot's own dot call on that block's stack alone,
+        so a block's bits do not depend on the other blocks' sizes.
+        """
+        n = self.slices[-1].stop
+        f = np.zeros(n * n, dtype=np.complex128)
+        f[self.positions] = self.c_cat + np.concatenate(
+            [np.dot(y[None], a.reshape(len(a), -1)) for _, a in self.blocks], axis=1)[0]
+        return f.reshape(n, n)
+
     def _blocks(self, y: np.ndarray):
-        return [c + np.dot(y[None], a).reshape(c.shape) for c, a in self.flat]
+        """The diagonal blocks of F(y), as views."""
+        f = self._matrix(y)
+        return [f[sl, sl] for sl in self.slices]
 
     def _factors(self, y: np.ndarray):
-        """The step test: Cholesky factors of every block at y, or None unless y is strictly feasible."""
+        """The step test: the Cholesky factor of F(y), or None unless y is strictly feasible."""
         if self.cap is not None and not y[-1] > 0.0:
             return None
         try:
-            return [np.linalg.cholesky(f) for f in self._blocks(y)]
+            return np.linalg.cholesky(self._matrix(y))
         except np.linalg.LinAlgError:
             return None
 
-    def _newton_step(self, y: np.ndarray, barriers: list, tau: float):
+    def _barrier(self, l: np.ndarray):
+        """Gradient and Hessian of -log det F along the A_k, from the Cholesky factor l of F = l l*.
+
+        With s = l^-1, so that F^-1 = s* s, and hat_k = s A_k s*, they are
+        -Tr hat_k and Tr[hat_k hat_l].  l, s and every hat_k are block
+        diagonal, so each block's hats come from a contiguous copy s_i of its
+        own diagonal block of s, and no product touches the zero blocks.  The
+        flattened hats of all blocks make one (k, sum D_i^2) matrix, whose
+        diagonal entries give the gradient and whose one Gram product gives
+        the Hessian.
+        """
+        s = np.linalg.inv(l)
+        for sl, (_, a), out in zip(self.slices, self.blocks, self.hat_blocks):
+            s_i = np.ascontiguousarray(s[sl, sl])
+            np.matmul(s_i @ a, s_i.conj().T, out=out)
+        np.conjugate(self.hats, out=self.hats_conj)
+        np.matmul(self.hats_conj, self.hats.T, out=self.gram)
+        return -self.hats[:, self.diagonal].real.sum(axis=1), self.gram.real.copy()
+
+    def _newton_step(self, y: np.ndarray, barrier: tuple, tau: float):
         """Newton direction of the centering objective at tau, and its squared decrement.
 
-        `barriers` holds `_lmi_barrier` of every block at y; they do not depend on tau.
+        `barrier` is `_barrier` at y; it does not depend on tau.
         """
-        grad = sum((g for g, _ in barriers), tau * self.objective)
-        hess = sum(h for _, h in barriers)
+        grad, hess = barrier
+        grad = tau * self.objective + grad
         if self.cap is not None:
             grad[-1] -= 1.0 / y[-1]
+            hess = hess.copy()
             hess[-1, -1] += 1.0 / y[-1] ** 2
         scale = 1.0 / np.sqrt(np.diagonal(hess))
-        step = -scale * np.linalg.solve(hess * np.outer(scale, scale), scale * grad)
+        step = -scale * np.linalg.solve(hess * (scale[:, None] * scale), scale * grad)
         return step, float(-grad @ step)
 
     def descend(self, budget: int, tol: float):
@@ -545,25 +582,25 @@ class _SaddleTracker:
         exceeds 1/4).  The path ends at width <= tol, at barrier gap
         nu / tau <= 1e-10, after `budget` Newton steps in all, or at the
         first numerical failure, keeping the certificates found so far.
-        Each iterate is factored once: the step test's Cholesky factors of
-        the accepted point serve its certification and its barrier terms,
-        which its first Newton step computes and a Newton step at the next
-        tau reuses.
+        Each iterate is factored, inverted and differentiated once: the step
+        test's one Cholesky factor of the block-diagonal F at the accepted
+        point serves its certification and its barrier terms, which its
+        first Newton step computes and a Newton step at the next tau reuses.
         """
         y = self.y0
-        factors = [np.linalg.cholesky(f) for f in self._blocks(y)]  # the start point is strictly feasible
-        barriers = None
-        self._certify(y, factors)
+        factor = np.linalg.cholesky(self._matrix(y))  # the start point is strictly feasible
+        barrier = None
+        self._certify(y, factor)
         tau = 1.0
         try:
             while True:
                 for _ in range(_CENTERING_STEPS):
                     if self.iterations >= budget:
                         break
-                    if barriers is None:
-                        barriers = [_lmi_barrier(l, a) for l, (_, a) in zip(factors, self.blocks)]
-                    step, lam2 = self._newton_step(y, barriers, tau)
-                    if not np.isfinite(lam2) or lam2 / 2.0 <= _CENTERED:
+                    if barrier is None:
+                        barrier = self._barrier(factor)
+                    step, lam2 = self._newton_step(y, barrier, tau)
+                    if not math.isfinite(lam2) or lam2 / 2.0 <= _CENTERED:
                         break
                     self.iterations += 1
                     alpha = 1.0 if lam2 <= 1.0 / 16.0 else 1.0 / (1.0 + math.sqrt(lam2))
@@ -571,16 +608,17 @@ class _SaddleTracker:
                         alpha /= 2.0
                         if alpha < 1e-12:
                             return
-                    y, factors, barriers = y + alpha * step, trial, None
-                self._certify(y, factors)
+                    y, factor, barrier = y + alpha * step, trial, None
+                self._certify(y, factor)
                 if self.width <= tol or self.nu / tau <= _BARRIER_GAP or self.iterations >= budget:
                     return
                 tau *= _TAU_GROWTH
         except np.linalg.LinAlgError:
             return
 
-    def _certify(self, y: np.ndarray, factors: list):
-        s = np.linalg.inv(factors[0])
+    def _certify(self, y: np.ndarray, factor: np.ndarray):
+        """Witnesses of the iterate y, from the first block's Cholesky factor at the top left of `factor`."""
+        s = np.linalg.inv(factor[self.slices[0], self.slices[0]])
         rho = _polish_state(s.conj().T @ s, self.cap)
         x = _env_overlap(self.v_phi, self.v_psi, rho, self.d_b, self.d_e)
         uhlmann, tn = _polar_contraction(x)
@@ -652,9 +690,9 @@ class _DiamondTracker(_SaddleTracker):
         y0 = np.append(np.repeat([c, 0.0], [n, n * n - n]), c * d_b + 1.0)
         return [(np.zeros((d_r, d_r)), state), (-self.choi, z), (np.zeros((n, n)), z)], objective, y0
 
-    def _certify(self, y: np.ndarray, factors: list):
+    def _certify(self, y: np.ndarray, factor: np.ndarray):
         state, _, z = self._blocks(y)
-        s = np.linalg.inv(factors[0])
+        s = np.linalg.inv(factor[self.slices[0], self.slices[0]])
         rho = _polish_state(s.conj().T @ s, self.cap)
         root = _eye_kron(self.d_b, _sqrt_psd(rho))
         out = root @ self.choi @ root

@@ -670,6 +670,17 @@ class TestErasureClosedForms:
                 vb = erasure_channel(ErasureSpec(d, 0.5)).isometry
                 assert abs(operator_norm(va - vb) - erasure_isometry_gap(x)) <= 1e-10
 
+    def test_isometry_gap_matches_50_digits(self):
+        # the radicand 2 - sqrt(1-2x) - sqrt(1+2x) ~ x^2 cancels in floats (to 0 at x = 1e-8);
+        # the gap keeps full relative accuracy from x = 1e-17 up to 1/2
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for x in [float(v) for v in np.logspace(-17, math.log10(0.5), 200)] + [1e-9, 1e-8, 1e-7, 0.5]:
+                xm = mpmath.mpf(x)
+                exact = mpmath.sqrt(2 - mpmath.sqrt(1 - 2 * xm) - mpmath.sqrt(1 + 2 * xm))
+                assert abs(erasure_isometry_gap(x) - exact) <= 1e-15 * exact, x
+        assert erasure_isometry_gap(0.0) == 0.0
+
 
 class TestOscillatorSubstitution:
     def test_prop3_closed_form_dominates_numeric(self):

@@ -264,11 +264,26 @@ class TestConfigIntegers:
         assert as_floats.verdicts == as_ints.verdicts
         assert {v.bound_name for v in as_ints.verdicts} == {"prop4_n2"}
 
-    def test_verify_rejects_fractional_trials(self, tmp_path):
+    def test_verify_rejects_fractional_trials(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"suite": "prop2", "trials": 2.5}))
-        with pytest.raises(ValueError, match="^trials = 2.5 must be an integer$"):
-            cli_main(["verify", "--config", str(cfg)])
+        assert cli_main(["verify", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: trials = 2.5 must be an integer\n"
+
+    @pytest.mark.parametrize("budgets, message", [
+        ({"brute_samples": 4000.5}, "brute_samples = 4000.5 must be an integer"),
+        ({"bracket_budget": 2.5}, "bracket_budget = 2.5 must be an integer"),
+    ])
+    def test_fractional_budgets_rejected(self, budgets, message):
+        # rejected with the key's name before any trial runs, not deep in the oracle
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            config_from_dict({"suite": "metrics", "trials": 1, "budgets": budgets})
+
+    def test_integral_float_budgets_run_as_integers(self):
+        config = config_from_dict({"suite": "metrics", "budgets": {"bracket_budget": 40.0, "brute_samples": 400.0}})
+        assert config.budgets == {"bracket_budget": 40, "brute_samples": 400}
+        assert all(type(v) is int for v in config.budgets.values())
 
 
 class TestReports:
@@ -619,6 +634,23 @@ class TestCLI:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"suite": "prop2", "trials": 2.5}, "error: trials = 2.5 must be an integer"),
+        ({"suite": "metrics", "budgets": {"bracket_budget": 2.5}}, "error: bracket_budget = 2.5 must be an integer"),
+        ({"suite": "thm1", "dims": {"d_gird": [2]}}, "error: thm1 takes no dims keys ['d_gird']"),
+        ({"suite": "prop5", "energy": {"kind": "oscillator"}}, "error: missing config key 'E'"),
+        ({"suite": "nope"}, "error: unknown suite 'nope'"),
+    ])
+    def test_rejected_config_is_one_error_line(self, tmp_path, doc, message):
+        # the console script prints what eval prints for a rejected input: one line, no traceback
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        proc = subprocess.run([sys.executable, "-m", "chanbound", "verify", "--config", str(cfg)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(message), proc.stderr
 
     def test_entry_point_runs(self):
         # erasure_gap is the one bound that takes no eps
