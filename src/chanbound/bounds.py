@@ -8,6 +8,7 @@ a certified lower/upper end of epsilon brackets the true right-hand side.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -42,15 +43,20 @@ def _check_energy(energy: float, name: str):
 
 
 def check_integer(value, name: str) -> int:
-    """int(value), never truncated: a finite value with a fractional part raises, naming `name`.
+    """int(value), never truncated: any value that is not an integer raises ValueError, naming `name`.
 
-    The one integer rule of evaluator counts and dimensions, `chanbound eval`
-    parameters and campaign configs; int() itself rejects inf and NaN.
+    A fractional part, inf, NaN, None and a string that is no number all
+    raise.  The one integer rule of evaluator counts and dimensions,
+    `chanbound eval` parameters and campaign configs.
     """
-    # an int is never converted to float: a huge one need not fit
-    if not isinstance(value, int) and math.isfinite(float(value)) and not float(value).is_integer():
-        raise ValueError(f"{name} = {value} must be an integer")
-    return int(value)
+    if isinstance(value, numbers.Integral):  # never converted to float: a huge int need not fit
+        return int(value)
+    try:
+        if float(value).is_integer():  # not inf or NaN
+            return int(float(value))
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{name} = {value} must be an integer")
 
 
 def check_dimension(d, name: str = "d_a"):
@@ -61,8 +67,6 @@ def check_dimension(d, name: str = "d_a"):
     """
     if not d >= 1:
         raise ValueError(f"{name} = {d} must be >= 1")
-    if d == math.inf:  # int() would raise OverflowError, not name the argument
-        raise ValueError(f"{name} = {d} must be an integer")
     check_integer(d, name)
     return d
 
@@ -174,8 +178,6 @@ def t_st(
     2 eps log d reaches the best value: every term is >= 0 and
     log d grows, so no larger d can beat it.  The result is the exact
     minimum over the feasible d <= d_cap, at the smallest minimising d.
-    Its g is written out on numpy arrays, not taken from `entropic.g`:
-    np.log and math.log differ in the last bit on some inputs.
     """
     eps = _check_eps(epsilon, hi=math.inf)
     if not -1e-12 <= e_bar < math.inf:  # NaN fails too
@@ -202,10 +204,7 @@ def t_st(
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(feasible & (gams > 0), (2.0**s) * e_bar / gams, 0.0)
         root = np.sqrt(ratio)
-        g_vals = (root + 1.0) * np.log(root + 1.0) - np.where(
-            root > 0, root * np.log(np.where(root > 0, root, 1.0)), 0.0
-        )
-        obj = (4.0 * root + 4.0 * s * t * ratio + 2.0 * eps) * np.log(ds) + 4.0 * g_vals
+        obj = (4.0 * root + 4.0 * s * t * ratio + 2.0 * eps) * np.log(ds) + 4.0 * g(root)
         obj[~feasible] = math.inf
         i = int(np.argmin(obj))
         if obj[i] < best:

@@ -131,24 +131,6 @@ def _mean_energies(eigenvalues: np.ndarray, lams: np.ndarray) -> np.ndarray:
     return (w[:, None, :] @ eigenvalues[:, None])[:, 0, 0]
 
 
-def _entropies(eigenvalues: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Gibbs entropy -w . log w over the w > 0 at each lam >= 0, one dot per row as in `_mean_energies`.
-
-    At lam >= 0 the w that underflow to 0 end the row, and a dot's summation
-    order depends on its length: rows are grouped by their count of w > 0.
-    These dots, not `entropy_of_spectrum`'s sums, fix the bits of every
-    gamma and so of every T value.
-    """
-    w = _gibbs_weights(eigenvalues, lams[:, None])
-    kept = np.count_nonzero(w > 0.0, axis=1)
-    out = np.empty(lams.size)
-    for m in set(kept.tolist()):
-        rows = kept == m
-        p = w[rows, :m]
-        out[rows] = -(p[:, None, :] @ np.log(p)[:, :, None])[:, 0, 0]
-    return out
-
-
 def _bisect(fn: Callable[[np.ndarray], np.ndarray], target: np.ndarray, up: np.ndarray, tol: float,
             runaway: Callable[[int], str]) -> np.ndarray:
     """Roots of the decreasing fn(x) = target, entry by entry, solved in lockstep.
@@ -325,9 +307,10 @@ def f_bar(h: Hamiltonian, e_bar: float) -> float:
 def _f_bar_inverses(h: Hamiltonian, ys) -> np.ndarray:
     """f_bar^{-1} at each target in ys, on [log d_0, log dim], by one lockstep solve in lambda.
 
-    The Gibbs entropy S(lambda) falls from log dim at lambda = 0 toward
-    log d_0; `_bisect` solves S(lambda) = y for every inner target at once
-    (tol 0), and the Gibbs mean energy above E_0 at that lambda is returned.
+    The Gibbs entropy S(lambda), `entropy_of_spectrum` of the Gibbs weights,
+    falls from log dim at lambda = 0 toward log d_0; `_bisect` solves
+    S(lambda) = y for every inner target at once (tol 0), and the Gibbs mean
+    energy above E_0 at that lambda is returned.
     The ends are exact: 0 at log d_0, the uniform energy above E_0 at log dim.
     """
     ys = np.asarray(ys, dtype=float).reshape(-1)
@@ -340,8 +323,8 @@ def _f_bar_inverses(h: Hamiltonian, ys) -> np.ndarray:
     solve = np.flatnonzero((ys > lo_y) & (ys < hi_y))
     target = ys[solve]
     ev = h.eigenvalues - h.ground_energy
-    lams = _bisect(lambda mid: _entropies(ev, mid), target, np.full(target.size, True), 0.0,
-                   lambda i: f"target {float(target[i])} too close to log d_0 = {lo_y}")
+    lams = _bisect(lambda mid: entropy_of_spectrum(_gibbs_weights(ev, mid[:, None])), target,
+                   np.full(target.size, True), 0.0, lambda i: f"target {float(target[i])} too close to log d_0 = {lo_y}")
     out[solve] = _mean_energies(ev, lams)
     return out
 

@@ -21,51 +21,58 @@ from .qstate import (
     purify,
 )
 
-#: Eigenvalues below this are treated as exact zeros inside eta.
+#: eigvalsh's rounding noise floor: `von_neumann_entropy` counts eigenvalues at or below it as 0.
 ETA_ZERO_CUTOFF = 1e-12
 
 #: Support-membership threshold for relative entropy.
 SUPPORT_TOL = 1e-10
 
+_TINY = np.finfo(float).tiny
+
 
 def eta(x):
-    """eta(x) = -x log x, eta(0) = 0; the scalar helper of `h2` and `bounds.p_r`, whose bits its np.log fixes."""
+    """eta(x) = -x log x for x > 0, and 0 for x <= 0; on a float, or elementwise on an array."""
     arr = np.asarray(x, dtype=float)
-    out = np.where(arr > ETA_ZERO_CUTOFF, -arr * np.log(np.where(arr > 0, arr, 1.0)), 0.0)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
+    pos = arr > 0
+    out = np.zeros(arr.shape)
+    kept = arr[pos]
+    out[pos] = -kept * np.log(kept)
+    return float(out) if arr.ndim == 0 else out
 
 
-def h2(p: float) -> float:
-    """Binary entropy eta(p) + eta(1 - p) in nats."""
-    return eta(p) + eta(1.0 - p)
+def h2(p):
+    """Binary entropy eta(p) + eta(1 - p) in nats, as eta(p) - (1 - p) log1p(-p): 1 - p rounds as p -> 0,
+    log1p(-p) does not.  The second term is 0 at p >= 1, as eta(1 - p) is."""
+    arr = np.asarray(p, dtype=float)
+    q = 1.0 - arr
+    out = eta(arr) - q * np.log1p(-np.where(q > 0, arr, 0.0))
+    return float(out) if arr.ndim == 0 else out
 
 
-def g(x: float) -> float:
-    """g(x) = (1 + x) h2(x / (1 + x)) = (x + 1) log(x + 1) - x log x; g(0) = 0."""
-    if x < 0:
+def g(x):
+    """g(x) = (x + 1) log(x + 1) - x log x = log1p(x) + x log1p(1/x), g(0) = 0; negative x raises ValueError.
+    1/x is taken at x >= the smallest normal float, where it cannot overflow: g(5e-324) is finite."""
+    arr = np.asarray(x, dtype=float)
+    if (arr < 0).any():
         raise ValueError(f"g is defined on [0, +inf); got {x}")
-    if x <= ETA_ZERO_CUTOFF:
-        return 0.0
-    return (x + 1.0) * math.log(x + 1.0) - x * math.log(x)
+    out = np.log1p(arr) + arr * np.log1p(1.0 / np.maximum(arr, _TINY))
+    return float(out) if arr.ndim == 0 else out
 
 
 def entropy_of_spectrum(weights) -> np.ndarray:
-    """Sum of eta(w) along the last axis, in nats: the one eta-sum here.  A row's terms are `eta`'s
-    and its sum runs over the whole row, zeros kept, so it has the bits of `eta` summed over the row.
+    """Sum of eta(w) along the last axis, in nats: the one eta-sum here, exact, with no floor.
+    Its sum runs over the whole row, zeros kept, so each row of a block has the bits of that row alone.
     An all-zero row is +0.0: a sum begun at its first term would keep (-1) log 1 = -0.0, printed -0.
     """
-    w = np.asarray(weights, dtype=float)
-    kept = w > ETA_ZERO_CUTOFF
-    terms = np.zeros(w.shape)
-    terms[kept] = -w[kept] * np.log(w[kept])
-    return terms.sum(axis=-1) + 0.0
+    return eta(weights).sum(axis=-1) + 0.0
 
 
 def von_neumann_entropy(rho) -> float:
-    """H(rho) = sum eta(lambda_i) over a DensityMatrix's validated spectrum, else eigvalsh's, in nats."""
+    """H(rho) = sum eta(lambda_i) over a DensityMatrix's validated spectrum, else eigvalsh's, in nats;
+    eigenvalues at or below `ETA_ZERO_CUTOFF`, eigvalsh's rounding noise about 0, count as 0."""
     w = rho.spectrum if isinstance(rho, DensityMatrix) else np.linalg.eigvalsh(rho)
+    if w[0] <= ETA_ZERO_CUTOFF:  # eigvalsh sorts ascending, so most spectra need no floor
+        w = w * (w > ETA_ZERO_CUTOFF)
     return float(entropy_of_spectrum(w))
 
 
@@ -79,7 +86,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         return math.inf
     mask = w_s >= SUPPORT_TOL
     diag = np.real(np.einsum("ij,jk,ki->i", u_s[:, mask].conj().T, rho.entries, u_s[:, mask]))
-    return -float(entropy_of_spectrum(rho.spectrum)) - float(np.sum(diag * np.log(w_s[mask])))
+    return -von_neumann_entropy(rho) - float(np.sum(diag * np.log(w_s[mask])))
 
 
 def _check_partition(layout: SystemLayout, parts: Sequence[Sequence[str]]):

@@ -80,7 +80,7 @@ def _cmd_verify(args) -> int:
     except KeyError as exc:
         print(f"error: missing config key {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, TypeError, OverflowError) as exc:  # int(inf) overflows
+    except (OSError, ValueError, TypeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:
@@ -205,7 +205,7 @@ def _cmd_eval(args) -> int:
     except KeyError as exc:
         print(f"error: missing parameter {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OverflowError) as exc:  # int(inf) overflows
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.units == "bits":

@@ -31,7 +31,7 @@ from chanbound.energy import (
     oscillator_f,
     truncate_pure_state,
 )
-from chanbound.entropic import Ensemble, holevo_quantity, mutual_information, qc_state
+from chanbound.entropic import Ensemble, g, holevo_quantity, mutual_information, qc_state
 from chanbound.harness.generators import Generators
 from chanbound.harness.suites import CampaignConfig, run_suite
 from chanbound.harness.sweeps import sweep_tightness
@@ -242,15 +242,18 @@ def test_criterion_08_formula_oracles():
             check(theorem2_bound(cap, eps, t_fn),
                   m * ((2.0 if t_flag else 1.0) + eps + g_oracle(eps) + 2 * eps * LOG2))
 
-    # T functional: exact agreement with an independent direct scan
+    # T functional: exact agreement with an independent direct scan, whose g is entropic's on every r at once
     got = t_st(0.01, 4.5, spec, s=0, t=0)
-    best_val, best_d = math.inf, 0
+    ds, rs = [], []
     for d in range(3, 10**6 + 1):
         gam = (1.0 / math.e) * 1.0 * float(d) ** 1.0 - 1.0
         if gam <= 0 or gam < 9.0:
             continue
-        r = math.sqrt(1.0 * 4.5 / gam)
-        obj = (4.0 * r + 2.0 * 0.01) * math.log(d) + 4.0 * ((r + 1.0) * math.log(r + 1.0) - r * math.log(r))
+        ds.append(d)
+        rs.append(math.sqrt(1.0 * 4.5 / gam))
+    best_val, best_d = math.inf, 0
+    for d, r, g_r in zip(ds, rs, g(np.array(rs)).tolist()):
+        obj = (4.0 * r + 2.0 * 0.01) * math.log(d) + 4.0 * g_r
         if obj < best_val:
             best_val, best_d = obj, d
     assert got.value == best_val and got.d_star == best_d

@@ -38,6 +38,7 @@ from chanbound.energy import (
     oscillator_gamma_hat_domain_min,
     oscillator_gamma_hat_unchecked,
 )
+from chanbound.entropic import eta, g, h2
 from chanbound.qstate import QStateError
 
 LOG2 = math.log(2.0)
@@ -274,10 +275,7 @@ def _patience_t_st(epsilon, e_bar, handle, s, t, d_cap=10**6, patience=50):
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(feasible & (gams > 0), (2.0**s) * e_bar / gams, 0.0)
         root = np.sqrt(ratio)
-        g_vals = (root + 1.0) * np.log(root + 1.0) - np.where(
-            root > 0, root * np.log(np.where(root > 0, root, 1.0)), 0.0
-        )
-        obj = (4.0 * root + 4.0 * s * t * ratio + 2.0 * eps) * np.log(ds) + 4.0 * g_vals
+        obj = (4.0 * root + 4.0 * s * t * ratio + 2.0 * eps) * np.log(ds) + 4.0 * g(root)
         for i in range(ds.size):
             if not feasible[i]:
                 continue
@@ -338,14 +336,19 @@ class TestCountsAndDimensions:
         with pytest.raises(ValueError, match="^erasure input dimension 1 must be >= 2$"):
             erasure_capacities(1, 0.1)
 
+    @pytest.mark.parametrize("value", [None, "x", "", [2], math.nan, math.inf, -math.inf, "1e400", 2.5, "2.5"])
+    def test_check_integer_names_every_bad_value(self, value):
+        with pytest.raises(ValueError, match=f"^n = {re.escape(str(value))} must be an integer$"):
+            check_integer(value, "n")
+
     def test_integral_values_are_the_integers(self):
         assert lemma4_bound("finite", 0.1, d=4.0) == lemma4_bound("finite", 0.1, d=4)
         assert prop4_bound(0.1, 2, 3.0) == prop4_bound(0.1, 2, 3)
         assert prop5_bound(0.1, np.int64(2), lambda e: 1.0) == prop5_bound(0.1, 2, lambda e: 1.0)
         assert erasure_capacities(4.0, 0.25) == erasure_capacities(4, 0.25)
         assert check_integer(10**400, "d") == 10**400  # a huge int is never converted to float
-        with pytest.raises(OverflowError):
-            check_integer(math.inf, "d")  # int() itself, as `chanbound eval` reports it
+        with pytest.raises(ValueError, match="^d = inf must be an integer$"):
+            check_integer(math.inf, "d")
 
 
 class TestTFunctional:
@@ -355,16 +358,16 @@ class TestTFunctional:
     def test_matches_direct_scan_oracle_exactly(self):
         eps, e_bar = 0.01, 4.5
         got = t_st(eps, e_bar, self.spec, s=0, t=0)
-        best_val, best_d = math.inf, 0
+        ds, rs = [], []
         for d in range(3, 10**6 + 1):
             gam = (1.0 / math.e) * 1.0 * float(d) ** 1.0 - 1.0
             if gam <= 0 or gam < 2 * e_bar:
                 continue
-            ratio = 1.0 * e_bar / gam
-            r = math.sqrt(ratio)
-            obj = (4.0 * r + 2.0 * eps) * math.log(d) + 4.0 * (
-                (r + 1.0) * math.log(r + 1.0) - r * math.log(r)
-            )
+            ds.append(d)
+            rs.append(math.sqrt(1.0 * e_bar / gam))
+        best_val, best_d = math.inf, 0
+        for d, r, g_r in zip(ds, rs, g(np.array(rs)).tolist()):  # entropic's g, on every r at once
+            obj = (4.0 * r + 2.0 * eps) * math.log(d) + 4.0 * g_r
             if obj < best_val:
                 best_val, best_d = obj, d
         assert got.value == best_val
@@ -455,9 +458,7 @@ class TestTFunctional:
                             continue
                         ratio = 2.0**s * e_bar / gam if gam > 0 else 0.0
                         r = math.sqrt(ratio)
-                        obj = (4.0 * r + 4.0 * s * t * ratio + 2.0 * eps) * math.log(d) + 4.0 * (
-                            (r + 1.0) * math.log(r + 1.0) - (r * math.log(r) if r > 0 else 0.0)
-                        )
+                        obj = (4.0 * r + 4.0 * s * t * ratio + 2.0 * eps) * math.log(d) + 4.0 * g(r)
                         if obj < best_val:
                             best_val, best_d = obj, d
                     assert got.value == best_val
@@ -680,6 +681,74 @@ class TestErasureClosedForms:
                 exact = mpmath.sqrt(2 - mpmath.sqrt(1 - 2 * xm) - mpmath.sqrt(1 + 2 * xm))
                 assert abs(erasure_isometry_gap(x) - exact) <= 1e-15 * exact, x
         assert erasure_isometry_gap(0.0) == 0.0
+
+
+class TestClosedFormsAt50Digits:
+    """eta, h2, g and the bounds built on them against mpmath at 50 digits, on log grids."""
+
+    @staticmethod
+    def _assert_close(got, exact, rel, where):
+        assert abs(got - exact) <= rel * abs(exact), (where, got, float(exact))
+
+    def test_g(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            for x in [float(v) for v in np.logspace(-300, 300, 1201)] + [1e-13, 1e-12, 1.0]:
+                xm = mp.mpf(x)
+                self._assert_close(g(x), mp.log1p(xm) + xm * mp.log1p(1 / xm), 1e-15, x)
+        assert g(0.0) == 0.0
+        assert 0.0 < g(5e-324) < 1e-320  # 1/x would overflow without the normal-float clamp
+
+    def test_eta(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            for x in [float(v) for v in np.logspace(-300, 0, 601)] + [0.5, np.nextafter(1.0, 0.0)]:
+                xm = mp.mpf(x)
+                self._assert_close(eta(x), -xm * mp.log(xm), 1e-15, x)
+
+    def test_h2(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            for p in [float(v) for v in np.logspace(-300, math.log10(0.5), 601)]:
+                pm = mp.mpf(p)
+                self._assert_close(h2(p), -pm * mp.log(pm) - (1 - pm) * mp.log1p(-pm), 1e-15, p)
+        assert h2(0.0) == h2(1.0) == 0.0
+
+    def test_bounds(self):
+        mp = pytest.importorskip("mpmath")
+        spec = OscillatorSpec(1, (1.0,))
+        with mp.workdps(50):
+            def g_mp(x):
+                return mp.log1p(x) + x * mp.log1p(1 / x)
+
+            log2 = mp.log(2)
+            f_5 = mp.log((5 + mp.mpf(spec.ground_energy)) / mp.mpf(spec.geometric_energy)) + 1
+            for eps in [float(v) for v in np.logspace(-15, 0, 151)]:
+                e = mp.mpf(eps)
+                cases = {
+                    "lemma4 finite": (lemma4_bound("finite", eps, d=4), 2 * e * mp.log(4) + 2 * g_mp(e)),
+                    "lemma4 qc part_c": (lemma4_bound("qc", eps, d=3, part_c=True), e * mp.log(3) + g_mp(e)),
+                    "prop2": (prop2_bound(eps, 3), 2 * e * mp.log(3) + 2 * e * log2 + 2 * g_mp(e)),
+                    "prop2 same": (prop2_bound(eps, 2, same_channel=True, same_state=True),
+                                   2 * e * log2 + g_mp(e)),
+                    "prop4": (prop4_bound(eps, 2, 3), 3 * (2 * e * mp.log(4) + g_mp(e))),
+                    "prop6": (prop6_bound(eps, 4), e * mp.log(4) + e * log2 + 2 * g_mp(e)),
+                    "prop6 same": (prop6_bound(eps, 4, same_channel=True, same_ensemble=True),
+                                   e * mp.log(4) + g_mp(e)),
+                }
+                for cap, (a, b) in {"chi": (1, 1), "c": (2, 1), "q": (2, 1), "pbar": (2, 2), "p": (4, 2)}.items():
+                    cases[f"thm1 {cap}"] = (theorem1_bound(cap, eps, d_a=64), a * e * (mp.log(64) + log2) + b * g_mp(e))
+                    cases[f"thm1 {cap} log_d_a=1e6"] = (theorem1_bound(cap, eps, log_d_a=1e6),
+                                                        a * e * (mp.mpf(10) ** 6 + log2) + b * g_mp(e))
+                for r in (0.3, 1.0):
+                    er = e * mp.mpf(r)
+                    cases[f"p_r r={r}"] = (
+                        p_r(spec, 5.0, eps, r),
+                        2 * e * (1 + 2 * mp.mpf(r)) * f_5 + 4 * (2 + 1 / mp.mpf(r)) * (-er * mp.log(er))
+                        + 4 * g_mp(er) + 6 * e * mp.exp(-1),
+                    )
+                for name, (got, exact) in cases.items():
+                    self._assert_close(got, exact, 4e-15, (name, eps))
 
 
 class TestOscillatorSubstitution:

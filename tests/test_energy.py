@@ -33,7 +33,7 @@ from chanbound.energy import (
     oscillator_gamma_hat_domain_min,
     truncate_pure_state,
 )
-from chanbound.entropic import g, von_neumann_entropy
+from chanbound.entropic import entropy_of_spectrum, g, von_neumann_entropy
 from chanbound.qstate import (
     DensityMatrix,
     HermitianOperator,
@@ -45,8 +45,6 @@ from chanbound.qstate import (
     single_factor,
     trace_norm,
 )
-
-from conftest import parent_entropy_sum
 
 
 @pytest.fixture
@@ -149,9 +147,7 @@ def _scalar_f_bar_inverse(h, y):
     ev = h.eigenvalues - h.ground_energy
 
     def entropy(lam):
-        w = _gibbs_weights(ev, lam)
-        w = w[w > 0.0]
-        return float(-w @ np.log(w))
+        return float(entropy_of_spectrum(_gibbs_weights(ev, lam)))
 
     lo, hi = 0.0, 1.0
     while entropy(hi) > y:
@@ -430,10 +426,10 @@ def _parent_gibbs_spectrum(h, energy):
 
 
 def _parent_f_h(h, energy):
-    """`f_h` as the parent wrote it: log dim at or above the uniform energy, else clip + np.sum(eta(...))."""
+    """`f_h` one energy at a time: log dim at or above the uniform energy, else the exact eta-sum."""
     if energy >= h.uniform_energy:
         return math.log(h.dim)
-    return parent_entropy_sum(_parent_gibbs_spectrum(h, energy))
+    return float(entropy_of_spectrum(_parent_gibbs_spectrum(h, energy)))
 
 
 def _parent_heavy_tail(h, energy):

@@ -36,7 +36,7 @@ from conftest import parent_entropy_sum
 class TestScalarFunctions:
     def test_eta_zero_by_continuity(self):
         assert eta(0.0) == 0.0
-        assert eta(1e-15) == 0.0
+        assert eta(1e-15) == -1e-15 * math.log(1e-15)  # no cutoff: the true -x log x
 
     def test_g_at_zero(self):
         assert g(0.0) == 0.0
@@ -99,7 +99,7 @@ class TestEntropy:
 
 
 class TestEntropyKernel:
-    """`entropy_of_spectrum` keeps the bits of the parent's clip + np.sum(eta(...)) sum."""
+    """`von_neumann_entropy` keeps the bits of the parent's clip + np.sum(eta(...)) sum, floor included."""
 
     @pytest.mark.parametrize("d", [2, 3, 4, 7, 8, 9, 16, 32, 40, 160])
     def test_random_states_match_parent_sum(self, gen, d):
@@ -134,10 +134,14 @@ class TestEntropyKernel:
             w = np.r_[rng.choice(floor, rng.integers(1, 12)), rng.dirichlet(np.ones(rng.integers(1, 12)))]
             rows.append(rng.permutation(w))
         for w in rows:
-            assert entropy_of_spectrum(w) == parent_entropy_sum(w)
-            assert von_neumann_entropy(np.diag(w)) == parent_entropy_sum(np.linalg.eigvalsh(np.diag(w)))
+            spectrum = np.linalg.eigvalsh(np.diag(w))
+            assert von_neumann_entropy(np.diag(w)) == parent_entropy_sum(spectrum)
+            rho = DensityMatrix(SystemLayout([("A", w.size)]), np.diag(w))
+            assert von_neumann_entropy(rho) == parent_entropy_sum(rho.spectrum)
+            # the kernel itself is the exact eta-sum: one scalar eta per entry, summed over the row
+            assert entropy_of_spectrum(w) == np.sum([eta(x) for x in w.tolist()]) + 0.0
         block = np.array([np.resize(w, 16) for w in rows])  # rows summed along the last axis
-        assert np.array_equal(entropy_of_spectrum(block), [parent_entropy_sum(w) for w in block])
+        assert np.array_equal(entropy_of_spectrum(block), [entropy_of_spectrum(w) for w in block])
 
 
 class TestRelativeEntropy:

@@ -253,6 +253,10 @@ class TestConfigIntegers:
         ({"suite": "thm1", "dims": {"d_grid": [4, 2.5]}}, "d_grid = 2.5 must be an integer"),
         ({"suite": "prop5", "trials": 1, "energy": {"E": 1.2, "truncation": 6.5}}, "truncation = 6.5 must be an integer"),
         ({"suite": "prop5", "trials": 1, "energy": {"E": 1.2, "modes": 1.5}}, "modes = 1.5 must be an integer"),
+        # values that are no number at all are named too
+        ({"suite": "prop2", "trials": None}, "trials = None must be an integer"),
+        ({"suite": "prop2", "dims": {"d_b": "x"}}, "d_b = x must be an integer"),
+        ({"suite": "prop2", "trials": 1, "seed": "seven"}, "seed = seven must be an integer"),
     ])
     def test_fractional_values_rejected(self, doc, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -580,8 +584,8 @@ class TestCLI:
         ("prop2", "eps=0.1,d_a=0", "d_a = 0 must be >= 1"),
         ("prop4", "eps=0.1,d_a=-2", "d_a = -2 must be >= 1"),
         ("prop6", "eps=0,d_a=0", "d_a = 0 must be >= 1"),
-        ("thm1_q", "eps=0.1,d_a=inf", "cannot convert float infinity to integer"),
-        ("prop4", "eps=0.1,d_a=2,n=-inf", "cannot convert float infinity to integer"),
+        ("thm1_q", "eps=0.1,d_a=inf", "d_a = inf must be an integer"),
+        ("prop4", "eps=0.1,d_a=2,n=-inf", "n = -inf must be an integer"),
     ])
     def test_eval_bad_copies_or_dimension_errors(self, capsys, bound, params, message):
         assert cli_main(["eval", "--bound", bound, "--params", params]) == 1
