@@ -59,16 +59,18 @@ def check_integer(value, name: str) -> int:
     raise ValueError(f"{name} = {value} must be an integer")
 
 
-def check_dimension(d, name: str = "d_a"):
-    """Return `d` if it is an integer >= 1; else raise, naming `name`, before it reaches log.
+def check_dimension(d, name: str = "d_a") -> int:
+    """`d` as an int if it is an integer >= 1; else raise ValueError, naming `name`, before it reaches log.
 
+    A value that is not a real number goes through `check_integer` first.
     Below 1 (NaN too) is "must be >= 1"; a value with a fractional part,
     or an infinite one, is "must be an integer".
     """
+    if not isinstance(d, numbers.Real):
+        d = check_integer(d, name)
     if not d >= 1:
         raise ValueError(f"{name} = {d} must be >= 1")
-    check_integer(d, name)
-    return d
+    return check_integer(d, name)
 
 
 def lemma4_bound(
@@ -93,7 +95,7 @@ def lemma4_bound(
     if variant in ("finite", "qc"):
         if d is None:
             raise ValueError("finite variants need the support dimension d >= 1")
-        check_dimension(d, "d")
+        d = check_dimension(d, "d")
     elif energy is not None:
         _check_energy(energy, "energy")
     if eps == 0.0:
@@ -117,7 +119,7 @@ def prop2_bound(
     same_channel drops the 2 eps log 2 term; same_state halves the g term.
     """
     eps = _check_eps(epsilon, hi=math.inf)
-    check_dimension(d_a)
+    d_a = check_dimension(d_a)
     if eps == 0.0:
         return 0.0
     value = 2.0 * eps * math.log(d_a)
@@ -146,8 +148,7 @@ def prop3_bound(
 def prop4_bound(epsilon: float, d_a: int, n: int) -> float:
     """n-copy bound n (2 eps log(2 d_A) + g(eps)) for eps = channel Bures distance."""
     eps = _check_eps(epsilon, hi=math.sqrt(2.0))
-    check_dimension(d_a)
-    check_dimension(n, "n")
+    d_a, n = check_dimension(d_a), check_dimension(n, "n")
     if eps == 0.0:
         return 0.0
     return n * (2.0 * eps * math.log(2.0 * d_a) + g(eps))
@@ -220,7 +221,7 @@ def t_st(
 def prop5_bound(epsilon: float, n: int, t_handle: Callable[[float], float]) -> float:
     """n-copy output-CMI bound n (T(eps) + g(eps) + 2 eps log 2); n T(0) at eps = 0."""
     eps = _check_eps(epsilon, hi=math.inf)
-    check_dimension(n, "n")
+    n = check_dimension(n, "n")
     return n * (t_handle(eps) + g(eps) + 2.0 * eps * LOG2)
 
 
@@ -273,7 +274,7 @@ def prop6_bound(
     same_channel drops the eps log 2 term; same_ensemble halves the g term.
     """
     eps = _check_eps(epsilon, hi=math.inf)
-    check_dimension(d_a)
+    d_a = check_dimension(d_a)
     if eps == 0.0:
         return 0.0
     value = eps * math.log(d_a)
@@ -360,7 +361,8 @@ def erasure_capacities(
 
     M = log d unconstrained; with an energy cap (H, E), M = F_H(E).
     """
-    if check_dimension(d, "d") < 2:
+    d = check_dimension(d, "d")
+    if d < 2:
         raise ValueError(f"erasure input dimension {d} must be >= 2")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erasure probability {p} outside [0, 1]")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -106,7 +107,7 @@ class Hamiltonian:
         dim 400 (2-core Xeon, one BLAS thread).  Two threads that race on
         the first read store equal arrays.
         """
-        gams = _f_bar_inverses(self, [math.log(d) for d in range(self.ground_multiplicity, self.dim + 1)])
+        gams = f_bar_inverse(self, [math.log(d) for d in range(self.ground_multiplicity, self.dim + 1)])
         gams.setflags(write=False)
         return gams
 
@@ -194,19 +195,19 @@ def _bisect_one(fn: Callable[[np.ndarray], np.ndarray], target: float, lo: float
     return 0.5 * (lo + hi)
 
 
-def _gibbs_lambdas(eigenvalues: np.ndarray, energies) -> np.ndarray:
-    """Inverse temperature matching each mean energy, all solved in lockstep.
+def gibbs_lambda(h: Hamiltonian, energy):
+    """Inverse temperature matching the prescribed mean energy; elementwise on an array.
 
-    `_bisect` solves the Gibbs mean energy for lambda > 0 below the uniform
-    energy and lambda < 0 above it, to `ENERGY_SOLVE_TOL`.  Every row is
-    evaluated as one lambda alone would be, so each entry is bit-identical
-    to solving its energy alone.  An energy within 1e-15 of the uniform
-    energy is 0; so is E_0 on a constant spectrum.  Raises
-    EnergyDomainError for the first energy outside [E_0, E_max) or so close
-    to an end that the bracket passes 1e12.
+    `_bisect` solves the Gibbs mean energy of every entry in lockstep, for
+    lambda > 0 below the uniform energy and lambda < 0 above it, to
+    `ENERGY_SOLVE_TOL`.  Every row is evaluated as one lambda alone would
+    be, so each entry is bit-identical to solving its energy alone.  An
+    energy within 1e-15 of the uniform energy is 0; so is E_0 on a constant
+    spectrum.  Raises EnergyDomainError for the first energy outside
+    [E_0, E_max) or so close to an end that the bracket passes 1e12.
     """
-    ev = eigenvalues
-    energies = np.asarray(energies, dtype=float).reshape(-1)
+    ev = h.eigenvalues
+    energies = np.asarray(energy, dtype=float).reshape(-1)
     e_0, e_max, uniform = float(ev[0]), float(ev[-1]), float(ev.mean())
     outside = ~((energies >= e_0 - 1e-12) & (energies < e_max - 1e-12))  # NaN is outside
     bad = outside & ~((e_max == e_0) & (np.abs(energies - e_0) <= 1e-12))
@@ -220,26 +221,18 @@ def _gibbs_lambdas(eigenvalues: np.ndarray, energies) -> np.ndarray:
     below = target < uniform
     lams[solve] = _bisect(lambda mid: _mean_energies(ev, mid), target, below, ENERGY_SOLVE_TOL,
                           lambda i: f"energy {target[i]} too close to the {'ground' if below[i] else 'top'} energy")
-    return lams
+    return lams.reshape(np.shape(energy)) if np.ndim(energy) else float(lams[0])
 
 
-def gibbs_lambda(h: Hamiltonian, energy: float) -> float:
-    """Inverse-temperature parameter matching the prescribed mean energy.
+def gibbs_spectrum(h: Hamiltonian, energy) -> np.ndarray:
+    """Eigenvalue distribution of the Gibbs state at the given mean energy; one row per entry of an array.
 
-    The one-energy case of `_gibbs_lambdas`, the solver `check_s_flag`
-    runs on its whole grid at once.
+    The one energy -> spectrum path.  Rows at most 1e-14 above E_0 are
+    uniform on the ground space; the rest take one lockstep `gibbs_lambda`
+    solve (each row has the bits of its energy alone) and one `_warn_on_tail`
+    call.  Energies below E_0 raise.
     """
-    return float(_gibbs_lambdas(h.eigenvalues, [energy])[0])
-
-
-def _gibbs_spectra(h: Hamiltonian, energies) -> np.ndarray:
-    """Gibbs spectrum at each mean energy, one row each: the one energy -> spectrum path.
-
-    Rows at most 1e-14 above E_0 are uniform on the ground space; the rest
-    take one lockstep `_gibbs_lambdas` solve (each row has the bits of its
-    energy alone) and one `_warn_on_tail` call.  Energies below E_0 raise.
-    """
-    energies = np.asarray(energies, dtype=float).reshape(-1)
+    energies = np.asarray(energy, dtype=float).reshape(-1)
     below = energies < h.ground_energy - 1e-12
     if below.any():
         raise EnergyDomainError(f"energy {float(energies[below][0])} below ground energy {h.ground_energy}")
@@ -247,34 +240,33 @@ def _gibbs_spectra(h: Hamiltonian, energies) -> np.ndarray:
     w = np.zeros((energies.size, h.dim))
     w[ground, :h.ground_multiplicity] = 1.0 / h.ground_multiplicity
     gibbs = energies[~ground]
-    w[~ground] = _gibbs_weights(h.eigenvalues, _gibbs_lambdas(h.eigenvalues, gibbs)[:, None])
+    w[~ground] = _gibbs_weights(h.eigenvalues, gibbs_lambda(h, gibbs)[:, None])
     _warn_on_tail(h, w[~ground], gibbs)
-    return w
-
-
-def gibbs_spectrum(h: Hamiltonian, energy: float) -> np.ndarray:
-    """Eigenvalue distribution of the Gibbs state at the given mean energy: `_gibbs_spectra`'s one row."""
-    return _gibbs_spectra(h, [energy])[0]
+    return w.reshape(np.shape(energy) + (h.dim,))
 
 
 def _warn_on_tail(h: Hamiltonian, weights: np.ndarray, energies):
-    """TruncationTailWarning at the first Gibbs row heavy on a truncated top level, for the public caller."""
+    """TruncationTailWarning at the first Gibbs row heavy on a truncated top level,
+    attributed to the first caller outside this module."""
     if not h.truncated:
         return
     tail = weights[..., h.eigenvalues >= h.max_energy - DEGENERACY_TOL].sum(axis=-1)
     heavy = np.flatnonzero(tail > TAIL_WARN_THRESHOLD)
     if heavy.size:
+        level, frame = 2, sys._getframe(1)
+        while frame.f_globals.get("__name__") == __name__:
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             f"Gibbs weight {float(tail[heavy[0]]):.3e} on the top level at energy "
             f"{float(energies[heavy[0]])}; the spectrum truncation may be too small",
             TruncationTailWarning,
-            stacklevel=4,
+            stacklevel=level,
         )
 
 
 def gibbs_state(h: Hamiltonian, energy: float, label: str = "A") -> DensityMatrix:
-    """Gibbs state exp(-lambda H)/Z with mean energy solved to 1e-10: `_gibbs_spectra`'s one row."""
-    w = _gibbs_spectra(h, [energy])[0]
+    """Gibbs state exp(-lambda H)/Z with mean energy solved to 1e-10, on `gibbs_spectrum`."""
+    w = gibbs_spectrum(h, energy)
     layout = single_factor(label, h.dim)
     if h.eigenbasis is None:
         return DensityMatrix(layout, np.diag(w).astype(np.complex128))
@@ -287,13 +279,13 @@ def f_h(h: Hamiltonian, energy):
 
     Equals the Gibbs-state entropy on the increasing branch and saturates
     at log(dim) once the constraint goes slack (energy >= uniform energy).
-    The energies below the uniform one take one `_gibbs_spectra` call.
+    The energies below the uniform one take one `gibbs_spectrum` call.
     """
     energies = np.asarray(energy, dtype=float)
-    below = ~(energies >= h.uniform_energy)  # NaN too, which `_gibbs_spectra` rejects
+    below = ~(energies >= h.uniform_energy)  # NaN too, which `gibbs_spectrum` rejects
     out = np.full(energies.shape, math.log(h.dim))
     if below.any():
-        out[below] = entropy_of_spectrum(_gibbs_spectra(h, energies[below]))
+        out[below] = entropy_of_spectrum(gibbs_spectrum(h, energies[below]))
     return out if energies.ndim else float(out)
 
 
@@ -304,8 +296,8 @@ def f_bar(h: Hamiltonian, e_bar: float) -> float:
     return f_h(h, max(e_bar, 0.0) + h.ground_energy)
 
 
-def _f_bar_inverses(h: Hamiltonian, ys) -> np.ndarray:
-    """f_bar^{-1} at each target in ys, on [log d_0, log dim], by one lockstep solve in lambda.
+def f_bar_inverse(h: Hamiltonian, y):
+    """Inverse of f_bar on [log d_0, log dim]; elementwise on an array, by one lockstep solve in lambda.
 
     The Gibbs entropy S(lambda), `entropy_of_spectrum` of the Gibbs weights,
     falls from log dim at lambda = 0 toward log d_0; `_bisect` solves
@@ -313,7 +305,7 @@ def _f_bar_inverses(h: Hamiltonian, ys) -> np.ndarray:
     energy above E_0 at that lambda is returned.
     The ends are exact: 0 at log d_0, the uniform energy above E_0 at log dim.
     """
-    ys = np.asarray(ys, dtype=float).reshape(-1)
+    ys = np.asarray(y, dtype=float).reshape(-1)
     lo_y = math.log(h.ground_multiplicity)
     hi_y = math.log(h.dim)
     bad = ~((ys >= lo_y - 1e-12) & (ys <= hi_y + 1e-12))  # NaN is outside
@@ -326,12 +318,7 @@ def _f_bar_inverses(h: Hamiltonian, ys) -> np.ndarray:
     lams = _bisect(lambda mid: entropy_of_spectrum(_gibbs_weights(ev, mid[:, None])), target,
                    np.full(target.size, True), 0.0, lambda i: f"target {float(target[i])} too close to log d_0 = {lo_y}")
     out[solve] = _mean_energies(ev, lams)
-    return out
-
-
-def f_bar_inverse(h: Hamiltonian, y: float) -> float:
-    """Inverse of f_bar on [log d_0, log dim]: the one-target case of `_f_bar_inverses`."""
-    return float(_f_bar_inverses(h, [y])[0])
+    return out.reshape(np.shape(y)) if np.ndim(y) else float(out[0])
 
 
 def gamma(h: Hamiltonian, d: int) -> float:
@@ -393,17 +380,9 @@ def oscillator_f(spec: OscillatorSpec, energy: float) -> float:
     return l * math.log((energy + spec.ground_energy) / (l * spec.geometric_energy)) + l
 
 
-def oscillator_f_bar(spec: OscillatorSpec, e_bar: float) -> float:
-    """Shifted closed form: l log((E + 2 E_0)/(l E_*)) + l, E >= 0."""
-    if not -1e-12 <= e_bar < math.inf:  # NaN fails too
-        raise EnergyDomainError(f"shifted energy {e_bar} must be finite and >= 0")
-    l = spec.modes
-    return l * math.log((max(e_bar, 0.0) + 2 * spec.ground_energy) / (l * spec.geometric_energy)) + l
-
-
 def oscillator_gamma_hat_domain_min(spec: OscillatorSpec) -> int:
-    """Smallest integer d in the closed-form gamma-hat domain (d > e^{f_bar(0)})."""
-    threshold = math.exp(oscillator_f_bar(spec, 0.0))
+    """Smallest integer d in the closed-form gamma-hat domain (d > e^{f_bar(0)}, f_bar(0) = F(E_0))."""
+    threshold = math.exp(oscillator_f(spec, spec.ground_energy))
     d = int(math.floor(threshold)) + 1
     while oscillator_gamma_hat_unchecked(spec, d) <= 0.0:
         d += 1

@@ -2,7 +2,8 @@
 
 Exit codes for verify and report: 0 when every check passed, 2 when some
 checks were inconclusive (bracket too wide) but none failed, 1 when any
-check certified a violation.
+check certified a violation.  Every command reports a rejected input as
+one `error:` line on stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ import sys
 from pathlib import Path
 
 from .. import bounds as bnd
-from ..energy import OscillatorSpec, oscillator_f, oscillator_f_bar
+from ..energy import OscillatorSpec, oscillator_f
 from .report import emit_report, emit_sweep, format_summary, load_report
-from .suites import config_from_dict, run_suite, SUITE_NAMES
+from .suites import config_from_dict, OSCILLATOR_KEYS, parse_oscillator, run_suite, SUITE_NAMES
 from .sweeps import FAMILIES, sweep_tightness
 from .verdict import VIOLATION, exit_code
 
@@ -31,7 +32,9 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # `missing` names what a KeyError of the command is missing
     p_verify = sub.add_parser("verify", help="run a verification suite")
+    p_verify.set_defaults(run=_cmd_verify, missing="config key")
     p_verify.add_argument("--suite", choices=SUITE_NAMES)
     p_verify.add_argument("--trials", type=int)
     p_verify.add_argument("--seed", type=int)
@@ -40,49 +43,51 @@ def main(argv=None) -> int:
     p_verify.add_argument("--format", choices=("json", "csv"))
 
     p_sweep = sub.add_parser("sweep", help="closed-form tightness sweep")
+    p_sweep.set_defaults(run=_cmd_sweep, missing="grid key")
     p_sweep.add_argument("--family", choices=FAMILIES, required=True)
     p_sweep.add_argument("--grid", type=Path, help="JSON grid file")
     p_sweep.add_argument("--out", type=Path, required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate one bound formula")
+    p_eval.set_defaults(run=_cmd_eval, missing="parameter")
     p_eval.add_argument("--bound", required=True)
     p_eval.add_argument("--params", default="", help="comma-separated k=v pairs")
     p_eval.add_argument("--units", choices=("nats", "bits"), default="nats")
 
     p_report = sub.add_parser("report", help="reload and summarize a JSON report")
+    p_report.set_defaults(run=_cmd_report, missing="report key")
     p_report.add_argument("--in", dest="path", type=Path, required=True)
     p_report.add_argument("--summary", action="store_true")
 
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "eval":
-        return _cmd_eval(args)
-    return _cmd_report(args)
+    try:
+        return args.run(args)
+    except KeyError as exc:
+        print(f"error: missing {args.missing} {exc}", file=sys.stderr)
+    except (OSError, ValueError, TypeError, OverflowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return 1
+
+
+def _read_object(path: Path, what: str) -> dict:
+    """The JSON object in the file at `path`; any other JSON value is rejected, naming `what`."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(doc).__name__}")
+    return doc
 
 
 def _cmd_verify(args) -> int:
-    """Run a campaign; a config that cannot be read or is rejected is one `error:` line and exit 1."""
-    try:
-        doc = json.loads(args.config.read_text(encoding="utf-8")) if args.config else {}
-        if args.suite:
-            doc["suite"] = args.suite
-        if args.trials is not None:
-            doc["trials"] = args.trials
-        if args.seed is not None:
-            doc["seed"] = args.seed
-        if "suite" not in doc:
-            print("error: no suite given (use --suite or a config file)", file=sys.stderr)
-            return 1
-        report = run_suite(config_from_dict(doc))
-    except KeyError as exc:
-        print(f"error: missing config key {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, TypeError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    doc = _read_object(args.config, "a campaign config") if args.config else {}
+    if args.suite:
+        doc["suite"] = args.suite
+    if args.trials is not None:
+        doc["trials"] = args.trials
+    if args.seed is not None:
+        doc["seed"] = args.seed
+    if "suite" not in doc:
+        raise ValueError("no suite given (use --suite or a config file)")
+    report = run_suite(config_from_dict(doc))
     if args.out:
         fmt = args.format or ("csv" if str(args.out).endswith(".csv") else "json")
         emit_report(report, fmt, args.out)
@@ -97,10 +102,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    grid = {}
-    if args.grid:
-        grid = json.loads(args.grid.read_text(encoding="utf-8"))
-    rows = sweep_tightness(args.family, grid)
+    rows = sweep_tightness(args.family, _read_object(args.grid, "a sweep grid") if args.grid else {})
     emit_sweep(rows, args.out)
     print(f"wrote {len(rows)} sweep rows to {args.out}")
     return 0
@@ -108,8 +110,6 @@ def _cmd_sweep(args) -> int:
 
 def _parse_params(spec: str) -> dict:
     params: dict = {}
-    if not spec:
-        return params
     for chunk in spec.split(","):
         if not chunk:
             continue
@@ -134,17 +134,16 @@ def _integer(p: dict, key: str, default=None) -> int:
     return bnd.check_integer(p[key] if default is None else p.get(key, default), key)
 
 
+#: eval's aliases of the oscillator keys of `parse_oscillator`
+_ALIASES = {"l": "modes", "omega": "frequencies"}
+_OSCILLATOR_PARAMS = OSCILLATOR_KEYS + tuple(_ALIASES)
+
+
 def _oscillator_from(params: dict) -> OscillatorSpec:
-    modes = _integer(params, "l" if "l" in params else "modes", 1)
-    freqs = params.get("frequencies", params.get("omega", [1.0] * modes))
-    if isinstance(freqs, (int, float)):
-        freqs = [float(freqs)] * modes
-    return OscillatorSpec(
-        modes=modes,
-        frequencies=tuple(freqs),
-        hbar=float(params.get("hbar", 1.0)),
-        truncation=_integer(params, "truncation", 40),
-    )
+    for alias, key in _ALIASES.items():
+        if alias in params and key in params:
+            raise ValueError(f"give one of {alias} and {key}")
+    return parse_oscillator({_ALIASES.get(k, k): v for k, v in params.items() if k in _OSCILLATOR_PARAMS})
 
 
 def _eval_bound(name: str, p: dict) -> float:
@@ -159,17 +158,15 @@ def _eval_bound(name: str, p: dict) -> float:
         variant = name.split("_", 1)[1]
         return bnd.lemma4_bound(variant, eps, d=_integer(p, "d"), part_c=bool(p.get("part_c", 0)))
     if name in ("lemma4_energy", "lemma4_pure"):
-        spec = _oscillator_from(p)
-        handle = lambda e: oscillator_f(spec, e)
-        return bnd.lemma4_bound(
-            name.split("_", 1)[1], eps, f_handle=handle, energy=float(p["E"]),
-            part_c=bool(p.get("part_c", 0)),
-        )
+        f_handle = functools.partial(oscillator_f, _oscillator_from(p))
+        return bnd.lemma4_bound(name.split("_", 1)[1], eps, f_handle=f_handle, energy=float(p["E"]),
+                                part_c=bool(p.get("part_c", 0)))
     if name == "prop2":
         return bnd.prop2_bound(eps, _integer(p, "d_a"), bool(p.get("same_channel", 0)), bool(p.get("same_state", 0)))
-    if name == "prop3":
+    if name in ("prop3", "prop7"):
         spec = _oscillator_from(p)
-        return bnd.prop3_bound(eps, lambda e: oscillator_f_bar(spec, e), float(p["E_bar"]), pure=bool(p.get("pure", 0)))
+        args = (eps, lambda e: oscillator_f(spec, e + spec.ground_energy), float(p["E_bar"]))
+        return bnd.prop3_bound(*args, pure=bool(p.get("pure", 0))) if name == "prop3" else bnd.prop7_bound(*args)
     if name == "prop4":
         return bnd.prop4_bound(eps, _integer(p, "d_a"), _integer(p, "n", 1))
     if name in ("t_st", "prop5", "prop8", "thm2_chi", "thm2_c", "thm2_q", "thm2_pbar", "thm2_p"):
@@ -187,9 +184,6 @@ def _eval_bound(name: str, p: dict) -> float:
         return bnd.p_r(spec, float(p["E"]), eps, float(p.get("r", 1.0)))
     if name == "prop6":
         return bnd.prop6_bound(eps, _integer(p, "d_a"), bool(p.get("same_channel", 0)), bool(p.get("same_ensemble", 0)))
-    if name == "prop7":
-        spec = _oscillator_from(p)
-        return bnd.prop7_bound(eps, lambda e: oscillator_f_bar(spec, e), float(p["E_bar"]))
     if name.startswith("thm1_"):
         cap = name.split("_", 1)[1]
         if "log_d_a" in p:
@@ -199,15 +193,7 @@ def _eval_bound(name: str, p: dict) -> float:
 
 
 def _cmd_eval(args) -> int:
-    params = _parse_params(args.params)
-    try:
-        value = _eval_bound(args.bound, params)
-    except KeyError as exc:
-        print(f"error: missing parameter {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    value = _eval_bound(args.bound, _parse_params(args.params))
     if args.units == "bits":
         value = value / LOG2
     print(format(value, ".17g"))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -71,10 +72,8 @@ from .verdict import BoundVerdict, DEFAULT_TOL, classify, summarize
 # trial index of the stream that draws a campaign's fixed channel or ensemble
 _FIXED_TRIAL = 10**9
 
-_ENERGY_KEYS = {
-    "oscillator": {"kind", "E", "modes", "frequencies", "hbar", "truncation"},
-    "spectrum": {"kind", "E", "eigenvalues"},
-}
+#: the keys of an oscillator, for `parse_oscillator`
+OSCILLATOR_KEYS = ("modes", "frequencies", "hbar", "truncation")
 
 
 #: budgets that count (Newton steps, oracle samples), held to the integer rule of counts
@@ -113,32 +112,45 @@ class CampaignConfig:
         return dataclasses.asdict(self)
 
 
-def config_from_dict(doc: dict) -> CampaignConfig:
-    unknown = set(doc) - {f.name for f in dataclasses.fields(CampaignConfig)}
+def _reject_unknown(doc: dict, keys, what: str):
+    unknown = set(doc) - set(keys)
     if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+
+
+def config_from_dict(doc: dict) -> CampaignConfig:
+    _reject_unknown(doc, [f.name for f in dataclasses.fields(CampaignConfig)], "config")
     return CampaignConfig(**doc)
+
+
+def parse_oscillator(doc: dict) -> OscillatorSpec:
+    """Oscillator keys -> OscillatorSpec, the one oscillator parser of configs, sweep grids and `eval`.
+
+    `modes` (default 1), `frequencies` (one number serves every mode;
+    default 1.0), `hbar` (default 1.0) and `truncation` (default 40); any
+    other key is an error.
+    """
+    _reject_unknown(doc, OSCILLATOR_KEYS, "oscillator energy")
+    modes = bnd.check_integer(doc.get("modes", 1), "modes")
+    freqs = doc.get("frequencies", 1.0)
+    return OscillatorSpec(
+        modes=modes,
+        frequencies=tuple([freqs] * modes if isinstance(freqs, numbers.Real) else freqs),
+        hbar=float(doc.get("hbar", 1.0)),
+        truncation=bnd.check_integer(doc.get("truncation", 40), "truncation"),
+    )
 
 
 def parse_energy(doc: dict):
     """Energy config -> (Hamiltonian or OscillatorSpec, E); a key the kind does not take is an error."""
     kind = doc.get("kind", "oscillator")
-    if kind not in _ENERGY_KEYS:
+    system = {k: v for k, v in doc.items() if k not in ("kind", "E")}
+    if kind == "oscillator":
+        return parse_oscillator(system), float(doc["E"])
+    if kind != "spectrum":
         raise ValueError(f"unknown energy kind {kind!r}")
-    unknown = set(doc) - _ENERGY_KEYS[kind]
-    if unknown:
-        raise ValueError(f"unknown {kind} energy keys: {sorted(unknown)}")
-    e = float(doc["E"])
-    if kind == "spectrum":
-        return Hamiltonian(np.asarray(doc["eigenvalues"], dtype=float)), e
-    modes = bnd.check_integer(doc.get("modes", 1), "modes")
-    spec = OscillatorSpec(
-        modes=modes,
-        frequencies=tuple(doc.get("frequencies", [1.0] * modes)),
-        hbar=float(doc.get("hbar", 1.0)),
-        truncation=bnd.check_integer(doc.get("truncation", 40), "truncation"),
-    )
-    return spec, e
+    _reject_unknown(system, ("eigenvalues",), "spectrum energy")
+    return Hamiltonian(np.asarray(doc["eigenvalues"], dtype=float)), float(doc["E"])
 
 
 @dataclass(frozen=True)
@@ -498,7 +510,7 @@ def _erasure_rows(suite: str, x, m_scale: float, bound_at, certs: dict):
 
 def _thm1_grid(config: CampaignConfig):
     for d in config.dims.get("d_grid", list(range(2, 65))):
-        d = bnd.check_integer(d, "d_grid")
+        d = bnd.check_dimension(d, "d_grid")
         for x in config.dims.get("x_grid", [0.01, 0.05]):
             yield from _erasure_rows("thm1", x, math.log(d), functools.partial(bnd.theorem1_bound, d_a=d),
                                      {"d": d, "x": float(x)})

@@ -11,8 +11,8 @@ import functools
 import math
 
 from .. import bounds as bnd
-from ..energy import OscillatorSpec, f_h
-from .suites import parse_energy
+from ..energy import f_h
+from .suites import parse_oscillator
 from .verdict import SweepRow
 
 FAMILIES = ("erasure_dim", "erasure_energy")
@@ -52,12 +52,7 @@ def _dim_points(grid: dict):
 
 def _energy_points(grid: dict):
     """(variable, value, x, r, M, bound) per point: M = F_H(E) and the Theorem 2 bound with P_r."""
-    doc = dict(grid.get("oscillator", {"modes": 1, "frequencies": [1.0], "truncation": 40}))
-    doc.setdefault("kind", "oscillator")
-    doc.setdefault("E", 1.0)  # placeholder; the grid supplies the actual energies
-    spec, _ = parse_energy(doc)
-    if not isinstance(spec, OscillatorSpec):
-        raise ValueError("erasure_energy sweeps take an oscillator spec")
+    spec = parse_oscillator(grid.get("oscillator", {}))
     ham = spec.to_hamiltonian()
     for e_cap in map(float, grid.get("E", [2.0, 5.0, 10.0])):
         m_scale = f_h(ham, e_cap)

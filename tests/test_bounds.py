@@ -34,7 +34,6 @@ from chanbound.energy import (
     f_h,
     gamma,
     oscillator_f,
-    oscillator_f_bar,
     oscillator_gamma_hat_domain_min,
     oscillator_gamma_hat_unchecked,
 )
@@ -152,7 +151,7 @@ class TestPropositionEvaluators:
 
     def test_prop3_oracle_and_monotone(self):
         spec = OscillatorSpec(1, (1.0,))
-        fbar = lambda e: oscillator_f_bar(spec, e)
+        fbar = lambda e: oscillator_f(spec, e + spec.ground_energy)
         vals = []
         for eps in EPS_GRID:
             root = math.sqrt(2 * eps)
@@ -164,7 +163,7 @@ class TestPropositionEvaluators:
 
     def test_prop3_pure_tightens(self):
         spec = OscillatorSpec(1, (1.0,))
-        fbar = lambda e: oscillator_f_bar(spec, e)
+        fbar = lambda e: oscillator_f(spec, e + spec.ground_energy)
         for eps in (0.05, 0.2, 0.6, 1.0):
             assert prop3_bound(eps, fbar, 4.5, pure=True) < prop3_bound(eps, fbar, 4.5)
 
@@ -341,6 +340,16 @@ class TestCountsAndDimensions:
         with pytest.raises(ValueError, match=f"^n = {re.escape(str(value))} must be an integer$"):
             check_integer(value, "n")
 
+    def test_non_numbers_are_named(self):
+        # a value that is no real number goes through `check_integer` before the >= 1 test
+        with pytest.raises(ValueError, match="^d_a = None must be an integer$"):
+            prop2_bound(0.1, None)
+        with pytest.raises(ValueError, match="^d_a = q must be an integer$"):
+            theorem1_bound("q", 0.1, d_a="q")
+        with pytest.raises(ValueError, match="^n = 0 must be >= 1$"):
+            prop4_bound(0.1, 2, "0")
+        assert theorem1_bound("q", 0.1, d_a="3") == theorem1_bound("q", 0.1, d_a=3)
+
     def test_integral_values_are_the_integers(self):
         assert lemma4_bound("finite", 0.1, d=4.0) == lemma4_bound("finite", 0.1, d=4)
         assert prop4_bound(0.1, 2, 3.0) == prop4_bound(0.1, 2, 3)
@@ -401,7 +410,7 @@ class TestTFunctional:
         ok = (gam > 0) & (gam >= 2 * e_bar)
         ds, gam = ds[ok], gam[ok]
         r = np.sqrt(e_bar / gam)
-        obj = (4.0 * r + 2.0 * eps) * np.log(ds) + 4.0 * ((r + 1.0) * np.log(r + 1.0) - r * np.log(r))
+        obj = (4.0 * r + 2.0 * eps) * np.log(ds) + 4.0 * g(r)
         k = int(np.argmin(obj))
         got = t_st(eps, e_bar, spec, s=0, t=0)
         assert (got.value, got.d_star) == (float(obj[k]), int(ds[k]))
@@ -716,15 +725,26 @@ class TestClosedFormsAt50Digits:
 
     def test_bounds(self):
         mp = pytest.importorskip("mpmath")
-        spec = OscillatorSpec(1, (1.0,))
+        spec, spec2 = OscillatorSpec(1, (1.0,)), OscillatorSpec(2, (1.0, 2.0))
+        # the shifted closed form F(E + E_0) of prop3 and prop7, as `eval` and the suites pass it
+        f_bar_of = {s: (lambda e, s=s: oscillator_f(s, e + s.ground_energy)) for s in (spec, spec2)}
         with mp.workdps(50):
             def g_mp(x):
                 return mp.log1p(x) + x * mp.log1p(1 / x)
 
+            def f_mp(s, energy):  # l log((E + E_0)/(l E_*)) + l
+                l = s.modes
+                return l * mp.log((energy + mp.mpf(s.ground_energy)) / (l * mp.mpf(s.geometric_energy))) + l
+
+            def p_r_mp(e, r):
+                er = e * mp.mpf(r)
+                return (2 * e * (1 + 2 * mp.mpf(r)) * f_mp(spec, 5) + 4 * (2 + 1 / mp.mpf(r)) * (-er * mp.log(er))
+                        + 4 * g_mp(er) + 6 * e * mp.exp(-1))
+
             log2 = mp.log(2)
-            f_5 = mp.log((5 + mp.mpf(spec.ground_energy)) / mp.mpf(spec.geometric_energy)) + 1
             for eps in [float(v) for v in np.logspace(-15, 0, 151)]:
                 e = mp.mpf(eps)
+                root = mp.sqrt(2 * e)
                 cases = {
                     "lemma4 finite": (lemma4_bound("finite", eps, d=4), 2 * e * mp.log(4) + 2 * g_mp(e)),
                     "lemma4 qc part_c": (lemma4_bound("qc", eps, d=3, part_c=True), e * mp.log(3) + g_mp(e)),
@@ -735,18 +755,46 @@ class TestClosedFormsAt50Digits:
                     "prop6": (prop6_bound(eps, 4), e * mp.log(4) + e * log2 + 2 * g_mp(e)),
                     "prop6 same": (prop6_bound(eps, 4, same_channel=True, same_ensemble=True),
                                    e * mp.log(4) + g_mp(e)),
+                    "lemma4 energy": (lemma4_bound("energy", eps, f_handle=lambda x: oscillator_f(spec, x), energy=5.0),
+                                      2 * root * f_mp(spec, 5 / e) + 2 * g_mp(root)),
+                    "lemma4 energy part_c": (
+                        lemma4_bound("energy", eps, f_handle=lambda x: oscillator_f(spec2, x), energy=5.0, part_c=True),
+                        2 * root * f_mp(spec2, 5 / e) + g_mp(root)),
+                    "lemma4 pure": (lemma4_bound("pure", eps, f_handle=lambda x: oscillator_f(spec, x), energy=5.0),
+                                    2 * e * f_mp(spec, 10 / e**2) + 2 * g_mp(e)),
+                    "prop8 P_r": (prop8_bound(eps, functools.partial(t_functional(spec, 5.0, r=0.3), 0)),
+                                  p_r_mp(e, 0.3) + g_mp(e) + 2 * e * log2),
                 }
+                for s in (spec, spec2):
+                    e0 = mp.mpf(s.ground_energy)
+                    cases[f"prop3 l={s.modes}"] = (prop3_bound(eps, f_bar_of[s], 4.5),
+                                                   2 * root * f_mp(s, 4.5 / e + e0) + 2 * g_mp(root))
+                    cases[f"prop3 pure l={s.modes}"] = (prop3_bound(eps, f_bar_of[s], 4.5, pure=True),
+                                                        2 * e * f_mp(s, 9 / e**2 + e0) + 2 * g_mp(e))
+                    cases[f"prop7 l={s.modes}"] = (prop7_bound(eps, f_bar_of[s], 3.0),
+                                                   2 * root * f_mp(s, 3 / e + e0) + 2 * g_mp(root))
                 for cap, (a, b) in {"chi": (1, 1), "c": (2, 1), "q": (2, 1), "pbar": (2, 2), "p": (4, 2)}.items():
                     cases[f"thm1 {cap}"] = (theorem1_bound(cap, eps, d_a=64), a * e * (mp.log(64) + log2) + b * g_mp(e))
                     cases[f"thm1 {cap} log_d_a=1e6"] = (theorem1_bound(cap, eps, log_d_a=1e6),
                                                         a * e * (mp.mpf(10) ** 6 + log2) + b * g_mp(e))
+                    for r in (0.3, 1.0):
+                        cases[f"thm2 {cap} P_r r={r}"] = (theorem2_bound(cap, eps, t_functional(spec, 5.0, r=r)),
+                                                          b * (p_r_mp(e, r) + g_mp(e) + 2 * e * log2))
+                    # the erasure gap at x = eps/2, on scales log 5 and 1e3
+                    x = mp.mpf(eps / 2)
+                    for m in (math.log(5), 1e3):
+                        cases[f"erasure_delta {cap} M={m:g}"] = (erasure_delta(cap, eps / 2, m),
+                                                                 (1 if cap in ("chi", "c") else 2) * x * mp.mpf(m))
                 for r in (0.3, 1.0):
-                    er = e * mp.mpf(r)
-                    cases[f"p_r r={r}"] = (
-                        p_r(spec, 5.0, eps, r),
-                        2 * e * (1 + 2 * mp.mpf(r)) * f_5 + 4 * (2 + 1 / mp.mpf(r)) * (-er * mp.log(er))
-                        + 4 * g_mp(er) + 6 * e * mp.exp(-1),
-                    )
+                    cases[f"p_r r={r}"] = (p_r(spec, 5.0, eps, r), p_r_mp(e, r))
+                # erasure capacities at p = eps and p = 1/2 - eps/2 (the quantum ones are 0 from p = 1/2)
+                for p in (eps, 0.5 - eps / 2):
+                    for d in (2, 64, 10**6):
+                        got, pm, log_d = erasure_capacities(d, p), mp.mpf(p), mp.log(d)
+                        for field, exact in (("c_chi", (1 - pm) * log_d), ("c", (1 - pm) * log_d),
+                                             ("q", max((1 - 2 * pm) * log_d, 0)), ("c_p", max((1 - 2 * pm) * log_d, 0)),
+                                             ("c_p_bar", max((1 - 2 * pm) * log_d, 0))):
+                            cases[f"erasure_capacities {field} d={d} p={p}"] = (getattr(got, field), exact)
                 for name, (got, exact) in cases.items():
                     self._assert_close(got, exact, 4e-15, (name, eps))
 
@@ -755,11 +803,11 @@ class TestOscillatorSubstitution:
     def test_prop3_closed_form_dominates_numeric(self):
         # the oscillator closed form upper-bounds the realized max entropy,
         # so substituting it can only loosen (never break) the bound
-        from chanbound.energy import f_bar, oscillator_f_bar
+        from chanbound.energy import f_bar
 
         spec = OscillatorSpec(1, (1.0,), truncation=60)
         h = spec.to_hamiltonian()
         for eps in (0.05, 0.2, 0.6):
-            loose = prop3_bound(eps, lambda e: oscillator_f_bar(spec, e), 4.5)
+            loose = prop3_bound(eps, lambda e: oscillator_f(spec, e + spec.ground_energy), 4.5)
             tight = prop3_bound(eps, lambda e: f_bar(h, e), 4.5)
             assert loose >= tight - 1e-12

@@ -257,6 +257,8 @@ class TestConfigIntegers:
         ({"suite": "prop2", "trials": None}, "trials = None must be an integer"),
         ({"suite": "prop2", "dims": {"d_b": "x"}}, "d_b = x must be an integer"),
         ({"suite": "prop2", "trials": 1, "seed": "seven"}, "seed = seven must be an integer"),
+        # a d_grid entry is a dimension, held to `bounds.check_dimension`
+        ({"suite": "thm1", "dims": {"d_grid": [0]}}, "d_grid = 0 must be >= 1"),
     ])
     def test_fractional_values_rejected(self, doc, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -352,6 +354,8 @@ class TestSweeps:
     @pytest.mark.parametrize("family,grid,key", [
         ("erasure_dim", {"xs": [0.3]}, "xs"),
         ("erasure_energy", {"E": [2.0], "log_d": [5.0]}, "log_d"),
+        ("erasure_energy", {"oscillator": {"modes": 1, "truncaton": 6}}, "truncaton"),
+        ("erasure_energy", {"oscillator": {"kind": "spectrum", "eigenvalues": [0, 1]}}, "eigenvalues"),
     ])
     def test_unknown_grid_keys_rejected(self, family, grid, key):
         with pytest.raises(ValueError, match=key):
@@ -377,6 +381,14 @@ class TestSweeps:
         with pytest.raises(ValueError) as exc:
             sweep_tightness("erasure_dim", {"d": [4, d]})
         assert str(exc.value) == message
+
+    def test_oscillator_grid_takes_the_config_keys(self):
+        # no placeholder E; one frequency serves every mode
+        by_list = sweep_tightness("erasure_energy", {"oscillator": {"modes": 2, "frequencies": [1.5, 1.5],
+                                                                    "truncation": 8}, "E": [3.0]})
+        by_number = sweep_tightness("erasure_energy", {"oscillator": {"modes": 2, "frequencies": 1.5,
+                                                                      "truncation": 8}, "E": [3.0]})
+        assert by_number == by_list and len(by_list) == 5
 
     def test_integral_dimension_grid_is_log_d(self):
         by_d = sweep_tightness("erasure_dim", {"d": [3, 8.0, 10**400], "capacities": ["q"]})
@@ -611,6 +623,18 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
 
+    def test_eval_oscillator_aliases_are_the_config_keys(self, capsys):
+        outputs = []
+        for osc in ("l=2,omega=1.5", "modes=2,frequencies=1.5", "modes=2,omega=1.5:1.5"):
+            assert cli_main(["eval", "--bound", "p_r", "--params", f"eps=0.1,E=5,{osc}"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        for osc, message in (("l=2,modes=1", "give one of l and modes"),
+                             ("omega=1,frequencies=2", "give one of omega and frequencies")):
+            assert cli_main(["eval", "--bound", "p_r", "--params", f"eps=0.1,E=5,{osc}"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == f"error: {message}\n"
+
     def test_eval_integral_float_parameter_is_the_integer(self, capsys):
         assert cli_main(["eval", "--bound", "prop4", "--params", "eps=0.1,d_a=2.0,n=2.0"]) == 0
         as_float = capsys.readouterr().out
@@ -645,6 +669,8 @@ class TestCLI:
         ({"suite": "thm1", "dims": {"d_gird": [2]}}, "error: thm1 takes no dims keys ['d_gird']"),
         ({"suite": "prop5", "energy": {"kind": "oscillator"}}, "error: missing config key 'E'"),
         ({"suite": "nope"}, "error: unknown suite 'nope'"),
+        ({"suite": "thm1", "dims": {"d_grid": [0]}}, "error: d_grid = 0 must be >= 1"),
+        (["thm1"], "error: a campaign config must be a JSON object, not list"),
     ])
     def test_rejected_config_is_one_error_line(self, tmp_path, doc, message):
         # the console script prints what eval prints for a rejected input: one line, no traceback
@@ -655,6 +681,34 @@ class TestCLI:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr and proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(message), proc.stderr
+
+    @pytest.mark.parametrize("grid, message", [
+        ('{"x": [0.7]}', "error: x = 0.7 outside [0, 1/2]"),
+        ('{"x": [0.01', "error: Expecting ',' delimiter"),
+        ('{"d": [0]}', "error: d = 0 must be >= 1"),
+        ("[]", "error: a sweep grid must be a JSON object, not list"),
+    ])
+    def test_rejected_sweep_grid_is_one_error_line(self, tmp_path, capsys, grid, message):
+        path = tmp_path / "grid.json"
+        path.write_text(grid)
+        out = tmp_path / "rows.csv"
+        assert cli_main(["sweep", "--family", "erasure_dim", "--grid", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1 and captured.err.startswith(message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        (None, "error: [Errno 2] No such file or directory"),
+        ("{}", "error: missing report key 'rows'"),
+        ("[1", "error: Expecting ',' delimiter"),
+    ])
+    def test_rejected_report_is_one_error_line(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "report.json"
+        if doc is not None:
+            path.write_text(doc)
+        assert cli_main(["report", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1 and captured.err.startswith(message)
 
     def test_entry_point_runs(self):
         # erasure_gap is the one bound that takes no eps
