@@ -36,10 +36,12 @@ def _check_eps(epsilon: float, hi: float = 1.0) -> float:
     return eps
 
 
-def _check_energy(energy: float, name: str):
-    """Reject a non-finite energy before any eps = 0 shortcut, as the oscillator handles do at eps > 0."""
-    if not math.isfinite(energy):
-        raise EnergyDomainError(f"{name} {energy} must be finite")
+def _check_energy(energy: float, name: str, floor: float = -math.inf):
+    """Reject a non-finite energy, or one below `floor`, before any eps = 0 shortcut,
+    as the oscillator handles do at eps > 0."""
+    if not (math.isfinite(energy) and energy >= floor):
+        rule = "finite" if floor == -math.inf else f"finite and >= {floor:g}"
+        raise EnergyDomainError(f"{name} {energy} must be {rule}")
 
 
 def check_integer(value, name: str) -> int:
@@ -137,7 +139,7 @@ def prop3_bound(
 ) -> float:
     """Energy-constrained output-CMI bound 2 sqrt(2 eps) Fbar(Ebar/eps) + 2 g(sqrt(2 eps))."""
     eps = _check_eps(epsilon)
-    _check_energy(e_bar, "shifted energy")
+    _check_energy(e_bar, "shifted energy", floor=0.0)
     if eps == 0.0:
         return 0.0
     eff = eps * eps / 2.0 if pure else eps

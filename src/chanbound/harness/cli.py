@@ -117,7 +117,10 @@ def _parse_params(spec: str) -> dict:
         key = key.strip()
         raw = raw.strip()
         if ":" in raw:
-            params[key] = [float(v) for v in raw.split(":")]
+            try:
+                params[key] = [float(v) for v in raw.split(":")]
+            except ValueError:
+                raise ValueError(f"{key} = {raw} must be numbers separated by ':'") from None
         else:
             try:
                 params[key] = int(raw)

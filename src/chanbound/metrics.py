@@ -279,37 +279,46 @@ def _constrained_minimum(m: np.ndarray, h_mat: Optional[np.ndarray], e_cap: Opti
     m + mu h, with the curvature of `_ground_min_energy_state`, from mu = 1.
     The bracket [mu_lo, mu_hi] around e(mu) = E is the safeguard: until
     some mu has e(mu) <= E, a step that does not raise mu is replaced by
-    doubling mu; after that, a step that leaves the bracket, or that is
-    longer than half the step before last, is replaced by its midpoint.
-    The solve stops at relative bracket width 1e-13, or once the primal
-    value of the minimizer is within 1e-15 max(1, |primal|) of the dual.
-    The minimizer interpolates the ground states at mu_lo and mu_hi to
-    energy E.  Every step is a function of (m, h, E) alone, so two calls on
-    the same input return bit-identical results.
+    doubling mu.  After that, a step that leaves the bracket, or that is
+    longer than half the step before last, is replaced by a cutting-plane
+    step (Kelley, J. SIAM 8, 703, 1960): lambda_min is concave in mu with
+    slope e(mu), so its tangents at mu_lo and mu_hi meet inside the
+    bracket.  At a level crossing of m + mu h, where e(mu) jumps across E
+    and the curvature vanishes, that point is the crossing itself.  A cut
+    that fails the same two tests is replaced by the midpoint.  The solve
+    stops at relative bracket width 1e-13, or once the primal value of the
+    minimizer is within 1e-15 max(1, |primal|) of the dual.  The minimizer
+    interpolates the ground states at mu_lo and mu_hi to energy E.  The
+    multiplier is the first evaluated mu, among those whose dual is within
+    4 ulps of the best, with the least |e(mu) - E|: where the dual is flat,
+    the mu nearest the root, not whichever rounding favoured.  Every step
+    is a function of (m, h, E) alone, so two calls on the same input return
+    bit-identical results.
     """
     rho0, e0, lam0, _ = _ground_min_energy_state(m, h_mat)
     if h_mat is None or e_cap is None or e0 <= e_cap + 1e-12:
         return rho0, lam0, 0.0
-    best, best_mu = lam0, 0.0  # the first maximal dual and its multiplier
-    lo, hi = (0.0, rho0, e0), None
+    best = lam0
+    evaluated = [(lam0, 0.0, e0)]  # (dual, mu, e(mu)) of every evaluated mu
+    lo, hi = (0.0, rho0, e0, lam0), None
     steps = [math.inf, math.inf]  # the last two moves of mu
     mu = 1.0
     for step in range(_MU_STEPS):
         rho_m, e_m, lam_m, curv = _ground_min_energy_state(m + mu * h_mat, h_mat)
         dual = lam_m - mu * e_cap
-        if dual > best:
-            best, best_mu = dual, mu
+        best = max(best, dual)
+        evaluated.append((dual, mu, e_m))
         newton = mu + (e_cap - e_m) / curv if curv < 0.0 else math.nan
         if e_m <= e_cap:
-            hi = (mu, rho_m, e_m)
+            hi = (mu, rho_m, e_m, lam_m)
         else:
-            lo = (mu, rho_m, e_m)
+            lo = (mu, rho_m, e_m, lam_m)
             if hi is None:
                 if step >= _MU_DOUBLINGS:
                     raise QStateError("no multiplier makes the energy cap feasible")
                 mu = newton if mu < newton < math.inf else 2.0 * mu
                 continue
-        (mu_lo, rho_a, e_a), (mu_hi, rho_b, e_b) = lo, hi
+        (mu_lo, rho_a, e_a, lam_a), (mu_hi, rho_b, e_b, lam_b) = lo, hi
         if e_a > e_cap >= e_b and e_a - e_b > 1e-15:
             t = (e_cap - e_b) / (e_a - e_b)
             rho = t * rho_a + (1.0 - t) * rho_b
@@ -319,11 +328,16 @@ def _constrained_minimum(m: np.ndarray, h_mat: Optional[np.ndarray], e_cap: Opti
         width = mu_hi - mu_lo
         if width <= _MU_WIDTH * max(1.0, mu_hi) or primal - best <= _MU_GAP * max(1.0, abs(primal)):
             break
-        if not (mu_lo < newton < mu_hi and abs(newton - mu) <= 0.5 * steps[0]):
-            newton = 0.5 * (mu_lo + mu_hi)
-        steps = [steps[1], abs(newton - mu)]
-        mu = newton
-    return rho, best, best_mu
+        # Newton's step, else where the tangents of the concave lambda_min at mu_lo and mu_hi meet,
+        # whichever first stays inside the bracket and within half the step before last; else the midpoint
+        cut = mu_lo + (lam_b - lam_a - e_b * width) / (e_a - e_b)
+        nxt = next((x for x in (newton, cut) if mu_lo < x < mu_hi and abs(x - mu) <= 0.5 * steps[0]),
+                   0.5 * (mu_lo + mu_hi))
+        steps = [steps[1], abs(nxt - mu)]
+        mu = nxt
+    # among the maximal duals, to 4 ulps, the first mu whose energy is nearest the cap
+    ties = [(abs(e - e_cap), at) for dual, at, e in evaluated if best - dual <= 4.0 * math.ulp(best)]
+    return rho, best, min(ties, key=lambda tie: tie[0])[1]
 
 
 def _env_overlap(v_phi: np.ndarray, v_psi: np.ndarray, rho: np.ndarray, d_b: int, d_e: int) -> np.ndarray:

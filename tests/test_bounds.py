@@ -182,6 +182,19 @@ class TestPropositionEvaluators:
             with pytest.raises(EnergyDomainError, match="shifted energy .* must be finite"):
                 prop3_bound(eps, fbar, e_bar, pure=pure)
 
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_negative_shifted_energy_rejected_by_name(self, eps):
+        # E_bar = E - E_0 < 0 is rejected as E_bar before the eps = 0 shortcut, not inside the handle
+        def fbar(e):
+            raise AssertionError("the handle is not called")
+
+        for bound in (functools.partial(prop3_bound, pure=False), functools.partial(prop3_bound, pure=True),
+                      prop7_bound):
+            with pytest.raises(EnergyDomainError, match=r"^shifted energy -1.0 must be finite and >= 0$"):
+                bound(eps, fbar, -1.0)
+        root = math.sqrt(2.0 * eps)
+        assert prop3_bound(eps, lambda e: 1.0, 0.0) == (2.0 * root + 2.0 * g(root) if eps else 0.0)
+
     def test_prop4_oracle(self):
         for eps in EPS_GRID:
             for n in (1, 2, 3):

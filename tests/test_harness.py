@@ -623,6 +623,20 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("bound, params, message", [
+        ("prop3", "eps=0,E_bar=-1", "shifted energy -1.0 must be finite and >= 0"),
+        ("prop3", "eps=0.1,E_bar=-1", "shifted energy -1.0 must be finite and >= 0"),
+        ("prop3", "eps=0.1,E_bar=-1,pure=1", "shifted energy -1.0 must be finite and >= 0"),
+        ("prop7", "eps=0,E_bar=-1", "shifted energy -1.0 must be finite and >= 0"),
+        ("prop7", "eps=0.1,E_bar=-1", "shifted energy -1.0 must be finite and >= 0"),
+        ("p_r", "eps=0.1,E=5,omega=1:x", "omega = 1:x must be numbers separated by ':'"),
+        ("p_r", "eps=0.1,E=5,modes=2,frequencies=1:", "frequencies = 1: must be numbers separated by ':'"),
+    ])
+    def test_eval_bad_energy_or_list_names_the_key(self, capsys, bound, params, message):
+        assert cli_main(["eval", "--bound", bound, "--params", params]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
     def test_eval_oscillator_aliases_are_the_config_keys(self, capsys):
         outputs = []
         for osc in ("l=2,omega=1.5", "modes=2,frequencies=1.5", "modes=2,omega=1.5:1.5"):

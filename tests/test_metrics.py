@@ -17,6 +17,7 @@ from chanbound.channels import (
 from chanbound.energy import EnergyCap, EnergyDomainError, Hamiltonian
 from chanbound.entropic import Ensemble
 from chanbound.harness.generators import Generators
+from chanbound.harness.suites import CampaignConfig, run_suite
 from chanbound import metrics
 from chanbound.metrics import (
     Bracket,
@@ -547,6 +548,46 @@ class TestConstrainedMinimum:
         assert abs(dual - 0.5) <= 1e-12  # the two crossing levels mixed half and half
         assert np.einsum("ij,ji->", h_mat, rho).real <= 1.0 + 1e-12
         assert abs(np.einsum("ij,ji->", m, rho).real - dual) <= 1e-12
+
+    @pytest.mark.parametrize("rotated", [False, True])
+    def test_level_crossing_takes_one_cut(self, rotated, monkeypatch):
+        # mu = 0 and mu = 1 bracket the crossing of the levels 2 mu and 1, and their
+        # tangents meet at the crossing mu = 1/2: three evaluations in all
+        m, h_mat = np.diag([0.0, 1.0, 2.0]).astype(complex), np.diag([2.0, 0.0, 1.0]).astype(complex)
+        if rotated:
+            u = Generators(np.random.default_rng(5)).unitary(3)
+            m, h_mat = u @ m @ u.conj().T, u @ h_mat @ u.conj().T
+        real = metrics._ground_min_energy_state
+        calls = []
+        monkeypatch.setattr(metrics, "_ground_min_energy_state", lambda a, h: calls.append(a) or real(a, h))
+        _, _, mu = _constrained_minimum(m, h_mat, 1.0)
+        assert len(calls) == 3
+        assert abs(mu - 0.5) <= 1e-12
+
+    @pytest.mark.parametrize("suite, most", [("prop5", 140), ("prop8", 108)])
+    def test_capped_brackets_eval_count(self, suite, most, monkeypatch):
+        # the default capped systems at seed 7, one trial each: 216 and 113 evaluations
+        # when the safeguard bisected at every level crossing
+        real = metrics._ground_min_energy_state
+        calls = []
+        monkeypatch.setattr(metrics, "_ground_min_energy_state", lambda a, h: calls.append(a) or real(a, h))
+        run_suite(CampaignConfig(suite=suite, trials=1, seed=7))
+        assert 0 < len(calls) <= most
+
+    @pytest.mark.parametrize("tracker", [metrics._SaddleTracker, metrics._DiamondTracker])
+    def test_multiplier_reproducible_across_parent_loop(self, tracker):
+        # the capped pairs of `test_factor_reuse_matches_parent_loop`: contractions that differ
+        # by rounding give multipliers that agree to 2e-9 relative (5e-5 when the first maximal
+        # dual picked the multiplier), the worst at a multiplier of 2.3e-7
+        parent = type("Parent", (tracker,), {"descend": _parent_descend})
+        h = Hamiltonian(np.array([0.0, 1.0, 2.0]))
+        for k in range(20):
+            d_a = 2 + k % 2
+            phi, psi = random_channel(d_a, 2, 2, seed=8100 + 2 * k), random_channel(d_a, 2, 2, seed=8101 + 2 * k)
+            cap = EnergyCap(Hamiltonian(h.eigenvalues[:d_a]), 0.2 + 0.02 * k)
+            got = metrics._solve_bracket(tracker, phi, psi, cap, 500, metrics.BRACKET_TOL)
+            ref = metrics._solve_bracket(parent, phi, psi, cap, 500, metrics.BRACKET_TOL)
+            assert abs(got.upper_multiplier - ref.upper_multiplier) <= 2e-9 * abs(ref.upper_multiplier), k
 
 
 def _general_ground_min_energy_state(m, h_mat):
