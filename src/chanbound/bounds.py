@@ -99,7 +99,7 @@ def lemma4_bound(
             raise ValueError("finite variants need the support dimension d >= 1")
         d = check_dimension(d, "d")
     elif energy is not None:
-        _check_energy(energy, "energy")
+        _check_energy(energy, "energy", floor=0.0)
     if eps == 0.0:
         return 0.0
     g_coef = 1.0 if part_c else 2.0
@@ -137,14 +137,10 @@ def prop3_bound(
     e_bar: float,
     pure: bool = False,
 ) -> float:
-    """Energy-constrained output-CMI bound 2 sqrt(2 eps) Fbar(Ebar/eps) + 2 g(sqrt(2 eps))."""
+    """Energy-constrained output-CMI bound 2 sqrt(2 eps) Fbar(Ebar/eps) + 2 g(sqrt(2 eps)): Lemma 4's energy form."""
     eps = _check_eps(epsilon)
     _check_energy(e_bar, "shifted energy", floor=0.0)
-    if eps == 0.0:
-        return 0.0
-    eff = eps * eps / 2.0 if pure else eps
-    root = math.sqrt(2.0 * eff)
-    return 2.0 * root * f_bar_handle(e_bar / eff) + 2.0 * g(root)
+    return lemma4_bound("pure" if pure else "energy", eps, f_handle=f_bar_handle, energy=e_bar)
 
 
 def prop4_bound(epsilon: float, d_a: int, n: int) -> float:
@@ -254,15 +250,17 @@ def t_functional(
 ) -> Callable[[int, float], float]:
     """The handle t_fn(t, eps) through which Theorem 2 and Propositions 5 and 8 bound a variation.
 
-    With r it is the oscillator closed form P_r at r, which ignores t.
-    Otherwise it is T_{s,t}(E, eps) of `t_st` at E - E_0, with the s flag
-    of `check_s_flag` (0 for an oscillator), decided once here.  `t_st`
+    With r it is the oscillator closed form P_r at r, which ignores t; `p_r`
+    itself checks r and the energy here, once, at eps = 0.  Otherwise it is
+    T_{s,t}(E, eps) of `t_st` at E - E_0, with the s flag of
+    `check_s_flag` (0 for an oscillator), decided once here.  `t_st`
     and `p_r` are looked up by name on each call, so wrapping either one
     in this module reaches every handle.
     """
     if r is not None:
         if not isinstance(system, OscillatorSpec):
             raise ValueError("P_r is an oscillator closed form; a spectrum takes T")
+        p_r(system, e_cap, 0.0, r)
         return lambda t, eps: p_r(system, e_cap, eps, r)
     e_bar, s = e_cap - system.ground_energy, check_s_flag(system)
     return lambda t, eps: t_st(eps, e_bar, system, s=s, t=t, d_cap=d_cap).value

@@ -158,8 +158,7 @@ def _eval_bound(name: str, p: dict) -> float:
         raise KeyError("eps")
     eps = float(eps)
     if name in ("lemma4_finite", "lemma4_qc"):
-        variant = name.split("_", 1)[1]
-        return bnd.lemma4_bound(variant, eps, d=_integer(p, "d"), part_c=bool(p.get("part_c", 0)))
+        return bnd.lemma4_bound(name.split("_", 1)[1], eps, d=_integer(p, "d"), part_c=bool(p.get("part_c", 0)))
     if name in ("lemma4_energy", "lemma4_pure"):
         f_handle = functools.partial(oscillator_f, _oscillator_from(p))
         return bnd.lemma4_bound(name.split("_", 1)[1], eps, f_handle=f_handle, energy=float(p["E"]),

@@ -67,7 +67,7 @@ from ..qstate import (
     trace_norm,
 )
 from .generators import Generators
-from .verdict import BoundVerdict, DEFAULT_TOL, classify, summarize
+from .verdict import BoundVerdict, classify, summarize
 
 # trial index of the stream that draws a campaign's fixed channel or ensemble
 _FIXED_TRIAL = 10**9
@@ -75,6 +75,8 @@ _FIXED_TRIAL = 10**9
 #: the keys of an oscillator, for `parse_oscillator`
 OSCILLATOR_KEYS = ("modes", "frequencies", "hbar", "truncation")
 
+#: slack of the identities and metrics rows, and of the chain rule's two sums of four entropies
+_EQ_TOL, _CHAIN_TOL = 1e-9, 1e-8
 
 #: budgets that count (Newton steps, oracle samples), held to the integer rule of counts
 _INTEGER_BUDGETS = ("bracket_budget", "brute_samples")
@@ -165,7 +167,7 @@ class CampaignReport:
 def run_suite(config: CampaignConfig) -> CampaignReport:
     """Set the suite up once, draw every trial, and classify each row (see the module docstring)."""
     setup, draw, dims_keys, budget_keys = _SUITES[config.suite]
-    for part, keys in (("dims", dims_keys), ("budgets", budget_keys + ("verdict_tol",))):
+    for part, keys in (("dims", dims_keys), ("budgets", budget_keys)):
         unknown = sorted(set(getattr(config, part)) - set(keys))
         if unknown:
             raise ValueError(f"{config.suite} takes no {part} keys {unknown}; it reads {sorted(keys)}")
@@ -174,7 +176,6 @@ def run_suite(config: CampaignConfig) -> CampaignReport:
         trials = enumerate([row] for row in fixed)
     else:
         trials = ((t, draw(fixed, Generators.for_trial(config.seed, t), t)) for t in range(config.trials))
-    tol = config.budget("verdict_tol", DEFAULT_TOL)
     verdicts = []
     for trial, rows in trials:
         for name, lhs, eps, rhs, certs in rows:
@@ -184,7 +185,7 @@ def run_suite(config: CampaignConfig) -> CampaignReport:
                 eps_lo = eps_hi = eps
                 rhs_lo = rhs_hi = rhs(eps) if callable(rhs) else rhs
             verdicts.append(BoundVerdict(config.suite, trial, name, float(lhs), float(eps_lo), float(eps_hi),
-                                         float(rhs_lo), float(rhs_hi), classify(lhs, rhs_lo, rhs_hi, tol),
+                                         float(rhs_lo), float(rhs_hi), classify(lhs, rhs_lo, rhs_hi),
                                          certs or {}))
     return CampaignReport(config.suite, config.seed, config.to_dict(), tuple(verdicts), summarize(verdicts))
 
@@ -413,8 +414,7 @@ def _prop7_draw(c, gen: Generators, trial: int):
     mu, nu = gen.ensemble(c.cap.layout, c.m, c.cap), gen.ensemble(c.cap.layout, c.m, c.cap)
     eps = ensemble_dk(mu, nu)
     lhs = abs(_output_holevo(c.channel, mu) - _output_holevo(c.channel, nu))
-    return [("prop7", lhs, eps, bnd.prop7_bound(eps, c.fbar, c.e_bar) if eps > 0 else 0.0,
-             {"epsilon_kind": "kantorovich_exact"})]
+    return [("prop7", lhs, eps, bnd.prop7_bound(eps, c.fbar, c.e_bar), {"epsilon_kind": "kantorovich_exact"})]
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +485,8 @@ def _prop5_draw(c, gen: Generators, trial: int):
 
 def _prop8_setup(config: CampaignConfig):
     spec, ham, e_cap = _energy_input(config, {"kind": "spectrum", "eigenvalues": [0, 1, 2, 3], "E": 0.6})
+    if spec is None and "p_r" in config.budgets:
+        raise ValueError("prop8 reads budgets key 'p_r' only on oscillator input systems; a spectrum takes T")
     # an oscillator takes the closed form P_r in place of T
     t_fn = bnd.t_functional(spec or ham, e_cap, r=float(config.budget("p_r", 0.5)) if spec else None)
     cap = EnergyCap(ham, e_cap)
@@ -517,8 +519,11 @@ def _thm1_grid(config: CampaignConfig):
 
 
 def _thm2_grid(config: CampaignConfig):
-    default = {"kind": "oscillator", "modes": 1, "frequencies": [1.0], "truncation": 40, "E": 5.0}
-    spec, ham, _ = _energy_input(config, default)
+    system = dict(config.energy or {})
+    if system.pop("kind", "oscillator") != "oscillator":
+        raise ValueError("thm2 runs on oscillator input systems")
+    spec = parse_oscillator(system)
+    ham = spec.to_hamiltonian()
     for e_cap in config.dims.get("e_grid", [2.0, 5.0, 10.0]):
         m_scale, tail_warned = _tail_probe(f_h, ham, e_cap)
         r_values = config.dims.get("r_grid", [1.0, 0.3, 1.0 / oscillator_f(spec, e_cap)])
@@ -545,11 +550,10 @@ def _identities_setup(config: CampaignConfig):
         if gam < e_cap - ham.ground_energy:
             e_cap = ham.ground_energy + 0.9 * gam
         caps[d_keep] = (EnergyCap(ham, e_cap, layout, "A"), gam)
-    return SimpleNamespace(config=config, ham=ham, caps=caps)
+    return SimpleNamespace(ham=ham, caps=caps)
 
 
 def _identities_draw(c, gen: Generators, trial: int):
-    eq_tol = c.config.budget("identity_tol", 1e-9)
     # Holevo quantity equals the qc-state mutual information
     ens = gen.ensemble(SystemLayout([("A", 3)]), 4)
     chi_gap = abs(holevo_quantity(ens) - mutual_information(qc_state(ens, "X"), ("A",), ("X",)))
@@ -568,9 +572,9 @@ def _identities_draw(c, gen: Generators, trial: int):
     mix = DensityMatrix(lay3, p * r1.entries + (1 - p) * r2.entries)
     dev = abs(p * _cmi_abc(r1) + (1 - p) * _cmi_abc(r2) - _cmi_abc(mix))
     rows = [
-        _le("chi_equals_qc_mi", chi_gap, eq_tol),
-        _le("chain_rule", abs(full - split), c.config.budget("chain_tol", 1e-8)),
-        _le("almost_affinity", dev, h2(p) + eq_tol),
+        _le("chi_equals_qc_mi", chi_gap, _EQ_TOL),
+        _le("chain_rule", abs(full - split), _CHAIN_TOL),
+        _le("almost_affinity", dev, h2(p) + _EQ_TOL),
     ]
 
     # isometry perturbation inequalities
@@ -580,13 +584,13 @@ def _identities_draw(c, gen: Generators, trial: int):
     mid = trace_norm(u_iso @ rho2.entries @ u_iso.conj().T - v_iso @ rho2.entries @ v_iso.conj().T)
     step1 = 2.0 * trace_norm((u_iso - v_iso) @ rho2.entries)
     step2 = 2.0 * float(np.linalg.norm(u_iso - v_iso, 2))
-    rows += [_le("isometry_state_step", mid, step1 + eq_tol), _le("isometry_norm_step", step1, step2 + eq_tol)]
+    rows += [_le("isometry_state_step", mid, step1 + _EQ_TOL), _le("isometry_norm_step", step1, step2 + _EQ_TOL)]
 
     # scaling inequality x f(z/x) <= y f(z/y) for concave nonnegative f
     x_val = 0.05 + float(gen.rng.random())
     y_val = x_val + 0.05 + float(gen.rng.random())
     z_val = 2.0 * float(gen.rng.random())
-    rows += [_le(fname, x_val * fn(z_val / x_val), y_val * fn(z_val / y_val) + eq_tol)
+    rows += [_le(fname, x_val * fn(z_val / x_val), y_val * fn(z_val / y_val) + _EQ_TOL)
              for fname, fn in (("concave_scaling_g", g), ("concave_scaling_sqrt", math.sqrt))]
 
     # scaled-argument monotonicity: x log(a/x^2 + b) increasing for b >= e/2
@@ -594,15 +598,14 @@ def _identities_draw(c, gen: Generators, trial: int):
     b_val = math.e / 2.0 + 2.0 * float(gen.rng.random())
     grid = np.linspace(0.05, 3.0, 24)
     vals = grid * np.log(a_val / grid**2 + b_val)
-    rows.append(_le("xlog_monotone", float(np.max(-np.diff(vals))), eq_tol))
+    rows.append(_le("xlog_monotone", float(np.max(-np.diff(vals))), _EQ_TOL))
 
     # rank-truncation claims on an 8x4 bipartite pure state
     d_keep = 2 if trial % 2 == 0 else 4
-    return rows + _truncation_rows(gen, c.ham, d_keep, *c.caps[d_keep], eq_tol)
+    return rows + _truncation_rows(gen, c.ham, d_keep, *c.caps[d_keep])
 
 
-def _truncation_rows(gen: Generators, ham: Hamiltonian, d_keep: int, cap: EnergyCap, gam: float,
-                     eq_tol: float) -> list:
+def _truncation_rows(gen: Generators, ham: Hamiltonian, d_keep: int, cap: EnergyCap, gam: float) -> list:
     e_cap = cap.bound
     psi = gen.pure(cap.layout, cap)
     sig = truncate_pure_state(psi, "A", ham, e_cap, d_keep)
@@ -618,11 +621,11 @@ def _truncation_rows(gen: Generators, ham: Hamiltonian, d_keep: int, cap: Energy
                     for part in jordan_parts(diff))
     return [
         _le("trunc_rank", float(rank), float(d_keep)),
-        _le("trunc_energy", energy_a, e_cap + eq_tol),
+        _le("trunc_energy", energy_a, e_cap + _EQ_TOL),
         _le("trunc_distance", trace_distance(psi, sig),
-            math.sqrt(e_bar / gam) + eq_tol if gam > 0 else math.inf),
-        _le("trunc_jordan_pos", j_pos, 2 * e_bar + eq_tol),
-        _le("trunc_jordan_neg", j_neg, 2 * e_bar + eq_tol),
+            math.sqrt(e_bar / gam) + _EQ_TOL if gam > 0 else math.inf),
+        _le("trunc_jordan_pos", j_pos, 2 * e_bar + _EQ_TOL),
+        _le("trunc_jordan_neg", j_neg, 2 * e_bar + _EQ_TOL),
     ]
 
 
@@ -631,21 +634,21 @@ def _truncation_rows(gen: Generators, ham: Hamiltonian, d_keep: int, cap: Energy
 # ---------------------------------------------------------------------------
 
 def _metrics_draw(config: CampaignConfig, gen: Generators, trial: int):
-    eq_tol, lay = config.budget("identity_tol", 1e-9), SystemLayout([("A", 3)])
+    lay = SystemLayout([("A", 3)])
     rho, sigma, tau = gen.density(lay), gen.density(lay), gen.density(lay)
     beta = bures_state_distance(rho, sigma)
     half_tn = trace_distance(rho, sigma)
     rows = [
-        _le("bures_lower_sandwich", half_tn, beta + eq_tol),
-        _le("bures_upper_sandwich", beta, math.sqrt(2 * half_tn) + eq_tol),
-        _le("bures_triangle", beta, bures_state_distance(rho, tau) + bures_state_distance(tau, sigma) + eq_tol),
+        _le("bures_lower_sandwich", half_tn, beta + _EQ_TOL),
+        _le("bures_upper_sandwich", beta, math.sqrt(2 * half_tn) + _EQ_TOL),
+        _le("bures_triangle", beta, bures_state_distance(rho, tau) + bures_state_distance(tau, sigma) + _EQ_TOL),
     ]
 
     # D_K <= D_0 holds for shared probability vectors (diagonal coupling);
     # with independent probabilities the two metrics are not ordered
     mu = gen.ensemble(lay, 3)
     nu = Ensemble([(p, gen.density(lay)) for p, _ in mu.items])
-    rows.append(_le("dk_le_d0_matched", ensemble_dk(mu, nu), ensemble_d0(mu, nu) + eq_tol))
+    rows.append(_le("dk_le_d0_matched", ensemble_dk(mu, nu), ensemble_d0(mu, nu) + _EQ_TOL))
 
     if trial % 5 == 0:
         phi, psi = _channel_pair(gen, (2, 2, 2))
@@ -672,7 +675,7 @@ _BRACKET_BUDGETS = ("bracket_budget", "bracket_tol")
 # suite -> (setup, draw, dims keys, budgets keys): setup(config) builds the campaign's
 # fixed parts once and draw(fixed, gen, trial) returns the trial's rows; a suite without
 # a draw is a closed-form grid whose setup yields the rows themselves.  The keys are the
-# ones the suite reads besides verdict_tol; `run_suite` rejects any other.
+# ones the suite reads; `run_suite` rejects any other.
 _SUITES = {
     "lemma4": (_lemma4_setup, _lemma4_draw, (), ("lemma4_energy",)),
     "prop2": (_prop2_setup, _joint_variation, _PAIR_DIMS, _BRACKET_BUDGETS),
@@ -684,7 +687,7 @@ _SUITES = {
     "prop8": (_prop8_setup, _prop8_draw, ("d_b", "d_e", "ensemble_size"), _BRACKET_BUDGETS + ("p_r",)),
     "thm1": (_thm1_grid, None, ("d_grid", "x_grid"), ()),
     "thm2": (_thm2_grid, None, ("e_grid", "x_grid", "r_grid"), ()),
-    "identities": (_identities_setup, _identities_draw, (), ("identity_tol", "chain_tol", "truncation_energy")),
-    "metrics": (_config_only, _metrics_draw, (), ("identity_tol", "brute_samples") + _BRACKET_BUDGETS),
+    "identities": (_identities_setup, _identities_draw, (), ("truncation_energy",)),
+    "metrics": (_config_only, _metrics_draw, (), ("brute_samples",) + _BRACKET_BUDGETS),
 }
 SUITE_NAMES = tuple(_SUITES)

@@ -16,13 +16,13 @@ PASS = "PASS"
 INCONCLUSIVE = "INCONCLUSIVE"
 VIOLATION = "VIOLATION"
 
-DEFAULT_TOL = 1e-9
+DEFAULT_TOL = 1e-9  # the absolute slack of every verdict; no config changes it
 
 
-def classify(lhs: float, rhs_at_lower: float, rhs_at_upper: float, tol: float = DEFAULT_TOL) -> str:
-    if lhs <= rhs_at_lower + tol:
+def classify(lhs: float, rhs_at_lower: float, rhs_at_upper: float) -> str:
+    if lhs <= rhs_at_lower + DEFAULT_TOL:
         return PASS
-    if lhs > rhs_at_upper + tol:
+    if lhs > rhs_at_upper + DEFAULT_TOL:
         return VIOLATION
     return INCONCLUSIVE
 

@@ -130,6 +130,16 @@ class TestLemma4Evaluator:
         with pytest.raises(EnergyDomainError, match="energy .* must be finite"):
             lemma4_bound(variant, eps, f_handle=handle, energy=energy)
 
+    @pytest.mark.parametrize("variant", ["energy", "pure"])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_negative_energy_rejected_at_every_eps(self, variant, eps):
+        # no spectrum reaches E < 0, so it is rejected before the eps = 0 shortcut, not inside the handle
+        def handle(e):
+            raise AssertionError("the handle is not called")
+
+        with pytest.raises(EnergyDomainError, match=r"^energy -1.0 must be finite and >= 0$"):
+            lemma4_bound(variant, eps, f_handle=handle, energy=-1.0)
+
     def test_domain_rejections(self):
         with pytest.raises(ValueError):
             lemma4_bound("finite", 1.2, d=2)
@@ -194,6 +204,25 @@ class TestPropositionEvaluators:
                 bound(eps, fbar, -1.0)
         root = math.sqrt(2.0 * eps)
         assert prop3_bound(eps, lambda e: 1.0, 0.0) == (2.0 * root + 2.0 * g(root) if eps else 0.0)
+
+    def test_prop3_and_prop7_are_the_inline_formula_bit_for_bit(self):
+        """Through Lemma 4's energy form, prop3 (mixed and pure) and prop7 return exactly
+        the inline formula they had before, on a grid of eps, Ebar and handles."""
+        def inline(eps, fbar, e_bar, pure):
+            if eps == 0.0:
+                return 0.0
+            eff = eps * eps / 2.0 if pure else eps
+            root = math.sqrt(2.0 * eff)
+            return 2.0 * root * fbar(e_bar / eff) + 2.0 * g(root)
+
+        spec = OscillatorSpec(2, (1.0, 1.7))
+        handles = (lambda e: oscillator_f(spec, e + spec.ground_energy), math.log1p)
+        for eps in [0.0, 1e-15, 1e-9, 1e-4, 1.0] + list(EPS_GRID):
+            for e_bar in (0.0, 1e-6, 0.3, 4.5, 1e6):
+                for fbar in handles:
+                    for pure in (False, True):
+                        assert prop3_bound(eps, fbar, e_bar, pure=pure) == inline(eps, fbar, e_bar, pure)
+                    assert prop7_bound(eps, fbar, e_bar) == inline(eps, fbar, e_bar, False)
 
     def test_prop4_oracle(self):
         for eps in EPS_GRID:
@@ -705,6 +734,7 @@ class TestErasureClosedForms:
         assert erasure_isometry_gap(0.0) == 0.0
 
 
+@pytest.mark.two_blas_threads
 class TestClosedFormsAt50Digits:
     """eta, h2, g and the bounds built on them against mpmath at 50 digits, on log grids."""
 

@@ -108,6 +108,7 @@ class TestApply:
         assert np.max(np.abs(out.entries - expect)) <= 1e-12
 
 
+@pytest.mark.two_blas_threads
 class TestPureApply:
     """A PureState input stays a vector through `apply`: the same state as its projector's path."""
 
@@ -155,6 +156,7 @@ def _as_density(state):
     return state if isinstance(state, DensityMatrix) else state.to_density()
 
 
+@pytest.mark.two_blas_threads
 class TestApplyPlanCache:
     """`apply`'s plan is cached by layout and channel labels and dimensions; its checks run on every call."""
 

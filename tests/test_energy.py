@@ -459,6 +459,7 @@ def _parent_energies(h, seed):
     ])
 
 
+@pytest.mark.two_blas_threads
 class TestGibbsSpectraMatchParent:
     """One energy -> spectrum path: each value equals the parent's one-energy formula with ==."""
 
@@ -518,6 +519,7 @@ class TestGibbsSpectraMatchParent:
             gibbs_spectrum(h, h.max_energy)
 
 
+@pytest.mark.two_blas_threads
 class TestMaxEntropyFunctions:
     def test_f_at_ground_is_log_multiplicity(self):
         h = Hamiltonian(np.array([0.0, 0.0, 0.0, 1.0]))

@@ -98,6 +98,7 @@ class TestEntropy:
             assert von_neumann_entropy(rho) == von_neumann_entropy(rho.entries)
 
 
+@pytest.mark.two_blas_threads
 class TestEntropyKernel:
     """`von_neumann_entropy` keeps the bits of the parent's clip + np.sum(eta(...)) sum, floor included."""
 

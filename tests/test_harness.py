@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -234,9 +235,81 @@ class TestConfig:
     def test_benchmark_overrides_accepted(self):
         osc40 = {"kind": "oscillator", "modes": 1, "frequencies": [1.0], "truncation": 40, "E": 1.5}
         for suite in ("prop3", "prop7"):
-            rep = run_suite(CampaignConfig(suite=suite, trials=1, seed=7, energy=osc40,
-                                           dims={"d_b": 8, "d_e": 5}, budgets={"verdict_tol": 1e-9}))
+            rep = run_suite(CampaignConfig(suite=suite, trials=1, seed=7, energy=osc40, dims={"d_b": 8, "d_e": 5}))
             assert rep.summary["pass"] == rep.summary["total"] == 1
+
+
+# the budgets keys each suite reads: 16 (suite, key) pairs
+_BUDGETS_READ = {
+    "lemma4": ["lemma4_energy"], "prop2": ["bracket_budget", "bracket_tol"], "prop3": [],
+    "prop4": ["bracket_budget", "bracket_tol"], "prop5": ["bracket_budget", "bracket_tol"],
+    "prop6": ["bracket_budget", "bracket_tol"], "prop7": [], "prop8": ["bracket_budget", "bracket_tol", "p_r"],
+    "thm1": [], "thm2": [], "identities": ["truncation_energy"],
+    "metrics": ["bracket_budget", "bracket_tol", "brute_samples"],
+}
+
+
+class TestRetiredKeys:
+    """The verdict's slack and the identities' tolerances are constants, not config keys:
+    a config could set them only to fake a verdict.  thm2's energy object takes no E,
+    which it never read, and prop8 takes p_r only where P_r replaces T."""
+
+    def test_sixteen_budgets_pairs(self):
+        assert {suite: sorted(row[3]) for suite, row in suites._SUITES.items()} == _BUDGETS_READ
+        assert sum(map(len, _BUDGETS_READ.values())) == 16
+
+    @pytest.mark.parametrize("suite, key", [(suite, "verdict_tol") for suite in _BUDGETS_READ]
+                             + [("identities", "identity_tol"), ("identities", "chain_tol"),
+                                ("metrics", "identity_tol")])
+    def test_retired_key_rejected_by_name(self, suite, key, monkeypatch):
+        # rejected before the suite is even set up
+        monkeypatch.setitem(suites._SUITES, suite, (lambda config: pytest.fail("set up"),) + suites._SUITES[suite][1:])
+        message = f"{suite} takes no budgets keys ['{key}']; it reads {_BUDGETS_READ[suite]}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_suite(CampaignConfig(suite=suite, trials=1, budgets={key: -1}))
+
+    def test_faked_violation_config_fails_before_any_row(self, tmp_path, capsys, monkeypatch):
+        # verdict_tol = -1 once turned all 630 default thm1 rows into VIOLATIONs
+        from chanbound import bounds
+
+        monkeypatch.setattr(bounds, "erasure_family", lambda *a, **k: pytest.fail("a row was computed"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suite": "thm1", "budgets": {"verdict_tol": -1}}))
+        assert cli_main(["verify", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: thm1 takes no budgets keys ['verdict_tol']; it reads []\n"
+
+    def test_thm2_energy_names_the_oscillator_alone(self):
+        grid = {"e_grid": [2.0, 5.0], "x_grid": [0.01]}
+        trunc20 = run_suite(CampaignConfig(suite="thm2", dims=grid, energy={"kind": "oscillator", "truncation": 20}))
+        trunc40 = run_suite(CampaignConfig(suite="thm2", dims=grid, energy={"kind": "oscillator", "truncation": 40}))
+        assert trunc40.verdicts == run_suite(CampaignConfig(suite="thm2", dims=grid)).verdicts
+        assert trunc20.summary["pass"] == trunc20.summary["total"] == trunc40.summary["total"] == 30
+        for v20, v40 in zip(trunc20.verdicts, trunc40.verdicts):
+            assert (v20.bound_name, v20.certificates["E"]) == (v40.bound_name, v40.certificates["E"])
+            assert v20.certificates["M"] != v40.certificates["M"]
+
+    @pytest.mark.parametrize("energy, message", [
+        ({"kind": "oscillator", "truncation": 20, "E": 5}, "unknown oscillator energy keys: ['E']"),
+        ({"E": 5}, "unknown oscillator energy keys: ['E']"),
+        ({"kind": "spectrum", "eigenvalues": [0, 1, 2], "E": 1.0}, "thm2 runs on oscillator input systems"),
+    ])
+    def test_thm2_rejects_e_and_spectra(self, energy, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_suite(CampaignConfig(suite="thm2", energy=energy))
+
+    @pytest.mark.parametrize("energy, p_r, message", [
+        (None, 0.9, "prop8 reads budgets key 'p_r' only on oscillator input systems; a spectrum takes T"),
+        ({"kind": "spectrum", "eigenvalues": [0, 1, 2], "E": 0.6}, 0.5,
+         "prop8 reads budgets key 'p_r' only on oscillator input systems; a spectrum takes T"),
+        ({"kind": "oscillator", "truncation": 6, "E": 1.2}, 7, "r = 7.0 outside (0, 1]"),
+        ({"kind": "oscillator", "truncation": 6, "E": 1.2}, 0.0, "r = 0.0 outside (0, 1]"),
+    ])
+    def test_prop8_p_r_checked_at_setup(self, energy, p_r, message, monkeypatch):
+        monkeypatch.setattr(suites, "channel_bures_bracket", lambda *a, **k: pytest.fail("a trial ran"))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_suite(CampaignConfig(suite="prop8", trials=1, energy=energy, budgets={"p_r": p_r}))
 
 
 class TestConfigIntegers:
@@ -465,6 +538,7 @@ GOLDEN_TRIALS = {
 }
 
 
+@pytest.mark.two_blas_threads
 def test_golden_reports(tmp_path):
     """Every suite reproduces its committed seed-7 report.
 
@@ -627,6 +701,10 @@ class TestCLI:
         ("prop3", "eps=0,E_bar=-1", "shifted energy -1.0 must be finite and >= 0"),
         ("prop3", "eps=0.1,E_bar=-1", "shifted energy -1.0 must be finite and >= 0"),
         ("prop3", "eps=0.1,E_bar=-1,pure=1", "shifted energy -1.0 must be finite and >= 0"),
+        ("lemma4_energy", "eps=0,E=-1", "energy -1.0 must be finite and >= 0"),
+        ("lemma4_energy", "eps=0.1,E=-1", "energy -1.0 must be finite and >= 0"),
+        ("lemma4_pure", "eps=0,E=-1", "energy -1.0 must be finite and >= 0"),
+        ("lemma4_pure", "eps=0.1,E=-1", "energy -1.0 must be finite and >= 0"),
         ("prop7", "eps=0,E_bar=-1", "shifted energy -1.0 must be finite and >= 0"),
         ("prop7", "eps=0.1,E_bar=-1", "shifted energy -1.0 must be finite and >= 0"),
         ("p_r", "eps=0.1,E=5,omega=1:x", "omega = 1:x must be numbers separated by ':'"),

@@ -549,6 +549,7 @@ class TestConstrainedMinimum:
         assert np.einsum("ij,ji->", h_mat, rho).real <= 1.0 + 1e-12
         assert abs(np.einsum("ij,ji->", m, rho).real - dual) <= 1e-12
 
+    @pytest.mark.two_blas_threads
     @pytest.mark.parametrize("rotated", [False, True])
     def test_level_crossing_takes_one_cut(self, rotated, monkeypatch):
         # mu = 0 and mu = 1 bracket the crossing of the levels 2 mu and 1, and their
@@ -564,6 +565,7 @@ class TestConstrainedMinimum:
         assert len(calls) == 3
         assert abs(mu - 0.5) <= 1e-12
 
+    @pytest.mark.two_blas_threads
     @pytest.mark.parametrize("suite, most", [("prop5", 140), ("prop8", 108)])
     def test_capped_brackets_eval_count(self, suite, most, monkeypatch):
         # the default capped systems at seed 7, one trial each: 216 and 113 evaluations
@@ -574,6 +576,7 @@ class TestConstrainedMinimum:
         run_suite(CampaignConfig(suite=suite, trials=1, seed=7))
         assert 0 < len(calls) <= most
 
+    @pytest.mark.two_blas_threads
     @pytest.mark.parametrize("tracker", [metrics._SaddleTracker, metrics._DiamondTracker])
     def test_multiplier_reproducible_across_parent_loop(self, tracker):
         # the capped pairs of `test_factor_reuse_matches_parent_loop`: contractions that differ
@@ -693,6 +696,7 @@ class TestTrackerShortcuts:
             assert len(got) == len(ref)
             assert all(np.array_equal(g, r) for g, r in zip(got, ref))
 
+    @pytest.mark.two_blas_threads
     @pytest.mark.parametrize("tracker, capped", _TRACKERS)
     @pytest.mark.parametrize("d_a", [2, 3, 6])
     def test_fused_barrier_matches_block_sum(self, tracker, capped, d_a):
@@ -763,6 +767,7 @@ class TestTrackerShortcuts:
         assert all(n == n_blocks for n, accepted in step_tests if accepted)
         assert all(n <= n_blocks for n, _ in step_tests)
 
+    @pytest.mark.two_blas_threads
     @pytest.mark.parametrize("tracker, capped", _TRACKERS)
     def test_factor_reuse_matches_parent_loop(self, tracker, capped):
         # one factor of the block-diagonal F, kept from the step test, follows the same
@@ -805,6 +810,7 @@ class TestTrackerShortcuts:
         assert checked >= 50
 
 
+@pytest.mark.two_blas_threads
 class TestDiamond:
     def test_identical_channels(self):
         ch = random_channel(2, 2, 2, seed=8)
@@ -1033,6 +1039,7 @@ class TestBruteForceOracle:
         ref = _spectral_output_bures(w_phi, w_psi, vecs, 2, 4, 4, 2)
         assert np.max(np.abs(got - ref)) <= 1e-12
 
+    @pytest.mark.two_blas_threads
     @pytest.mark.parametrize("samples, chunk", [(4000, 20_000), (4000, 700), (100_000, 20_000), (100_000, 15_000)])
     def test_in_place_draws_match_parent_oracle(self, samples, chunk):
         # the in-place draws and the normalisation by 1 / norm give the same bits; a ragged
@@ -1042,6 +1049,7 @@ class TestBruteForceOracle:
             got = bures_sup_bruteforce(phi, psi, samples=samples, seed=3, chunk=chunk)
             assert got == _parent_bruteforce(phi, psi, samples, 3, chunk)
 
+    @pytest.mark.two_blas_threads
     @pytest.mark.parametrize("dims, d_e2", [((2, 2, 2), 2), ((2, 2, 2), 3), ((2, 3, 3), 2), ((3, 2, 4), 4),
                                             ((2, 2, 1), 2), ((3, 3, 2), 5)])
     def test_sample_axis_last_matches_sample_first_bits(self, dims, d_e2):

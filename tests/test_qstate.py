@@ -28,6 +28,8 @@ from chanbound.qstate import (
 from chanbound import qstate
 from conftest import random_hermitian
 
+pytestmark = pytest.mark.two_blas_threads
+
 
 def bell_state(layout):
     vec = np.zeros(4, dtype=complex)
