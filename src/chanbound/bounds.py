@@ -54,11 +54,19 @@ def check_integer(value, name: str) -> int:
     if isinstance(value, numbers.Integral):  # never converted to float: a huge int need not fit
         return int(value)
     try:
-        if float(value).is_integer():  # not inf or NaN
-            return int(float(value))
+        if float(value).is_integer():  # not inf or NaN; a string of digits is read exactly, however long
+            return int(value if isinstance(value, str) and value.strip().lstrip("+-").isdecimal() else float(value))
     except (TypeError, ValueError):
         pass
     raise ValueError(f"{name} = {value} must be an integer")
+
+
+def check_real(value, name: str) -> float:
+    """float(value), else ValueError naming `name`; NaN and inf pass, for the caller's range rule to name."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} = {value} must be a real number") from None
 
 
 def check_dimension(d, name: str = "d_a") -> int:

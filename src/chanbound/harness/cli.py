@@ -108,94 +108,101 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _parse_params(spec: str) -> dict:
-    params: dict = {}
-    for chunk in spec.split(","):
-        if not chunk:
-            continue
-        key, _, raw = chunk.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if ":" in raw:
+#: eval's aliases: `epsilon` of eps, and `l` and `omega` of the oscillator keys of `parse_oscillator`
+_ALIASES = {"epsilon": "eps", "l": "modes", "omega": "frequencies"}
+
+
+class _Params:
+    """eval's `k=v,...` parameters, strings until a typed read; a read or an `in` test adds its key to `asked`."""
+
+    def __init__(self, spec: str):
+        self.given, self.asked = {}, set()  # key -> (value, key as given)
+        for name, _, raw in (map(str.strip, chunk.partition("=")) for chunk in spec.split(",") if chunk):
+            key = _ALIASES.get(name, name)
+            if key in self.given:
+                first = self.given[key][1]
+                raise ValueError(f"parameter {name!r} given twice" if name == first
+                                 else f"give one of {first if name == key else name} and {key}")
+            self.given[key] = raw, name
+
+    def __contains__(self, key: str) -> bool:
+        self.asked.add(key)
+        return key in self.given
+
+    def _get(self, key: str, default):
+        if key not in self and default is None:
+            raise KeyError(key)
+        return self.given.get(key, (default, key))
+
+    def integer(self, key: str, default=None) -> int:
+        return bnd.check_integer(*self._get(key, default))
+
+    def real(self, key: str, default=None) -> float:
+        return bnd.check_real(*self._get(key, default))
+
+    def flag(self, key: str) -> bool:
+        raw, name = self._get(key, "0")
+        if raw not in ("0", "1"):
+            raise ValueError(f"{name} = {raw} must be 0 or 1")
+        return raw == "1"
+
+    def oscillator(self) -> OscillatorSpec:
+        doc = {key: self.given[key][0] for key in OSCILLATOR_KEYS if key in self}
+        if "frequencies" in doc:  # one value serves every mode, or a list w1:w2:...
+            raw, name = self.given["frequencies"]
             try:
-                params[key] = [float(v) for v in raw.split(":")]
+                doc["frequencies"] = [float(v) for v in raw.split(":")] if ":" in raw else float(raw)
             except ValueError:
-                raise ValueError(f"{key} = {raw} must be numbers separated by ':'") from None
-        else:
-            try:
-                params[key] = int(raw)
-            except ValueError:
-                try:
-                    params[key] = float(raw)
-                except ValueError:
-                    params[key] = raw
-    return params
+                raise ValueError(f"{name} = {raw} must be numbers separated by ':'") from None
+        return parse_oscillator(doc)
 
 
-def _integer(p: dict, key: str, default=None) -> int:
-    """p[key], or `default` when given and the key is absent, through `bounds.check_integer`."""
-    return bnd.check_integer(p[key] if default is None else p.get(key, default), key)
-
-
-#: eval's aliases of the oscillator keys of `parse_oscillator`
-_ALIASES = {"l": "modes", "omega": "frequencies"}
-_OSCILLATOR_PARAMS = OSCILLATOR_KEYS + tuple(_ALIASES)
-
-
-def _oscillator_from(params: dict) -> OscillatorSpec:
-    for alias, key in _ALIASES.items():
-        if alias in params and key in params:
-            raise ValueError(f"give one of {alias} and {key}")
-    return parse_oscillator({_ALIASES.get(k, k): v for k, v in params.items() if k in _OSCILLATOR_PARAMS})
-
-
-def _eval_bound(name: str, p: dict) -> float:
+def _eval_bound(name: str, p: _Params) -> float:
     """The bound `name` at params p; every bound but erasure_gap needs eps (or epsilon)."""
     if name == "erasure_gap":
-        return bnd.erasure_isometry_gap(float(p["x"]))
-    eps = p.get("eps", p.get("epsilon"))
-    if eps is None:
-        raise KeyError("eps")
-    eps = float(eps)
+        return bnd.erasure_isometry_gap(p.real("x"))
+    eps = p.real("eps")
     if name in ("lemma4_finite", "lemma4_qc"):
-        return bnd.lemma4_bound(name.split("_", 1)[1], eps, d=_integer(p, "d"), part_c=bool(p.get("part_c", 0)))
+        return bnd.lemma4_bound(name.split("_", 1)[1], eps, d=p.integer("d"), part_c=p.flag("part_c"))
     if name in ("lemma4_energy", "lemma4_pure"):
-        f_handle = functools.partial(oscillator_f, _oscillator_from(p))
-        return bnd.lemma4_bound(name.split("_", 1)[1], eps, f_handle=f_handle, energy=float(p["E"]),
-                                part_c=bool(p.get("part_c", 0)))
+        f_handle = functools.partial(oscillator_f, p.oscillator())
+        return bnd.lemma4_bound(name.split("_", 1)[1], eps, f_handle=f_handle, energy=p.real("E"),
+                                part_c=p.flag("part_c"))
     if name == "prop2":
-        return bnd.prop2_bound(eps, _integer(p, "d_a"), bool(p.get("same_channel", 0)), bool(p.get("same_state", 0)))
+        return bnd.prop2_bound(eps, p.integer("d_a"), p.flag("same_channel"), p.flag("same_state"))
     if name in ("prop3", "prop7"):
-        spec = _oscillator_from(p)
-        args = (eps, lambda e: oscillator_f(spec, e + spec.ground_energy), float(p["E_bar"]))
-        return bnd.prop3_bound(*args, pure=bool(p.get("pure", 0))) if name == "prop3" else bnd.prop7_bound(*args)
+        spec = p.oscillator()
+        args = (eps, lambda e: oscillator_f(spec, e + spec.ground_energy), p.real("E_bar"))
+        return bnd.prop3_bound(*args, pure=p.flag("pure")) if name == "prop3" else bnd.prop7_bound(*args)
     if name == "prop4":
-        return bnd.prop4_bound(eps, _integer(p, "d_a"), _integer(p, "n", 1))
+        return bnd.prop4_bound(eps, p.integer("d_a"), p.integer("n", 1))
     if name in ("t_st", "prop5", "prop8", "thm2_chi", "thm2_c", "thm2_q", "thm2_pbar", "thm2_p"):
-        t_fn = bnd.t_functional(_oscillator_from(p), float(p["E"]), float(p["r"]) if "r" in p else None,
-                                _integer(p, "d_cap", 10**6))
+        spec, e_cap, r = p.oscillator(), p.real("E"), p.real("r") if "r" in p else None  # P_r reads no t, d_cap
+        t_fn = bnd.t_functional(spec, e_cap, r, p.integer("d_cap", 10**6) if r is None else 10**6)
         if name == "t_st":
-            return t_fn(_integer(p, "t", 0), eps)
+            return t_fn(p.integer("t", 0) if r is None else 0, eps)
         if name == "prop5":
-            return bnd.prop5_bound(eps, _integer(p, "n", 1), functools.partial(t_fn, _integer(p, "t", 0)))
+            return bnd.prop5_bound(eps, p.integer("n", 1), functools.partial(t_fn, p.integer("t", 0) if r is None else 0))
         if name == "prop8":
             return bnd.prop8_bound(eps, functools.partial(t_fn, 0))
         return bnd.theorem2_bound(name.split("_", 1)[1], eps, t_fn)
     if name in ("corollary_osc", "p_r"):
-        spec = _oscillator_from(p)
-        return bnd.p_r(spec, float(p["E"]), eps, float(p.get("r", 1.0)))
+        return bnd.p_r(p.oscillator(), p.real("E"), eps, p.real("r", 1.0))
     if name == "prop6":
-        return bnd.prop6_bound(eps, _integer(p, "d_a"), bool(p.get("same_channel", 0)), bool(p.get("same_ensemble", 0)))
+        return bnd.prop6_bound(eps, p.integer("d_a"), p.flag("same_channel"), p.flag("same_ensemble"))
     if name.startswith("thm1_"):
         cap = name.split("_", 1)[1]
         if "log_d_a" in p:
-            return bnd.theorem1_bound(cap, eps, log_d_a=float(p["log_d_a"]))
-        return bnd.theorem1_bound(cap, eps, d_a=_integer(p, "d_a"))
+            return bnd.theorem1_bound(cap, eps, log_d_a=p.real("log_d_a"))
+        return bnd.theorem1_bound(cap, eps, d_a=p.integer("d_a"))
     raise ValueError(f"unknown bound {name!r}")
 
 
 def _cmd_eval(args) -> int:
-    value = _eval_bound(args.bound, _parse_params(args.params))
+    params = _Params(args.params)
+    value = _eval_bound(args.bound, params)
+    if unread := sorted(name for key, (_, name) in params.given.items() if key not in params.asked):
+        raise ValueError(f"{args.bound} reads no parameters {unread}; it reads {sorted(params.asked)}")
     if args.units == "bits":
         value = value / LOG2
     print(format(value, ".17g"))

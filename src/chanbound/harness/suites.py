@@ -78,8 +78,8 @@ OSCILLATOR_KEYS = ("modes", "frequencies", "hbar", "truncation")
 #: slack of the identities and metrics rows, and of the chain rule's two sums of four entropies
 _EQ_TOL, _CHAIN_TOL = 1e-9, 1e-8
 
-#: budgets that count (Newton steps, oracle samples), held to the integer rule of counts
-_INTEGER_BUDGETS = ("bracket_budget", "brute_samples")
+#: the rule each budget is held to when the config is built: counts (Newton steps, oracle samples) are integers
+_BUDGET_RULES = {"bracket_budget": bnd.check_integer, "brute_samples": bnd.check_integer, "bracket_tol": bnd.check_real}
 
 
 @dataclass
@@ -98,9 +98,11 @@ class CampaignConfig:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         self.dims, self.budgets = dict(self.dims), dict(self.budgets)
-        for key in _INTEGER_BUDGETS:
+        for key, rule in _BUDGET_RULES.items():
             if key in self.budgets:
-                self.budgets[key] = bnd.check_integer(self.budgets[key], key)
+                self.budgets[key] = rule(self.budgets[key], key)
+        if not 0.0 < self.budgets.get("bracket_tol", 1.0) < math.inf:  # NaN fails too
+            raise ValueError(f"bracket_tol = {self.budgets['bracket_tol']} must be finite and > 0")
         self.energy = dict(self.energy) if self.energy else None
 
     def budget(self, key: str, default):
@@ -138,7 +140,7 @@ def parse_oscillator(doc: dict) -> OscillatorSpec:
     return OscillatorSpec(
         modes=modes,
         frequencies=tuple([freqs] * modes if isinstance(freqs, numbers.Real) else freqs),
-        hbar=float(doc.get("hbar", 1.0)),
+        hbar=bnd.check_real(doc.get("hbar", 1.0), "hbar"),
         truncation=bnd.check_integer(doc.get("truncation", 40), "truncation"),
     )
 
@@ -488,7 +490,10 @@ def _prop8_setup(config: CampaignConfig):
     if spec is None and "p_r" in config.budgets:
         raise ValueError("prop8 reads budgets key 'p_r' only on oscillator input systems; a spectrum takes T")
     # an oscillator takes the closed form P_r in place of T
-    t_fn = bnd.t_functional(spec or ham, e_cap, r=float(config.budget("p_r", 0.5)) if spec else None)
+    r = bnd.check_real(config.budget("p_r", 0.5), "p_r")
+    t_fn = bnd.t_functional(spec or ham, e_cap, r=r if spec else None)
+    if spec and math.sqrt(2.0) * r > 1.0 + 1e-12:  # `p_r`'s domain eps * r <= 1 at a bracket end's sqrt(2)
+        raise ValueError(f"prop8's p_r = {r} must be <= 1/sqrt(2): its epsilon reaches sqrt(2) and P_r needs eps * r <= 1")
     cap = EnergyCap(ham, e_cap)
     mu = Generators.for_trial(config.seed, _FIXED_TRIAL).ensemble(cap.layout, config.dim("ensemble_size", 3), cap)
     return _pair_setup(config, ham.dim, 3, mu=mu, cap=cap,

@@ -8,6 +8,7 @@ import pytest
 from chanbound.bounds import (
     CAPACITIES,
     check_integer,
+    check_real,
     erasure_capacities,
     erasure_delta,
     erasure_isometry_gap,
@@ -381,6 +382,19 @@ class TestCountsAndDimensions:
     def test_check_integer_names_every_bad_value(self, value):
         with pytest.raises(ValueError, match=f"^n = {re.escape(str(value))} must be an integer$"):
             check_integer(value, "n")
+
+    @pytest.mark.parametrize("value, want", [
+        ("9007199254740993", 2**53 + 1), ("-9007199254740993", -(2**53 + 1)), (" +12 ", 12),
+        ("2.0", 2), ("1e3", 1000), (2**70 + 1, 2**70 + 1), (4.0, 4),
+    ])
+    def test_check_integer_reads_a_string_of_digits_exactly(self, value, want):
+        # a string of digits never passes through a float, which would round it above 2**53
+        assert check_integer(value, "n") == want
+
+    @pytest.mark.parametrize("value", [None, "x", "", [2], "1:2"])
+    def test_check_real_names_every_bad_value(self, value):
+        with pytest.raises(ValueError, match=f"^tol = {re.escape(str(value))} must be a real number$"):
+            check_real(value, "tol")
 
     def test_non_numbers_are_named(self):
         # a value that is no real number goes through `check_integer` before the >= 1 test

@@ -305,11 +305,20 @@ class TestRetiredKeys:
          "prop8 reads budgets key 'p_r' only on oscillator input systems; a spectrum takes T"),
         ({"kind": "oscillator", "truncation": 6, "E": 1.2}, 7, "r = 7.0 outside (0, 1]"),
         ({"kind": "oscillator", "truncation": 6, "E": 1.2}, 0.0, "r = 0.0 outside (0, 1]"),
+        # a Bures bracket end reaches sqrt(2), and P_r needs eps * r <= 1
+        ({"kind": "oscillator", "truncation": 6, "E": 1.2}, 0.9,
+         "prop8's p_r = 0.9 must be <= 1/sqrt(2): its epsilon reaches sqrt(2) and P_r needs eps * r <= 1"),
     ])
     def test_prop8_p_r_checked_at_setup(self, energy, p_r, message, monkeypatch):
         monkeypatch.setattr(suites, "channel_bures_bracket", lambda *a, **k: pytest.fail("a trial ran"))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_suite(CampaignConfig(suite="prop8", trials=1, energy=energy, budgets={"p_r": p_r}))
+
+    def test_prop8_p_r_at_its_limit_runs(self):
+        # r = 1/sqrt(2) keeps eps * r <= 1 up to a bracket end of sqrt(2)
+        energy = {"kind": "oscillator", "truncation": 6, "E": 1.2}
+        rep = run_suite(CampaignConfig(suite="prop8", trials=20, energy=energy, budgets={"p_r": math.sqrt(0.5)}))
+        assert rep.summary["pass"] == rep.summary["total"] == 20
 
 
 class TestConfigIntegers:
@@ -358,6 +367,21 @@ class TestConfigIntegers:
         # rejected with the key's name before any trial runs, not deep in the oracle
         with pytest.raises(ValueError, match=f"^{message}$"):
             config_from_dict({"suite": "metrics", "trials": 1, "budgets": budgets})
+
+    @pytest.mark.parametrize("tol, message", [
+        ("x", "bracket_tol = x must be a real number"),
+        (math.nan, "bracket_tol = nan must be finite and > 0"),
+        (-1, "bracket_tol = -1.0 must be finite and > 0"),
+        (0, "bracket_tol = 0.0 must be finite and > 0"),
+    ])
+    def test_bracket_tol_checked_before_setup(self, tmp_path, capsys, monkeypatch, tol, message):
+        # NaN or -1 once ran every bracket to the barrier gap, and "x" failed inside one, naming no key
+        monkeypatch.setitem(suites._SUITES, "prop4", (lambda config: pytest.fail("set up"),) + suites._SUITES["prop4"][1:])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suite": "prop4", "trials": 2, "budgets": {"bracket_tol": tol}}))
+        assert cli_main(["verify", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
 
     def test_integral_float_budgets_run_as_integers(self):
         config = config_from_dict({"suite": "metrics", "budgets": {"bracket_budget": 40.0, "brute_samples": 400.0}})
@@ -565,6 +589,54 @@ def test_golden_reports(tmp_path):
                 assert x == y or abs(x - y) <= 1e-9 * max(1.0, abs(y)), where
 
 
+# (bound, params, units) of every `chanbound eval` line in README.md and the CI workflow ->
+# (exit code, stdout or the stderr line) as printed before the parameters were read one by one
+_DOC_EVAL_LINES = {
+    ("thm1_q", "eps=0.05,d_a=1024", "nats"): (0, "0.96347818467154311\n"),
+    ("p_r", "eps=0.1,E=5,r=1,l=1,omega=1.0", "bits"): (0, "8.5798191592890767\n"),
+    ("prop2", "eps=1e-13,d_a=2", "nats"): (0, "6.4639801140085078e-12\n"),
+    ("prop5", "eps=0.1,E=1.2,n=2", "nats"): (0, "6.0986444072175914\n"),
+    ("t_st", "eps=0.1,E=1.2", "nats"): (0, "2.5755930604126447\n"),
+    ("t_st", "eps=0.001,E=1.2,truncation=6", "nats"): (0, "0.14572210649755474\n"),
+    ("lemma4_energy", "eps=0,E=-1", "nats"): (1, "error: energy -1.0 must be finite and >= 0\n"),
+    ("p_r", "eps=0,E=nan", "nats"): (1, "error: energy nan must be finite and >= the ground energy 0.5\n"),
+    ("p_r", "eps=0.1,E=5,omega=1:x", "nats"): (1, "error: omega = 1:x must be numbers separated by ':'\n"),
+    ("p_r", "eps=0.1,E=nan", "nats"): (1, "error: energy nan must be finite and >= the ground energy 0.5\n"),
+    ("prop2", "d_a=2", "nats"): (1, "error: missing parameter 'eps'\n"),
+    ("prop3", "eps=0,E_bar=-1", "nats"): (1, "error: shifted energy -1.0 must be finite and >= 0\n"),
+    ("prop3", "eps=0,E_bar=nan", "nats"): (1, "error: shifted energy nan must be finite and >= 0\n"),
+    ("prop4", "eps=0.1,d_a=2,n=2.5", "nats"): (1, "error: n = 2.5 must be an integer\n"),
+    ("prop5", "eps=0.1,E=1.2,n=-1", "nats"): (1, "error: n = -1 must be >= 1\n"),
+    ("prop7", "eps=0.1,E_bar=-1", "nats"): (1, "error: shifted energy -1.0 must be finite and >= 0\n"),
+    ("thm1_q", "eps=0.1,log_d_a=nan", "nats"): (1, "error: log_d_a = nan must be finite and >= 0\n"),
+}
+
+# (bound, params, stderr line) of calls that once printed a bound other than the one asked for, and exited 0
+_MISREAD_PARAMS = [
+    # a misspelt or foreign key changed nothing, and a flag was read by truthiness
+    ("prop2", "eps=0.1,d_a=2,same_chanel=1",
+     "prop2 reads no parameters ['same_chanel']; it reads ['d_a', 'eps', 'same_channel', 'same_state']"),
+    ("prop2", "eps=0.1,d_a=2,same_channel=no", "same_channel = no must be 0 or 1"),
+    ("prop2", "eps=0.1,d_a=2,same_channel=2", "same_channel = 2 must be 0 or 1"),
+    ("lemma4_finite", "eps=0.1,d=4,part_c=false", "part_c = false must be 0 or 1"),
+    ("thm2_q", "eps=0.1,E=5,R=0.3", "thm2_q reads no parameters ['R']; it reads "
+     "['E', 'd_cap', 'eps', 'frequencies', 'hbar', 'modes', 'r', 'truncation']"),
+    # P_r at r reads no d_cap and no t
+    ("thm2_q", "eps=0.1,E=5,r=0.3,d_cap=5", "thm2_q reads no parameters ['d_cap']; it reads "
+     "['E', 'eps', 'frequencies', 'hbar', 'modes', 'r', 'truncation']"),
+    ("prop5", "eps=0.1,E=1.2,r=0.5,t=1", "prop5 reads no parameters ['t']; it reads "
+     "['E', 'eps', 'frequencies', 'hbar', 'modes', 'n', 'r', 'truncation']"),
+    ("thm1_q", "eps=0.05,d_a=1024,log_d_a=3", "thm1_q reads no parameters ['d_a']; it reads ['eps', 'log_d_a']"),
+    ("erasure_gap", "x=0.05,eps=0.3", "erasure_gap reads no parameters ['eps']; it reads ['x']"),
+    ("p_r", "eps=0.1,E=5,d_cap=3,n=7", "p_r reads no parameters ['d_cap', 'n']; it reads "
+     "['E', 'eps', 'frequencies', 'hbar', 'modes', 'r', 'truncation']"),
+    # the last value of a repeated key, or of eps and its alias, won
+    ("prop2", "eps=0.1,eps=0.2,d_a=2", "parameter 'eps' given twice"),
+    ("prop2", "eps=0.1,epsilon=0.2,d_a=2", "give one of epsilon and eps"),
+    ("prop2", "epsilon=0.1,d_a=2,eps=0.2", "give one of epsilon and eps"),
+]
+
+
 class TestCLI:
     def test_verify_and_report_round_trip(self, tmp_path, capsys):
         out = tmp_path / "rep.json"
@@ -709,6 +781,8 @@ class TestCLI:
         ("prop7", "eps=0.1,E_bar=-1", "shifted energy -1.0 must be finite and >= 0"),
         ("p_r", "eps=0.1,E=5,omega=1:x", "omega = 1:x must be numbers separated by ':'"),
         ("p_r", "eps=0.1,E=5,modes=2,frequencies=1:", "frequencies = 1: must be numbers separated by ':'"),
+        ("p_r", "eps=0.1,E=x", "E = x must be a real number"),
+        ("p_r", "eps=0.1,E=5,hbar=x", "hbar = x must be a real number"),
     ])
     def test_eval_bad_energy_or_list_names_the_key(self, capsys, bound, params, message):
         assert cli_main(["eval", "--bound", bound, "--params", params]) == 1
@@ -726,6 +800,27 @@ class TestCLI:
             assert cli_main(["eval", "--bound", "p_r", "--params", f"eps=0.1,E=5,{osc}"]) == 1
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("bound, params, message", _MISREAD_PARAMS)
+    def test_eval_reads_each_parameter_once_and_typed(self, capsys, bound, params, message):
+        assert cli_main(["eval", "--bound", bound, "--params", params]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    def test_eval_lines_of_the_docs_print_what_they_did(self, capsys):
+        """Every other `chanbound eval` line of README.md and the CI workflow prints what it printed
+        before the parameters were read one by one: the same stdout, or for a rejected call the same error."""
+        root = Path(__file__).parents[1]
+        lines = set()
+        for doc in (root / "README.md", root / ".github" / "workflows" / "tier1.yml"):
+            for m in re.finditer(r"chanbound eval +--bound (\S+) --params ([^\s;)]+)( --units (\w+))?", doc.read_text()):
+                lines.add((m[1], m[2], m[4] or "nats"))
+        # the rest are rejected calls that `test_eval_reads_each_parameter_once_and_typed` checks
+        assert lines - {(bound, params, "nats") for bound, params, _ in _MISREAD_PARAMS} == set(_DOC_EVAL_LINES)
+        for (bound, params, units), (code, text) in _DOC_EVAL_LINES.items():
+            assert cli_main(["eval", "--bound", bound, "--params", params, "--units", units]) == code
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ((text, "") if code == 0 else ("", text)), (bound, params)
 
     def test_eval_integral_float_parameter_is_the_integer(self, capsys):
         assert cli_main(["eval", "--bound", "prop4", "--params", "eps=0.1,d_a=2.0,n=2.0"]) == 0
