@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -78,9 +77,6 @@ OSCILLATOR_KEYS = ("modes", "frequencies", "hbar", "truncation")
 #: slack of the identities and metrics rows, and of the chain rule's two sums of four entropies
 _EQ_TOL, _CHAIN_TOL = 1e-9, 1e-8
 
-#: the rule each budget is held to when the config is built: counts (Newton steps, oracle samples) are integers
-_BUDGET_RULES = {"bracket_budget": bnd.check_integer, "brute_samples": bnd.check_integer, "bracket_tol": bnd.check_real}
-
 
 @dataclass
 class CampaignConfig:
@@ -98,11 +94,6 @@ class CampaignConfig:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         self.dims, self.budgets = dict(self.dims), dict(self.budgets)
-        for key, rule in _BUDGET_RULES.items():
-            if key in self.budgets:
-                self.budgets[key] = rule(self.budgets[key], key)
-        if not 0.0 < self.budgets.get("bracket_tol", 1.0) < math.inf:  # NaN fails too
-            raise ValueError(f"bracket_tol = {self.budgets['bracket_tol']} must be finite and > 0")
         self.energy = dict(self.energy) if self.energy else None
 
     def budget(self, key: str, default):
@@ -122,6 +113,13 @@ def _reject_unknown(doc: dict, keys, what: str):
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
 
 
+def checked_list(values, name: str, rule=bnd.check_real) -> list:
+    """Each entry of the list `values` through `rule`, naming `name`: a grid must be a list."""
+    if not isinstance(values, list):
+        raise ValueError(f"{name} = {values} must be a list")
+    return [rule(v, name) for v in values]
+
+
 def config_from_dict(doc: dict) -> CampaignConfig:
     _reject_unknown(doc, [f.name for f in dataclasses.fields(CampaignConfig)], "config")
     return CampaignConfig(**doc)
@@ -139,7 +137,7 @@ def parse_oscillator(doc: dict) -> OscillatorSpec:
     freqs = doc.get("frequencies", 1.0)
     return OscillatorSpec(
         modes=modes,
-        frequencies=tuple([freqs] * modes if isinstance(freqs, numbers.Real) else freqs),
+        frequencies=tuple(checked_list(freqs if isinstance(freqs, list) else [freqs] * modes, "frequencies")),
         hbar=bnd.check_real(doc.get("hbar", 1.0), "hbar"),
         truncation=bnd.check_integer(doc.get("truncation", 40), "truncation"),
     )
@@ -150,11 +148,11 @@ def parse_energy(doc: dict):
     kind = doc.get("kind", "oscillator")
     system = {k: v for k, v in doc.items() if k not in ("kind", "E")}
     if kind == "oscillator":
-        return parse_oscillator(system), float(doc["E"])
+        return parse_oscillator(system), bnd.check_real(doc["E"], "E")
     if kind != "spectrum":
         raise ValueError(f"unknown energy kind {kind!r}")
     _reject_unknown(system, ("eigenvalues",), "spectrum energy")
-    return Hamiltonian(np.asarray(doc["eigenvalues"], dtype=float)), float(doc["E"])
+    return Hamiltonian(np.asarray(checked_list(doc["eigenvalues"], "eigenvalues"))), bnd.check_real(doc["E"], "E")
 
 
 @dataclass(frozen=True)
@@ -201,18 +199,17 @@ def _le(name: str, value: float, cap: float):
     return name, value, 0.0, cap, {}
 
 
-def _bracketed(config: CampaignConfig, phi, psi, kind: str, cap=None):
-    """(Energy-constrained) Bures bracket of a channel pair at the campaign's
-    bracket budget and tolerance, and the certificate every bracketed row carries."""
-    br = channel_bures_bracket(phi, psi, cap, budget=config.budget("bracket_budget", 500),
-                               tol=config.budget("bracket_tol", 1e-6))
+def _bracketed(phi, psi, kind: str, cap=None):
+    """(Energy-constrained) Bures bracket of a channel pair at the library's budget
+    and tolerance, and the certificate every bracketed row carries."""
+    br = channel_bures_bracket(phi, psi, cap)
     return br, {"epsilon_kind": kind, "beta_lower": br.lower, "beta_upper": br.upper,
                 "width": br.width, "converged": br.converged}
 
 
 def _pair_setup(config: CampaignConfig, d_a: int, d_b: int, **parts):
     """Fixed parts of a suite that draws channel pairs of dims (d_a, d_b, d_e)."""
-    return SimpleNamespace(config=config, dims=(d_a, config.dim("d_b", d_b), config.dim("d_e", 2)), **parts)
+    return SimpleNamespace(suite=config.suite, dims=(d_a, config.dim("d_b", d_b), config.dim("d_e", 2)), **parts)
 
 
 def _channel_pair(gen: Generators, dims: tuple, same: bool = False):
@@ -221,11 +218,11 @@ def _channel_pair(gen: Generators, dims: tuple, same: bool = False):
     return phi, phi if same else gen.channel(*dims)
 
 
-def _channel_variation(config, name, pair, value, rhs_at, cap=None, **certs):
+def _channel_variation(name, pair, value, rhs_at, cap=None, **certs):
     """Row for one input under a channel pair: lhs |value(phi) - value(psi)|,
     epsilon the pair's (energy-constrained) Bures bracket."""
     kind = "bures_bracket" if cap is None else "energy_constrained_bures_bracket"
-    br, bracket_certs = _bracketed(config, *pair, kind, cap)
+    br, bracket_certs = _bracketed(*pair, kind, cap)
     lhs = abs(value(pair[0]) - value(pair[1]))
     return name, lhs, (br.lower, br.upper), rhs_at, {**bracket_certs, **certs}
 
@@ -282,8 +279,7 @@ def _lemma4_setup(config: CampaignConfig):
     """trial % 4 -> (input pair, checks); a check is (bound name, variant, arguments)."""
     layout = _qubits("ABCDR")
     layout_adf = SystemLayout([("A", 2), ("D", 2), ("B", 2), ("C", 2), ("R", 2)])
-    e_cap = float(config.budget("lemma4_energy", 1.0))
-    ham_star = Hamiltonian(np.arange(4.0))
+    e_cap, ham_star = 1.0, Hamiltonian(np.arange(4.0))
     # H_* acts on A and D together, as one 4-level system
     cap = EnergyCap(ham_star, e_cap, SystemLayout([("AD", 4), ("B", 2), ("C", 2), ("R", 2)]), "AD")
     finite = {"d": 4}
@@ -366,10 +362,10 @@ def _joint_variation(c, gen: Generators, trial: int):
     eps = 0.0 if same_input else c.metric(x, y)
     certs = {"epsilon_kind": c.eps_kinds[0]}
     if not same_channel:
-        br, certs = _bracketed(c.config, phi, psi, c.eps_kinds[1])
+        br, certs = _bracketed(phi, psi, c.eps_kinds[1])
         eps = (eps + br.lower, eps + br.upper)
     lhs = abs(c.output(phi, x) - c.output(psi, y))
-    return [(c.config.suite, lhs, eps, lambda e: c.bound(e, c.dims[0], same_channel, same_input), certs)]
+    return [(c.suite, lhs, eps, lambda e: c.bound(e, c.dims[0], same_channel, same_input), certs)]
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +441,7 @@ def _prop4_draw(c, gen: Generators, trial: int):
     _, layout = _n_copy_layout(n, c.dims[0])
     pair = _channel_pair(gen, c.dims)
     rho = gen.density(layout)
-    return [_channel_variation(c.config, f"prop4_n{n}", pair, lambda ch: _n_copy_cmi(ch, n, rho),
+    return [_channel_variation(f"prop4_n{n}", pair, lambda ch: _n_copy_cmi(ch, n, rho),
                                lambda eps: bnd.prop4_bound(eps, c.dims[0], n))]
 
 
@@ -479,7 +475,7 @@ def _prop5_draw(c, gen: Generators, trial: int):
         energies = _copy_energies(rho, labels, c.cap)
     t_flag = 0 if all(e <= e_cap + 1e-9 for e in energies) else 1
     return [_channel_variation(
-        c.config, f"prop5_n{n}_t{t_flag}", _channel_pair(gen, c.dims), lambda ch: _n_copy_cmi(ch, n, rho),
+        f"prop5_n{n}_t{t_flag}", _channel_pair(gen, c.dims), lambda ch: _n_copy_cmi(ch, n, rho),
         lambda eps: bnd.prop5_bound(eps, n, functools.partial(c.t_fn, t_flag)), c.cap,
         per_copy_energies=energies, **c.certs,
     )]
@@ -501,7 +497,7 @@ def _prop8_setup(config: CampaignConfig):
 
 
 def _prop8_draw(c, gen: Generators, trial: int):
-    return [_channel_variation(c.config, "prop8", _channel_pair(gen, c.dims),
+    return [_channel_variation("prop8", _channel_pair(gen, c.dims),
                                lambda ch: _output_holevo(ch, c.mu), c.rhs_at, c.cap)]
 
 
@@ -516,11 +512,11 @@ def _erasure_rows(suite: str, x, m_scale: float, bound_at, certs: dict):
 
 
 def _thm1_grid(config: CampaignConfig):
-    for d in config.dims.get("d_grid", list(range(2, 65))):
-        d = bnd.check_dimension(d, "d_grid")
-        for x in config.dims.get("x_grid", [0.01, 0.05]):
+    x_grid = checked_list(config.dims.get("x_grid", [0.01, 0.05]), "x_grid")
+    for d in checked_list(config.dims.get("d_grid", list(range(2, 65))), "d_grid", bnd.check_dimension):
+        for x in x_grid:
             yield from _erasure_rows("thm1", x, math.log(d), functools.partial(bnd.theorem1_bound, d_a=d),
-                                     {"d": d, "x": float(x)})
+                                     {"d": d, "x": x})
 
 
 def _thm2_grid(config: CampaignConfig):
@@ -529,14 +525,15 @@ def _thm2_grid(config: CampaignConfig):
         raise ValueError("thm2 runs on oscillator input systems")
     spec = parse_oscillator(system)
     ham = spec.to_hamiltonian()
-    for e_cap in config.dims.get("e_grid", [2.0, 5.0, 10.0]):
+    x_grid = checked_list(config.dims.get("x_grid", [0.01, 0.05]), "x_grid")
+    for e_cap in checked_list(config.dims.get("e_grid", [2.0, 5.0, 10.0]), "e_grid"):
         m_scale, tail_warned = _tail_probe(f_h, ham, e_cap)
-        r_values = config.dims.get("r_grid", [1.0, 0.3, 1.0 / oscillator_f(spec, e_cap)])
-        for x in config.dims.get("x_grid", [0.01, 0.05]):
+        r_values = checked_list(config.dims.get("r_grid", [1.0, 0.3, 1.0 / oscillator_f(spec, e_cap)]), "r_grid")
+        for x in x_grid:
             for r in r_values:
                 bound_at = functools.partial(bnd.theorem2_bound, t_fn=bnd.t_functional(spec, e_cap, r=r))
                 yield from _erasure_rows("thm2", x, m_scale, bound_at, {
-                    "E": float(e_cap), "x": float(x), "r": float(r), "M": m_scale, "tail_warned": tail_warned})
+                    "E": e_cap, "x": x, "r": r, "M": m_scale, "tail_warned": tail_warned})
 
 
 # ---------------------------------------------------------------------------
@@ -545,13 +542,13 @@ def _thm2_grid(config: CampaignConfig):
 
 def _identities_setup(config: CampaignConfig):
     """One Hamiltonian per campaign (its `gammas` array is cached on the object),
-    and the truncation rows' cap for each kept rank d_keep: the truncation
-    energy, lowered to E_0 + 0.9 gamma(d_keep) where that exceeds gamma(d_keep)."""
+    and the truncation rows' cap for each kept rank d_keep: E = 1.2, lowered
+    to E_0 + 0.9 gamma(d_keep) where that exceeds gamma(d_keep)."""
     ham = Hamiltonian(np.arange(8.0))
     layout = SystemLayout([("A", ham.dim), ("B", 4)])
     caps = {}
     for d_keep in (2, 4):
-        gam, e_cap = gamma(ham, d_keep), float(config.budget("truncation_energy", 1.2))
+        gam, e_cap = gamma(ham, d_keep), 1.2
         if gam < e_cap - ham.ground_energy:
             e_cap = ham.ground_energy + 0.9 * gam
         caps[d_keep] = (EnergyCap(ham, e_cap, layout, "A"), gam)
@@ -638,7 +635,7 @@ def _truncation_rows(gen: Generators, ham: Hamiltonian, d_keep: int, cap: Energy
 # metrics: sandwich relations and bracket certification
 # ---------------------------------------------------------------------------
 
-def _metrics_draw(config: CampaignConfig, gen: Generators, trial: int):
+def _metrics_draw(_, gen: Generators, trial: int):
     lay = SystemLayout([("A", 3)])
     rho, sigma, tau = gen.density(lay), gen.density(lay), gen.density(lay)
     beta = bures_state_distance(rho, sigma)
@@ -657,10 +654,9 @@ def _metrics_draw(config: CampaignConfig, gen: Generators, trial: int):
 
     if trial % 5 == 0:
         phi, psi = _channel_pair(gen, (2, 2, 2))
-        br, _ = _bracketed(config, phi, psi, "bures_bracket")
-        dia = diamond_bracket(phi, psi, budget=config.budget("bracket_budget", 500),
-                              tol=config.budget("bracket_tol", 1e-6))
-        brute = bures_sup_bruteforce(phi, psi, samples=config.budget("brute_samples", 4000), seed=trial)
+        br, _ = _bracketed(phi, psi, "bures_bracket")
+        dia = diamond_bracket(phi, psi)
+        brute = bures_sup_bruteforce(phi, psi, samples=4000, seed=trial)
         rows += [
             _le("half_diamond_le_beta", 0.5 * dia.lower, br.upper + 1e-6),
             _le("beta_le_sqrt_diamond", br.lower, math.sqrt(dia.upper) + 1e-6),
@@ -669,30 +665,24 @@ def _metrics_draw(config: CampaignConfig, gen: Generators, trial: int):
     return rows
 
 
-def _config_only(config: CampaignConfig) -> CampaignConfig:
-    """Setup of a suite whose only fixed parts are its config's budgets."""
-    return config
-
-
 _PAIR_DIMS = ("d_a", "d_b", "d_e")
-_BRACKET_BUDGETS = ("bracket_budget", "bracket_tol")
 
 # suite -> (setup, draw, dims keys, budgets keys): setup(config) builds the campaign's
 # fixed parts once and draw(fixed, gen, trial) returns the trial's rows; a suite without
 # a draw is a closed-form grid whose setup yields the rows themselves.  The keys are the
 # ones the suite reads; `run_suite` rejects any other.
 _SUITES = {
-    "lemma4": (_lemma4_setup, _lemma4_draw, (), ("lemma4_energy",)),
-    "prop2": (_prop2_setup, _joint_variation, _PAIR_DIMS, _BRACKET_BUDGETS),
+    "lemma4": (_lemma4_setup, _lemma4_draw, (), ()),
+    "prop2": (_prop2_setup, _joint_variation, _PAIR_DIMS, ()),
     "prop3": (_prop3_setup, _prop3_draw, _PAIR_DIMS, ()),
-    "prop4": (_prop4_setup, _prop4_draw, _PAIR_DIMS + ("n",), _BRACKET_BUDGETS),
-    "prop5": (_prop5_setup, _prop5_draw, ("d_b", "d_e"), _BRACKET_BUDGETS),
-    "prop6": (_prop6_setup, _joint_variation, _PAIR_DIMS + ("ensemble_size",), _BRACKET_BUDGETS),
+    "prop4": (_prop4_setup, _prop4_draw, _PAIR_DIMS + ("n",), ()),
+    "prop5": (_prop5_setup, _prop5_draw, ("d_b", "d_e"), ()),
+    "prop6": (_prop6_setup, _joint_variation, _PAIR_DIMS + ("ensemble_size",), ()),
     "prop7": (_prop7_setup, _prop7_draw, ("d_b", "d_e", "ensemble_size"), ()),
-    "prop8": (_prop8_setup, _prop8_draw, ("d_b", "d_e", "ensemble_size"), _BRACKET_BUDGETS + ("p_r",)),
+    "prop8": (_prop8_setup, _prop8_draw, ("d_b", "d_e", "ensemble_size"), ("p_r",)),
     "thm1": (_thm1_grid, None, ("d_grid", "x_grid"), ()),
     "thm2": (_thm2_grid, None, ("e_grid", "x_grid", "r_grid"), ()),
-    "identities": (_identities_setup, _identities_draw, (), ("truncation_energy",)),
-    "metrics": (_config_only, _metrics_draw, (), ("brute_samples",) + _BRACKET_BUDGETS),
+    "identities": (_identities_setup, _identities_draw, (), ()),
+    "metrics": (lambda config: None, _metrics_draw, (), ()),
 }
 SUITE_NAMES = tuple(_SUITES)

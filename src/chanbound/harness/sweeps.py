@@ -12,7 +12,7 @@ import math
 
 from .. import bounds as bnd
 from ..energy import f_h
-from .suites import parse_oscillator
+from .suites import checked_list, parse_oscillator
 from .verdict import SweepRow
 
 FAMILIES = ("erasure_dim", "erasure_energy")
@@ -42,22 +42,23 @@ def _dim_points(grid: dict):
     A `log_d` grid is taken as it is; each entry of a `d` grid must be an
     integer >= 1, as `theorem1_bound(d_a=...)` requires.
     """
-    log_ds = grid["log_d"] if "log_d" in grid else [
-        math.log(bnd.check_dimension(d, "d")) for d in grid.get("d", range(2, 65))]
+    log_ds = checked_list(grid["log_d"], "log_d") if "log_d" in grid else [
+        math.log(d) for d in checked_list(grid.get("d", list(range(2, 65))), "d", bnd.check_dimension)]
+    x_grid = checked_list(grid.get("x", [0.01]), "x")
     for log_d in log_ds:
-        for x in grid.get("x", [0.01]):
-            yield "log_d", float(log_d), float(x), None, float(log_d), functools.partial(
-                bnd.theorem1_bound, log_d_a=float(log_d))
+        for x in x_grid:
+            yield "log_d", log_d, x, None, log_d, functools.partial(bnd.theorem1_bound, log_d_a=log_d)
 
 
 def _energy_points(grid: dict):
     """(variable, value, x, r, M, bound) per point: M = F_H(E) and the Theorem 2 bound with P_r."""
     spec = parse_oscillator(grid.get("oscillator", {}))
     ham = spec.to_hamiltonian()
-    for e_cap in map(float, grid.get("E", [2.0, 5.0, 10.0])):
+    x_grid = checked_list(grid.get("x", [0.01]), "x")
+    for e_cap in checked_list(grid.get("E", [2.0, 5.0, 10.0]), "E"):
         m_scale = f_h(ham, e_cap)
-        r_values = grid.get("r", [1.0 / bnd.oscillator_f(spec, e_cap)])
-        for x in grid.get("x", [0.01]):
-            for r in map(float, r_values):
-                yield "E", e_cap, float(x), r, m_scale, functools.partial(
+        r_values = checked_list(grid.get("r", [1.0 / bnd.oscillator_f(spec, e_cap)]), "r")
+        for x in x_grid:
+            for r in r_values:
+                yield "E", e_cap, x, r, m_scale, functools.partial(
                     bnd.theorem2_bound, t_fn=bnd.t_functional(spec, e_cap, r=r))

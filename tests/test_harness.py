@@ -239,34 +239,55 @@ class TestConfig:
             assert rep.summary["pass"] == rep.summary["total"] == 1
 
 
-# the budgets keys each suite reads: 16 (suite, key) pairs
-_BUDGETS_READ = {
-    "lemma4": ["lemma4_energy"], "prop2": ["bracket_budget", "bracket_tol"], "prop3": [],
-    "prop4": ["bracket_budget", "bracket_tol"], "prop5": ["bracket_budget", "bracket_tol"],
-    "prop6": ["bracket_budget", "bracket_tol"], "prop7": [], "prop8": ["bracket_budget", "bracket_tol", "p_r"],
-    "thm1": [], "thm2": [], "identities": ["truncation_energy"],
-    "metrics": ["bracket_budget", "bracket_tol", "brute_samples"],
-}
+# the one budgets key a suite reads: prop8's r of P_r
+_BUDGETS_READ = {"prop8": ["p_r"]}
+
+# the solver budgets and fixed energies that were once budgets keys, on each suite that read them
+_RETIRED_BUDGETS = ([(suite, key) for suite in ("prop2", "prop4", "prop5", "prop6", "prop8", "metrics")
+                     for key in ("bracket_budget", "bracket_tol")]
+                    + [("metrics", "brute_samples"), ("lemma4", "lemma4_energy"), ("identities", "truncation_energy")])
+
+
+def _setup_must_not_run(monkeypatch, suite):
+    monkeypatch.setitem(suites._SUITES, suite, (lambda config: pytest.fail("set up"),) + suites._SUITES[suite][1:])
 
 
 class TestRetiredKeys:
-    """The verdict's slack and the identities' tolerances are constants, not config keys:
-    a config could set them only to fake a verdict.  thm2's energy object takes no E,
-    which it never read, and prop8 takes p_r only where P_r replaces T."""
+    """The verdict's slack, the identities' tolerances, the solvers' budgets and the fixed
+    energies of lemma4 and the identities are constants, not config keys: a config could set
+    the slack only to fake a verdict, and no caller set the others.  thm2's energy object
+    takes no E, which it never read, and prop8 takes p_r only where P_r replaces T."""
 
-    def test_sixteen_budgets_pairs(self):
-        assert {suite: sorted(row[3]) for suite, row in suites._SUITES.items()} == _BUDGETS_READ
-        assert sum(map(len, _BUDGETS_READ.values())) == 16
+    def test_one_budgets_pair(self):
+        assert {suite: sorted(row[3]) for suite, row in suites._SUITES.items() if row[3]} == _BUDGETS_READ
 
-    @pytest.mark.parametrize("suite, key", [(suite, "verdict_tol") for suite in _BUDGETS_READ]
+    @pytest.mark.parametrize("suite, key", [(suite, "verdict_tol") for suite in suites.SUITE_NAMES]
                              + [("identities", "identity_tol"), ("identities", "chain_tol"),
-                                ("metrics", "identity_tol")])
+                                ("metrics", "identity_tol")] + _RETIRED_BUDGETS)
     def test_retired_key_rejected_by_name(self, suite, key, monkeypatch):
         # rejected before the suite is even set up
-        monkeypatch.setitem(suites._SUITES, suite, (lambda config: pytest.fail("set up"),) + suites._SUITES[suite][1:])
-        message = f"{suite} takes no budgets keys ['{key}']; it reads {_BUDGETS_READ[suite]}"
+        _setup_must_not_run(monkeypatch, suite)
+        message = f"{suite} takes no budgets keys ['{key}']; it reads {_BUDGETS_READ.get(suite, [])}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_suite(CampaignConfig(suite=suite, trials=1, budgets={key: -1}))
+
+    @pytest.mark.parametrize("suite, budgets", [
+        # once held to the integer rule, and integral floats ran as integers
+        ("metrics", {"brute_samples": 4000.5}), ("metrics", {"bracket_budget": 2.5}),
+        ("metrics", {"bracket_budget": 40.0, "brute_samples": 400.0}),
+        # once held to "finite and > 0"
+        ("prop4", {"bracket_tol": "x"}), ("prop4", {"bracket_tol": math.nan}),
+        ("prop4", {"bracket_tol": -1}), ("prop4", {"bracket_tol": 0}),
+    ])
+    def test_retired_budget_rejected_through_verify(self, tmp_path, capsys, monkeypatch, suite, budgets):
+        # whatever its value, a retired key is one error line naming it, before setup
+        _setup_must_not_run(monkeypatch, suite)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suite": suite, "trials": 2, "budgets": budgets}))
+        assert cli_main(["verify", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {suite} takes no budgets keys {sorted(budgets)}; it reads []\n"
 
     def test_faked_violation_config_fails_before_any_row(self, tmp_path, capsys, monkeypatch):
         # verdict_tol = -1 once turned all 630 default thm1 rows into VIOLATIONs
@@ -322,7 +343,8 @@ class TestRetiredKeys:
 
 
 class TestConfigIntegers:
-    """Counts, seeds and dimensions in a campaign config go through `bounds.check_integer`."""
+    """Counts, seeds and dimensions in a campaign config go through `bounds.check_integer`,
+    its other numbers through `bounds.check_real`, and a grid must be a list."""
 
     @pytest.mark.parametrize("doc, message", [
         ({"suite": "prop2", "trials": 2.5}, "trials = 2.5 must be an integer"),
@@ -341,6 +363,19 @@ class TestConfigIntegers:
         ({"suite": "prop2", "trials": 1, "seed": "seven"}, "seed = seven must be an integer"),
         # a d_grid entry is a dimension, held to `bounds.check_dimension`
         ({"suite": "thm1", "dims": {"d_grid": [0]}}, "d_grid = 0 must be >= 1"),
+        # so are real numbers and grids, which once failed with "could not convert string to float"
+        ({"suite": "prop5", "trials": 1, "energy": {"E": "x"}}, "E = x must be a real number"),
+        ({"suite": "prop7", "trials": 1, "energy": {"kind": "spectrum", "eigenvalues": [0, 1], "E": None}},
+         "E = None must be a real number"),
+        ({"suite": "prop5", "trials": 1, "energy": {"E": 1.2, "frequencies": ["x"]}},
+         "frequencies = x must be a real number"),
+        ({"suite": "prop7", "trials": 1, "energy": {"kind": "spectrum", "eigenvalues": [0, "x", 2], "E": 1.0}},
+         "eigenvalues = x must be a real number"),
+        ({"suite": "thm1", "dims": {"x_grid": ["x"]}}, "x_grid = x must be a real number"),
+        ({"suite": "thm1", "dims": {"x_grid": "0.01"}}, "x_grid = 0.01 must be a list"),
+        ({"suite": "thm1", "dims": {"d_grid": 4}}, "d_grid = 4 must be a list"),
+        ({"suite": "thm2", "dims": {"e_grid": ["x"]}}, "e_grid = x must be a real number"),
+        ({"suite": "thm2", "dims": {"r_grid": ["x"]}}, "r_grid = x must be a real number"),
     ])
     def test_fractional_values_rejected(self, doc, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -358,35 +393,6 @@ class TestConfigIntegers:
         assert cli_main(["verify", "--config", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == "error: trials = 2.5 must be an integer\n"
-
-    @pytest.mark.parametrize("budgets, message", [
-        ({"brute_samples": 4000.5}, "brute_samples = 4000.5 must be an integer"),
-        ({"bracket_budget": 2.5}, "bracket_budget = 2.5 must be an integer"),
-    ])
-    def test_fractional_budgets_rejected(self, budgets, message):
-        # rejected with the key's name before any trial runs, not deep in the oracle
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            config_from_dict({"suite": "metrics", "trials": 1, "budgets": budgets})
-
-    @pytest.mark.parametrize("tol, message", [
-        ("x", "bracket_tol = x must be a real number"),
-        (math.nan, "bracket_tol = nan must be finite and > 0"),
-        (-1, "bracket_tol = -1.0 must be finite and > 0"),
-        (0, "bracket_tol = 0.0 must be finite and > 0"),
-    ])
-    def test_bracket_tol_checked_before_setup(self, tmp_path, capsys, monkeypatch, tol, message):
-        # NaN or -1 once ran every bracket to the barrier gap, and "x" failed inside one, naming no key
-        monkeypatch.setitem(suites._SUITES, "prop4", (lambda config: pytest.fail("set up"),) + suites._SUITES["prop4"][1:])
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"suite": "prop4", "trials": 2, "budgets": {"bracket_tol": tol}}))
-        assert cli_main(["verify", "--config", str(cfg)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == f"error: {message}\n"
-
-    def test_integral_float_budgets_run_as_integers(self):
-        config = config_from_dict({"suite": "metrics", "budgets": {"bracket_budget": 40.0, "brute_samples": 400.0}})
-        assert config.budgets == {"bracket_budget": 40, "brute_samples": 400}
-        assert all(type(v) is int for v in config.budgets.values())
 
 
 class TestReports:
@@ -852,7 +858,8 @@ class TestCLI:
 
     @pytest.mark.parametrize("doc, message", [
         ({"suite": "prop2", "trials": 2.5}, "error: trials = 2.5 must be an integer"),
-        ({"suite": "metrics", "budgets": {"bracket_budget": 2.5}}, "error: bracket_budget = 2.5 must be an integer"),
+        ({"suite": "metrics", "budgets": {"bracket_budget": 2.5}},
+         "error: metrics takes no budgets keys ['bracket_budget']; it reads []"),
         ({"suite": "thm1", "dims": {"d_gird": [2]}}, "error: thm1 takes no dims keys ['d_gird']"),
         ({"suite": "prop5", "energy": {"kind": "oscillator"}}, "error: missing config key 'E'"),
         ({"suite": "nope"}, "error: unknown suite 'nope'"),
@@ -882,6 +889,23 @@ class TestCLI:
         assert cli_main(["sweep", "--family", "erasure_dim", "--grid", str(path), "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.splitlines()) == 1 and captured.err.startswith(message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family, grid, message", [
+        ("erasure_energy", {"E": ["x"]}, "E = x must be a real number"),
+        ("erasure_energy", {"r": ["x"]}, "r = x must be a real number"),
+        ("erasure_energy", {"x": ["x"]}, "x = x must be a real number"),
+        ("erasure_dim", {"x": ["x"]}, "x = x must be a real number"),
+        ("erasure_dim", {"log_d": ["x"]}, "log_d = x must be a real number"),
+        ("erasure_dim", {"d": 4}, "d = 4 must be a list"),
+    ])
+    def test_sweep_grid_numbers_name_their_key(self, tmp_path, capsys, family, grid, message):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        out = tmp_path / "rows.csv"
+        assert cli_main(["sweep", "--family", family, "--grid", str(path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("doc, message", [

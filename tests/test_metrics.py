@@ -895,6 +895,34 @@ class TestDiamond:
         assert dia.lower_state_energy <= 0.8 + 1e-12 and dia.converged
 
 
+class TestExactOracles:
+    """Unitary pairs whose channel distances are known exactly: U = I against
+    W = Q diag(e^{i phi}) Q*, phi = linspace(0, w, d), Q a seeded Haar unitary.
+    The eigenvalues of U* W fill the arc [0, w] (w < pi) and its numerical range
+    is their convex hull, at distance nu = cos(w / 2) from 0.  The root fidelity
+    min_rho ||X(rho)||_1 of the Bures bracket is nu, so beta = sqrt(2 (1 - nu)),
+    and the diamond distance is 2 sqrt(1 - nu^2) = 2 sin(w / 2)."""
+
+    W = 2.0
+
+    def _pair(self, d: int):
+        q = Generators(np.random.default_rng(100 + d)).unitary(d)
+        w = q @ np.diag(np.exp(1j * np.linspace(0.0, self.W, d))) @ q.conj().T
+        return StinespringChannel(np.eye(d), d, d, 1), StinespringChannel(w, d, d, 1)
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_bures_bracket_holds_beta(self, d):
+        exact = math.sqrt(2.0 * (1.0 - math.cos(self.W / 2.0)))
+        br = channel_bures_bracket(*self._pair(d))
+        assert br.lower - 1e-12 <= exact <= br.upper + 1e-12 and br.converged
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_diamond_bracket_holds_two_sin(self, d):
+        exact = 2.0 * math.sin(self.W / 2.0)
+        dia = diamond_bracket(*self._pair(d))
+        assert dia.lower - 1e-12 <= exact <= dia.upper + 1e-12 and dia.converged
+
+
 def _spectral_output_bures(w_phi, w_psi, vecs, d_b, d_e1, d_e2, d_r):
     """Output Bures distances through spectral square roots of the output states.
 
