@@ -45,13 +45,14 @@ class TruncationTailWarning(UserWarning):
 class Hamiltonian:
     """Finite spectral representation {E_k}, ascending, with E_0 >= 0.
 
-    The eigenbasis defaults to computational; it only matters when the
-    Hamiltonian is realized as a matrix.  `truncated` marks a finite
-    realization of an infinite spectrum, enabling the Gibbs tail warning.
+    H is diagonal in the computational basis, H = diag(E_k).  That loses
+    nothing: a cap with H = U D U* on a pair (Phi, Psi) is the cap with D
+    on (Phi o U, Psi o U), and every bound reads H only through its
+    spectrum.  `truncated` marks a finite realization of an infinite
+    spectrum, enabling the Gibbs tail warning.
     """
 
     eigenvalues: np.ndarray
-    eigenbasis: Optional[np.ndarray] = None
     truncated: bool = False
 
     def __post_init__(self):
@@ -67,15 +68,6 @@ class Hamiltonian:
         ev = np.clip(ev, 0.0, None)
         ev.setflags(write=False)
         object.__setattr__(self, "eigenvalues", ev)
-        if self.eigenbasis is not None:
-            u = np.asarray(self.eigenbasis, dtype=np.complex128)
-            if u.shape != (ev.size, ev.size):
-                raise QStateError("eigenbasis shape does not match spectrum")
-            if not np.max(np.abs(u.conj().T @ u - np.eye(ev.size))) <= 1e-10:
-                raise QStateError("eigenbasis is not unitary")
-            u = u.copy()
-            u.setflags(write=False)
-            object.__setattr__(self, "eigenbasis", u)
 
     @property
     def dim(self) -> int:
@@ -112,10 +104,7 @@ class Hamiltonian:
         return gams
 
     def to_matrix(self, shift: float = 0.0) -> np.ndarray:
-        diag = np.diag(self.eigenvalues - shift).astype(np.complex128)
-        if self.eigenbasis is None:
-            return diag
-        return self.eigenbasis @ diag @ self.eigenbasis.conj().T
+        return np.diag(self.eigenvalues - shift).astype(np.complex128)
 
 
 def _gibbs_weights(eigenvalues: np.ndarray, lam) -> np.ndarray:
@@ -267,11 +256,7 @@ def _warn_on_tail(h: Hamiltonian, weights: np.ndarray, energies):
 def gibbs_state(h: Hamiltonian, energy: float, label: str = "A") -> DensityMatrix:
     """Gibbs state exp(-lambda H)/Z with mean energy solved to 1e-10, on `gibbs_spectrum`."""
     w = gibbs_spectrum(h, energy)
-    layout = single_factor(label, h.dim)
-    if h.eigenbasis is None:
-        return DensityMatrix(layout, np.diag(w).astype(np.complex128))
-    u = h.eigenbasis
-    return DensityMatrix(layout, (u * w) @ u.conj().T)
+    return DensityMatrix(single_factor(label, h.dim), np.diag(w).astype(np.complex128))
 
 
 def f_h(h: Hamiltonian, energy):
@@ -436,11 +421,7 @@ def ground_product(h: Hamiltonian, layout: SystemLayout, labels: Sequence[str]) 
     """Ground-space projector / d_0 on each factor in `labels`, maximally mixed elsewhere."""
     d0 = h.ground_multiplicity
     ground = np.zeros((h.dim, h.dim), dtype=np.complex128)
-    if h.eigenbasis is None:
-        ground[np.arange(d0), np.arange(d0)] = 1.0 / d0
-    else:
-        u = h.eigenbasis[:, :d0]
-        ground = u @ u.conj().T / d0
+    ground[np.arange(d0), np.arange(d0)] = 1.0 / d0
     return _factor_product(layout, dict.fromkeys(labels, ground), lambda dim: np.eye(dim) / dim)
 
 
@@ -491,11 +472,8 @@ class EnergyCap:
 
     @functools.cached_property
     def ground_vector(self) -> np.ndarray:
-        """Lowest eigenvector of H on the capped factor, |0> on every other factor."""
-        h = self.hamiltonian
-        basis = h.eigenbasis if h.eigenbasis is not None else np.eye(h.dim, dtype=np.complex128)
-        return _factor_product(self.layout, {self.label: basis[:, 0]},
-                               lambda dim: np.eye(dim, dtype=np.complex128)[0])
+        """|0> on every factor: the lowest eigenvector of H on the capped one."""
+        return _factor_product(self.layout, {}, lambda dim: np.eye(dim, dtype=np.complex128)[0])
 
     def energy(self, state: np.ndarray) -> float:
         """Mean energy of an amplitude vector or a density matrix."""

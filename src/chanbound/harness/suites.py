@@ -114,9 +114,11 @@ def _reject_unknown(doc: dict, keys, what: str):
 
 
 def checked_list(values, name: str, rule=bnd.check_real) -> list:
-    """Each entry of the list `values` through `rule`, naming `name`: a grid must be a list."""
+    """Each entry of the list `values` through `rule`, naming `name`: a grid must be a nonempty list."""
     if not isinstance(values, list):
         raise ValueError(f"{name} = {values} must be a list")
+    if not values:
+        raise ValueError(f"{name} = [] must not be empty")
     return [rule(v, name) for v in values]
 
 
@@ -137,7 +139,8 @@ def parse_oscillator(doc: dict) -> OscillatorSpec:
     freqs = doc.get("frequencies", 1.0)
     return OscillatorSpec(
         modes=modes,
-        frequencies=tuple(checked_list(freqs if isinstance(freqs, list) else [freqs] * modes, "frequencies")),
+        frequencies=tuple(checked_list(freqs, "frequencies") if isinstance(freqs, list)
+                          else [bnd.check_real(freqs, "frequencies")] * modes),
         hbar=bnd.check_real(doc.get("hbar", 1.0), "hbar"),
         truncation=bnd.check_integer(doc.get("truncation", 40), "truncation"),
     )

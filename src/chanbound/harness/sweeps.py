@@ -28,12 +28,18 @@ def sweep_tightness(family: str, grid: dict) -> list[SweepRow]:
     unknown = sorted(set(grid) - keys - {"capacities"})
     if unknown:
         raise ValueError(f"unknown {family} grid keys {unknown}; it reads {sorted(keys | {'capacities'})}")
-    capacities = grid.get("capacities", bnd.CAPACITIES)
+    capacities = checked_list(grid.get("capacities", list(bnd.CAPACITIES)), "capacities", _check_capacity)
     return [
         SweepRow(family, cap, variable, value, x, r, delta, eps, bound, delta / bound if bound > 0 else 0.0)
         for variable, value, x, r, m_scale, bound_at in points(grid)
         for cap, delta, eps, bound in bnd.erasure_family(x, m_scale, bound_at, capacities)
     ]
+
+
+def _check_capacity(name, key: str) -> str:
+    if name not in bnd.CAPACITIES:
+        raise ValueError(f"{key} = {name} must be one of {', '.join(bnd.CAPACITIES)}")
+    return name
 
 
 def _dim_points(grid: dict):

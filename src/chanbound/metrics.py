@@ -417,8 +417,7 @@ def _solve_bracket(tracker, phi, psi, cap: Optional[EnergyCap], budget: int, tol
     ham = cap.hamiltonian
     if cap.bound > ham.ground_energy:
         return tracker(v_phi, v_psi, d_b, d_e, cap).bracket(budget, tol)
-    basis = ham.eigenbasis if ham.eigenbasis is not None else np.eye(ham.dim, dtype=np.complex128)
-    basis = basis[:, ham.eigenvalues <= cap.bound]
+    basis = np.eye(ham.dim, dtype=np.complex128)[:, ham.eigenvalues <= cap.bound]
     br = tracker(v_phi @ basis, v_psi @ basis, d_b, d_e, None).bracket(budget, tol)
     rho = basis @ br.lower_state @ basis.conj().T
     return replace(br, lower_state=rho, lower_state_energy=cap.energy(rho))

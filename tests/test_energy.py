@@ -211,7 +211,7 @@ def _bisected_mix(state, cap):
 
 
 def _mix_instance(gen, k, excess=None):
-    """A pure state and a cap: degenerate grounds, rotated eigenbases, E_0 > 0, A first or last.
+    """A pure state and a cap: degenerate grounds, E_0 > 0, A first or last.
 
     Without `excess` the cap is drawn uniformly from [E_0 + 1e-9, uniform energy).
     """
@@ -222,7 +222,7 @@ def _mix_instance(gen, k, excess=None):
         ev[1] = ev[0]
     if k % 4 == 1:
         ev = ev + rng.uniform(0.1, 2.0)
-    h = Hamiltonian(ev, eigenbasis=gen.unitary(d_a) if k % 2 else None)
+    h = Hamiltonian(ev)
     other = ("B", int(rng.integers(2, 4)))
     lay = SystemLayout([("A", d_a), other] if k % 5 < 3 else [other, ("A", d_a)])
     e0 = h.ground_energy
@@ -255,12 +255,6 @@ class TestHamiltonian:
         ev[at] = bad
         with pytest.raises(QStateError):
             Hamiltonian(ev)
-
-    def test_non_finite_eigenbasis_rejected(self):
-        u = np.eye(2, dtype=np.complex128)
-        u[0, 1] = math.nan
-        with pytest.raises(QStateError, match="unitary"):
-            Hamiltonian(np.array([0.0, 1.0]), eigenbasis=u)
 
 
 class TestGibbs:
@@ -437,11 +431,8 @@ def _parent_heavy_tail(h, energy):
     return _parent_gibbs_spectrum(h, energy)[h.eigenvalues >= h.max_energy - 1e-9].sum() > 1e-8
 
 
-_ROTATED = np.linalg.qr(np.random.default_rng(11).standard_normal((5, 5))
-                        + 1j * np.random.default_rng(12).standard_normal((5, 5)))[0]
 _PARENT_SPECTRA = {
     **{kind: lambda ev=ev: Hamiltonian(np.array(ev, dtype=float)) for kind, ev in _LOCKSTEP_SPECTRA.items()},
-    "rotated": lambda: Hamiltonian(np.array([0.5, 0.5, 1.0, 2.0, 4.0]), eigenbasis=_ROTATED),
     "osc6": lambda: OscillatorSpec(1, (1.0,), truncation=6).to_hamiltonian(),
     "osc40": lambda: OscillatorSpec(1, (1.0,), truncation=40).to_hamiltonian(),
     "osc2x6": lambda: OscillatorSpec(2, (1.0, 1.5), truncation=6).to_hamiltonian(),
@@ -472,8 +463,7 @@ class TestGibbsSpectraMatchParent:
                 continue  # outside the Gibbs solver's domain; f_h is log dim there
             w = _parent_gibbs_spectrum(h, e)
             assert np.array_equal(gibbs_spectrum(h, e), w)
-            u = h.eigenbasis
-            ref = np.diag(w).astype(np.complex128) if u is None else (u * w) @ u.conj().T
+            ref = np.diag(w).astype(np.complex128)
             assert np.array_equal(gibbs_state(h, e).entries, DensityMatrix(single_factor("A", h.dim), ref).entries)
 
     @pytest.mark.parametrize("kind", _PARENT_SPECTRA)
@@ -785,10 +775,10 @@ class TestEnergyCap:
         with pytest.raises(EnergyDomainError):
             cap_weight(2.0, bad, 1.0)
 
-    def test_rotated_eigenbasis(self, gen):
-        # ground space spanned by rotated vectors: every input form must be
-        # mixed toward them, not toward the computational basis
-        h = Hamiltonian(np.array([0.0, 0.0, 1.0, 3.0]), eigenbasis=gen.unitary(4))
+    def test_every_input_form_meets_the_cap(self, gen):
+        # a degenerate ground space: densities, pure states and ensembles are
+        # each mixed toward it, and land on or under the cap
+        h = Hamiltonian(np.array([0.0, 0.0, 1.0, 3.0]))
         lay = SystemLayout([("A", 4), ("B", 2)])
         for e_cap in (1e-3, 0.4):
             cap = EnergyCap(h, e_cap, lay)
@@ -838,7 +828,7 @@ class TestEnergyCap:
         for level in (0.0, 0.7, 2.5):
             for k in range(20):
                 lay = SystemLayout([("A", 3), ("B", 2)] if k % 2 else [("B", 2), ("A", 3)])
-                h = Hamiltonian(np.full(3, level), eigenbasis=gen.unitary(3) if k % 4 > 1 else None)
+                h = Hamiltonian(np.full(3, level))
                 cap = EnergyCap(h, level, lay)
                 vec = mix_to_cap(gen.pure(lay).amplitudes, cap)
                 assert cap.energy(vec) <= cap.bound + 1e-12

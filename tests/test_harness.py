@@ -17,6 +17,7 @@ from chanbound.harness.cli import main as cli_main
 from chanbound.harness.generators import Generators
 from chanbound.harness.report import emit_report, load_report
 from chanbound.harness.suites import CampaignConfig, config_from_dict, parse_energy, run_suite
+from chanbound.harness import sweeps as sweeps_module
 from chanbound.harness.sweeps import sweep_tightness
 from chanbound.harness.verdict import (
     CSV_HEADER,
@@ -344,7 +345,7 @@ class TestRetiredKeys:
 
 class TestConfigIntegers:
     """Counts, seeds and dimensions in a campaign config go through `bounds.check_integer`,
-    its other numbers through `bounds.check_real`, and a grid must be a list."""
+    its other numbers through `bounds.check_real`, and a grid must be a nonempty list."""
 
     @pytest.mark.parametrize("doc, message", [
         ({"suite": "prop2", "trials": 2.5}, "trials = 2.5 must be an integer"),
@@ -376,6 +377,16 @@ class TestConfigIntegers:
         ({"suite": "thm1", "dims": {"d_grid": 4}}, "d_grid = 4 must be a list"),
         ({"suite": "thm2", "dims": {"e_grid": ["x"]}}, "e_grid = x must be a real number"),
         ({"suite": "thm2", "dims": {"r_grid": ["x"]}}, "r_grid = x must be a real number"),
+        # an empty list checks nothing, so every list is rejected by name
+        ({"suite": "thm1", "dims": {"x_grid": []}}, r"x_grid = \[\] must not be empty"),
+        ({"suite": "thm1", "dims": {"d_grid": []}}, r"d_grid = \[\] must not be empty"),
+        ({"suite": "thm2", "dims": {"x_grid": []}}, r"x_grid = \[\] must not be empty"),
+        ({"suite": "thm2", "dims": {"e_grid": []}}, r"e_grid = \[\] must not be empty"),
+        ({"suite": "thm2", "dims": {"r_grid": []}}, r"r_grid = \[\] must not be empty"),
+        ({"suite": "prop5", "trials": 1, "energy": {"E": 1.2, "frequencies": []}},
+         r"frequencies = \[\] must not be empty"),
+        ({"suite": "prop7", "trials": 1, "energy": {"kind": "spectrum", "eigenvalues": [], "E": 1.0}},
+         r"eigenvalues = \[\] must not be empty"),
     ])
     def test_fractional_values_rejected(self, doc, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -865,6 +876,7 @@ class TestCLI:
         ({"suite": "nope"}, "error: unknown suite 'nope'"),
         ({"suite": "thm1", "dims": {"d_grid": [0]}}, "error: d_grid = 0 must be >= 1"),
         (["thm1"], "error: a campaign config must be a JSON object, not list"),
+        ({"suite": "thm1", "dims": {"x_grid": []}}, "error: x_grid = [] must not be empty"),
     ])
     def test_rejected_config_is_one_error_line(self, tmp_path, doc, message):
         # the console script prints what eval prints for a rejected input: one line, no traceback
@@ -898,6 +910,19 @@ class TestCLI:
         ("erasure_dim", {"x": ["x"]}, "x = x must be a real number"),
         ("erasure_dim", {"log_d": ["x"]}, "log_d = x must be a real number"),
         ("erasure_dim", {"d": 4}, "d = 4 must be a list"),
+        # an empty grid checks nothing
+        ("erasure_dim", {"d": []}, "d = [] must not be empty"),
+        ("erasure_dim", {"log_d": []}, "log_d = [] must not be empty"),
+        ("erasure_dim", {"x": []}, "x = [] must not be empty"),
+        ("erasure_energy", {"E": []}, "E = [] must not be empty"),
+        ("erasure_energy", {"r": []}, "r = [] must not be empty"),
+        ("erasure_energy", {"x": []}, "x = [] must not be empty"),
+        # capacities are names from `bounds.CAPACITIES`, in a nonempty list
+        ("erasure_dim", {"capacities": "q"}, "capacities = q must be a list"),
+        ("erasure_energy", {"capacities": "chi"}, "capacities = chi must be a list"),
+        ("erasure_dim", {"capacities": ["q", "h"]}, "capacities = h must be one of chi, c, q, pbar, p"),
+        ("erasure_energy", {"capacities": [None]}, "capacities = None must be one of chi, c, q, pbar, p"),
+        ("erasure_dim", {"capacities": []}, "capacities = [] must not be empty"),
     ])
     def test_sweep_grid_numbers_name_their_key(self, tmp_path, capsys, family, grid, message):
         path = tmp_path / "grid.json"
@@ -907,6 +932,15 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("family", ["erasure_dim", "erasure_energy"])
+    def test_capacities_checked_before_any_row(self, monkeypatch, family):
+        def no_rows(*args):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(sweeps_module.bnd, "erasure_family", no_rows)
+        with pytest.raises(ValueError, match="^capacities = h must be one of chi, c, q, pbar, p$"):
+            sweep_tightness(family, {"capacities": ["q", "h"]})
 
     @pytest.mark.parametrize("doc, message", [
         (None, "error: [Errno 2] No such file or directory"),

@@ -492,14 +492,14 @@ def _bisected_constrained_minimum(m, h_mat, e_cap):
 
 
 def _multiplier_instances(seed, count):
-    """(m, H, E) with d from 2 to 7, degenerate and rotated H, caps in (E_0, uniform energy)."""
+    """(m, H, E) with d from 2 to 7, degenerate H, caps in (E_0, uniform energy)."""
     gen = Generators(np.random.default_rng(seed))
     for k in range(count):
         d = 2 + k % 6
         ev = np.sort(gen.rng.uniform(0.0, 3.0, d))
         if k % 3 == 0:
             ev[1] = ev[0]
-        h = Hamiltonian(ev, eigenbasis=gen.unitary(d) if k % 2 else None)
+        h = Hamiltonian(ev)
         a = gen.rng.standard_normal((d, d)) + 1j * gen.rng.standard_normal((d, d))
         m = gen.rng.uniform(0.1, 3.0) * (a + a.conj().T) / 2.0
         e_cap = h.ground_energy + gen.rng.uniform(1e-6, 1.0) * (h.uniform_energy - h.ground_energy)
@@ -884,9 +884,9 @@ class TestDiamond:
         assert dia.converged and dia.width <= 1e-6
 
     def test_lower_endpoint_is_output_norm_of_lower_state(self):
-        # recomputed through `purify` and `apply`, not the Choi matrix; the complex
-        # eigenbasis of H tells the input state from its complex conjugate
-        h = Hamiltonian(np.arange(3.0), eigenbasis=Generators(np.random.default_rng(11)).unitary(3))
+        # recomputed through `purify` and `apply`, not the Choi matrix: the lower
+        # state of J in place of J-bar misses the endpoint on this complex pair
+        h = Hamiltonian(np.arange(3.0))
         phi = random_channel(3, 2, 2, seed=43)
         psi = random_channel(3, 2, 2, seed=44)
         dia = diamond_bracket(phi, psi, EnergyCap(h, 0.8))
@@ -901,7 +901,8 @@ class TestExactOracles:
     The eigenvalues of U* W fill the arc [0, w] (w < pi) and its numerical range
     is their convex hull, at distance nu = cos(w / 2) from 0.  The root fidelity
     min_rho ||X(rho)||_1 of the Bures bracket is nu, so beta = sqrt(2 (1 - nu)),
-    and the diamond distance is 2 sqrt(1 - nu^2) = 2 sin(w / 2)."""
+    and the diamond distance is 2 sqrt(1 - nu^2) = 2 sin(w / 2).  Pure-loss pairs
+    under a photon-number cap give the capped Bures bracket an exact value too."""
 
     W = 2.0
 
@@ -921,6 +922,33 @@ class TestExactOracles:
         exact = 2.0 * math.sin(self.W / 2.0)
         dia = diamond_bracket(*self._pair(d))
         assert dia.lower - 1e-12 <= exact <= dia.upper + 1e-12 and dia.converged
+
+    @staticmethod
+    def _pure_loss(eta: float, n_max: int):
+        """Pure loss on Fock levels 0..n_max: V|n> = sum_k sqrt(C(n, k) eta^k (1 - eta)^(n - k)) |k>_B |n - k>_E."""
+        d = n_max + 1
+        v = np.zeros((d * d, d))
+        for n in range(d):
+            for k in range(n + 1):
+                v[k * d + n - k, n] = math.sqrt(math.comb(n, k) * eta**k * (1.0 - eta) ** (n - k))
+        return StinespringChannel(v, d, d, d)
+
+    @pytest.mark.parametrize("n_max, etas, n_bar", [
+        (4, (0.9, 0.8), 2.7), (4, (1.0, 0.95), 0.5), (4, (0.5, 0.3), 1.0),
+        (6, (0.9, 0.8), 0.25), (6, (1.0, 0.95), 1.0), (6, (0.5, 0.3), 2.7),
+        (8, (0.9, 0.8), 1.0), (8, (1.0, 0.95), 2.7),
+    ])
+    def test_capped_bures_bracket_holds_pure_loss_beta(self, n_max, etas, n_bar):
+        """Pure-loss pairs under a mean photon number cap n_bar: input |n> has root
+        fidelity c^n, c = sqrt(eta1 eta2) + sqrt((1 - eta1)(1 - eta2)), and c^n is
+        convex in n, so the least root fidelity mixes the two levels next to n_bar."""
+        (eta1, eta2), k = etas, math.floor(n_bar)
+        c = math.sqrt(eta1 * eta2) + math.sqrt((1.0 - eta1) * (1.0 - eta2))
+        f = n_bar - k
+        exact = math.sqrt(2.0 * (1.0 - ((1.0 - f) * c**k + f * c ** (k + 1))))
+        cap = EnergyCap(Hamiltonian(np.arange(n_max + 1) + 0.5), n_bar + 0.5)
+        br = channel_bures_bracket(self._pure_loss(eta1, n_max), self._pure_loss(eta2, n_max), cap)
+        assert br.lower - 1e-12 <= exact <= br.upper + 1e-12 and br.converged
 
 
 def _spectral_output_bures(w_phi, w_psi, vecs, d_b, d_e1, d_e2, d_r):
