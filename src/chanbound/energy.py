@@ -328,7 +328,9 @@ class OscillatorSpec:
     def __post_init__(self):
         freqs = tuple(float(w) for w in self.frequencies)
         object.__setattr__(self, "frequencies", freqs)
-        if self.modes < 1 or len(freqs) != self.modes:
+        if not self.modes >= 1:
+            raise QStateError(f"modes = {self.modes} must be >= 1")
+        if len(freqs) != self.modes:
             raise QStateError(f"expected {self.modes} frequencies, got {len(freqs)}")
         if not all(0 < w < math.inf for w in freqs):
             raise QStateError("frequencies must be positive and finite")

@@ -8,13 +8,37 @@ is known exactly, or an (eps_lo, eps_hi) bracket; rhs is the bound's value,
 or the bound as a function of epsilon.  `run_suite` alone runs the trials
 and classifies each row with the three-way verdict logic, so the same
 config and seed give identical results independent of scheduling.
+
+Every trial draws from its own stream, SeedSequence((seed, trial)), so
+trials are independent and `run_suite` spreads them over the cores the
+process may use.  It cuts range(trials) into W contiguous blocks of at
+least `_MIN_BLOCK` trials, W at most the usable cores (`_workers`).  The
+process runs block 0 itself and forks one child per other block; the
+child inherits the campaign's fixed parts, lambdas and all, and pickles
+its block's verdicts, or its exception, and the warnings it recorded back
+over a private pipe before it ends in `os._exit`.  The parent joins the
+blocks in trial order, so the report is byte-identical to a serial run.
+It re-raises the exception of the lowest failing block, after every
+child is reaped, and re-emits a child's warnings through
+`warnings.warn_explicit`, so the caller's filters decide as in a serial
+run.  A run stays serial on one usable core (`taskset -c 0`), where
+`os.sched_getaffinity` is missing, or where other threads run, since a
+fork copies only the calling thread.  Closed-form grids (thm1, thm2) have
+no trials and always run serially.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import math
+import os
+import pickle
+import signal
+import sys
+import threading
+import traceback
 import warnings
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -135,7 +159,7 @@ def parse_oscillator(doc: dict) -> OscillatorSpec:
     other key is an error.
     """
     _reject_unknown(doc, OSCILLATOR_KEYS, "oscillator energy")
-    modes = bnd.check_integer(doc.get("modes", 1), "modes")
+    modes = bnd.check_dimension(doc.get("modes", 1), "modes")
     freqs = doc.get("frequencies", 1.0)
     return OscillatorSpec(
         modes=modes,
@@ -176,9 +200,15 @@ def run_suite(config: CampaignConfig) -> CampaignReport:
             raise ValueError(f"{config.suite} takes no {part} keys {unknown}; it reads {sorted(keys)}")
     fixed = setup(config)
     if draw is None:
-        trials = enumerate([row] for row in fixed)
+        verdicts = _verdicts(config.suite, enumerate([row] for row in fixed))
     else:
-        trials = ((t, draw(fixed, Generators.for_trial(config.seed, t), t)) for t in range(config.trials))
+        verdicts = _run_blocks(functools.partial(_block_verdicts, config, draw, fixed),
+                               config.trials, _workers(config.trials))
+    return CampaignReport(config.suite, config.seed, config.to_dict(), tuple(verdicts), summarize(verdicts))
+
+
+def _verdicts(suite: str, trials) -> list:
+    """Every row of each (trial, rows) in `trials`, classified, in order."""
     verdicts = []
     for trial, rows in trials:
         for name, lhs, eps, rhs, certs in rows:
@@ -187,10 +217,143 @@ def run_suite(config: CampaignConfig) -> CampaignReport:
             else:
                 eps_lo = eps_hi = eps
                 rhs_lo = rhs_hi = rhs(eps) if callable(rhs) else rhs
-            verdicts.append(BoundVerdict(config.suite, trial, name, float(lhs), float(eps_lo), float(eps_hi),
+            verdicts.append(BoundVerdict(suite, trial, name, float(lhs), float(eps_lo), float(eps_hi),
                                          float(rhs_lo), float(rhs_hi), classify(lhs, rhs_lo, rhs_hi),
                                          certs or {}))
-    return CampaignReport(config.suite, config.seed, config.to_dict(), tuple(verdicts), summarize(verdicts))
+    return verdicts
+
+
+def _block_verdicts(config: CampaignConfig, draw, fixed, block: range) -> list:
+    """The verdicts of the trials in `block`, each drawn from its own seeded generators."""
+    return _verdicts(config.suite, ((t, draw(fixed, Generators.for_trial(config.seed, t), t)) for t in block))
+
+
+# ---------------------------------------------------------------------------
+# trial blocks on the usable cores
+# ---------------------------------------------------------------------------
+
+#: fewest trials in a block of its own: a fork, its pipe, the pickled verdicts and
+#: the reap cost 2.3 ms with numpy loaded (2-core Xeon), as much as 3 lemma4
+#: trials (0.86 ms each, the cheapest), so a block of 8 repays its fork
+_MIN_BLOCK = 8
+
+
+def _workers(trials: int) -> int:
+    """Blocks a campaign of `trials` trials is cut into: the usable cores, at most one
+    per `_MIN_BLOCK` trials; 1 without `os.sched_getaffinity` or while other threads
+    run, since a fork copies only the calling thread, and a lock another thread
+    holds would stay locked in the child."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), trials // _MIN_BLOCK))
+
+
+def _run_blocks(run_block, trials: int, workers: int) -> list:
+    """run_block over `workers` contiguous blocks of range(trials), joined in trial order.
+
+    Block 0 runs in this process and every other block in a child forked
+    for it.  If block 0 raises, the children are killed; either way every
+    child is reaped before anything is raised.  Then each child's
+    warnings are re-emitted and its verdicts joined, block by block, and
+    the first block that failed raises its exception.
+    """
+    cuts = [trials * k // workers for k in range(workers + 1)]
+    blocks = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    if workers == 1:
+        return run_block(blocks[0])
+    children = []  # (pid, read end of its pipe)
+    try:
+        for block in blocks[1:]:
+            children.append(_fork_block(run_block, block))
+        verdicts = run_block(blocks[0])
+        sent = [_read_all(fd) for _, fd in children]
+    except BaseException:
+        for pid, _ in children:
+            with contextlib.suppress(ProcessLookupError):  # reaped already where SIGCHLD is ignored
+                os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        statuses = [_reap(pid, fd) for pid, fd in children]
+    for block, data, status in zip(blocks[1:], sent, statuses):
+        if not data:
+            raise RuntimeError(f"the child that ran trials {block.start}..{block.stop - 1} sent no result "
+                               f"(wait status {status})")
+        (ok, value), caught = pickle.loads(data)
+        for message, category, filename, lineno in caught:
+            _rewarn(message, category, filename, lineno)
+        if not ok:
+            raise value
+        verdicts.extend(value)
+    return verdicts
+
+
+def _fork_block(run_block, block: range):
+    """Fork a child that runs `block` and pipes back its result; returns (pid, read end)."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    code = 1
+    try:  # the child never returns: it ends in os._exit, without the parent's exit handlers
+        os.close(read_fd)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # the parent's filters decide when it re-emits them
+            try:
+                outcome = (True, run_block(block))
+            except BaseException as exc:
+                outcome = (False, _portable(exc, block))
+        data = pickle.dumps((outcome, [(w.message, w.category, w.filename, w.lineno) for w in caught]),
+                            pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _portable(exc: BaseException, block: range) -> BaseException:
+    """`exc` with the child's traceback as a note, if it survives pickling; else a RuntimeError naming it."""
+    if hasattr(exc, "add_note"):
+        exc.add_note(f"in the child that ran trials {block.start}..{block.stop - 1}:\n{traceback.format_exc()}")
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
+def _read_all(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _reap(pid: int, fd: int):
+    """Close the child's pipe and wait for it; returns its wait status (None if already reaped elsewhere)."""
+    os.close(fd)
+    try:
+        return os.waitpid(pid, 0)[1]
+    except ChildProcessError:
+        return None
+
+
+def _rewarn(message, category, filename: str, lineno: int):
+    """A child's warning, as `warnings.warn` would have raised it here: under the
+    module and registry of the code it is attributed to, so filters and once-only
+    actions act as in a serial run."""
+    module = next((m for m in list(sys.modules.values()) if getattr(m, "__file__", None) == filename), None)
+    if module is None:
+        warnings.warn_explicit(message, category, filename, lineno)
+    else:
+        warnings.warn_explicit(message, category, filename, lineno, module.__name__,
+                               vars(module).setdefault("__warningregistry__", {}))
 
 
 # ---------------------------------------------------------------------------

@@ -615,6 +615,12 @@ class TestOscillatorClosedForms:
         with pytest.raises(QStateError, match="finite"):
             OscillatorSpec(1, frequencies, hbar=hbar)
 
+    @pytest.mark.parametrize("modes", [0, -1])
+    def test_modes_below_one_named(self, modes):
+        # the rule of `parse_oscillator`'s `check_dimension`, not a frequency count
+        with pytest.raises(QStateError, match=f"^modes = {modes} must be >= 1$"):
+            OscillatorSpec(modes, ())
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_energy_rejected(self, bad):
         spec = OscillatorSpec(1, (1.0,))

@@ -3,14 +3,18 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chanbound.energy import EnergyCap, Hamiltonian, OscillatorSpec, mix_to_cap
+from chanbound.energy import EnergyCap, Hamiltonian, OscillatorSpec, TruncationTailWarning, mix_to_cap
 from chanbound.entropic import Ensemble
 from chanbound.harness import suites
 from chanbound.harness.cli import main as cli_main
@@ -526,6 +530,148 @@ class TestSuiteReproducibility:
         assert all(v.outcome in (PASS, VIOLATION) for v in rep2.verdicts)
 
 
+# trials of each suite that draws trials: 3 blocks all hold one, and lemma4 and metrics see their trial % k cycles
+_BLOCK_TRIALS = {
+    "lemma4": 8, "identities": 4, "prop3": 4, "prop7": 4, "prop2": 3, "prop6": 3,
+    "prop4": 3, "prop5": 3, "prop8": 3, "metrics": 6,
+}
+
+
+def _force_blocks(monkeypatch, workers: int):
+    monkeypatch.setattr(suites, "_workers", lambda trials: workers)
+
+
+def _patch_draw(monkeypatch, suite: str, before_trial):
+    """`suite`'s draw, with before_trial(trial) run ahead of each trial."""
+    setup, draw, *keys = suites._SUITES[suite]
+
+    def patched(fixed, gen, trial):
+        before_trial(trial)
+        return draw(fixed, gen, trial)
+
+    monkeypatch.setitem(suites._SUITES, suite, (setup, patched, *keys))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.two_blas_threads
+def test_reports_do_not_depend_on_the_block_count(monkeypatch, tmp_path):
+    """A campaign cut into 1, 2 or 3 blocks of trials writes the same CSV and JSON bytes."""
+    assert set(_BLOCK_TRIALS) == {name for name, row in suites._SUITES.items() if row[1] is not None}
+    for suite, trials in _BLOCK_TRIALS.items():
+        reports = set()
+        for workers in (1, 2, 3):
+            _force_blocks(monkeypatch, workers)
+            rep = run_suite(CampaignConfig(suite=suite, trials=trials, seed=7))
+            emit_report(rep, "csv", tmp_path / "r.csv")
+            emit_report(rep, "json", tmp_path / "r.json")
+            reports.add((tmp_path / "r.csv").read_bytes() + (tmp_path / "r.json").read_bytes())
+        assert len(reports) == 1, suite
+    _assert_no_child_left()
+
+
+class TestTrialBlocks:
+    def test_workers_follow_the_usable_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        assert [suites._workers(t) for t in (1, 15, 16, 24, 100)] == [1, 1, 2, 3, 4]
+        # a fork copies only the calling thread, so a run with another thread stays serial
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert suites._workers(100) == 1
+        finally:
+            release.set()
+            other.join()
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert suites._workers(100) == 1
+
+    def test_two_cores_fork_one_child(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        forks = []
+        fork_block = suites._fork_block
+        monkeypatch.setattr(suites, "_fork_block", lambda *args: forks.append(args[1]) or fork_block(*args))
+        config = CampaignConfig(suite="lemma4", trials=16, seed=7)
+        forked = run_suite(config)
+        assert forks == [range(8, 16)]
+        _force_blocks(monkeypatch, 1)
+        assert forked == run_suite(config)
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("workers, faulty", [
+        (2, {5}),  # in the child's block
+        (2, {1}),  # in the parent's block
+        (2, {1, 6}),  # in both: the parent's block is the lowest
+        (3, {3, 6}),  # in both children's blocks: the lower one's
+    ])
+    def test_a_raising_trial_raises_as_in_a_serial_run(self, monkeypatch, workers, faulty):
+        def fault(trial):
+            if trial in faulty:
+                raise QStateError(f"trial {trial} is faulty")
+
+        _patch_draw(monkeypatch, "lemma4", fault)
+        config = CampaignConfig(suite="lemma4", trials=8, seed=7)
+        _force_blocks(monkeypatch, 1)
+        with pytest.raises(QStateError) as serial:
+            run_suite(config)
+        _force_blocks(monkeypatch, workers)
+        with pytest.raises(QStateError) as forked:
+            run_suite(config)
+        assert str(forked.value) == str(serial.value) == f"trial {min(faulty)} is faulty"
+        _assert_no_child_left()
+
+    def test_a_raising_parent_block_kills_the_children(self, monkeypatch):
+        def fault(trial):
+            if trial == 0:
+                raise QStateError("trial 0 is faulty")
+            if trial == 4:
+                time.sleep(120)
+
+        _patch_draw(monkeypatch, "lemma4", fault)
+        _force_blocks(monkeypatch, 2)
+        t0 = time.perf_counter()
+        with pytest.raises(QStateError, match="^trial 0 is faulty$"):
+            run_suite(CampaignConfig(suite="lemma4", trials=8, seed=7))
+        assert time.perf_counter() - t0 < 60
+        _assert_no_child_left()
+
+    def test_a_child_that_dies_is_an_error(self, monkeypatch):
+        _patch_draw(monkeypatch, "lemma4", lambda trial: trial == 6 and os.kill(os.getpid(), signal.SIGKILL))
+        _force_blocks(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=r"^the child that ran trials 4\.\.7 sent no result \(wait status 9\)$"):
+            run_suite(CampaignConfig(suite="lemma4", trials=8, seed=7))
+        _assert_no_child_left()
+
+    def test_a_childs_warnings_meet_the_callers_filters(self, monkeypatch):
+        def warn(trial):
+            if trial >= 5:  # one line warns twice, in the child's block
+                warnings.warn("a trial of the child warns", TruncationTailWarning)
+
+        _patch_draw(monkeypatch, "lemma4", warn)
+        config = CampaignConfig(suite="lemma4", trials=8, seed=7)
+        _force_blocks(monkeypatch, 2)
+        with pytest.warns(TruncationTailWarning, match="^a trial of the child warns$") as record:
+            run_suite(config)
+        assert [(w.filename, w.category) for w in record] == [(__file__, TruncationTailWarning)] * 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationTailWarning)
+            with pytest.raises(TruncationTailWarning, match="^a trial of the child warns$"):
+                run_suite(config)
+        # "default" shows a warning once per location: the serial run's registry decides
+        shown = []
+        for workers in (1, 2):
+            _force_blocks(monkeypatch, workers)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("default", TruncationTailWarning)
+                run_suite(config)
+            shown.append([(str(w.message), w.lineno) for w in caught])
+        assert len(shown[0]) == 1 and shown[1] == shown[0]
+        _assert_no_child_left()
+
+
 @pytest.mark.parametrize("suite,trials", [("prop2", 3), ("prop6", 3), ("prop7", 4), ("prop5", 2), ("prop8", 1)])
 def test_suite_smoke(suite, trials, tmp_path):
     reports = []
@@ -761,6 +907,7 @@ class TestCLI:
         ("prop6", "eps=0,d_a=0", "d_a = 0 must be >= 1"),
         ("thm1_q", "eps=0.1,d_a=inf", "d_a = inf must be an integer"),
         ("prop4", "eps=0.1,d_a=2,n=-inf", "n = -inf must be an integer"),
+        ("p_r", "eps=0.1,E=5,l=0", "modes = 0 must be >= 1"),
     ])
     def test_eval_bad_copies_or_dimension_errors(self, capsys, bound, params, message):
         assert cli_main(["eval", "--bound", bound, "--params", params]) == 1
@@ -877,6 +1024,7 @@ class TestCLI:
         ({"suite": "thm1", "dims": {"d_grid": [0]}}, "error: d_grid = 0 must be >= 1"),
         (["thm1"], "error: a campaign config must be a JSON object, not list"),
         ({"suite": "thm1", "dims": {"x_grid": []}}, "error: x_grid = [] must not be empty"),
+        ({"suite": "prop7", "trials": 1, "energy": {"E": 1.0, "modes": 0}}, "error: modes = 0 must be >= 1"),
     ])
     def test_rejected_config_is_one_error_line(self, tmp_path, doc, message):
         # the console script prints what eval prints for a rejected input: one line, no traceback
