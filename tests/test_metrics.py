@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from chanbound.harness.generators import Generators
 from chanbound.harness.suites import CampaignConfig, run_suite
 from chanbound import metrics
 from chanbound.metrics import (
+    _ORACLE_BLOCK,
     Bracket,
     _batched_output_bures,
     _constrained_minimum,
@@ -1127,3 +1129,86 @@ class TestBruteForceOracle:
         phi, psi = gen.channel(2, 2, 2), gen.channel(2, 2, 2)
         brute = bures_sup_bruteforce(phi, psi, samples=100_000, seed=0)
         assert abs(brute - 1.1601267741302068) <= 1e-12
+
+    @pytest.mark.parametrize("dims", [(3, 2, 2), (2, 3, 2)])
+    def test_rejects_channels_of_differing_dimensions(self, dims, monkeypatch):
+        # the brackets' own error, raised before any draw
+        def no_draws(rng, shape):
+            raise AssertionError("drew samples")
+
+        monkeypatch.setattr(metrics, "complex_gaussian", no_draws)
+        phi, psi = random_channel(2, 2, 2, seed=1), random_channel(*dims, seed=2)
+        with pytest.raises(QStateError, match="^channels must share input and output dimensions$"):
+            bures_sup_bruteforce(phi, psi, samples=10)
+
+    @pytest.mark.parametrize("pair, limit_mib", [("certify", 4), ("4-4-2", 16)])
+    def test_memory_does_not_grow_with_the_draw_batch(self, pair, limit_mib):
+        # blocks of _ORACLE_BLOCK rows bound the outer products; one (dim^2, chunk)
+        # array per batch peaked at 11.6 MiB and 97.7 MiB on these pairs
+        if pair == "certify":
+            gen = Generators.for_trial(7, 0)
+            phi, psi = gen.channel(2, 2, 2), gen.channel(2, 2, 2)
+        else:
+            phi, psi = random_channel(4, 4, 2, seed=1), random_channel(4, 4, 2, seed=2)
+        bures_sup_bruteforce(phi, psi, samples=10)
+        tracemalloc.start()
+        try:
+            bures_sup_bruteforce(phi, psi, samples=100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mib * 2**20
+
+    @pytest.mark.two_blas_threads
+    @pytest.mark.parametrize("chunk", [1, _ORACLE_BLOCK - 1, _ORACLE_BLOCK, _ORACLE_BLOCK + 1, 50_000])
+    @pytest.mark.parametrize("dims, d_e2", [((2, 2, 2), 2), ((3, 3, 2), 2), ((2, 2, 2), 3)],
+                             ids=["2-2-2", "3-3-2", "d_e-2-vs-3"])
+    def test_block_boundaries_keep_the_parent_bits(self, chunk, dims, d_e2):
+        # batches that end one row short of, on, and one row past a block, and
+        # stages of 1, 1, 409 and 10000 refinement draws
+        phi = random_channel(*dims, seed=63)
+        psi = random_channel(dims[0], dims[1], d_e2, seed=64)
+        for samples in (2, 11, 4097, 100_000):
+            got = bures_sup_bruteforce(phi, psi, samples=samples, seed=5, chunk=chunk)
+            assert got == _parent_bruteforce(phi, psi, samples, 5, chunk)
+
+    @pytest.mark.parametrize("samples, chunk", [(4097, 1025), (100_000, 50_000)])
+    def test_every_draw_is_evaluated_once_in_blocks(self, samples, chunk, monkeypatch):
+        rows = []
+
+        def recording(w_phi, w_psi, vecs, *dims):
+            rows.append(len(vecs))
+            assert np.allclose(np.linalg.norm(vecs, axis=1), 1.0, rtol=0, atol=1e-14)
+            return _batched_output_bures(w_phi, w_psi, vecs, *dims)
+
+        monkeypatch.setattr(metrics, "_batched_output_bures", recording)
+        phi, psi = random_channel(2, 2, 2, seed=63), random_channel(2, 2, 3, seed=64)
+        bures_sup_bruteforce(phi, psi, samples=samples, chunk=chunk)
+        coarse, per_stage = samples // 2, (samples - samples // 2) // 5
+
+        def blocks(m):
+            return [_ORACLE_BLOCK] * (m // _ORACLE_BLOCK) + ([m % _ORACLE_BLOCK] if m % _ORACLE_BLOCK else [])
+
+        batches = [chunk] * (coarse // chunk) + ([coarse % chunk] if coarse % chunk else [])
+        assert rows == [n for m in batches + [per_stage] * 5 for n in blocks(m)]
+
+    @pytest.mark.parametrize("chunk", [700, 50_000])
+    def test_ties_go_to_the_earliest_draw(self, chunk, monkeypatch):
+        # every coarse-grid value reads 0.5, so the refinement centres on the first
+        # draw, as one argmax over the whole grid does; ties span batches and blocks
+        samples, seen, batched = 4000, 0, _batched_output_bures
+
+        def tied_grid(w_phi, w_psi, vecs, *dims):
+            nonlocal seen
+            vals = batched(w_phi, w_psi, vecs, *dims)
+            vals[:max(min(samples // 2 - seen, len(vecs)), 0)] = 0.5
+            seen += len(vecs)
+            return vals
+
+        gen = Generators.for_trial(7, 0)
+        phi, psi = gen.channel(2, 2, 2), gen.channel(2, 2, 2)
+        monkeypatch.setattr(metrics, "_batched_output_bures", tied_grid)
+        got = bures_sup_bruteforce(phi, psi, samples=samples, seed=5, chunk=chunk)
+        seen = 0
+        monkeypatch.setitem(globals(), "_batched_output_bures", tied_grid)
+        assert got == _parent_bruteforce(phi, psi, samples, 5, chunk)
