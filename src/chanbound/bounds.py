@@ -407,14 +407,11 @@ def erasure_isometry_gap(x: float) -> float:
     return 2.0 * math.sqrt(2.0) * x / math.sqrt((a + b) * (1.0 + a) * (1.0 + b))
 
 
-def erasure_family(
-    x: float, m: float, bound: Callable[[str, float], float], capacities: Sequence[str] = CAPACITIES
-) -> list[tuple[str, float, float, float]]:
-    """(capacity, gap, epsilon, bound) of erase(1/2 - x) against erase(1/2), per capacity.
+def erasure_family(x: float, m: float, capacities: Sequence[str] = CAPACITIES) -> list[tuple[str, float, float]]:
+    """(capacity, gap, epsilon) of erase(1/2 - x) against erase(1/2), per capacity.
 
     The gap is `erasure_delta` at scale m (log d, or F_H(E) under an energy
-    cap), epsilon the closed-form isometry gap, and `bound(capacity, eps)`
-    the theorem's bound at that epsilon.
+    cap), and epsilon the closed-form isometry gap.
     """
     eps = erasure_isometry_gap(x)
-    return [(cap, erasure_delta(cap, x, m), eps, bound(cap, eps)) for cap in capacities]
+    return [(cap, erasure_delta(cap, x, m), eps) for cap in capacities]

@@ -9,20 +9,15 @@ one `error:` line on stderr and exits 1.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
-import math
 import sys
 from pathlib import Path
 
-from .. import bounds as bnd
-from ..energy import OscillatorSpec, oscillator_f
+from ..bounds import LOG2
 from .report import emit_report, emit_sweep, format_summary, load_report
-from .suites import config_from_dict, OSCILLATOR_KEYS, parse_oscillator, run_suite, SUITE_NAMES
+from .suites import bound_value, config_from_dict, run_suite, SUITE_NAMES
 from .sweeps import FAMILIES, sweep_tightness
 from .verdict import VIOLATION, exit_code
-
-LOG2 = math.log(2.0)
 
 
 def main(argv=None) -> int:
@@ -50,7 +45,7 @@ def main(argv=None) -> int:
 
     p_eval = sub.add_parser("eval", help="evaluate one bound formula")
     p_eval.set_defaults(run=_cmd_eval, missing="parameter")
-    p_eval.add_argument("--bound", required=True)
+    p_eval.add_argument("--bound", required=True, help="a name of the bound table `suites.BOUNDS`")
     p_eval.add_argument("--params", default="", help="comma-separated k=v pairs")
     p_eval.add_argument("--units", choices=("nats", "bits"), default="nats")
 
@@ -113,96 +108,22 @@ _ALIASES = {"epsilon": "eps", "l": "modes", "omega": "frequencies"}
 
 
 class _Params:
-    """eval's `k=v,...` parameters, strings until a typed read; a read or an `in` test adds its key to `asked`."""
+    """eval's `k=v,...` parameters: `given` maps each key to its value, a string, and `names` to its name as given."""
 
     def __init__(self, spec: str):
-        self.given, self.asked = {}, set()  # key -> (value, key as given)
+        self.given, self.names = {}, {}
         for name, _, raw in (map(str.strip, chunk.partition("=")) for chunk in spec.split(",") if chunk):
             key = _ALIASES.get(name, name)
             if key in self.given:
-                first = self.given[key][1]
+                first = self.names[key]
                 raise ValueError(f"parameter {name!r} given twice" if name == first
                                  else f"give one of {first if name == key else name} and {key}")
-            self.given[key] = raw, name
-
-    def __contains__(self, key: str) -> bool:
-        self.asked.add(key)
-        return key in self.given
-
-    def _get(self, key: str, default):
-        if key not in self and default is None:
-            raise KeyError(key)
-        return self.given.get(key, (default, key))
-
-    def integer(self, key: str, default=None) -> int:
-        return bnd.check_integer(*self._get(key, default))
-
-    def real(self, key: str, default=None) -> float:
-        return bnd.check_real(*self._get(key, default))
-
-    def flag(self, key: str) -> bool:
-        raw, name = self._get(key, "0")
-        if raw not in ("0", "1"):
-            raise ValueError(f"{name} = {raw} must be 0 or 1")
-        return raw == "1"
-
-    def oscillator(self) -> OscillatorSpec:
-        doc = {key: self.given[key][0] for key in OSCILLATOR_KEYS if key in self}
-        if "frequencies" in doc:  # one value serves every mode, or a list w1:w2:...
-            raw, name = self.given["frequencies"]
-            try:
-                doc["frequencies"] = [float(v) for v in raw.split(":")] if ":" in raw else float(raw)
-            except ValueError:
-                raise ValueError(f"{name} = {raw} must be numbers separated by ':'") from None
-        return parse_oscillator(doc)
-
-
-def _eval_bound(name: str, p: _Params) -> float:
-    """The bound `name` at params p; every bound but erasure_gap needs eps (or epsilon)."""
-    if name == "erasure_gap":
-        return bnd.erasure_isometry_gap(p.real("x"))
-    eps = p.real("eps")
-    if name in ("lemma4_finite", "lemma4_qc"):
-        return bnd.lemma4_bound(name.split("_", 1)[1], eps, d=p.integer("d"), part_c=p.flag("part_c"))
-    if name in ("lemma4_energy", "lemma4_pure"):
-        f_handle = functools.partial(oscillator_f, p.oscillator())
-        return bnd.lemma4_bound(name.split("_", 1)[1], eps, f_handle=f_handle, energy=p.real("E"),
-                                part_c=p.flag("part_c"))
-    if name == "prop2":
-        return bnd.prop2_bound(eps, p.integer("d_a"), p.flag("same_channel"), p.flag("same_state"))
-    if name in ("prop3", "prop7"):
-        spec = p.oscillator()
-        args = (eps, lambda e: oscillator_f(spec, e + spec.ground_energy), p.real("E_bar"))
-        return bnd.prop3_bound(*args, pure=p.flag("pure")) if name == "prop3" else bnd.prop7_bound(*args)
-    if name == "prop4":
-        return bnd.prop4_bound(eps, p.integer("d_a"), p.integer("n", 1))
-    if name in ("t_st", "prop5", "prop8", "thm2_chi", "thm2_c", "thm2_q", "thm2_pbar", "thm2_p"):
-        spec, e_cap, r = p.oscillator(), p.real("E"), p.real("r") if "r" in p else None  # P_r reads no t, d_cap
-        t_fn = bnd.t_functional(spec, e_cap, r, p.integer("d_cap", 10**6) if r is None else 10**6)
-        if name == "t_st":
-            return t_fn(p.integer("t", 0) if r is None else 0, eps)
-        if name == "prop5":
-            return bnd.prop5_bound(eps, p.integer("n", 1), functools.partial(t_fn, p.integer("t", 0) if r is None else 0))
-        if name == "prop8":
-            return bnd.prop8_bound(eps, functools.partial(t_fn, 0))
-        return bnd.theorem2_bound(name.split("_", 1)[1], eps, t_fn)
-    if name in ("corollary_osc", "p_r"):
-        return bnd.p_r(p.oscillator(), p.real("E"), eps, p.real("r", 1.0))
-    if name == "prop6":
-        return bnd.prop6_bound(eps, p.integer("d_a"), p.flag("same_channel"), p.flag("same_ensemble"))
-    if name.startswith("thm1_"):
-        cap = name.split("_", 1)[1]
-        if "log_d_a" in p:
-            return bnd.theorem1_bound(cap, eps, log_d_a=p.real("log_d_a"))
-        return bnd.theorem1_bound(cap, eps, d_a=p.integer("d_a"))
-    raise ValueError(f"unknown bound {name!r}")
+            self.given[key], self.names[key] = raw, name
 
 
 def _cmd_eval(args) -> int:
     params = _Params(args.params)
-    value = _eval_bound(args.bound, params)
-    if unread := sorted(name for key, (_, name) in params.given.items() if key not in params.asked):
-        raise ValueError(f"{args.bound} reads no parameters {unread}; it reads {sorted(params.asked)}")
+    value = bound_value(args.bound, params.given, params.names)
     if args.units == "bits":
         value = value / LOG2
     print(format(value, ".17g"))

@@ -1,13 +1,14 @@
 """Verification campaigns: one suite per statement family.
 
 Each suite is a row of `_SUITES`: a setup that builds the campaign's fixed
-parts once (energy system, layouts, cap, fixed channel or ensemble, bound
-handles) and a draw that turns one trial's seeded generators into rows
-(bound name, lhs, epsilon, rhs, certificates).  Epsilon is a float when it
-is known exactly, or an (eps_lo, eps_hi) bracket; rhs is the bound's value,
-or the bound as a function of epsilon.  `run_suite` alone runs the trials
-and classifies each row with the three-way verdict logic, so the same
-config and seed give identical results independent of scheduling.
+parts once (energy system, layouts, cap, fixed channel or ensemble) and a
+draw that turns one trial's seeded generators into rows (row name, lhs,
+epsilon, rhs, certificates).  Epsilon is a float when it is known exactly,
+or an (eps_lo, eps_hi) bracket; rhs is a cap, or (bound, params) of the
+bound table `BOUNDS`, evaluated at both ends and recorded with the row.
+`run_suite` alone runs the trials and classifies each row with the
+three-way verdict logic, so the same config and seed give identical
+results independent of scheduling.
 
 Every trial draws from its own stream, SeedSequence((seed, trial)), so
 trials are independent and `run_suite` spreads them over the cores the
@@ -32,6 +33,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import json
 import math
 import os
 import pickle
@@ -54,7 +56,6 @@ from ..energy import (
     OscillatorSpec,
     TruncationTailWarning,
     cap_weight,
-    f_bar,
     f_h,
     gamma,
     gibbs_spectrum,
@@ -170,16 +171,130 @@ def parse_oscillator(doc: dict) -> OscillatorSpec:
     )
 
 
-def parse_energy(doc: dict):
-    """Energy config -> (Hamiltonian or OscillatorSpec, E); a key the kind does not take is an error."""
-    kind = doc.get("kind", "oscillator")
-    system = {k: v for k, v in doc.items() if k not in ("kind", "E")}
+def parse_system(doc: dict):
+    """An energy system's config keys, E aside -> Hamiltonian or OscillatorSpec; a key the kind does not take is an error."""
+    kind, system = doc.get("kind", "oscillator"), {k: v for k, v in doc.items() if k != "kind"}
     if kind == "oscillator":
-        return parse_oscillator(system), bnd.check_real(doc["E"], "E")
+        return parse_oscillator(system)
     if kind != "spectrum":
         raise ValueError(f"unknown energy kind {kind!r}")
     _reject_unknown(system, ("eigenvalues",), "spectrum energy")
-    return Hamiltonian(np.asarray(checked_list(doc["eigenvalues"], "eigenvalues"))), bnd.check_real(doc["E"], "E")
+    return Hamiltonian(np.asarray(checked_list(doc["eigenvalues"], "eigenvalues")))
+
+
+def parse_energy(doc: dict):
+    """Energy config -> (Hamiltonian or OscillatorSpec, E)."""
+    return parse_system({k: v for k, v in doc.items() if k != "E"}), bnd.check_real(doc["E"], "E")
+
+
+def system_params(handle) -> dict:
+    """Every config key, `kind` and E aside, that `parse_system` reads back as `handle`: a bound's params."""
+    if isinstance(handle, OscillatorSpec):
+        return {**dataclasses.asdict(handle), "frequencies": list(handle.frequencies)}
+    return {"eigenvalues": handle.eigenvalues.tolist()}
+
+
+# ---------------------------------------------------------------------------
+# the bound table: every right-hand side of the suites, the sweeps and `eval`
+# ---------------------------------------------------------------------------
+
+def _flag(raw, name: str) -> bool:
+    if raw not in ("0", "1", 0, 1):  # False and True are 0 and 1
+        raise ValueError(f"{name} = {raw} must be 0 or 1")
+    return raw in ("1", 1)
+
+
+def _numbers(raw, name: str):
+    """`eval`'s 'w1:w2:...' as a list of floats, and one number as a float; a config's list as it is."""
+    try:
+        return ([float(v) for v in raw.split(":")] if ":" in raw else float(raw)) if isinstance(raw, str) else raw
+    except ValueError:
+        raise ValueError(f"{name} = {raw} must be numbers separated by ':'") from None
+
+
+#: the rule of each parameter kind, and the keys of the two energy-system kinds as a config's
+#: `energy` writes them: an oscillator's, or ("system") an oscillator's or a spectrum's
+_RULES = {"integer": bnd.check_integer, "real": bnd.check_real, "flag": _flag}
+_SYSTEMS = {"oscillator": OSCILLATOR_KEYS, "system": OSCILLATOR_KEYS + ("eigenvalues",)}
+#: a given key -> the keys it leaves unread: P_r at r reads no t or d_cap, and log_d_a replaces d_a
+_UNREAD_WITH = {"r": ("t", "d_cap"), "log_d_a": ("d_a",)}
+
+
+@functools.lru_cache(maxsize=256)
+def _handle(role: str, system: str, e_cap=None, r=None, d_cap=None):
+    """The energy system written as the JSON `system` ("system"), its F ("f"), F-bar ("fbar")
+    or `t_functional` ("t"): built once per arguments while cached, never per row."""
+    if role == "system":
+        return parse_system(json.loads(system))
+    handle = _handle("system", system)
+    if role == "t":
+        return bnd.t_functional(handle, e_cap, r, d_cap)
+    f = functools.partial(oscillator_f if isinstance(handle, OscillatorSpec) else f_h, handle)
+    return f if role == "f" else lambda e: f(e + handle.ground_energy)  # F-bar(E) = F(E + E_0)
+
+
+_FLAG, _T = ("flag", False), {"E": "real", "r": ("real", None), "d_cap": ("integer", 10**6)}  # T at E, or P_r at r
+
+#: bound name -> (evaluator, schema): the schema lists the evaluator's arguments in order, each
+#: parameter's kind, or (kind, default) when it may be left out; an energy system stands for its
+#: kind's keys.  Every bound but erasure_gap reads eps and is its value at epsilon = eps.
+BOUNDS = {
+    "erasure_gap": (bnd.erasure_isometry_gap, {"x": "real"}),
+    **{f"lemma4_{v}": (lambda eps, d, part_c, v=v: bnd.lemma4_bound(v, eps, d, part_c=part_c),
+                       {"eps": "real", "d": "integer", "part_c": _FLAG}) for v in ("finite", "qc")},
+    **{f"lemma4_{v}": (lambda eps, system, e_cap, part_c, v=v: bnd.lemma4_bound(
+                           v, eps, f_handle=_handle("f", system), energy=e_cap, part_c=part_c),
+                       {"eps": "real", "system": "system", "E": "real", "part_c": _FLAG}) for v in ("energy", "pure")},
+    "prop2": (bnd.prop2_bound, {"eps": "real", "d_a": "integer", "same_channel": _FLAG, "same_state": _FLAG}),
+    "prop3": (lambda eps, system, e_bar, pure: bnd.prop3_bound(eps, _handle("fbar", system), e_bar, pure),
+              {"eps": "real", "system": "system", "E_bar": "real", "pure": _FLAG}),
+    "prop4": (bnd.prop4_bound, {"eps": "real", "d_a": "integer", "n": ("integer", 1)}),
+    "prop5": (lambda eps, system, n, t, *t_args: bnd.prop5_bound(eps, n, functools.partial(_handle("t", system, *t_args), t)),
+              {"eps": "real", "system": "oscillator", "n": ("integer", 1), "t": ("integer", 0), **_T}),
+    "prop6": (bnd.prop6_bound, {"eps": "real", "d_a": "integer", "same_channel": _FLAG, "same_ensemble": _FLAG}),
+    "prop7": (lambda eps, system, e_bar: bnd.prop7_bound(eps, _handle("fbar", system), e_bar),
+              {"eps": "real", "system": "system", "E_bar": "real"}),
+    "prop8": (lambda eps, system, *t_args: bnd.prop8_bound(eps, functools.partial(_handle("t", system, *t_args), 0)),
+              {"eps": "real", "system": "system", **_T}),
+    "t_st": (lambda eps, system, t, *t_args: _handle("t", system, *t_args)(t, eps),
+             {"eps": "real", "system": "system", "t": ("integer", 0), **_T}),
+    **{name: (lambda eps, system, e_cap, r: bnd.p_r(_handle("system", system), e_cap, eps, r),
+              {"eps": "real", "system": "oscillator", "E": "real", "r": ("real", 1.0)}) for name in ("p_r", "corollary_osc")},
+    **{f"thm1_{cap}": (functools.partial(bnd.theorem1_bound, cap),
+                       {"eps": "real", "d_a": ("integer", None), "log_d_a": ("real", None)}) for cap in bnd.CAPACITIES},
+    **{f"thm2_{cap}": (lambda eps, *t_args, cap=cap: bnd.theorem2_bound(cap, eps, _handle("t", *t_args)),
+                       {"eps": "real", "system": "oscillator", **_T}) for cap in bnd.CAPACITIES},
+}
+
+
+def bound_value(bound: str, given: dict, names: Optional[dict] = None) -> float:
+    """BOUNDS[bound] at `given`, key -> value as a config or `eval` writes it (`names`: key -> name as given).
+
+    A key left out takes its default, else raises KeyError; `eigenvalues` makes the system a spectrum.
+    A given key the bound does not read is an error that names it and lists what the bound reads.
+    """
+    if bound not in BOUNDS:
+        raise ValueError(f"unknown bound {bound!r}")
+    evaluator, schema = BOUNDS[bound]
+    names = names or {}
+    unread = {key for g in given for key in _UNREAD_WITH.get(g, ())}
+    reads = {k for key, kind in schema.items() if key not in unread for k in _SYSTEMS.get(kind, (key,))}
+    if extra := sorted(names.get(key, key) for key in given if key not in reads):
+        raise ValueError(f"{bound} reads no parameters {extra}; it reads {sorted(reads)}")
+    values = []
+    for key, kind in schema.items():
+        kind, *default = kind if isinstance(kind, tuple) else (kind,)
+        if kind in _SYSTEMS:  # as sorted JSON, the key of its cached handles
+            doc = {k: _numbers(given[k], names.get(k, k)) if k in ("frequencies", "eigenvalues") else given[k]
+                   for k in _SYSTEMS[kind] if k in given}
+            values.append(json.dumps({"kind": "spectrum" if "eigenvalues" in doc else "oscillator", **doc}, sort_keys=True))
+        elif key in given:
+            values.append(_RULES[kind](given[key], names.get(key, key)))
+        elif default:
+            values.append(default[0])
+        else:
+            raise KeyError(key)
+    return evaluator(*values)
 
 
 @dataclass(frozen=True)
@@ -212,14 +327,16 @@ def _verdicts(suite: str, trials) -> list:
     verdicts = []
     for trial, rows in trials:
         for name, lhs, eps, rhs, certs in rows:
-            if isinstance(eps, tuple):
-                (eps_lo, eps_hi), rhs_lo, rhs_hi = eps, rhs(eps[0]), rhs(eps[1])
+            eps_lo, eps_hi = eps if isinstance(eps, tuple) else (eps, eps)
+            if isinstance(rhs, tuple):  # (bound, params): the table's bound at both ends, recorded with the row
+                bound, params = rhs
+                certs = {**certs, "bound": bound, "params": params}
+                rhs_lo = bound_value(bound, {**params, "eps": eps_lo})
+                rhs_hi = bound_value(bound, {**params, "eps": eps_hi}) if isinstance(eps, tuple) else rhs_lo
             else:
-                eps_lo = eps_hi = eps
-                rhs_lo = rhs_hi = rhs(eps) if callable(rhs) else rhs
+                rhs_lo = rhs_hi = rhs
             verdicts.append(BoundVerdict(suite, trial, name, float(lhs), float(eps_lo), float(eps_hi),
-                                         float(rhs_lo), float(rhs_hi), classify(lhs, rhs_lo, rhs_hi),
-                                         certs or {}))
+                                         float(rhs_lo), float(rhs_hi), classify(lhs, rhs_lo, rhs_hi), certs))
     return verdicts
 
 
@@ -394,17 +511,17 @@ def _channel_variation(name, pair, value, rhs_at, cap=None, **certs):
 
 
 def _energy_input(config: CampaignConfig, default: dict):
-    """Energy config, or the suite's default -> (spec, Hamiltonian, E).
+    """Energy config, or the suite's default -> (spec, Hamiltonian, E, the system's params).
 
     `spec` is the OscillatorSpec, or None for a spectrum.  A suite whose
     default is an oscillator uses its closed forms, so it takes no spectrum.
     """
     handle, e_cap = parse_energy(config.energy or default)
     if isinstance(handle, OscillatorSpec):
-        return handle, handle.to_hamiltonian(), e_cap
+        return handle, handle.to_hamiltonian(), e_cap, system_params(handle)
     if default["kind"] == "oscillator":
         raise ValueError(f"{config.suite} runs on oscillator input systems")
-    return None, handle, e_cap
+    return None, handle, e_cap, system_params(handle)
 
 
 def _tail_probe(fn, ham: Hamiltonian, e_cap: float):
@@ -442,24 +559,21 @@ def _cmi_abcd(state) -> float:
 
 
 def _lemma4_setup(config: CampaignConfig):
-    """trial % 4 -> (input pair, checks); a check is (bound name, variant, arguments)."""
+    """trial % 4 -> (input pair, checks); a check is (row name, bound, params)."""
     layout = _qubits("ABCDR")
     layout_adf = SystemLayout([("A", 2), ("D", 2), ("B", 2), ("C", 2), ("R", 2)])
     e_cap, ham_star = 1.0, Hamiltonian(np.arange(4.0))
     # H_* acts on A and D together, as one 4-level system
     cap = EnergyCap(ham_star, e_cap, SystemLayout([("AD", 4), ("B", 2), ("C", 2), ("R", 2)]), "AD")
-    finite = {"d": 4}
-    energy = {"f_handle": lambda e: f_h(ham_star, e), "energy": e_cap}
+    finite, energy = ("lemma4_finite", "lemma4_finite", {"d": 4}), {**system_params(ham_star), "E": e_cap}
     return (
-        (lambda gen: (gen.density(layout), gen.density(layout)),
-         (("lemma4_finite", "finite", finite),)),
+        (lambda gen: (gen.density(layout), gen.density(layout)), (finite,)),
         (lambda gen: (_random_qc_state(gen, layout_adf), _random_qc_state(gen, layout_adf)),
-         (("lemma4_finite", "finite", finite), ("lemma4_qc", "qc", finite))),
+         (finite, ("lemma4_qc", "lemma4_qc", {"d": 4}))),
         (lambda gen: _bc_preserving_pair(gen, layout),
-         (("lemma4_finite", "finite", finite),
-          ("lemma4_finite_equal_bc", "finite", {**finite, "part_c": True}))),
+         (finite, ("lemma4_finite_equal_bc", "lemma4_finite", {"d": 4, "part_c": 1}))),
         (lambda gen: (gen.pure(layout_adf, cap), gen.pure(layout_adf, cap)),
-         (("lemma4_energy", "energy", energy), ("lemma4_pure", "pure", energy))),
+         (("lemma4_energy", "lemma4_energy", energy), ("lemma4_pure", "lemma4_pure", energy))),
     )
 
 
@@ -468,7 +582,7 @@ def _lemma4_draw(kinds, gen: Generators, trial: int):
     rho, sigma = draw(gen)
     eps = trace_distance(rho, sigma)
     lhs = abs(_cmi_abcd(rho) - _cmi_abcd(sigma))
-    return [(name, lhs, eps, bnd.lemma4_bound(variant, eps, **kwargs), {}) for name, variant, kwargs in checks]
+    return [(name, lhs, eps, (bound, params), {}) for name, bound, params in checks]
 
 
 def _random_qc_state(gen: Generators, layout_adf: SystemLayout) -> DensityMatrix:
@@ -500,7 +614,7 @@ def _prop2_setup(config: CampaignConfig):
     layout = SystemLayout([("A", config.dim("d_a", 2)), ("C", 2), ("D", 2)])
     return _pair_setup(
         config, layout.dim("A"), 2, draw=lambda gen: gen.density(layout), metric=trace_distance,
-        output=_output_cmi, bound=bnd.prop2_bound,
+        output=_output_cmi, same_input="same_state",
         eps_kinds=("exact_trace_distance", "trace_distance_plus_bures_bracket"),
     )
 
@@ -510,7 +624,7 @@ def _prop6_setup(config: CampaignConfig):
     return _pair_setup(
         config, layout.dim("A"), 3, draw=lambda gen: gen.ensemble(layout, m),
         metric=lambda mu, nu: min(ensemble_d0(mu, nu), ensemble_dk(mu, nu)), output=_output_holevo,
-        bound=bnd.prop6_bound, eps_kinds=("min_d0_dk", "min_d0_dk_plus_bures_bracket"),
+        same_input="same_ensemble", eps_kinds=("min_d0_dk", "min_d0_dk_plus_bures_bracket"),
     )
 
 
@@ -531,7 +645,8 @@ def _joint_variation(c, gen: Generators, trial: int):
         br, certs = _bracketed(phi, psi, c.eps_kinds[1])
         eps = (eps + br.lower, eps + br.upper)
     lhs = abs(c.output(phi, x) - c.output(psi, y))
-    return [(c.suite, lhs, eps, lambda e: c.bound(e, c.dims[0], same_channel, same_input), certs)]
+    params = {"d_a": c.dims[0], "same_channel": int(same_channel), c.same_input: int(same_input)}
+    return [(c.suite, lhs, eps, (c.suite, params), certs)]
 
 
 # ---------------------------------------------------------------------------
@@ -540,14 +655,12 @@ def _joint_variation(c, gen: Generators, trial: int):
 # ---------------------------------------------------------------------------
 
 def _capped_inputs(config: CampaignConfig, default: dict, factors: list, **parts):
-    """The energy cap on A of the layout A + `factors`, E - E_0, f_bar and the fixed channel.
-
-    f_bar is the oscillator closed form, or the spectrum's numeric max entropy.
-    """
-    spec, ham, e_cap = _energy_input(config, default)
+    """The energy cap on A of the layout A + `factors`, the bound's params (the system and
+    E - E_0) and the fixed channel."""
+    _, ham, e_cap, system = _energy_input(config, default)
     return SimpleNamespace(
-        cap=EnergyCap(ham, e_cap, SystemLayout([("A", ham.dim)] + factors)), e_bar=e_cap - ham.ground_energy,
-        fbar=(lambda e: oscillator_f(spec, e + spec.ground_energy)) if spec else (lambda e: f_bar(ham, e)),
+        cap=EnergyCap(ham, e_cap, SystemLayout([("A", ham.dim)] + factors)),
+        params={**system, "E_bar": e_cap - ham.ground_energy},
         channel=Generators.for_trial(config.seed, _FIXED_TRIAL).channel(
             ham.dim, config.dim("d_b", 3), config.dim("d_e", 2)),
         **parts,
@@ -565,7 +678,7 @@ def _prop3_draw(c, gen: Generators, trial: int):
     rho, sigma = draw(c.cap.layout, c.cap), draw(c.cap.layout, c.cap)
     eps = trace_distance(rho, sigma)
     lhs = abs(_output_cmi(c.channel, rho) - _output_cmi(c.channel, sigma))
-    return [("prop3_pure" if pure else "prop3", lhs, eps, bnd.prop3_bound(eps, c.fbar, c.e_bar, pure=pure),
+    return [("prop3_pure" if pure else "prop3", lhs, eps, ("prop3", {**c.params, "pure": int(pure)}),
              {"epsilon_kind": "exact_trace_distance"})]
 
 
@@ -578,7 +691,7 @@ def _prop7_draw(c, gen: Generators, trial: int):
     mu, nu = gen.ensemble(c.cap.layout, c.m, c.cap), gen.ensemble(c.cap.layout, c.m, c.cap)
     eps = ensemble_dk(mu, nu)
     lhs = abs(_output_holevo(c.channel, mu) - _output_holevo(c.channel, nu))
-    return [("prop7", lhs, eps, bnd.prop7_bound(eps, c.fbar, c.e_bar), {"epsilon_kind": "kantorovich_exact"})]
+    return [("prop7", lhs, eps, ("prop7", c.params), {"epsilon_kind": "kantorovich_exact"})]
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +721,7 @@ def _prop4_draw(c, gen: Generators, trial: int):
     pair = _channel_pair(gen, c.dims)
     rho = gen.density(layout)
     return [_channel_variation(f"prop4_n{n}", pair, lambda ch: _n_copy_cmi(ch, n, rho),
-                               lambda eps: bnd.prop4_bound(eps, c.dims[0], n))]
+                               ("prop4", {"d_a": c.dims[0], "n": n}))]
 
 
 def _copy_energies(rho: DensityMatrix, labels, cap: EnergyCap) -> list[float]:
@@ -617,9 +730,9 @@ def _copy_energies(rho: DensityMatrix, labels, cap: EnergyCap) -> list[float]:
 
 def _prop5_setup(config: CampaignConfig):
     default = {"kind": "oscillator", "modes": 1, "frequencies": [1.0], "truncation": 6, "E": 1.2}
-    spec, ham, e_cap = _energy_input(config, default)
+    spec, ham, e_cap, system = _energy_input(config, default)
     return _pair_setup(
-        config, ham.dim, 3, cap=EnergyCap(ham, e_cap), t_fn=bnd.t_functional(spec, e_cap),
+        config, ham.dim, 3, cap=EnergyCap(ham, e_cap), params={**system, "E": e_cap},
         certs={"truncation": spec.truncation, "tail_warned": _tail_probe(gibbs_spectrum, ham, e_cap)[1]},
     )
 
@@ -642,47 +755,47 @@ def _prop5_draw(c, gen: Generators, trial: int):
     t_flag = 0 if all(e <= e_cap + 1e-9 for e in energies) else 1
     return [_channel_variation(
         f"prop5_n{n}_t{t_flag}", _channel_pair(gen, c.dims), lambda ch: _n_copy_cmi(ch, n, rho),
-        lambda eps: bnd.prop5_bound(eps, n, functools.partial(c.t_fn, t_flag)), c.cap,
+        ("prop5", {**c.params, "n": n, "t": t_flag}), c.cap,
         per_copy_energies=energies, **c.certs,
     )]
 
 
 def _prop8_setup(config: CampaignConfig):
-    spec, ham, e_cap = _energy_input(config, {"kind": "spectrum", "eigenvalues": [0, 1, 2, 3], "E": 0.6})
+    spec, ham, e_cap, system = _energy_input(config, {"kind": "spectrum", "eigenvalues": [0, 1, 2, 3], "E": 0.6})
     if spec is None and "p_r" in config.budgets:
         raise ValueError("prop8 reads budgets key 'p_r' only on oscillator input systems; a spectrum takes T")
     # an oscillator takes the closed form P_r in place of T
     r = bnd.check_real(config.budget("p_r", 0.5), "p_r")
-    t_fn = bnd.t_functional(spec or ham, e_cap, r=r if spec else None)
+    params = {**system, "E": e_cap, **({"r": r} if spec else {})}
+    bound_value("prop8", {**params, "eps": 0.0})  # checks r and E, and builds T or P_r, before any trial
     if spec and math.sqrt(2.0) * r > 1.0 + 1e-12:  # `p_r`'s domain eps * r <= 1 at a bracket end's sqrt(2)
         raise ValueError(f"prop8's p_r = {r} must be <= 1/sqrt(2): its epsilon reaches sqrt(2) and P_r needs eps * r <= 1")
     cap = EnergyCap(ham, e_cap)
     mu = Generators.for_trial(config.seed, _FIXED_TRIAL).ensemble(cap.layout, config.dim("ensemble_size", 3), cap)
-    return _pair_setup(config, ham.dim, 3, mu=mu, cap=cap,
-                       rhs_at=lambda eps: bnd.prop8_bound(eps, functools.partial(t_fn, 0)))
+    return _pair_setup(config, ham.dim, 3, mu=mu, cap=cap, params=params)
 
 
 def _prop8_draw(c, gen: Generators, trial: int):
     return [_channel_variation("prop8", _channel_pair(gen, c.dims),
-                               lambda ch: _output_holevo(ch, c.mu), c.rhs_at, c.cap)]
+                               lambda ch: _output_holevo(ch, c.mu), ("prop8", c.params), c.cap)]
 
 
 # ---------------------------------------------------------------------------
 # thm1 / thm2: closed-form capacity verification on the erasure family
 # ---------------------------------------------------------------------------
 
-def _erasure_rows(suite: str, x, m_scale: float, bound_at, certs: dict):
-    """Rows of the capacity gaps of erase(1/2 - x) over erase(1/2), one per capacity."""
-    for cap, gap, eps, rhs in bnd.erasure_family(x, m_scale, bound_at):
-        yield f"{suite}_{cap}", gap, eps, rhs, {"epsilon_kind": "isometry_gap_closed_form", **certs}
+def _erasure_rows(suite: str, x, m_scale: float, params: dict, certs: dict):
+    """Rows of the capacity gaps of erase(1/2 - x) over erase(1/2), one per capacity, each bound at `params`."""
+    for cap, gap, eps in bnd.erasure_family(x, m_scale):
+        yield (f"{suite}_{cap}", gap, eps, (f"{suite}_{cap}", params),
+               {"epsilon_kind": "isometry_gap_closed_form", **certs})
 
 
 def _thm1_grid(config: CampaignConfig):
     x_grid = checked_list(config.dims.get("x_grid", [0.01, 0.05]), "x_grid")
     for d in checked_list(config.dims.get("d_grid", list(range(2, 65))), "d_grid", bnd.check_dimension):
         for x in x_grid:
-            yield from _erasure_rows("thm1", x, math.log(d), functools.partial(bnd.theorem1_bound, d_a=d),
-                                     {"d": d, "x": x})
+            yield from _erasure_rows("thm1", x, math.log(d), {"d_a": d}, {"d": d, "x": x})
 
 
 def _thm2_grid(config: CampaignConfig):
@@ -690,15 +803,14 @@ def _thm2_grid(config: CampaignConfig):
     if system.pop("kind", "oscillator") != "oscillator":
         raise ValueError("thm2 runs on oscillator input systems")
     spec = parse_oscillator(system)
-    ham = spec.to_hamiltonian()
+    ham, system = spec.to_hamiltonian(), system_params(spec)
     x_grid = checked_list(config.dims.get("x_grid", [0.01, 0.05]), "x_grid")
     for e_cap in checked_list(config.dims.get("e_grid", [2.0, 5.0, 10.0]), "e_grid"):
         m_scale, tail_warned = _tail_probe(f_h, ham, e_cap)
         r_values = checked_list(config.dims.get("r_grid", [1.0, 0.3, 1.0 / oscillator_f(spec, e_cap)]), "r_grid")
         for x in x_grid:
             for r in r_values:
-                bound_at = functools.partial(bnd.theorem2_bound, t_fn=bnd.t_functional(spec, e_cap, r=r))
-                yield from _erasure_rows("thm2", x, m_scale, bound_at, {
+                yield from _erasure_rows("thm2", x, m_scale, {**system, "E": e_cap, "r": r}, {
                     "E": e_cap, "x": x, "r": r, "M": m_scale, "tail_warned": tail_warned})
 
 

@@ -798,6 +798,7 @@ def bures_sup_bruteforce(
     w_psi = _extend_isometry(psi.isometry, d_r)
     rng = np.random.default_rng(seed)
     dim = d_a * d_r
+    form = _overlap_form(w_phi, w_psi, d_b, phi.d_e, psi.d_e, d_r)
     best = -1.0
     best_vec = None
 
@@ -807,7 +808,7 @@ def bures_sup_bruteforce(
         for start in range(0, len(vecs), _ORACLE_BLOCK):
             block = vecs[start:start + _ORACLE_BLOCK]
             block *= 1.0 / np.linalg.norm(block, axis=1, keepdims=True)
-            vals = _batched_output_bures(w_phi, w_psi, block, d_b, phi.d_e, psi.d_e, d_r)
+            vals = _batched_output_bures(w_phi, w_psi, block, d_b, phi.d_e, psi.d_e, d_r, form)
             top = int(np.argmax(vals))
             if vals[top] > best:
                 best, best_vec = float(vals[top]), block[top].copy()
@@ -836,19 +837,26 @@ def _trace_norms(y: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("nef,nef->n", y, y.conj()).real + 2.0 * np.abs(det))
 
 
-def _batched_output_bures(w_phi, w_psi, vecs, d_b, d_e1, d_e2, d_r) -> np.ndarray:
+def _overlap_form(w_phi, w_psi, d_b, d_e1, d_e2, d_r) -> np.ndarray:
+    """The (dim^2, d_e1 d_e2) form of two dilations, summed over B and R, that maps v conj(v)^T to Y_phi Y_psi*."""
+    return np.einsum("beri,bfrj->ijef", w_phi.reshape(d_b, d_e1, d_r, -1),
+                     w_psi.reshape(d_b, d_e2, d_r, -1).conj()).reshape(-1, d_e1 * d_e2)
+
+
+def _batched_output_bures(w_phi, w_psi, vecs, d_b, d_e1, d_e2, d_r, form=None) -> np.ndarray:
     """Output Bures distances for a batch of pure inputs, without output states.
 
     The dilated output (V (x) I_R) v, read as a d_e x (d_b d_r) matrix Y,
     factors the output exactly as Y^T conj(Y).  By Uhlmann's theorem the root
     fidelity ||sqrt(rho) sqrt(sigma)||_1 is then the trace norm of the small
     overlap Y_phi Y_psi*, so no noisy rank-deficient spectrum is square-rooted.
-    The overlap is sesquilinear in v: the outer products v conj(v)^T times one
-    form of the two dilations, summed over B and R once per call.
+    The overlap is sesquilinear in v: the outer products v conj(v)^T times
+    `_overlap_form` of the two dilations, which a caller with many batches
+    builds once and passes as `form`.
     """
     m, dim = vecs.shape
-    form = np.einsum("beri,bfrj->ijef", w_phi.reshape(d_b, d_e1, d_r, dim),
-                     w_psi.reshape(d_b, d_e2, d_r, dim).conj()).reshape(dim * dim, d_e1 * d_e2)
+    if form is None:
+        form = _overlap_form(w_phi, w_psi, d_b, d_e1, d_e2, d_r)
     # the sample axis last and contiguous, so the outer products' inner loops run over the m samples
     cols = np.ascontiguousarray(vecs.T)
     outer = (cols[:, None, :] * cols[None, :, :].conj()).reshape(dim * dim, m)

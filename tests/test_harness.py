@@ -752,6 +752,61 @@ def test_golden_reports(tmp_path):
                 assert x == y or abs(x - y) <= 1e-9 * max(1.0, abs(y)), where
 
 
+# the suites whose rows check a bound of the table; identities and metrics rows check caps
+_BOUND_SUITES = ("lemma4", "prop2", "prop3", "prop4", "prop5", "prop6", "prop7", "prop8", "thm1", "thm2")
+
+
+def test_every_bound_row_recomputes_from_its_bound_and_params():
+    """The table at a row's `bound` and `params` gives its rhs_lo and rhs_hi bit for bit, at eps_lo and
+    eps_hi, on every row of the seed-7 campaigns of `GOLDEN_TRIALS` and of both default sweeps."""
+    for suite, trials in GOLDEN_TRIALS.items():
+        for v in run_suite(CampaignConfig(suite=suite, trials=trials, seed=7)).verdicts:
+            if suite not in _BOUND_SUITES:
+                assert "bound" not in v.certificates and "params" not in v.certificates
+                continue
+            bound, params = v.certificates["bound"], v.certificates["params"]
+            assert json.loads(json.dumps(params)) == params, (suite, v.trial)
+            for eps, rhs in ((v.eps_lo, v.rhs_lo), (v.eps_hi, v.rhs_hi)):
+                assert suites.bound_value(bound, {**params, "eps": eps}) == rhs, (suite, v.trial, v.bound_name)
+    for family, theorem in (("erasure_dim", "thm1"), ("erasure_energy", "thm2")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationTailWarning)
+            rows = sweep_tightness(family, {})
+        for row in rows:
+            params = ({"log_d_a": row.value} if theorem == "thm1"
+                      else {**suites.system_params(OscillatorSpec(1, (1.0,))), "E": row.value, "r": row.r})
+            assert suites.bound_value(f"{theorem}_{row.capacity}", {**params, "eps": row.epsilon}) == row.bound
+
+
+def test_eval_names_are_the_table_keys(capsys):
+    """`eval` takes exactly the table's names, every default report's rows name one, and the
+    README's `eval` paragraph lists each (a theorem's five capacities as `<cap>`)."""
+    for name in suites.BOUNDS:
+        assert cli_main(["eval", "--bound", name]) == 1  # no parameters: missing eps or x, never an unknown name
+        assert "unknown bound" not in capsys.readouterr().err, name
+    assert cli_main(["eval", "--bound", "prop5_n2_t1", "--params", "eps=0.1"]) == 1
+    assert capsys.readouterr().err == "error: unknown bound 'prop5_n2_t1'\n"
+    for suite in _BOUND_SUITES:
+        for v in run_suite(CampaignConfig(suite=suite, trials=2, seed=7)).verdicts:
+            assert v.certificates["bound"] in suites.BOUNDS, (suite, v.bound_name)
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = readme[readme.index("`eval` bound names"):readme.index("### Campaign config schema")]
+    for name in suites.BOUNDS:
+        listed = re.sub(r"^(thm[12])_.*", r"\1_<cap>", name)
+        assert f"`{listed}`" in paragraph, name
+
+
+@pytest.mark.parametrize("suite, trials", [("prop8", 1), ("prop3", 2), ("lemma4", 4), ("prop5", 2)])
+def test_eval_prints_a_rows_rhs_from_its_params(suite, trials, capsys):
+    """A row's params, written as `eval` parameters (a list as w1:w2:...), print its rhs_lo:
+    a spectrum (prop8, prop3 and lemma4's capped rows) evaluates as an oscillator does."""
+    for v in run_suite(CampaignConfig(suite=suite, trials=trials, seed=7)).verdicts:
+        params = {**v.certificates["params"], "eps": repr(v.eps_lo)}
+        text = ",".join(f"{k}={':'.join(map(repr, x)) if isinstance(x, list) else x}" for k, x in params.items())
+        assert cli_main(["eval", "--bound", v.certificates["bound"], "--params", text]) == 0
+        assert float(capsys.readouterr().out) == v.rhs_lo, (suite, v.trial, text)
+
+
 # (bound, params, units) of every `chanbound eval` line in README.md and the CI workflow ->
 # (exit code, stdout or the stderr line) as printed before the parameters were read one by one
 _DOC_EVAL_LINES = {
