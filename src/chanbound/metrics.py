@@ -385,9 +385,11 @@ def channel_bures_bracket(
 
     beta^2 = 2 - 2 F, where the root fidelity F = min_rho ||X(rho)||_1 is
     the value of a small SDP.  A log-barrier path-following solver runs on
-    its dual (see `_SaddleTracker`) for at most `budget` Newton steps;
-    after each centering the path's input state and contraction are
-    evaluated as certificates, and only those evaluations become endpoints.
+    its dual (see `_SaddleTracker`) for at most `budget` Newton steps.  The
+    path's input state and contraction are evaluated as certificates at the
+    start point, at each centering whose barrier gap is at most
+    `_CERTIFY_GAP`, and at the last iterate, and only those evaluations
+    become endpoints.
     `cap`, an `EnergyCap` on one factor of dimension d_a, bounds the
     input's mean energy.  A cap at exactly E_0 admits only ground-eigenspace
     inputs, so that case is solved exactly on the ground eigenspace without
@@ -430,6 +432,7 @@ def _solve_bracket(tracker, phi, psi, cap: Optional[EnergyCap], budget: int, tol
 _CENTERING_STEPS = 80  # Newton steps per centering
 _CENTERED = 1e-10  # centering ends once half the squared Newton decrement is below this
 _BARRIER_GAP = 1e-10  # the path ends once the barrier's duality gap nu / tau is below this
+_CERTIFY_GAP = 1e-2  # a centering is certified once nu / tau is below this; the start point and the exit always are
 _TAU_GROWTH = 20.0
 
 
@@ -444,9 +447,11 @@ class _SaddleTracker:
     rows and columns `slices[i]` (Vandenberghe and Boyd, SIAM Rev. 38, 1996).
     Each centering minimizes tau objective . y - log det F(y) (- log mu) by
     damped Newton steps, halving a step until one Cholesky factorisation of
-    F accepts it.  After each centering `_certify` turns the iterate into
-    witnesses, and only their exact evaluations become endpoints, so an
-    inaccurate or failed solve can only leave the bracket wider.
+    F accepts it.  `_certify` turns the start point, each centering whose
+    barrier gap nu / tau is at most `_CERTIFY_GAP` and the last iterate into
+    witnesses (see `descend`), and only their exact evaluations become
+    endpoints, so an inaccurate or failed solve can only leave the bracket
+    wider.
 
     This class solves the dual of the root fidelity:  max t - mu E  over the
     contraction C, t and mu >= 0, subject to M(C) + mu H - t I >= 0 (the d_a
@@ -592,13 +597,19 @@ class _SaddleTracker:
         return step, float(-grad @ step)
 
     def descend(self, budget: int, tol: float):
-        """Follow the barrier path from the start point, certifying it and every centering.
+        """Follow the barrier path from the start point, certifying it, the late centerings and the exit.
 
         tau grows 20-fold per centering; each centering takes at most 80
         damped Newton steps (step 1 / (1 + lambda) while the decrement lambda
         exceeds 1/4).  The path ends at width <= tol, at barrier gap
         nu / tau <= 1e-10, after `budget` Newton steps in all, or at the
-        first numerical failure, keeping the certificates found so far.
+        first numerical failure or step underflow.  A centering is certified
+        only once nu / tau <= `_CERTIFY_GAP`: before that no certificate has
+        ended a path, and skipping one costs at most extra Newton steps.  The
+        start point is always certified (its zero contraction holds the
+        Bures upper end at sqrt(2) on maximally distant pairs), and so is the
+        last accepted iterate on every exit, unless it was already; an exit
+        certificate that fails numerically is dropped.
         Each iterate is factored, inverted and differentiated once: the step
         test's one Cholesky factor of the block-diagonal F at the accepted
         point serves its certification and its barrier terms, which its
@@ -608,9 +619,11 @@ class _SaddleTracker:
         factor = np.linalg.cholesky(self._matrix(y))  # the start point is strictly feasible
         barrier = None
         self._certify(y, factor)
+        certified = True  # y has had its certificate (or a failed attempt at one)
         tau = 1.0
         try:
             while True:
+                trial = factor  # None once a step underflows
                 for _ in range(_CENTERING_STEPS):
                     if self.iterations >= budget:
                         break
@@ -624,14 +637,25 @@ class _SaddleTracker:
                     while (trial := self._factors(y + alpha * step)) is None:
                         alpha /= 2.0
                         if alpha < 1e-12:
-                            return
-                    y, factor, barrier = y + alpha * step, trial, None
-                self._certify(y, factor)
+                            break
+                    if trial is None:
+                        break
+                    y, factor, barrier, certified = y + alpha * step, trial, None, False
+                if trial is None:
+                    break
+                if not certified and self.nu / tau <= _CERTIFY_GAP:
+                    certified = True
+                    self._certify(y, factor)
                 if self.width <= tol or self.nu / tau <= _BARRIER_GAP or self.iterations >= budget:
-                    return
+                    break
                 tau *= _TAU_GROWTH
         except np.linalg.LinAlgError:
-            return
+            pass
+        if not certified:
+            try:
+                self._certify(y, factor)
+            except np.linalg.LinAlgError:
+                pass
 
     def _certify(self, y: np.ndarray, factor: np.ndarray):
         """Witnesses of the iterate y, from the first block's Cholesky factor at the top left of `factor`."""

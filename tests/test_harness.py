@@ -752,6 +752,35 @@ def test_golden_reports(tmp_path):
                 assert x == y or abs(x - y) <= 1e-9 * max(1.0, abs(y)), where
 
 
+@pytest.mark.two_blas_threads
+def test_brackets_hold_the_trivial_bounds(monkeypatch):
+    """Every Bures bracket of the seed-7 campaigns of `GOLDEN_TRIALS` ends at most at sqrt(2), and every
+    diamond bracket at most at 2.  The start point's zero contraction certifies sqrt(2) exactly, which
+    is the upper end of the maximally distant pairs of prop5's and prop8's trial 1 (one bracket a trial)."""
+    uppers = {"bures": {}, "diamond": {}}  # kind -> suite -> upper ends in draw order
+
+    def recording(kind, solve):
+        def wrapped(*args, **kwargs):
+            br = solve(*args, **kwargs)
+            uppers[kind].setdefault(suite, []).append(br.upper)
+            return br
+        return wrapped
+
+    monkeypatch.setattr(suites, "_workers", lambda trials: 1)  # a forked trial's brackets would go unrecorded
+    monkeypatch.setattr(suites, "channel_bures_bracket", recording("bures", suites.channel_bures_bracket))
+    monkeypatch.setattr(suites, "diamond_bracket", recording("diamond", suites.diamond_bracket))
+    for suite in ("prop2", "prop4", "prop5", "prop6", "prop8", "metrics"):
+        run_suite(CampaignConfig(suite=suite, trials=GOLDEN_TRIALS[suite], seed=7))
+    bures = [u for ends in uppers["bures"].values() for u in ends]
+    diamond = [u for ends in uppers["diamond"].values() for u in ends]
+    assert len(uppers["bures"]) == 6 and diamond
+    assert all(upper <= math.sqrt(2.0) for upper in bures)
+    assert all(upper <= 2.0 for upper in diamond)
+    assert len(uppers["bures"]["prop5"]) == len(uppers["bures"]["prop8"]) == GOLDEN_TRIALS["prop5"] == 2
+    assert uppers["bures"]["prop5"][1] == math.sqrt(2.0)
+    assert uppers["bures"]["prop8"][1] == math.sqrt(2.0)
+
+
 # the suites whose rows check a bound of the table; identities and metrics rows check caps
 _BOUND_SUITES = ("lemma4", "prop2", "prop3", "prop4", "prop5", "prop6", "prop7", "prop8", "thm1", "thm2")
 

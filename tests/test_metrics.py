@@ -668,6 +668,44 @@ def _parent_descend(self, budget, tol):
         return
 
 
+def _every_centering_descend(self, budget, tol):
+    """`_SaddleTracker.descend` as it was when it certified the start point and every
+    centering, and nothing at a step underflow or a numerical failure."""
+    y = self.y0
+    factor = np.linalg.cholesky(self._matrix(y))
+    barrier = None
+    self._certify(y, factor)
+    tau = 1.0
+    try:
+        while True:
+            for _ in range(metrics._CENTERING_STEPS):
+                if self.iterations >= budget:
+                    break
+                if barrier is None:
+                    barrier = self._barrier(factor)
+                step, lam2 = self._newton_step(y, barrier, tau)
+                if not math.isfinite(lam2) or lam2 / 2.0 <= metrics._CENTERED:
+                    break
+                self.iterations += 1
+                alpha = 1.0 if lam2 <= 1.0 / 16.0 else 1.0 / (1.0 + math.sqrt(lam2))
+                while (trial := self._factors(y + alpha * step)) is None:
+                    alpha /= 2.0
+                    if alpha < 1e-12:
+                        return
+                y, factor, barrier = y + alpha * step, trial, None
+            self._certify(y, factor)
+            if self.width <= tol or self.nu / tau <= metrics._BARRIER_GAP or self.iterations >= budget:
+                return
+            tau *= metrics._TAU_GROWTH
+    except np.linalg.LinAlgError:
+        return
+
+
+def _bracket_bits(br):
+    """Every field of a Bracket, arrays as their bytes, so that == compares bit for bit."""
+    return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in vars(br).values())
+
+
 def _lmi_barrier(l, basis):
     """Gradient and Hessian of -log det f along the Hermitian `basis` stack, from f = l l*,
     for one block: the per-block terms that the tracker summed before it fused its blocks."""
@@ -810,6 +848,123 @@ class TestTrackerShortcuts:
             assert (energy, lam0, curvature) == ref[1:]
             checked += 1
         assert checked >= 50
+
+
+def _recording(tracker):
+    """`tracker` that records each iterate its step test accepts and each iterate it certifies."""
+
+    def factors(self, y):
+        out = tracker._factors(self, y)
+        if out is not None:
+            self.accepted.append(y)
+        return out
+
+    def certify(self, y, factor):
+        self.certified.append(y)
+        return tracker._certify(self, y, factor)
+
+    def init(self, *args):
+        self.accepted, self.certified = [], []
+        tracker.__init__(self, *args)
+
+    return type("Recording", (tracker,), {"__init__": init, "_factors": factors, "_certify": certify})
+
+
+def _exit_pair():
+    """The capped pair k = 3 of `test_factor_reuse_matches_parent_loop`, as a tracker's arguments."""
+    phi, psi = random_channel(3, 2, 2, seed=8106), random_channel(3, 2, 2, seed=8107)
+    return phi.isometry, psi.isometry, 2, 2, EnergyCap(Hamiltonian(np.array([0.0, 1.0, 2.0])), 0.26)
+
+
+class TestCertifySchedule:
+    @pytest.mark.two_blas_threads
+    @pytest.mark.parametrize("tracker, capped", _TRACKERS)
+    def test_matches_certifying_every_centering(self, tracker, capped):
+        # the early centerings' certificates, nu / tau > _CERTIFY_GAP, never moved an endpoint
+        # or ended a path: every field of every bracket is bit-identical without them
+        every = type("Every", (tracker,), {"descend": _every_centering_descend})
+        h = Hamiltonian(np.array([0.0, 1.0, 2.0]))
+        for k in range(20):
+            d_a = 2 + k % 2
+            phi, psi = random_channel(d_a, 2, 2, seed=8100 + 2 * k), random_channel(d_a, 2, 2, seed=8101 + 2 * k)
+            cap = EnergyCap(Hamiltonian(h.eigenvalues[:d_a]), 0.2 + 0.02 * k) if capped else None
+            got = metrics._solve_bracket(tracker, phi, psi, cap, 500, metrics.BRACKET_TOL)
+            ref = metrics._solve_bracket(every, phi, psi, cap, 500, metrics.BRACKET_TOL)
+            assert _bracket_bits(got) == _bracket_bits(ref), k
+
+    @pytest.mark.two_blas_threads
+    @pytest.mark.parametrize("suite, most", [("prop5", 80), ("prop8", 66)])
+    def test_late_certificates_eval_count(self, suite, most, monkeypatch):
+        # the default capped systems at seed 7, one trial each: 127 and 104 evaluations
+        # when every centering was certified
+        real = metrics._ground_min_energy_state
+        calls = []
+        monkeypatch.setattr(metrics, "_ground_min_energy_state", lambda a, h: calls.append(a) or real(a, h))
+        run_suite(CampaignConfig(suite=suite, trials=1, seed=7))
+        assert 0 < len(calls) <= most
+
+    @staticmethod
+    def _certified_at(tracker, args, ys):
+        """(lower, upper) of a fresh tracker that certifies exactly the iterates ys."""
+        ref = tracker(*args)
+        for y in ys:
+            ref._certify(y, ref._factors(y))
+        return ref.lower, ref.upper
+
+    @pytest.mark.parametrize("tracker", [metrics._SaddleTracker, metrics._DiamondTracker])
+    def test_budget_exit_certifies_last_iterate(self, tracker):
+        args = _exit_pair()
+        full = tracker(*args).bracket(500, metrics.BRACKET_TOL)
+        assert full.converged and full.iterations > 6
+        tr = _recording(tracker)(*args)
+        br = tr.bracket(6, metrics.BRACKET_TOL)
+        assert br.iterations == 6 and not br.converged
+        assert len(tr.accepted) == 6
+        # the start point and the exit: no centering got to nu / tau <= _CERTIFY_GAP
+        assert [y is tr.y0 for y in tr.certified] == [True, False]
+        assert tr.certified[-1].tobytes() == tr.accepted[-1].tobytes()
+        assert (br.lower, br.upper) == self._certified_at(tracker, args, [tr.y0, tr.accepted[-1]])
+
+    @pytest.mark.parametrize("tracker", [metrics._SaddleTracker, metrics._DiamondTracker])
+    @pytest.mark.parametrize("failure", ["underflow", "linalg"])
+    def test_failure_exit_certifies_last_iterate(self, tracker, failure):
+        # after 4 accepted steps the step test rejects every point, so the step halves to
+        # underflow, or the next Newton step fails numerically
+        def factors(self, y):
+            return None if len(self.accepted) >= 4 else tracker._factors(self, y)
+
+        def newton_step(self, y, barrier, tau):
+            if len(self.accepted) >= 4:
+                raise np.linalg.LinAlgError("singular Hessian")
+            return tracker._newton_step(self, y, barrier, tau)
+
+        override = {"_factors": factors} if failure == "underflow" else {"_newton_step": newton_step}
+        args = _exit_pair()
+        tr = _recording(type("Failing", (tracker,), override))(*args)
+        br = tr.bracket(500, metrics.BRACKET_TOL)
+        assert not br.converged and br.iterations == 4 + (failure == "underflow")
+        assert len(tr.accepted) == 4 and len(tr.certified) == 2
+        assert tr.certified[0] is tr.y0 and tr.certified[-1].tobytes() == tr.accepted[-1].tobytes()
+        assert (br.lower, br.upper) == self._certified_at(tracker, args, [tr.y0, tr.accepted[-1]])
+
+    @pytest.mark.parametrize("tracker", [metrics._SaddleTracker, metrics._DiamondTracker])
+    @pytest.mark.parametrize("budget", [6, 500])
+    def test_failed_certificate_is_dropped(self, tracker, budget):
+        # every certificate after the start point's fails: at the exit (budget 6), or at the
+        # first late centering (budget 500), which is not tried again at the exit
+        def certify(self, y, factor):
+            if y is not self.y0:
+                self.failed.append(y)
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return tracker._certify(self, y, factor)
+
+        args = _exit_pair()
+        tr = type("Failing", (tracker,), {"_certify": certify})(*args)
+        tr.failed = []
+        br = tr.bracket(budget, metrics.BRACKET_TOL)
+        start = self._certified_at(tracker, args, [tr.y0])
+        assert (br.lower, br.upper) == start and not br.converged
+        assert len(tr.failed) == 1
 
 
 @pytest.mark.two_blas_threads
