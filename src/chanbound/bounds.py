@@ -128,14 +128,19 @@ def prop2_bound(
 
     same_channel drops the 2 eps log 2 term; same_state halves the g term.
     """
+    return _joint_variation_bound(2.0, epsilon, d_a, same_channel, same_state)
+
+
+def _joint_variation_bound(coefficient: float, epsilon: float, d_a: int, same_channel: bool, same_input: bool) -> float:
+    """c (eps log d_A + eps log 2) + 2 g(eps) at `coefficient` c: prop2 at 2, prop6 at 1, flags as they take them."""
     eps = _check_eps(epsilon, hi=math.inf)
     d_a = check_dimension(d_a)
     if eps == 0.0:
         return 0.0
-    value = 2.0 * eps * math.log(d_a)
+    value = coefficient * eps * math.log(d_a)
     if not same_channel:
-        value += 2.0 * eps * LOG2
-    value += (1.0 if same_state else 2.0) * g(eps)
+        value += coefficient * eps * LOG2
+    value += (1.0 if same_input else 2.0) * g(eps)
     return value
 
 
@@ -281,15 +286,7 @@ def prop6_bound(
 
     same_channel drops the eps log 2 term; same_ensemble halves the g term.
     """
-    eps = _check_eps(epsilon, hi=math.inf)
-    d_a = check_dimension(d_a)
-    if eps == 0.0:
-        return 0.0
-    value = eps * math.log(d_a)
-    if not same_channel:
-        value += eps * LOG2
-    value += (1.0 if same_ensemble else 2.0) * g(eps)
-    return value
+    return _joint_variation_bound(1.0, epsilon, d_a, same_channel, same_ensemble)
 
 
 def prop7_bound(epsilon: float, f_bar_handle: Callable[[float], float], e_bar: float) -> float:

@@ -67,11 +67,8 @@ class Generators:
             members = mix_members(probs, members, cap)
         return Ensemble([(p, DensityMatrix(layout, rho)) for p, rho in zip(probs, members)])
 
-    def channel(
-        self, d_a: int, d_b: int, d_e: int,
-        input_label: str = "A", output_label: str = "B", env_label: str = "E",
-    ) -> StinespringChannel:
-        return random_channel(d_a, d_b, d_e, self.rng, input_label, output_label, env_label)
+    def channel(self, d_a: int, d_b: int, d_e: int) -> StinespringChannel:
+        return random_channel(d_a, d_b, d_e, self.rng)
 
     def unitary(self, d: int) -> np.ndarray:
         return random_isometry(d, d, self.rng)

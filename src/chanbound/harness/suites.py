@@ -118,8 +118,9 @@ class CampaignConfig:
         self.trials, self.seed = bnd.check_integer(self.trials, "trials"), bnd.check_integer(self.seed, "seed")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        self.dims, self.budgets = dict(self.dims), dict(self.budgets)
-        self.energy = dict(self.energy) if self.energy else None
+        self.dims, self.budgets = checked_object(self.dims, "dims"), checked_object(self.budgets, "budgets")
+        if self.energy is not None:  # {} too means no energy section
+            self.energy = checked_object(self.energy, "energy") or None
 
     def budget(self, key: str, default):
         return self.budgets.get(key, default)
@@ -145,6 +146,13 @@ def checked_list(values, name: str, rule=bnd.check_real) -> list:
     if not values:
         raise ValueError(f"{name} = [] must not be empty")
     return [rule(v, name) for v in values]
+
+
+def checked_object(value, name: str) -> dict:
+    """A copy of `value`, a config section or grid entry named `name`, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} = {value} must be a JSON object")
+    return dict(value)
 
 
 def config_from_dict(doc: dict) -> CampaignConfig:
@@ -308,11 +316,14 @@ class CampaignReport:
 
 def run_suite(config: CampaignConfig) -> CampaignReport:
     """Set the suite up once, draw every trial, and classify each row (see the module docstring)."""
-    setup, draw, dims_keys, budget_keys = _SUITES[config.suite]
+    setup, draw, dims_keys, budget_keys, reads_energy = _SUITES[config.suite]
     for part, keys in (("dims", dims_keys), ("budgets", budget_keys)):
         unknown = sorted(set(getattr(config, part)) - set(keys))
         if unknown:
             raise ValueError(f"{config.suite} takes no {part} keys {unknown}; it reads {sorted(keys)}")
+    if config.energy and not reads_energy:
+        readers = ", ".join(name for name, row in _SUITES.items() if row[4])
+        raise ValueError(f"{config.suite} takes no energy section; only {readers} read one")
     fixed = setup(config)
     if draw is None:
         verdicts = _verdicts(config.suite, enumerate([row] for row in fixed))
@@ -945,22 +956,22 @@ def _metrics_draw(_, gen: Generators, trial: int):
 
 _PAIR_DIMS = ("d_a", "d_b", "d_e")
 
-# suite -> (setup, draw, dims keys, budgets keys): setup(config) builds the campaign's
-# fixed parts once and draw(fixed, gen, trial) returns the trial's rows; a suite without
-# a draw is a closed-form grid whose setup yields the rows themselves.  The keys are the
-# ones the suite reads; `run_suite` rejects any other.
+# suite -> (setup, draw, dims keys, budgets keys, reads energy): setup(config) builds the
+# campaign's fixed parts once and draw(fixed, gen, trial) returns the trial's rows; a suite
+# without a draw is a closed-form grid whose setup yields the rows themselves.  `run_suite`
+# rejects any key the suite does not read, and an energy section where it reads none.
 _SUITES = {
-    "lemma4": (_lemma4_setup, _lemma4_draw, (), ()),
-    "prop2": (_prop2_setup, _joint_variation, _PAIR_DIMS, ()),
-    "prop3": (_prop3_setup, _prop3_draw, _PAIR_DIMS, ()),
-    "prop4": (_prop4_setup, _prop4_draw, _PAIR_DIMS + ("n",), ()),
-    "prop5": (_prop5_setup, _prop5_draw, ("d_b", "d_e"), ()),
-    "prop6": (_prop6_setup, _joint_variation, _PAIR_DIMS + ("ensemble_size",), ()),
-    "prop7": (_prop7_setup, _prop7_draw, ("d_b", "d_e", "ensemble_size"), ()),
-    "prop8": (_prop8_setup, _prop8_draw, ("d_b", "d_e", "ensemble_size"), ("p_r",)),
-    "thm1": (_thm1_grid, None, ("d_grid", "x_grid"), ()),
-    "thm2": (_thm2_grid, None, ("e_grid", "x_grid", "r_grid"), ()),
-    "identities": (_identities_setup, _identities_draw, (), ()),
-    "metrics": (lambda config: None, _metrics_draw, (), ()),
+    "lemma4": (_lemma4_setup, _lemma4_draw, (), (), False),
+    "prop2": (_prop2_setup, _joint_variation, _PAIR_DIMS, (), False),
+    "prop3": (_prop3_setup, _prop3_draw, _PAIR_DIMS, (), True),
+    "prop4": (_prop4_setup, _prop4_draw, _PAIR_DIMS + ("n",), (), False),
+    "prop5": (_prop5_setup, _prop5_draw, ("d_b", "d_e"), (), True),
+    "prop6": (_prop6_setup, _joint_variation, _PAIR_DIMS + ("ensemble_size",), (), False),
+    "prop7": (_prop7_setup, _prop7_draw, ("d_b", "d_e", "ensemble_size"), (), True),
+    "prop8": (_prop8_setup, _prop8_draw, ("d_b", "d_e", "ensemble_size"), ("p_r",), True),
+    "thm1": (_thm1_grid, None, ("d_grid", "x_grid"), (), False),
+    "thm2": (_thm2_grid, None, ("e_grid", "x_grid", "r_grid"), (), True),
+    "identities": (_identities_setup, _identities_draw, (), (), False),
+    "metrics": (lambda config: None, _metrics_draw, (), (), False),
 }
 SUITE_NAMES = tuple(_SUITES)

@@ -11,7 +11,7 @@ import math
 
 from .. import bounds as bnd
 from ..energy import f_h
-from .suites import bound_value, checked_list, parse_oscillator, system_params
+from .suites import bound_value, checked_list, checked_object, parse_oscillator, system_params
 from .verdict import SweepRow
 
 FAMILIES = ("erasure_dim", "erasure_energy")
@@ -59,7 +59,7 @@ def _dim_points(grid: dict):
 
 def _energy_points(grid: dict):
     """(variable, value, x, r, M, params) per point: M = F_H(E), and the params of the Theorem 2 bound with P_r."""
-    spec = parse_oscillator(grid.get("oscillator", {}))
+    spec = parse_oscillator(checked_object(grid.get("oscillator", {}), "oscillator"))
     ham = spec.to_hamiltonian()
     x_grid = checked_list(grid.get("x", [0.01]), "x")
     for e_cap in checked_list(grid.get("E", [2.0, 5.0, 10.0]), "E"):

@@ -26,6 +26,7 @@ from .entropic import Ensemble
 from .qstate import DensityMatrix, QStateError, trace_norm
 
 BRACKET_TOL = 1e-6
+NEWTON_BUDGET = 500  # Newton steps a bracket's barrier path takes at most
 
 
 def _sqrt_psd(entries: np.ndarray) -> np.ndarray:
@@ -377,7 +378,6 @@ def channel_bures_bracket(
     phi: StinespringChannel,
     psi: StinespringChannel,
     cap: Optional[EnergyCap] = None,
-    budget: int = 500,
     tol: float = BRACKET_TOL,
     seed: int = 0,
 ) -> Bracket:
@@ -385,7 +385,7 @@ def channel_bures_bracket(
 
     beta^2 = 2 - 2 F, where the root fidelity F = min_rho ||X(rho)||_1 is
     the value of a small SDP.  A log-barrier path-following solver runs on
-    its dual (see `_SaddleTracker`) for at most `budget` Newton steps.  The
+    its dual (see `_SaddleTracker`) for at most `NEWTON_BUDGET` Newton steps.  The
     path's input state and contraction are evaluated as certificates at the
     start point, at each centering whose barrier gap is at most
     `_CERTIFY_GAP`, and at the last iterate, and only those evaluations
@@ -398,7 +398,7 @@ def channel_bures_bracket(
     certified endpoints with converged=False, never an exception.  `seed`
     is ignored: the bracket is deterministic.
     """
-    return _solve_bracket(_SaddleTracker, phi, psi, cap, budget, tol)
+    return _solve_bracket(_SaddleTracker, phi, psi, cap, NEWTON_BUDGET, tol)
 
 
 def _check_same_dimensions(phi: StinespringChannel, psi: StinespringChannel) -> None:
@@ -764,7 +764,6 @@ def diamond_bracket(
     phi: StinespringChannel,
     psi: StinespringChannel,
     cap: Optional[EnergyCap] = None,
-    budget: int = 500,
     tol: float = BRACKET_TOL,
     seed: int = 0,
     bures_bracket: Optional[Bracket] = None,
@@ -777,12 +776,14 @@ def diamond_bracket(
     on A, `upper_contraction` the feasible Z and `upper_multiplier` its mu.
     `seed` and `bures_bracket` are accepted and ignored.
     """
-    return _solve_bracket(_DiamondTracker, phi, psi, cap, budget, tol)
+    return _solve_bracket(_DiamondTracker, phi, psi, cap, NEWTON_BUDGET, tol)
 
 
 # rows the oracle evaluates at once: as fast as 2048 at d_a = 2..4 with a smaller
 # peak (outer products of 16 dim^2 bytes a row), while 512 is slower at d_a = 2
 _ORACLE_BLOCK = 1024
+# coarse-grid draws per batch: fixed, because the draws, and so the value, depend on it
+_ORACLE_BATCH = 20_000
 
 
 def bures_sup_bruteforce(
@@ -790,14 +791,13 @@ def bures_sup_bruteforce(
     psi: StinespringChannel,
     samples: int = 100_000,
     seed: int = 0,
-    chunk: int = 20_000,
 ) -> float:
     """Grid maximization of the output Bures distance over random pure inputs.
 
     Each candidate is the Bures distance of the two outputs at a sampled
     pure input on A (x) R, a value actually reached, computed from the
     isometries alone; no see-saw state or certificate is read.  Half the
-    budget (`samples` >= 2) is a flat Haar grid in batches of `chunk` >= 1;
+    budget (`samples` >= 2) is a flat Haar grid in batches of `_ORACLE_BATCH`;
     the rest refines around the running argmax at shrinking radii, which
     keeps the covering radius near the maximizer far below the global spacing.
     Draws are built in place by `complex_gaussian` and scaled by 1 / norm,
@@ -805,7 +805,7 @@ def bures_sup_bruteforce(
     samples and the value are those of a + 1j * b divided by its norm.
 
     Each batch is normalised and evaluated in blocks of `_ORACLE_BLOCK`
-    rows, so no array grows with `chunk` x dim^2.  A block's top value
+    rows, so no array grows with `_ORACLE_BATCH` x dim^2.  A block's top value
     replaces the best so far only when strictly greater, so the kept input
     is the first maximiser in draw order, as one argmax over all samples
     would give: the samples, the value and the refinement centres do not
@@ -813,18 +813,13 @@ def bures_sup_bruteforce(
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
     _check_same_dimensions(phi, psi)
-    d_a, d_b = phi.d_a, phi.d_b
-    d_r = d_a
-    w_phi = _extend_isometry(phi.isometry, d_r)
-    w_psi = _extend_isometry(psi.isometry, d_r)
+    d_r = phi.d_a
+    form = _overlap_form(_extend_isometry(phi.isometry, d_r), _extend_isometry(psi.isometry, d_r),
+                         phi.d_b, phi.d_e, psi.d_e, d_r)
     rng = np.random.default_rng(seed)
-    dim = d_a * d_r
-    form = _overlap_form(w_phi, w_psi, d_b, phi.d_e, psi.d_e, d_r)
-    best = -1.0
-    best_vec = None
+    dim = phi.d_a * d_r
+    best, best_vec = -1.0, None
 
     def evaluate(vecs: np.ndarray):
         # normalises vecs in place, block by block, and keeps the first maximiser
@@ -832,17 +827,14 @@ def bures_sup_bruteforce(
         for start in range(0, len(vecs), _ORACLE_BLOCK):
             block = vecs[start:start + _ORACLE_BLOCK]
             block *= 1.0 / np.linalg.norm(block, axis=1, keepdims=True)
-            vals = _batched_output_bures(w_phi, w_psi, block, d_b, phi.d_e, psi.d_e, d_r, form)
+            vals = _batched_output_bures(form, block, phi.d_e, psi.d_e)
             top = int(np.argmax(vals))
             if vals[top] > best:
                 best, best_vec = float(vals[top]), block[top].copy()
 
     coarse = samples // 2
-    remaining = coarse
-    while remaining > 0:
-        m = min(chunk, remaining)
-        remaining -= m
-        evaluate(complex_gaussian(rng, (m, dim)))
+    for start in range(0, coarse, _ORACLE_BATCH):
+        evaluate(complex_gaussian(rng, (min(_ORACLE_BATCH, coarse - start), dim)))
     radii = (0.3, 0.1, 0.03, 0.01, 0.003)
     per_stage = max((samples - coarse) // len(radii), 1)
     for radius in radii:
@@ -867,7 +859,7 @@ def _overlap_form(w_phi, w_psi, d_b, d_e1, d_e2, d_r) -> np.ndarray:
                      w_psi.reshape(d_b, d_e2, d_r, -1).conj()).reshape(-1, d_e1 * d_e2)
 
 
-def _batched_output_bures(w_phi, w_psi, vecs, d_b, d_e1, d_e2, d_r, form=None) -> np.ndarray:
+def _batched_output_bures(form, vecs, d_e1, d_e2) -> np.ndarray:
     """Output Bures distances for a batch of pure inputs, without output states.
 
     The dilated output (V (x) I_R) v, read as a d_e x (d_b d_r) matrix Y,
@@ -875,12 +867,9 @@ def _batched_output_bures(w_phi, w_psi, vecs, d_b, d_e1, d_e2, d_r, form=None) -
     fidelity ||sqrt(rho) sqrt(sigma)||_1 is then the trace norm of the small
     overlap Y_phi Y_psi*, so no noisy rank-deficient spectrum is square-rooted.
     The overlap is sesquilinear in v: the outer products v conj(v)^T times
-    `_overlap_form` of the two dilations, which a caller with many batches
-    builds once and passes as `form`.
+    `form`, the `_overlap_form` of the two dilations.
     """
     m, dim = vecs.shape
-    if form is None:
-        form = _overlap_form(w_phi, w_psi, d_b, d_e1, d_e2, d_r)
     # the sample axis last and contiguous, so the outer products' inner loops run over the m samples
     cols = np.ascontiguousarray(vecs.T)
     outer = (cols[:, None, :] * cols[None, :, :].conj()).reshape(dim * dim, m)

@@ -244,6 +244,50 @@ class TestConfig:
             assert rep.summary["pass"] == rep.summary["total"] == 1
 
 
+_ENERGY_READERS = "prop3, prop5, prop7, prop8, thm2"
+
+
+class TestConfigSections:
+    """`dims`, `budgets` and `energy` are JSON objects, and a suite that reads no energy
+    rejects an energy section by name, before it is set up, where it once ignored it."""
+
+    def test_energy_readers(self):
+        assert ", ".join(name for name, row in suites._SUITES.items() if row[4]) == _ENERGY_READERS
+
+    @pytest.mark.parametrize("suite, energy", [(suite, {"bogus": 1}) for suite in
+                                               ("lemma4", "prop2", "prop4", "prop6", "thm1", "identities", "metrics")]
+                             + [("lemma4", {"E": 3}), ("prop4", {"kind": "oscillator", "truncation": 6, "E": 1.2})])
+    def test_energy_rejected_where_no_suite_reads_it(self, suite, energy, monkeypatch):
+        _setup_must_not_run(monkeypatch, suite)
+        message = f"{suite} takes no energy section; only {_ENERGY_READERS} read one"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_suite(config_from_dict({"suite": suite, "trials": 1, "energy": energy}))
+
+    @pytest.mark.parametrize("energy", [{}, None])
+    def test_empty_energy_is_no_energy(self, energy):
+        assert run_suite(CampaignConfig(suite="lemma4", trials=4, energy=energy)) == \
+            run_suite(CampaignConfig(suite="lemma4", trials=4))
+
+    @pytest.mark.parametrize("part, value", [
+        ("energy", 0), ("energy", []), ("energy", False), ("energy", [["E", 1.2]]),
+        ("dims", [["d_a", 3]]), ("dims", 5), ("dims", None), ("budgets", 7), ("budgets", [["p_r", 0.5]]),
+    ])
+    def test_sections_must_be_objects(self, part, value, tmp_path, capsys):
+        suite = "prop8" if part == "budgets" else "prop5" if part == "energy" else "prop2"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{part} = {value} must be a JSON object')}$"):
+            config_from_dict({"suite": suite, "trials": 1, part: value})
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suite": suite, "trials": 1, part: value}))
+        assert cli_main(["verify", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {part} = {value} must be a JSON object\n"
+
+    @pytest.mark.parametrize("oscillator", [5, [["truncation", 6]], "x"])
+    def test_sweep_oscillator_must_be_an_object(self, oscillator):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'oscillator = {oscillator} must be a JSON object')}$"):
+            sweep_tightness("erasure_energy", {"oscillator": oscillator})
+
+
 # the one budgets key a suite reads: prop8's r of P_r
 _BUDGETS_READ = {"prop8": ["p_r"]}
 
@@ -643,6 +687,44 @@ class TestTrialBlocks:
         _force_blocks(monkeypatch, 2)
         with pytest.raises(RuntimeError, match=r"^the child that ran trials 4\.\.7 sent no result \(wait status 9\)$"):
             run_suite(CampaignConfig(suite="lemma4", trials=8, seed=7))
+        _assert_no_child_left()
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="exception notes arrived in Python 3.11")
+    def test_a_childs_exception_carries_its_traceback(self, monkeypatch):
+        def fault(trial):
+            if trial == 6:
+                raise QStateError("trial 6 is faulty")
+
+        _patch_draw(monkeypatch, "lemma4", fault)
+        _force_blocks(monkeypatch, 2)
+        with pytest.raises(QStateError) as caught:
+            run_suite(CampaignConfig(suite="lemma4", trials=8, seed=7))
+        assert str(caught.value) == "trial 6 is faulty"
+        (note,) = caught.value.__notes__
+        head, _, trace = note.partition("\n")
+        assert head == "in the child that ran trials 4..7:"
+        assert trace.startswith("Traceback (most recent call last):\n")
+        assert 'raise QStateError("trial 6 is faulty")' in trace
+        assert trace.endswith("QStateError: trial 6 is faulty\n")
+        _assert_no_child_left()
+
+    def test_an_unpicklable_exception_arrives_as_a_runtime_error(self, monkeypatch):
+        class Unpicklable(Exception):
+            """A local class, which pickle cannot find by name."""
+
+        def fault(trial):
+            if trial == 5:
+                raise Unpicklable("trial 5 is faulty")
+
+        _patch_draw(monkeypatch, "lemma4", fault)
+        config = CampaignConfig(suite="lemma4", trials=8, seed=7)
+        _force_blocks(monkeypatch, 1)
+        with pytest.raises(Unpicklable, match="^trial 5 is faulty$"):
+            run_suite(config)
+        _force_blocks(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match="^Unpicklable: trial 5 is faulty$") as caught:
+            run_suite(config)
+        assert type(caught.value) is RuntimeError
         _assert_no_child_left()
 
     def test_a_childs_warnings_meet_the_callers_filters(self, monkeypatch):

@@ -21,6 +21,7 @@ from chanbound.harness.generators import Generators
 from chanbound.harness.suites import CampaignConfig, run_suite
 from chanbound import metrics
 from chanbound.metrics import (
+    _ORACLE_BATCH,
     _ORACLE_BLOCK,
     Bracket,
     _batched_output_bures,
@@ -30,6 +31,7 @@ from chanbound.metrics import (
     _extend_isometry,
     _ground_min_energy_state,
     _hermitian_pinch,
+    _overlap_form,
     _trace_norms,
     _transport,
     bures_state_distance,
@@ -1128,15 +1130,17 @@ def _spectral_output_bures(w_phi, w_psi, vecs, d_b, d_e1, d_e2, d_r):
     return np.sqrt(np.clip(2.0 * (1.0 - root_f), 0.0, None))
 
 
-def _parent_bruteforce(phi, psi, samples, seed, chunk):
-    """`bures_sup_bruteforce` as it was: complex draws as a + 1j * b, normalised by division."""
+def _parent_bruteforce(phi, psi, samples, seed):
+    """`bures_sup_bruteforce` as it was: complex draws as a + 1j * b, normalised by division,
+    each batch of up to 20,000 coarse draws evaluated whole."""
     d_r = phi.d_a
     w_phi, w_psi = _extend_isometry(phi.isometry, d_r), _extend_isometry(psi.isometry, d_r)
+    form = _overlap_form(w_phi, w_psi, phi.d_b, phi.d_e, psi.d_e, d_r)
     rng = np.random.default_rng(seed)
     dim = phi.d_a * d_r
 
     def evaluate(vecs):
-        vals = _batched_output_bures(w_phi, w_psi, vecs, phi.d_b, phi.d_e, psi.d_e, d_r)
+        vals = _batched_output_bures(form, vecs, phi.d_e, psi.d_e)
         top = int(np.argmax(vals))
         return float(vals[top]), vecs[top]
 
@@ -1144,7 +1148,7 @@ def _parent_bruteforce(phi, psi, samples, seed, chunk):
     coarse = samples // 2
     remaining = coarse
     while remaining > 0:
-        m = min(chunk, remaining)
+        m = min(20_000, remaining)
         remaining -= m
         vecs = rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
@@ -1185,11 +1189,6 @@ class TestBruteForceOracle:
         with pytest.raises(ValueError, match="samples"):
             bures_sup_bruteforce(ch, ch, samples=samples)
 
-    def test_rejects_empty_chunk(self):
-        ch = random_channel(2, 2, 2, seed=47)
-        with pytest.raises(ValueError, match="chunk"):
-            bures_sup_bruteforce(ch, ch, samples=10, chunk=0)
-
     @pytest.mark.parametrize("d_e1,d_e2", [(2, 3), (3, 2), (2, 2)])
     def test_matches_40_digit_reference(self, d_e1, d_e2):
         # rank-deficient outputs (d_e < d_b d_r = 4), environments mismatched
@@ -1199,7 +1198,7 @@ class TestBruteForceOracle:
         psi = random_channel(2, 2, d_e2, seed=49)
         w_phi, w_psi = _extend_isometry(phi.isometry, 2), _extend_isometry(psi.isometry, 2)
         vecs = _unit_vectors(np.random.default_rng(50), 12, 4)
-        got = _batched_output_bures(w_phi, w_psi, vecs, 2, d_e1, d_e2, 2)
+        got = _batched_output_bures(_overlap_form(w_phi, w_psi, 2, d_e1, d_e2, 2), vecs, d_e1, d_e2)
 
         def to_mp(arr):
             return mp.matrix([[mp.mpc(z.real, z.imag) for z in row] for row in np.atleast_2d(arr)])
@@ -1248,19 +1247,22 @@ class TestBruteForceOracle:
         psi = random_channel(2, 2, 4, seed=52)
         w_phi, w_psi = _extend_isometry(phi.isometry, 2), _extend_isometry(psi.isometry, 2)
         vecs = _unit_vectors(np.random.default_rng(53), 2000, 4)
-        got = _batched_output_bures(w_phi, w_psi, vecs, 2, 4, 4, 2)
+        got = _batched_output_bures(_overlap_form(w_phi, w_psi, 2, 4, 4, 2), vecs, 4, 4)
         ref = _spectral_output_bures(w_phi, w_psi, vecs, 2, 4, 4, 2)
         assert np.max(np.abs(got - ref)) <= 1e-12
 
     @pytest.mark.two_blas_threads
-    @pytest.mark.parametrize("samples, chunk", [(4000, 20_000), (4000, 700), (100_000, 20_000), (100_000, 15_000)])
-    def test_in_place_draws_match_parent_oracle(self, samples, chunk):
-        # the in-place draws and the normalisation by 1 / norm give the same bits; a ragged
-        # chunk (700 into 2000, 15000 into 50000) ends the coarse grid on a short batch
+    @pytest.mark.parametrize("samples, block", [(4000, 20_000), (4000, 700), (100_000, 20_000), (100_000, 15_000)])
+    def test_in_place_draws_match_parent_oracle(self, samples, block, monkeypatch):
+        # the in-place draws and the normalisation by 1 / norm give the same bits, whatever
+        # the evaluation block: 20,000 evaluates each batch whole, as the parent did, and a
+        # ragged block (700 into 2000, 15,000 into 20,000) ends a batch on a short block;
+        # 100,000 samples end the coarse grid of 50,000 on a short batch (20,000, 20,000, 10,000)
+        monkeypatch.setattr(metrics, "_ORACLE_BLOCK", block)
         for seeds, d_e2 in (((7000, 7001), 2), ((55, 56), 3)):
             phi, psi = random_channel(2, 2, 2, seed=seeds[0]), random_channel(2, 2, d_e2, seed=seeds[1])
-            got = bures_sup_bruteforce(phi, psi, samples=samples, seed=3, chunk=chunk)
-            assert got == _parent_bruteforce(phi, psi, samples, 3, chunk)
+            got = bures_sup_bruteforce(phi, psi, samples=samples, seed=3)
+            assert got == _parent_bruteforce(phi, psi, samples, 3)
 
     @pytest.mark.two_blas_threads
     @pytest.mark.parametrize("dims, d_e2", [((2, 2, 2), 2), ((2, 2, 2), 3), ((2, 3, 3), 2), ((3, 2, 4), 4),
@@ -1272,10 +1274,11 @@ class TestBruteForceOracle:
         d_r = dims[0]
         w_phi, w_psi = _extend_isometry(phi.isometry, d_r), _extend_isometry(psi.isometry, d_r)
         rng = np.random.default_rng(62)
+        form = _overlap_form(w_phi, w_psi, dims[1], dims[2], d_e2, d_r)
         for m in (1, 7, 700, 20_000):
             vecs = _unit_vectors(rng, m, dims[0] * d_r)
-            args = (w_phi, w_psi, vecs, dims[1], dims[2], d_e2, d_r)
-            assert np.array_equal(_batched_output_bures(*args), _sample_first_output_bures(*args))
+            want = _sample_first_output_bures(w_phi, w_psi, vecs, dims[1], dims[2], d_e2, d_r)
+            assert np.array_equal(_batched_output_bures(form, vecs, dims[2], d_e2), want)
 
     def test_sample_stream_unchanged_on_certify_pair(self):
         # the benchmark's criterion-07 pair: same draws, same argmax, so the
@@ -1298,7 +1301,7 @@ class TestBruteForceOracle:
 
     @pytest.mark.parametrize("pair, limit_mib", [("certify", 4), ("4-4-2", 16)])
     def test_memory_does_not_grow_with_the_draw_batch(self, pair, limit_mib):
-        # blocks of _ORACLE_BLOCK rows bound the outer products; one (dim^2, chunk)
+        # blocks of _ORACLE_BLOCK rows bound the outer products; one (dim^2, 20,000)
         # array per batch peaked at 11.6 MiB and 97.7 MiB on these pairs
         if pair == "certify":
             gen = Generators.for_trial(7, 0)
@@ -1315,47 +1318,49 @@ class TestBruteForceOracle:
         assert peak <= limit_mib * 2**20
 
     @pytest.mark.two_blas_threads
-    @pytest.mark.parametrize("chunk", [1, _ORACLE_BLOCK - 1, _ORACLE_BLOCK, _ORACLE_BLOCK + 1, 50_000])
+    @pytest.mark.parametrize("coarse", [1, _ORACLE_BLOCK - 1, _ORACLE_BLOCK, _ORACLE_BLOCK + 1, 50_000])
     @pytest.mark.parametrize("dims, d_e2", [((2, 2, 2), 2), ((3, 3, 2), 2), ((2, 2, 2), 3)],
                              ids=["2-2-2", "3-3-2", "d_e-2-vs-3"])
-    def test_block_boundaries_keep_the_parent_bits(self, chunk, dims, d_e2):
-        # batches that end one row short of, on, and one row past a block, and
-        # stages of 1, 1, 409 and 10000 refinement draws
+    def test_block_boundaries_keep_the_parent_bits(self, coarse, dims, d_e2):
+        # 2 coarse samples: a coarse grid of one draw and refinement stages of one draw;
+        # 2046, 2048 and 2050: a grid that ends one row short of, on, and one row past
+        # a block; 100,000: batches of 20,000, 20,000 and 10,000, and stages of 10,000
         phi = random_channel(*dims, seed=63)
         psi = random_channel(dims[0], dims[1], d_e2, seed=64)
-        for samples in (2, 11, 4097, 100_000):
-            got = bures_sup_bruteforce(phi, psi, samples=samples, seed=5, chunk=chunk)
-            assert got == _parent_bruteforce(phi, psi, samples, 5, chunk)
+        samples = 2 * coarse
+        got = bures_sup_bruteforce(phi, psi, samples=samples, seed=5)
+        assert got == _parent_bruteforce(phi, psi, samples, 5)
 
-    @pytest.mark.parametrize("samples, chunk", [(4097, 1025), (100_000, 50_000)])
-    def test_every_draw_is_evaluated_once_in_blocks(self, samples, chunk, monkeypatch):
+    @pytest.mark.parametrize("samples", [4097, 100_000])
+    def test_every_draw_is_evaluated_once_in_blocks(self, samples, monkeypatch):
         rows = []
 
-        def recording(w_phi, w_psi, vecs, *dims):
+        def recording(form, vecs, *dims):
             rows.append(len(vecs))
             assert np.allclose(np.linalg.norm(vecs, axis=1), 1.0, rtol=0, atol=1e-14)
-            return _batched_output_bures(w_phi, w_psi, vecs, *dims)
+            return _batched_output_bures(form, vecs, *dims)
 
         monkeypatch.setattr(metrics, "_batched_output_bures", recording)
         phi, psi = random_channel(2, 2, 2, seed=63), random_channel(2, 2, 3, seed=64)
-        bures_sup_bruteforce(phi, psi, samples=samples, chunk=chunk)
+        bures_sup_bruteforce(phi, psi, samples=samples)
         coarse, per_stage = samples // 2, (samples - samples // 2) // 5
 
         def blocks(m):
             return [_ORACLE_BLOCK] * (m // _ORACLE_BLOCK) + ([m % _ORACLE_BLOCK] if m % _ORACLE_BLOCK else [])
 
-        batches = [chunk] * (coarse // chunk) + ([coarse % chunk] if coarse % chunk else [])
+        batches = [_ORACLE_BATCH] * (coarse // _ORACLE_BATCH) + ([coarse % _ORACLE_BATCH] if coarse % _ORACLE_BATCH else [])
         assert rows == [n for m in batches + [per_stage] * 5 for n in blocks(m)]
 
-    @pytest.mark.parametrize("chunk", [700, 50_000])
-    def test_ties_go_to_the_earliest_draw(self, chunk, monkeypatch):
+    @pytest.mark.parametrize("samples", [4000, 50_000])
+    def test_ties_go_to_the_earliest_draw(self, samples, monkeypatch):
         # every coarse-grid value reads 0.5, so the refinement centres on the first
-        # draw, as one argmax over the whole grid does; ties span batches and blocks
-        samples, seen, batched = 4000, 0, _batched_output_bures
+        # draw, as one argmax over the whole grid does; ties span blocks, and at
+        # 50,000 samples batches of 20,000 and 5,000 too
+        seen, batched = 0, _batched_output_bures
 
-        def tied_grid(w_phi, w_psi, vecs, *dims):
+        def tied_grid(form, vecs, *dims):
             nonlocal seen
-            vals = batched(w_phi, w_psi, vecs, *dims)
+            vals = batched(form, vecs, *dims)
             vals[:max(min(samples // 2 - seen, len(vecs)), 0)] = 0.5
             seen += len(vecs)
             return vals
@@ -1363,7 +1368,7 @@ class TestBruteForceOracle:
         gen = Generators.for_trial(7, 0)
         phi, psi = gen.channel(2, 2, 2), gen.channel(2, 2, 2)
         monkeypatch.setattr(metrics, "_batched_output_bures", tied_grid)
-        got = bures_sup_bruteforce(phi, psi, samples=samples, seed=5, chunk=chunk)
+        got = bures_sup_bruteforce(phi, psi, samples=samples, seed=5)
         seen = 0
         monkeypatch.setitem(globals(), "_batched_output_bures", tied_grid)
-        assert got == _parent_bruteforce(phi, psi, samples, 5, chunk)
+        assert got == _parent_bruteforce(phi, psi, samples, 5)
